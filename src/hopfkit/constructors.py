@@ -15,7 +15,8 @@ from .cyclo import CycloNum
 from .errors import (BadParameter, CocycleConditionFails,
                      DimensionGateExceeded, WeakActionAxiomFails)
 from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
-from .hopf import ClaimSet, FinHopf, dual, tensor, verify_hopf
+from .hopf import (ClaimSet, FinHopf, associativity_failure, dual, tensor,
+                   verify_hopf)
 from .linalg import (SparseTensor3, dense_to_sparse, mat_eq,
                      mult_vectors, sparse_add_into, identity_matrix,
                      unit_vector, zero_vector)
@@ -404,24 +405,11 @@ def crossed_product(data: CrossedProductData) -> tuple[SparseTensor3, tuple]:
     for a, c in enumerate(data.A_unit):
         unit[ix(a, 0)] = c
     t = SparseTensor3.from_dict((n, n, n), mult)
-    # associativity check
-    trows = t.rows_ij()
-    one = CycloNum.one(M)
-    for i in range(n):
-        for j in range(n):
-            v = trows[i][j]
-            for k in range(n):
-                lhs: dict = {}
-                for m2, c in v:
-                    for l, d in trows[m2][k]:
-                        sparse_add_into(lhs, l, c * d)
-                rhs: dict = {}
-                for m2, c in trows[j][k]:
-                    for l, d in trows[i][m2]:
-                        sparse_add_into(rhs, l, c * d)
-                if lhs != rhs:
-                    raise CocycleConditionFails(
-                        f"crossed product is not associative at ({i},{j},{k})")
+    fail = associativity_failure(t.rows_ij())
+    if fail is not None:
+        i, j, k = fail
+        raise CocycleConditionFails(
+            f"crossed product is not associative at ({i},{j},{k})")
     return t, tuple(unit)
 
 
@@ -529,15 +517,13 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
                 if not H.counit[b].is_zero():
                     counit[ix(a, b)] = H.unit[a] * H.counit[b]
 
-    DD = FinHopf(nD, M, SparseTensor3.from_dict((nD, nD, nD), mult), unit,
-                 SparseTensor3.from_dict((nD, nD, nD), comult), counit,
-                 identity_matrix(nD, M), None, f"D({H.label})")
+    mult_t = SparseTensor3.from_dict((nD, nD, nD), mult)
 
     # antipode: S_D(beta # h) = (eps # S h) . ((S^{-1})* beta # 1)
     S = [[CycloNum.zero(M)] * nD for _ in range(nD)]
     eps = list(H.counit)
     u_s = dense_to_sparse(list(H.unit))
-    Dr = DD.mrows
+    Dr = mult_t.rows_ij()
     for a in range(n):
         # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j)
         sb = {j: Sinv[a][j] for j in range(n) if not Sinv[a][j].is_zero()}
@@ -555,11 +541,10 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
             img = mult_vectors(Dr, left, right)
             for t, c in img.items():
                 S[t][ix(a, b)] = c
-    DD.antipode = tuple(tuple(r) for r in S)
-    DD._cache.pop("sinv", None)
 
     # claims: group-likes beta # x for characters beta, group-likes x;
-    # character candidates x # beta, filtered by verification on the dual
+    # character candidates x # beta, kept when they are algebra characters
+    # of D(H), i.e. group-likes of D(H)*
     gls = []
     for beta in H.claims.characters:
         for x in H.claims.grouplikes:
@@ -570,7 +555,22 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
                         if not x[b].is_zero():
                             v[ix(a, b)] = beta[a] * x[b]
             gls.append(tuple(v))
-    Ddual = dual(DD)
+    # e_i e_j = sum_k c_ij^k e_k, grouped by k: the comultiplication of D(H)*
+    by_out: dict = {}
+    for (i, j, k), c in mult_t.entries:
+        by_out.setdefault(k, []).append(((i, j), c))
+
+    def is_character(v) -> bool:
+        """v(1) = 1 and v(e_i e_j) = v(e_i) v(e_j): v is group-like in D(H)*."""
+        sv = dense_to_sparse(v)
+        if sum((c * unit[k] for k, c in sv.items()), CycloNum.zero(M)) != one:
+            return False
+        img: dict = {}
+        for k, ck in sv.items():
+            for ij, c in by_out.get(k, ()):
+                sparse_add_into(img, ij, ck * c)
+        return img == {(a, b): ca * cb for a, ca in sv.items() for b, cb in sv.items()}
+
     chars = []
     central = []
     for x in H.claims.grouplikes:
@@ -581,7 +581,7 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
                     for b in range(n):
                         if not beta[b].is_zero():
                             v[ix(a, b)] = x[a] * beta[b]
-            if Ddual.is_grouplike(v):
+            if is_character(v):
                 chars.append(tuple(v))
                 w = zero_vector(nD, M)
                 for a in range(n):
@@ -590,7 +590,10 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
                             if not x[b].is_zero():
                                 w[ix(a, b)] = beta[a] * x[b]
                 central.append(tuple(w))
-    DD.claims = ClaimSet(gls, chars)
+
+    DD = FinHopf(nD, M, mult_t, unit,
+                 SparseTensor3.from_dict((nD, nD, nD), comult), counit, S,
+                 ClaimSet(gls, chars), f"D({H.label})")
     DD._cache["central_grouplikes"] = tuple(central)
 
     rep = verify_hopf(DD)

@@ -351,19 +351,6 @@ class CycloNum:
         return render(self)
 
 
-def cyclo_arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:
-    """Dispatch wrapper with the spec's operation names."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def embed(a: CycloNum, M_new: int) -> CycloNum:
     """Image of a under zeta_M -> zeta_{M_new}^(M_new/M)."""
     if M_new == a.M:

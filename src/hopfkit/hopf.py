@@ -11,10 +11,12 @@ from __future__ import annotations
 from .cyclo import CycloNum
 from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
-from .linalg import (SparseTensor3, Subspace, dense_to_sparse,
-                     identity_matrix, image, kernel, mat_inverse, mat_vec,
-                     mult_vectors, sparse_add_into, sparse_to_dense,
-                     unit_vector, vec_is_zero, zero_vector)
+from .linalg import (SparseTensor3, Subspace, algebra_radical,
+                     commutative_quotient_dim, dense_to_sparse, identity_matrix,
+                     ideal_closure, image, intersect_kernels, mat_inverse,
+                     mat_vec, mult_vectors, quotient_by_radical,
+                     sparse_add_into, sparse_to_dense, transpose, unit_vector,
+                     vec_is_zero)
 
 
 class ClaimSet:
@@ -50,38 +52,56 @@ class FinHopf:
 
     # -- cached views ----------------------------------------------------------
 
+    def _memo(self, key: str, make):
+        r = self._cache.get(key)
+        if r is None:
+            r = make()
+            self._cache[key] = r
+        return r
+
     @property
     def mrows(self):
-        r = self._cache.get("mrows")
-        if r is None:
-            r = self.mult.rows_ij()
-            self._cache["mrows"] = r
-        return r
+        return self._memo("mrows", self.mult.rows_ij)
 
     @property
     def crows(self):
-        r = self._cache.get("crows")
-        if r is None:
-            r = self.comult.rows_i()
-            self._cache["crows"] = r
-        return r
+        return self._memo("crows", self.comult.rows_i)
 
     @property
     def antipode_inv(self):
-        r = self._cache.get("sinv")
-        if r is None:
+        def make():
             r = mat_inverse([list(row) for row in self.antipode], self.conductor)
             if r is None:
                 raise AntipodeNotInvertible(self.label or "antipode matrix is singular")
-            self._cache["sinv"] = r
-        return r
+            return r
+        return self._memo("sinv", make)
+
+    @property
+    def radical(self) -> Subspace:
+        """Jacobson radical of the algebra."""
+        return self._memo("radical", lambda: algebra_radical(
+            self.mult, self.unit, self.conductor))
+
+    @property
+    def semisimple_quotient(self) -> SparseTensor3:
+        """Multiplication of H/J(H) (H itself when semisimple)."""
+        return self._memo("ssq", lambda: quotient_by_radical(
+            self.mult, self.radical, self.conductor))
+
+    @property
+    def character_count(self) -> int:
+        """Number of algebra characters H -> k (split case): dim of the
+        largest commutative quotient of H/J(H)."""
+        return self._memo("chars", lambda: commutative_quotient_dim(
+            self.semisimple_quotient, self.conductor))
 
     def dual_cached(self) -> "FinHopf":
-        r = self._cache.get("dual")
-        if r is None:
-            r = dual(self)
-            self._cache["dual"] = r
-        return r
+        """H*, built once; its own dual_cached() is H again (H** = H)."""
+        def make():
+            D = dual(self)
+            D._cache["dual"] = self
+            return D
+        return self._memo("dual", make)
 
     # -- element operations ----------------------------------------------------
 
@@ -192,18 +212,9 @@ class VerificationReport:
         return "; ".join(self.lines())
 
 
-def verify_hopf(H: FinHopf) -> VerificationReport:
-    """Exact check of every Hopf axiom; failures are report entries."""
-    n, M = H.dim, H.conductor
-    mrows, crows = H.mrows, H.crows
-    one = CycloNum.one(M)
-    checks = []
-
-    def sparse_eq(a: dict, b: dict) -> bool:
-        return a == b
-
-    # associativity
-    fail = None
+def associativity_failure(mrows) -> tuple[int, int, int] | None:
+    """First (i, j, k), in lexicographic order, with (e_i e_j) e_k != e_i (e_j e_k)."""
+    n = len(mrows)
     for i in range(n):
         ri = mrows[i]
         for j in range(n):
@@ -219,12 +230,18 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
                     for l, d in ri[m]:
                         sparse_add_into(rhs, l, c * d)
                 if lhs != rhs:
-                    fail = (i, j, k)
-                    break
-            if fail:
-                break
-        if fail:
-            break
+                    return (i, j, k)
+    return None
+
+
+def verify_hopf(H: FinHopf) -> VerificationReport:
+    """Exact check of every Hopf axiom; failures are report entries."""
+    n, M = H.dim, H.conductor
+    mrows, crows = H.mrows, H.crows
+    one = CycloNum.one(M)
+    checks = []
+
+    fail = associativity_failure(mrows)
     checks.append(CheckResult("associativity", fail is None, fail))
 
     # unit laws
@@ -589,34 +606,41 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
     return MorphismReport(checks, rank, rank == Hs.dim, rank == Ht.dim)
 
 
+def skew_primitive_conditions(H: FinHopf, a: dict, b: dict):
+    """Rows of Delta(c) = a (x) c + c (x) b in the coordinates of c, one per (j, k)."""
+    n = H.dim
+    eq: dict = {}
+    for m in range(n):
+        for (j, k), c in H.crows[m]:
+            sparse_add_into(eq.setdefault((j, k), {}), m, c)
+    for j, aj in a.items():
+        for k in range(n):
+            sparse_add_into(eq.setdefault((j, k), {}), k, -aj)
+    for k, bk in b.items():
+        for j in range(n):
+            sparse_add_into(eq.setdefault((j, k), {}), j, -bk)
+    return eq.values()
+
+
 def coinvariants(pi: HopfMorphism) -> Subspace:
     """{h : (id (x) pi)Delta(h) = h (x) 1_B} as a subspace of the source."""
     H, B = pi.source, pi.target
     n, m, M = H.dim, B.dim, H.conductor
     if pi.rank != m:
         raise NotSurjective("projection is not surjective")
-    rows: dict[tuple[int, int], list[CycloNum]] = {}
-
-    def row(a, b):
-        r = rows.get((a, b))
-        if r is None:
-            r = zero_vector(n, M)
-            rows[(a, b)] = r
-        return r
-
+    # (id (x) pi) Delta(h) - h (x) 1_B = 0, one row per (j, b)
+    eq: dict = {}
     A = pi.matrix
     uB = B.unit
     for t in range(n):
         for (j, k), c in H.crows[t]:
             for b in range(m):
                 if not A[b][k].is_zero():
-                    r = row(j, b)
-                    r[t] = r[t] + c * A[b][k]
+                    sparse_add_into(eq.setdefault((j, b), {}), t, c * A[b][k])
         for b in range(m):
             if not uB[b].is_zero():
-                r = row(t, b)
-                r[t] = r[t] - uB[b]
-    return kernel(list(rows.values()), n, M)
+                sparse_add_into(eq.setdefault((t, b), {}), t, -uB[b])
+    return intersect_kernels(eq.values(), n, M)
 
 
 def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphism]:
@@ -630,7 +654,6 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     gens = [g for g in gens if not vec_is_zero(g)]
     if not gens:
         return H, identity_morphism(H)
-    from .linalg import ideal_closure
     I = ideal_closure(H.mrows, n, M, gens)
     if I.dim == 0:
         return H, identity_morphism(H)
@@ -640,11 +663,11 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     coords = I.complement_coords()
     q = len(coords)
 
-    def project(vdense):
-        red = I.reduce(vdense)
-        return [red[c] for c in coords]
+    proj_mat = I.projection_rows()
+    proj_cols = transpose(proj_mat)
 
-    proj_cols = [project(unit_vector(n, M, j)) for j in range(n)]
+    def project(vdense):
+        return mat_vec(proj_mat, vdense)
 
     # counit must vanish on I
     for v in I.basis:
@@ -673,7 +696,6 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
             raise NotAHopfIdeal("ideal is not a coideal")
 
     reps = [unit_vector(n, M, c) for c in coords]
-    proj_mat = [[proj_cols[j][t] for j in range(n)] for t in range(q)]
 
     mult_d = {}
     for a in range(q):

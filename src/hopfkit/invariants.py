@@ -20,13 +20,12 @@ from .errors import (BoundExceeded, ClaimIncomplete, ClaimNotGrouplike,
                      ClaimOvercomplete, ExtractionInconsistent, FieldTooSmall,
                      IntegralSpaceNotOneDim, NotGrouplike, NotNormalizable,
                      NotNormalized, SectionFails)
-from .hopf import FinHopf, HopfMorphism, coinvariants, verify_morphism
-from .linalg import (QuotientAlgebra, Subspace, algebra_radical, center_dim,
-                     commutator_generators, dense_to_sparse, ideal_closure,
-                     identity_matrix, intersect_kernels, kernel, mat_eq,
-                     mat_mul, mat_trace, mult_vectors, sparse_add_into,
-                     sparse_to_dense, split_character_count, unit_vector,
-                     zero_vector)
+from .hopf import (FinHopf, HopfMorphism, coinvariants,
+                   skew_primitive_conditions, verify_morphism)
+from .linalg import (Subspace, algebra_radical, center_dim, dense_to_sparse,
+                     identity_matrix, intersect_kernels, mat_eq, mat_mul,
+                     mat_trace, mult_vectors, quotient_by_radical,
+                     sparse_add_into, sparse_to_dense, transpose)
 
 # -- integrals and modular elements ---------------------------------------------
 
@@ -40,51 +39,31 @@ class IntegralData:
         self.normalized = normalized
 
 
-def _basis_left_mult(H: FinHopf, i: int):
-    n, M = H.dim, H.conductor
-    A = [[CycloNum.zero(M)] * n for _ in range(n)]
-    for j in range(n):
-        for k, c in H.mrows[i][j]:
-            A[k][j] = c
-    return A
-
-
-def _basis_right_mult(H: FinHopf, j: int):
-    n, M = H.dim, H.conductor
-    A = [[CycloNum.zero(M)] * n for _ in range(n)]
+def _integral_conditions(A: FinHopf, left: bool):
+    """Rows of e_i x = eps(e_i) x (left) or x e_i = eps(e_i) x, one block per i."""
+    n, rows = A.dim, A.mrows
     for i in range(n):
-        for k, c in H.mrows[i][j]:
-            A[k][i] = c
-    return A
+        eq: dict = {}
+        for b in range(n):
+            for k, c in (rows[i][b] if left else rows[b][i]):
+                sparse_add_into(eq.setdefault(k, {}), b, c)
+        e = A.counit[i]
+        if not e.is_zero():
+            for b in range(n):
+                sparse_add_into(eq.setdefault(b, {}), b, -e)
+        yield from eq.values()
 
 
 def integrals(H: FinHopf) -> IntegralData:
     """Left integral of H and right integral of H*, normalized to pair to 1."""
     n, M = H.dim, H.conductor
-    mats = []
-    for i in range(n):
-        A = _basis_left_mult(H, i)
-        e = H.counit[i]
-        if not e.is_zero():
-            for d in range(n):
-                A[d][d] = A[d][d] - e
-        mats.append(A)
-    space = intersect_kernels(mats, n, M)
+    space = intersect_kernels(_integral_conditions(H, True), n, M)
     if space.dim != 1:
         raise IntegralSpaceNotOneDim(
             f"left integral space has dimension {space.dim}")
     Lam = list(space.basis[0])
 
-    D = H.dual_cached()
-    mats = []
-    for j in range(n):
-        A = _basis_right_mult(D, j)
-        e = D.counit[j]  # = beta_j(1_H)
-        if not e.is_zero():
-            for d in range(n):
-                A[d][d] = A[d][d] - e
-        mats.append(A)
-    space2 = intersect_kernels(mats, n, M)
+    space2 = intersect_kernels(_integral_conditions(H.dual_cached(), False), n, M)
     if space2.dim != 1:
         raise IntegralSpaceNotOneDim(
             f"right integral space of the dual has dimension {space2.dim}")
@@ -151,7 +130,8 @@ def is_unimodular(H: FinHopf, mod: ModularData | None = None) -> bool:
     return list(mod.alpha) == list(H.counit)
 
 
-def _grouplike_inverse(H: FinHopf, g: dict) -> dict:
+def grouplike_inverse(H: FinHopf, g: dict) -> dict:
+    """g^{-1} = g^{ord g - 1}; NotGrouplike past 4 dim^2 powers."""
     unit = H.unit_sparse()
     if g == unit:
         return unit
@@ -180,7 +160,7 @@ def radford_s4_check(H: FinHopf, mod: ModularData | None = None) -> bool:
                 acc = acc + alpha[a] * H.antipode[a][j]
         alpha_inv[j] = acc
     g = dense_to_sparse(list(mod.g))
-    g_inv = _grouplike_inverse(H, g)
+    g_inv = grouplike_inverse(H, g)
     S = [list(r) for r in H.antipode]
     S2 = mat_mul(S, S)
     S4 = mat_mul(S2, S2)
@@ -286,41 +266,23 @@ class CoradicalReport:
     candidate_multisets: tuple[tuple[int, ...], ...]
 
 
-def _projection_rows(space: Subspace):
-    """Quotient map onto the canonical complement of `space`, as rows."""
-    n, M = space.ambient_dim, space.conductor
-    coords = space.complement_coords()
-    cols = [space.reduce(unit_vector(n, M, j)) for j in range(n)]
-    return [[cols[j][c] for j in range(n)] for c in coords]
-
-
 def coradical_spaces(H: FinHopf) -> list[Subspace]:
     """The exact filtration subspaces H_0 c H_1 c ... = H."""
     n, M = H.dim, H.conductor
-    D = H.dual_cached()
-    rad = algebra_radical(D.mult, D.unit, M)
-    H0 = kernel([list(v) for v in rad.basis], n, M)
+    H0 = H.dual_cached().radical.perp()
     spaces = [H0]
+    p0 = [dense_to_sparse(col) for col in transpose(H0.projection_rows())]
     while spaces[-1].dim < n:
-        p0 = _projection_rows(H0)
-        p1 = _projection_rows(spaces[-1])
-        rows: dict = {}
+        # H_{i+1} = ker (p0 (x) p_i) Delta, one row per (a, b)
+        p1 = [dense_to_sparse(col) for col in transpose(spaces[-1].projection_rows())]
+        eq: dict = {}
         for m in range(n):
             for (j, k), c in H.crows[m]:
-                for a in range(len(p0)):
-                    ca = p0[a][j]
-                    if ca.is_zero():
-                        continue
+                for a, ca in p0[j].items():
                     cca = c * ca
-                    for b in range(len(p1)):
-                        cb = p1[b][k]
-                        if not cb.is_zero():
-                            r = rows.get((a, b))
-                            if r is None:
-                                r = zero_vector(n, M)
-                                rows[(a, b)] = r
-                            r[m] = r[m] + cca * cb
-        nxt = kernel(list(rows.values()), n, M)
+                    for b, cb in p1[k].items():
+                        sparse_add_into(eq.setdefault((a, b), {}), m, cca * cb)
+        nxt = intersect_kernels(eq.values(), n, M)
         if nxt.dim <= spaces[-1].dim:
             raise ExtractionInconsistent("coradical filtration failed to grow")
         spaces.append(nxt)
@@ -331,7 +293,8 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     """Filtration dims of H plus the block shape of H0(H) = (H*/J(H*))*.
 
     The block counts are those of H0 of the algebra passed in (see
-    `CoradicalReport`), not of its dual.
+    `CoradicalReport`), not of its dual.  The 1x1 blocks are the characters
+    of H*, the number `grouplike_census` certifies against.
     """
     n, M = H.dim, H.conductor
     spaces = coradical_spaces(H)
@@ -339,15 +302,8 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     H0 = spaces[0]
 
     D = H.dual_cached()
-    rad = algebra_radical(D.mult, D.unit, M)
-    if rad.dim:
-        qa = QuotientAlgebra(D.mrows, n, M, rad)
-        qrows, qdim, qmult = qa.rows, qa.dim, qa.mult
-    else:
-        qrows, qdim, qmult = D.mrows, n, D.mult
-    blocks = center_dim(qmult, M)
-    comm = ideal_closure(qrows, qdim, M, commutator_generators(qrows, qdim, M))
-    ones = qdim - comm.dim
+    blocks = center_dim(D.semisimple_quotient, M)
+    ones = D.character_count
 
     verified = [g for g in H.claims.grouplikes if H.is_grouplike(g)]
     gl_span = Subspace.from_vectors(n, M, [list(g) for g in verified])
@@ -428,8 +384,7 @@ def grouplike_census(H: FinHopf) -> CensusResult:
         if not any(prods[(a, b)] == unit for b in seen):
             raise ClaimIncomplete("a claimed group-like has no inverse among claims")
 
-    D = H.dual_cached()
-    m = split_character_count(D.mult, D.unit, M)
+    m = H.dual_cached().character_count
     if len(seen) < m:
         raise ClaimIncomplete(
             f"{len(seen)} verified group-likes but certificate is {m}: "
@@ -527,32 +482,8 @@ def skew_primitives(H: FinHopf, a, b) -> tuple[Subspace, bool]:
     n, M = H.dim, H.conductor
     if not H.is_grouplike(a) or not H.is_grouplike(b):
         raise NotGrouplike("skew-primitive anchors must be group-like")
-    av = list(a)
-    bv = list(b)
-    eq: dict = {}
-
-    def row(j, k):
-        r = eq.get((j, k))
-        if r is None:
-            r = zero_vector(n, M)
-            eq[(j, k)] = r
-        return r
-
-    for m in range(n):
-        for (j, k), c in H.crows[m]:
-            r = row(j, k)
-            r[m] = r[m] + c
-    for j in range(n):
-        if not av[j].is_zero():
-            for k in range(n):
-                r = row(j, k)
-                r[k] = r[k] - av[j]
-    for k in range(n):
-        if not bv[k].is_zero():
-            for j in range(n):
-                r = row(j, k)
-                r[j] = r[j] - bv[k]
-    space = kernel(list(eq.values()), n, M)
+    space = intersect_kernels(skew_primitive_conditions(
+        H, dense_to_sparse(list(a)), dense_to_sparse(list(b))), n, M)
     verified = [g for g in H.claims.grouplikes if H.is_grouplike(g)]
     gl_span = Subspace.from_vectors(n, M, [list(g) for g in verified])
     trivial = gl_span.contains_subspace(space)
@@ -590,7 +521,7 @@ class Fingerprint:
 
 def fingerprint(H: FinHopf) -> Fingerprint:
     """All classification invariants in one record (re-derivable from H)."""
-    n, M = H.dim, H.conductor
+    n = H.dim
     census = grouplike_census(H)
     census_d = characters_census(H)
     corad = coradical_filtration(H)
@@ -598,8 +529,7 @@ def fingerprint(H: FinHopf) -> Fingerprint:
     ss = semisimplicity(H)
     mod = modular_elements(H)
     # dual coradical dim: (Rad H)^perp inside H*
-    radH = algebra_radical(H.mult, H.unit, M)
-    dual_h0_dim = n - radH.dim
+    dual_h0_dim = n - H.radical.dim
     return Fingerprint(
         dim=n,
         g_order=census.size,
@@ -648,12 +578,8 @@ def pairing_table(H: FinHopf) -> PairingReport:
 
 def commutative_quotient_check(mult, unit, M: int) -> bool:
     """True iff A/Rad A is commutative (then all simple modules are 1-dim)."""
-    n = mult.dims[0]
-    rad = algebra_radical(mult, unit, M)
-    rows = mult.rows_ij()
-    if rad.dim:
-        qa = QuotientAlgebra(rows, n, M, rad)
-        rows, n = qa.rows, qa.dim
+    q = quotient_by_radical(mult, algebra_radical(mult, unit, M), M)
+    rows, n = q.rows_ij(), q.dims[0]
     one = CycloNum.one(M)
     for i in range(n):
         for j in range(i + 1, n):

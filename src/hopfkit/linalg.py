@@ -35,10 +35,6 @@ def vec_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
-def vec_scale(c: CycloNum, a):
-    return [c * x for x in a]
-
-
 def vec_is_zero(a) -> bool:
     return all(x.is_zero() for x in a)
 
@@ -197,19 +193,22 @@ class Subspace:
         piv = set(self.pivots)
         return [i for i in range(self.ambient_dim) if i not in piv]
 
+    def projection_rows(self) -> list[list[CycloNum]]:
+        """Quotient map onto the canonical complement, as rows.
 
-def subspace_ops(U: Subspace, V: Subspace, op: str):
-    """Dispatch wrapper with the spec's operation names."""
-    if op == "sum":
-        return U.sum(V)
-    if op == "intersect":
-        return U.intersect(V)
-    if op == "perp":
-        return U.perp()
-    if op == "equal":
-        U._check(V)
-        return U == V
-    raise ValueError(f"unknown op {op!r}")
+        Row t, column j is coordinate complement_coords()[t] of e_j reduced
+        modulo this subspace: e_j itself off the pivots, e_j - basis[r] on
+        pivot r (the echelon rows vanish on the other pivots).
+        """
+        M = self.conductor
+        zero, one = CycloNum.zero(M), CycloNum.one(M)
+        coords = self.complement_coords()
+        P = [[one if j == c else zero for j in range(self.ambient_dim)]
+             for c in coords]
+        for row, p in zip(self.basis, self.pivots):
+            for t, c in enumerate(coords):
+                P[t][p] = -row[c]
+        return P
 
 
 # -- matrices (lists of rows) --------------------------------------------------
@@ -329,38 +328,23 @@ def preimage(rows, n_cols: int, M: int, W: Subspace) -> Subspace:
     return kernel(comp, n_cols, M)
 
 
-def linear_solve(A, mode: str, M: int, W: Subspace | None = None):
-    """Spec-level dispatch: kernel / image / preimage_of(W) of a matrix."""
-    n_cols = len(A[0]) if A else (W.ambient_dim if W else 0)
-    if mode == "kernel":
-        return kernel(A, n_cols, M)
-    if mode == "image":
-        return image(A, n_cols, M)
-    if mode == "preimage":
-        assert W is not None
-        return preimage(A, n_cols, M, W)
-    raise ValueError(f"unknown mode {mode!r}")
+def intersect_kernels(conditions, n: int, M: int) -> Subspace:
+    """Common kernel of linear conditions given as sparse rows {col: coef}.
 
+    The rows are densified and inserted into one echelon basis one at a
+    time, so the stack of conditions is never materialised.  Since
+    ker A cap ker B = ker [A; B], this is the canonical kernel of the stack.
+    """
+    zero = CycloNum.zero(M)
 
-def intersect_kernels(matrices, n: int, M: int) -> Subspace:
-    """Intersection of kernels, restricting step by step (cheap when it shrinks)."""
-    basis = [tuple(unit_vector(n, M, i)) for i in range(n)]
-    for A in matrices:
-        if not basis:
-            break
-        # map current basis vectors through A, take kernel in the small coords
-        imgs = [mat_vec(A, list(v)) for v in basis]
-        rows = [[imgs[k][r] for k in range(len(basis))] for r in range(len(A))]
-        small = kernel(rows, len(basis), M)
-        new_basis = []
-        for coeffs in small.basis:
-            acc = zero_vector(n, M)
-            for c, v in zip(coeffs, basis):
-                if not c.is_zero():
-                    acc = vec_add(acc, vec_scale(c, v))
-            new_basis.append(tuple(acc))
-        basis = new_basis
-    return Subspace.from_vectors(n, M, basis)
+    def dense_rows():
+        for cond in conditions:
+            if cond:
+                v = [zero] * n
+                for j, c in cond.items():
+                    v[j] = c
+                yield v
+    return kernel(dense_rows(), n, M)
 
 
 # -- sparse order-3 tensors ----------------------------------------------------
@@ -449,33 +433,6 @@ def sparse_to_dense(d: dict, n: int, M: int) -> list[CycloNum]:
     return v
 
 
-def left_mult_matrix(rows, v, n: int, M: int):
-    """Matrix of x -> v*x in basis coordinates."""
-    cols = []
-    sv = dense_to_sparse(v) if not isinstance(v, dict) else v
-    for j in range(n):
-        col = mult_vectors(rows, sv, {j: CycloNum.one(M)})
-        cols.append(col)
-    A = [[CycloNum.zero(M)] * n for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            A[i][j] = c
-    return A
-
-
-def right_mult_matrix(rows, v, n: int, M: int):
-    cols = []
-    sv = dense_to_sparse(v) if not isinstance(v, dict) else v
-    for j in range(n):
-        col = mult_vectors(rows, {j: CycloNum.one(M)}, sv)
-        cols.append(col)
-    A = [[CycloNum.zero(M)] * n for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            A[i][j] = c
-    return A
-
-
 def trace_of_left_mults(mult: SparseTensor3, M: int) -> list[CycloNum]:
     """T[m] = Tr(L_{e_m})."""
     n = mult.dims[0]
@@ -531,13 +488,7 @@ class QuotientAlgebra:
         self.dim = len(self.coords)
         self.n = n
         pos = {c: t for t, c in enumerate(self.coords)}
-        # projection matrix: reduce e_j mod ideal, read complement coords
-        proj = [[CycloNum.zero(M)] * n for _ in range(self.dim)]
-        for j in range(n):
-            red = ideal.reduce(unit_vector(n, M, j))
-            for c, t in pos.items():
-                proj[t][j] = red[c]
-        self.proj = proj
+        self.proj = ideal.projection_rows()
         # representatives: complement coordinate basis vectors
         self.reps = [unit_vector(n, M, c) for c in self.coords]
         # quotient multiplication rows
@@ -551,7 +502,6 @@ class QuotientAlgebra:
                     if not red[c].is_zero():
                         d[(a, b, t)] = red[c]
         self.mult = SparseTensor3.from_dict((self.dim,) * 3, d)
-        self.rows = self.mult.rows_ij()
 
     def project(self, v):
         return mat_vec(self.proj, list(v))
@@ -573,47 +523,45 @@ def commutator_generators(rows, n: int, M: int):
     return out
 
 
+def quotient_by_radical(mult: SparseTensor3, rad: Subspace, M: int) -> SparseTensor3:
+    """Multiplication of A/rad on the canonical complement of the radical.
+
+    A itself when the radical is zero (then no quotient is built).
+    """
+    if not rad.dim:
+        return mult
+    return QuotientAlgebra(mult.rows_ij(), mult.dims[0], M, rad).mult
+
+
+def commutative_quotient_dim(mult: SparseTensor3, M: int) -> int:
+    """dim of A modulo the two-sided ideal generated by its commutators."""
+    n = mult.dims[0]
+    rows = mult.rows_ij()
+    return n - ideal_closure(rows, n, M, commutator_generators(rows, n, M)).dim
+
+
 def split_character_count(mult: SparseTensor3, unit, M: int) -> int:
     """dim of the maximal split commutative semisimple quotient.
 
     Over a splitting field this equals the number of 1-dimensional blocks
     of A/Rad A, i.e. the number of algebra characters.
     """
-    n = mult.dims[0]
     rad = algebra_radical(mult, unit, M)
-    rows = mult.rows_ij()
-    if rad.dim:
-        q = QuotientAlgebra(rows, n, M, rad)
-        rows, n = q.rows, q.dim
-    gens = commutator_generators(rows, n, M)
-    ideal = ideal_closure(rows, n, M, gens)
-    return n - ideal.dim
-
-
-def block_count(mult: SparseTensor3, unit, M: int) -> int:
-    """Number of Wedderburn blocks of A/Rad A = dim of its center (split case)."""
-    n = mult.dims[0]
-    rad = algebra_radical(mult, unit, M)
-    rows = mult.rows_ij()
-    if rad.dim:
-        q = QuotientAlgebra(rows, n, M, rad)
-        rows, n = q.rows, q.dim
-    mats = []
-    for j in range(n):
-        ej = unit_vector(n, M, j)
-        L = left_mult_matrix(rows, ej, n, M)
-        R = right_mult_matrix(rows, ej, n, M)
-        mats.append([[L[a][b] - R[a][b] for b in range(n)] for a in range(n)])
-    return intersect_kernels(mats, n, M).dim
+    return commutative_quotient_dim(quotient_by_radical(mult, rad, M), M)
 
 
 def center_dim(mult: SparseTensor3, M: int) -> int:
+    """dim Z(A); for semisimple A over a splitting field, its block count."""
     n = mult.dims[0]
     rows = mult.rows_ij()
-    mats = []
-    for j in range(n):
-        ej = unit_vector(n, M, j)
-        L = left_mult_matrix(rows, ej, n, M)
-        R = right_mult_matrix(rows, ej, n, M)
-        mats.append([[L[a][b] - R[a][b] for b in range(n)] for a in range(n)])
-    return intersect_kernels(mats, n, M).dim
+
+    def conditions():
+        for j in range(n):  # e_j z - z e_j = 0, one block of rows per j
+            eq: dict = {}
+            for b in range(n):
+                for k, c in rows[j][b]:
+                    sparse_add_into(eq.setdefault(k, {}), b, c)
+                for k, c in rows[b][j]:
+                    sparse_add_into(eq.setdefault(k, {}), b, -c)
+            yield from eq.values()
+    return intersect_kernels(conditions(), n, M).dim

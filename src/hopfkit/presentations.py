@@ -24,10 +24,11 @@ from itertools import product
 from .cyclo import CycloNum, root_of_unity_order
 from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
                      NonMonomialConstraint, NonTerminatingRewrite)
-from .hopf import ClaimSet, FinHopf, HopfMorphism, verify_hopf, verify_morphism
-from .linalg import (SparseTensor3, dense_to_sparse, kernel,
-                     left_mult_matrix, right_mult_matrix, sparse_add_into,
-                     sparse_to_dense, unit_vector, zero_vector)
+from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
+                   verify_hopf, verify_morphism)
+from .linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
+                     sparse_add_into, sparse_to_dense, unit_vector,
+                     zero_vector)
 
 
 class GroupGen:
@@ -441,37 +442,20 @@ def find_embedding(source: FinHopf, target: FinHopf,
         for i, x in enumerate(spec.skew_gens):
             U = ev_group(spec.gmod(x.u))
             V = ev_group(spec.gmod(x.v))
-            # Delta c = c (x) U + V (x) c, linear in the coords c_m
-            eq: dict = {}
-
-            def row(j, k):
-                r = eq.get((j, k))
-                if r is None:
-                    r = zero_vector(n, M)
-                    eq[(j, k)] = r
-                return r
-
-            for m in range(n):
-                for (j, k), cc in target.crows[m]:
-                    r = row(j, k)
-                    r[m] = r[m] + cc
-            for k, uk in U.items():
-                for j in range(n):
-                    r = row(j, k)
-                    r[j] = r[j] - uk
-            for j, vj in V.items():
-                for k in range(n):
-                    r = row(j, k)
-                    r[k] = r[k] - vj
-            rows = list(eq.values())
-            # eigenvalue conditions: phi(g_t) c = theta[t][i] c phi(g_t)
-            for t, gv in enumerate(phi_g):
-                th = spec.theta[t][i]
-                L = left_mult_matrix(target.mrows, gv, n, M)
-                R = right_mult_matrix(target.mrows, gv, n, M)
-                for a in range(n):
-                    rows.append([L[a][b] - th * R[a][b] for b in range(n)])
-            sol = kernel(rows, n, M)
+            # Delta c = V (x) c + c (x) U, then the eigenvalue conditions
+            # phi(g_t) c = theta[t][i] c phi(g_t), linear in the coords c_m
+            def conditions():
+                yield from skew_primitive_conditions(target, V, U)
+                for t, gv in enumerate(phi_g):
+                    th = spec.theta[t][i]
+                    eq: dict = {}
+                    for b in range(n):
+                        for a, c in target.mul(gv, {b: one}).items():
+                            sparse_add_into(eq.setdefault(a, {}), b, c)
+                        for a, c in target.mul({b: one}, gv).items():
+                            sparse_add_into(eq.setdefault(a, {}), b, -(th * c))
+                    yield from eq.values()
+            sol = intersect_kernels(conditions(), n, M)
             if sol.dim == 0:
                 feasible = False
                 break

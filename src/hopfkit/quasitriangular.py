@@ -17,11 +17,10 @@ from itertools import product
 from .cyclo import CycloNum
 from .errors import FieldTooSmall, FixtureRejected, IdentityFails
 from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
-                   dual, op_cop, verify_morphism)
-from .invariants import CensusResult, grouplike_census
+                   op_cop, verify_morphism)
+from .invariants import CensusResult, grouplike_census, grouplike_inverse
 from .linalg import (EchelonBasis, Subspace, dense_to_sparse, image,
-                     sparse_add_into, sparse_to_dense, unit_vector,
-                     zero_vector)
+                     sparse_add_into, sparse_to_dense, zero_vector)
 
 
 @dataclass
@@ -207,7 +206,7 @@ def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
             if not V.contains(sparse_to_dense(H.mul(a, b), n, M)):
                 return False
     # Delta(V) c V (x) H and c H (x) V
-    proj = _proj_rows(V)
+    proj = V.projection_rows()
     for a in basis:
         dv = H.comult_of(a)
         acc1: dict = {}
@@ -224,13 +223,6 @@ def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
         if not V.contains(sparse_to_dense(H.antipode_of(a), n, M)):
             return False
     return True
-
-
-def _proj_rows(V: Subspace):
-    n, M = V.ambient_dim, V.conductor
-    coords = V.complement_coords()
-    cols = [V.reduce(unit_vector(n, M, j)) for j in range(n)]
-    return [[cols[j][c] for j in range(n)] for c in coords]
 
 
 def _generates(H: FinHopf, K: Subspace, L: Subspace) -> bool:
@@ -361,7 +353,7 @@ def ribbon_search(rm: RMatrixData, census: CensusResult | None = None) -> Ribbon
     fails = []
     for idx, l in enumerate(census.elements):
         sl = dense_to_sparse(list(l))
-        li = _gl_inverse(H, sl)
+        li = grouplike_inverse(H, sl)
         v = H.mul(li, u)
         # R.1 v^2 = u S(u)
         if H.mul(v, v) != usu:
@@ -390,16 +382,6 @@ def ribbon_search(rm: RMatrixData, census: CensusResult | None = None) -> Ribbon
             continue
         ribbons.append(tuple(sparse_to_dense(v, n, M)))
     return RibbonCertificate(tuple(ribbons), census.elements, tuple(fails))
-
-
-def _gl_inverse(H: FinHopf, g: dict) -> dict:
-    unit = H.unit_sparse()
-    if g == unit:
-        return unit
-    prev, acc = g, H.mul(g, g)
-    while acc != unit:
-        prev, acc = acc, H.mul(acc, g)
-    return prev
 
 
 # -- constructors ----------------------------------------------------------------------

@@ -350,11 +350,14 @@ def test_taft_semisimple_quotient(taft3):
 def test_integral_solver_against_stacked_system(taft3):
     # independent oracle: one stacked 81x9 kernel instead of the solver's
     # iterated restriction
-    from hopfkit.invariants import _basis_left_mult
     from hopfkit.linalg import kernel
     rows = []
     for i in range(9):
-        A = _basis_left_mult(taft3, i)
+        # matrix of x -> e_i x: column j is e_i e_j
+        A = [[CycloNum.zero(M)] * 9 for _ in range(9)]
+        for j in range(9):
+            for k, c in taft3.mrows[i][j]:
+                A[k][j] = c
         e = taft3.counit[i]
         if not e.is_zero():
             for d in range(9):

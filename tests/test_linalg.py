@@ -5,11 +5,12 @@ import pytest
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import AmbientMismatch
 from hopfkit.linalg import (SparseTensor3, Subspace, algebra_radical,
-                            dense_to_sparse, identity_matrix, image, kernel,
-                            left_mult_matrix, mat_eq, mat_inverse, mat_mul,
-                            mat_vec, preimage, solve, split_character_count,
-                            block_count, subspace_ops, unit_vector, vec_add,
-                            vec_is_zero, vec_sub)
+                            center_dim, dense_to_sparse, identity_matrix,
+                            image, kernel, mat_eq, mat_inverse, mat_mul,
+                            mat_vec, mult_vectors, preimage,
+                            quotient_by_radical, solve, sparse_to_dense,
+                            split_character_count, transpose, unit_vector,
+                            vec_add, vec_is_zero, vec_sub)
 
 M = 9
 
@@ -65,13 +66,13 @@ def test_subspace_ops():
         vs = [[CycloNum.from_rational(MQ, rng.randint(-3, 3)) for _ in range(n)]
               for _ in range(rng.randint(1, n))]
         U = Subspace.from_vectors(n, MQ, vs)
-        assert subspace_ops(U, Subspace.zero(n, MQ), "sum") == U
-        assert subspace_ops(U, U.perp(), "intersect").dim == 0
+        assert U.sum(Subspace.zero(n, MQ)) == U
+        assert U.intersect(U.perp()).dim == 0
         assert U.perp().dim == n - U.dim
         assert U.perp().perp() == U
     assert Subspace.full(4, M).perp() == Subspace.zero(4, M)
     with pytest.raises(AmbientMismatch):
-        subspace_ops(Subspace.zero(3, M), Subspace.zero(4, M), "sum")
+        Subspace.zero(3, M).sum(Subspace.zero(4, M))
 
 
 def test_canonical_echelon_representation():
@@ -106,6 +107,11 @@ def _upper_triangular_fixture():
     return mult, unit
 
 
+def _block_count(mult, unit, M):
+    """Wedderburn blocks of A/Rad A: the centre dimension of that quotient."""
+    return center_dim(quotient_by_radical(mult, algebra_radical(mult, unit, M), M), M)
+
+
 def _group_algebra_z3():
     one = CycloNum.one(3)
     d = {(i, j, (i + j) % 3): one for i in range(3) for j in range(3)}
@@ -124,7 +130,7 @@ def test_radical_group_algebra_semisimple():
     mult, unit = _group_algebra_z3()
     assert algebra_radical(mult, unit, 3).dim == 0
     assert split_character_count(mult, unit, 3) == 3
-    assert block_count(mult, unit, 3) == 3
+    assert _block_count(mult, unit, 3) == 3
 
 
 def test_radical_is_nilpotent_ideal_and_quotient_semisimple():
@@ -138,10 +144,11 @@ def test_radical_is_nilpotent_ideal_and_quotient_semisimple():
     for v in rad.basis:
         sv = dense_to_sparse(list(v))
         for j in range(3):
-            from hopfkit.linalg import mult_vectors, sparse_to_dense
             assert rad.contains(sparse_to_dense(mult_vectors(rows, sv, {j: one}), 3, M))
             assert rad.contains(sparse_to_dense(mult_vectors(rows, {j: one}, sv), 3, M))
-        L = left_mult_matrix(rows, list(v), 3, M)
+        # matrix of x -> v x: column j is v e_j
+        L = transpose([sparse_to_dense(mult_vectors(rows, sv, {j: one}), 3, M)
+                       for j in range(3)])
         P = L
         for _ in range(3):
             P = mat_mul(P, L)
@@ -164,7 +171,7 @@ def test_matrix_algebra_blocks():
     unit = [one, CycloNum.zero(3), CycloNum.zero(3), one]
     assert algebra_radical(mult, unit, 3).dim == 0
     assert split_character_count(mult, unit, 3) == 0
-    assert block_count(mult, unit, 3) == 1
+    assert _block_count(mult, unit, 3) == 1
 
 
 def test_perp_of_sum_is_intersection_of_perps():

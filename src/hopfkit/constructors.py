@@ -2,8 +2,9 @@
 presented pointed families, crossed products, and the Drinfeld double.
 
 q parameters are integer exponents (q = zeta_p^e); nothing is ever passed
-as a floating approximation.  Every constructor output passes verify_hopf
-at build time: self-validation is mandatory, not optional.
+as a floating approximation.  Every constructor output is verified at build
+time, by verify_hopf or, for a dual member, as the transpose of a verified
+algebra (see `hopf.dual`): self-validation is mandatory, not optional.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .cyclo import CycloNum
 from .errors import (BadParameter, CocycleConditionFails,
                      DimensionGateExceeded, WeakActionAxiomFails)
 from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
-from .hopf import (ClaimSet, FinHopf, associativity_failure, dual, tensor,
+from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
                    verify_hopf)
 from .linalg import (SparseTensor3, dense_to_sparse, mat_eq,
                      mult_vectors, sparse_add_into, identity_matrix,
@@ -166,20 +167,27 @@ def default_conductor(name: str, p: int, group: str | None = None) -> int:
     return base
 
 
-@lru_cache(maxsize=None)
 def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
                           root: int = 0, group: str | None = None,
                           conductor: int | None = None,
                           with_fixtures: bool = True) -> FinHopf:
-    """Build a verified corpus member by registry name.
+    """Build a verified corpus member by registry name, once per algebra.
 
     Names: group_algebra, dual_group_algebra (with `group` token), taft,
     taft_tensor, ttilde, that, r, uq_sl2, book, dual_uq_sl2, dual_r.
+    The conductor defaults before the cache lookup, so passing the default
+    conductor returns the same object as omitting it.  A dual member is the
+    `dual_cached()` of its base (certified by transposition, see `dual`).
     """
     _check_odd_prime(p)
-    M = conductor if conductor is not None else default_conductor(name, p, group)
+    if conductor is None:
+        conductor = default_conductor(name, p, group)
+    return _build(name, p, e, m, root, group, conductor, with_fixtures)
 
-    if name in ("group_algebra", "dual_group_algebra"):
+
+@lru_cache(maxsize=None)
+def _build(name, p, e, m, root, group, M, with_fixtures) -> FinHopf:
+    if name == "group_algebra":
         if group is None:
             raise BadParameter("group_algebra needs a group token")
         G = _group_by_token(group, p)
@@ -188,13 +196,13 @@ def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
                 f"conductor {M} too small for k[{G.label}] "
                 f"(characters need {G.exponent} | M)")
         H = group_algebra(G, M)
-        if name == "dual_group_algebra":
-            H = dual(H)
-            H.label = f"dual(k[{G.label}])"
         rep = verify_hopf(H)
         if not rep.ok:
             raise AssertionError(f"group algebra failed verification: {rep.failures}")
         return H
+    if name == "dual_group_algebra":
+        return standard_constructors("group_algebra", p, group=group,
+                                     conductor=M).dual_cached()
 
     _check_exponent(e, p)
     if name == "taft":
@@ -226,18 +234,9 @@ def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
         if with_fixtures:
             H.claims = _with_book_fixtures(H, p, e, m, M)
         return H
-    if name == "dual_uq_sl2":
-        H = dual(standard_constructors("uq_sl2", p, e, conductor=M))
-        rep = verify_hopf(H)
-        if not rep.ok:
-            raise AssertionError(f"dual failed verification: {rep.failures}")
-        return H
-    if name == "dual_r":
-        H = dual(standard_constructors("r", p, e, conductor=M))
-        rep = verify_hopf(H)
-        if not rep.ok:
-            raise AssertionError(f"dual failed verification: {rep.failures}")
-        return H
+    if name in ("dual_uq_sl2", "dual_r"):
+        return standard_constructors(name[len("dual_"):], p, e,
+                                     conductor=M).dual_cached()
     raise BadParameter(f"unknown constructor {name!r}")
 
 

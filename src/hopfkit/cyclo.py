@@ -218,11 +218,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other: "CycloNum"):

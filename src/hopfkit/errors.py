@@ -55,10 +55,6 @@ class NotNormalizable(HopfkitError):
     pass
 
 
-class NotNormalized(HopfkitError):
-    pass
-
-
 class ExtractionInconsistent(HopfkitError):
     pass
 

@@ -3,7 +3,8 @@
 A FinHopf stores multiplication c_{ij}^k, comultiplication d_i^{jk}, unit,
 counit and the antipode matrix explicitly; nothing is derived implicitly.
 verify_hopf checks every axiom exactly and reports failures per axiom with
-the first failing index, so constructors can self-validate.
+the first failing index, so constructors can self-validate; a dual is
+certified by transposition instead (see `dual`).
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class FinHopf:
 
     # -- cached views ----------------------------------------------------------
 
-    def _memo(self, key: str, make):
+    def memo(self, key: str, make):
+        """make(), computed once per algebra and kept under `key`."""
         r = self._cache.get(key)
         if r is None:
             r = make()
@@ -61,11 +63,11 @@ class FinHopf:
 
     @property
     def mrows(self):
-        return self._memo("mrows", self.mult.rows_ij)
+        return self.memo("mrows", self.mult.rows_ij)
 
     @property
     def crows(self):
-        return self._memo("crows", self.comult.rows_i)
+        return self.memo("crows", self.comult.rows_i)
 
     @property
     def antipode_inv(self):
@@ -74,25 +76,25 @@ class FinHopf:
             if r is None:
                 raise AntipodeNotInvertible(self.label or "antipode matrix is singular")
             return r
-        return self._memo("sinv", make)
+        return self.memo("sinv", make)
 
     @property
     def radical(self) -> Subspace:
         """Jacobson radical of the algebra."""
-        return self._memo("radical", lambda: algebra_radical(
+        return self.memo("radical", lambda: algebra_radical(
             self.mult, self.unit, self.conductor))
 
     @property
     def semisimple_quotient(self) -> SparseTensor3:
         """Multiplication of H/J(H) (H itself when semisimple)."""
-        return self._memo("ssq", lambda: quotient_by_radical(
+        return self.memo("ssq", lambda: quotient_by_radical(
             self.mult, self.radical, self.conductor))
 
     @property
     def character_count(self) -> int:
         """Number of algebra characters H -> k (split case): dim of the
         largest commutative quotient of H/J(H)."""
-        return self._memo("chars", lambda: commutative_quotient_dim(
+        return self.memo("chars", lambda: commutative_quotient_dim(
             self.semisimple_quotient, self.conductor))
 
     def dual_cached(self) -> "FinHopf":
@@ -101,7 +103,13 @@ class FinHopf:
             D = dual(self)
             D._cache["dual"] = self
             return D
-        return self._memo("dual", make)
+        return self.memo("dual", make)
+
+    @property
+    def verified_grouplikes(self) -> tuple:
+        """The claimed group-likes that pass `is_grouplike`, in claim order."""
+        return self.memo("verified_gl", lambda: tuple(
+            g for g in self.claims.grouplikes if self.is_grouplike(g)))
 
     # -- element operations ----------------------------------------------------
 
@@ -151,7 +159,8 @@ class FinHopf:
         return out
 
     def is_grouplike(self, v) -> bool:
-        sv = dense_to_sparse(list(v)) if not isinstance(v, dict) else v
+        """Is the dense vector v group-like: eps(v) = 1, Delta v = v (x) v?"""
+        sv = dense_to_sparse(list(v))
         if not self.counit_of(sv).is_one():
             return False
         dv = self.comult_of(sv)
@@ -371,7 +380,16 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
 
 
 def dual(H: FinHopf) -> FinHopf:
-    """The dual Hopf algebra on the dual basis (structure constants transposed)."""
+    """The dual Hopf algebra on the dual basis (structure constants transposed).
+
+    Certificate: transposition maps every axiom that verify_hopf checks on
+    H* to one it checks on H (H* side <-> H side):
+    associativity <-> coassociativity, unit <-> counit, Delta multiplicative
+    <-> Delta multiplicative, Delta(1) = 1 (x) 1 <-> eps multiplicative,
+    eps(1) = 1 <-> eps(1) = 1, and the antipode laws of S^T <-> those of S.
+    Hence verify_hopf(dual(H)).ok == verify_hopf(H).ok, and the dual of a
+    verified algebra needs no second check.
+    """
     n, M = H.dim, H.conductor
     mult_d = {}
     for (i, j, k), c in H.comult.entries:
@@ -512,9 +530,6 @@ class HopfMorphism:
                 if not A[i][j].is_zero():
                     sparse_add_into(out, i, c * A[i][j])
         return out
-
-    def apply_dense(self, v):
-        return mat_vec([list(r) for r in self.matrix], list(v))
 
     @property
     def rank(self) -> int:

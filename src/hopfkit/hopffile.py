@@ -89,17 +89,23 @@ def from_obj(obj: dict, conductor: int | None = None,
                 raise ParseError(f"vector of length {len(ss)}, expected {n}")
             return tuple(num(s) for s in ss)
 
+        def index(x):
+            if type(x) is not int or not 0 <= x < n:
+                raise ParseError(f"index {x!r} is not an integer in 0..{n - 1}")
+            return x
+
         def tens(triples):
             d = {}
             for i, j, k, s in triples:
-                if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                    raise ParseError(f"tensor index out of range: {(i, j, k)}")
+                i, j, k = index(i), index(j), index(k)
                 if (i, j, k) in d:
                     raise ParseError(f"duplicate tensor entry {(i, j, k)}")
                 d[(i, j, k)] = num(s)
             return SparseTensor3.from_dict((n, n, n), d)
 
         claims = obj.get("claims", {})
+        if len(obj["antipode"]) != n:
+            raise ParseError(f"antipode has {len(obj['antipode'])} rows, expected {n}")
         fixtures = []
         for key, mat in claims.get("iso_fixtures", []):
             fixtures.append((tuple(key), tuple(vec(row) for row in mat)))
@@ -114,7 +120,7 @@ def from_obj(obj: dict, conductor: int | None = None,
         if "rmatrix" in obj:
             rmat = {}
             for i, j, s in obj["rmatrix"]:
-                rmat[(i, j)] = num(s)
+                rmat[(index(i), index(j))] = num(s)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed .hopf object: {exc}") from exc
 

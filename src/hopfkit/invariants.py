@@ -19,7 +19,7 @@ from .cyclo import CycloNum, render
 from .errors import (BoundExceeded, ClaimIncomplete, ClaimNotGrouplike,
                      ClaimOvercomplete, ExtractionInconsistent, FieldTooSmall,
                      IntegralSpaceNotOneDim, NotGrouplike, NotNormalizable,
-                     NotNormalized, SectionFails)
+                     SectionFails)
 from .hopf import (FinHopf, HopfMorphism, coinvariants,
                    skew_primitive_conditions, verify_morphism)
 from .linalg import (Subspace, algebra_radical, center_dim, dense_to_sparse,
@@ -31,12 +31,13 @@ from .linalg import (Subspace, algebra_radical, center_dim, dense_to_sparse,
 
 
 class IntegralData:
-    __slots__ = ("left_integral", "right_integral_dual", "normalized")
+    """Left integral Lambda of H, right integral lambda of H*; <lambda, Lambda> = 1."""
 
-    def __init__(self, left_integral, right_integral_dual, normalized):
+    __slots__ = ("left_integral", "right_integral_dual")
+
+    def __init__(self, left_integral, right_integral_dual):
         self.left_integral = tuple(left_integral)
         self.right_integral_dual = tuple(right_integral_dual)
-        self.normalized = normalized
 
 
 def _integral_conditions(A: FinHopf, left: bool):
@@ -55,7 +56,12 @@ def _integral_conditions(A: FinHopf, left: bool):
 
 
 def integrals(H: FinHopf) -> IntegralData:
-    """Left integral of H and right integral of H*, normalized to pair to 1."""
+    """Left integral of H and right integral of H*, normalized to pair to 1;
+    computed once per algebra."""
+    return H.memo("integrals", lambda: _integrals(H))
+
+
+def _integrals(H: FinHopf) -> IntegralData:
     n, M = H.dim, H.conductor
     space = intersect_kernels(_integral_conditions(H, True), n, M)
     if space.dim != 1:
@@ -75,7 +81,7 @@ def integrals(H: FinHopf) -> IntegralData:
         raise NotNormalizable("<lambda, Lambda> = 0")
     inv = pairing.inverse()
     lam = [inv * a for a in lam]
-    return IntegralData(Lam, lam, True)
+    return IntegralData(Lam, lam)
 
 
 class ModularData:
@@ -98,11 +104,15 @@ def _proportionality(vec_ref, vec) -> CycloNum:
     return c
 
 
-def modular_elements(H: FinHopf, integ: IntegralData | None = None) -> ModularData:
-    """alpha with Lambda.x = <alpha,x> Lambda; g with beta.lambda = <beta,g> lambda."""
+def modular_elements(H: FinHopf) -> ModularData:
+    """alpha with Lambda.x = <alpha,x> Lambda; g with beta.lambda = <beta,g> lambda;
+    computed once per algebra."""
+    return H.memo("modular", lambda: _modular_elements(H))
+
+
+def _modular_elements(H: FinHopf) -> ModularData:
     n, M = H.dim, H.conductor
-    if integ is None:
-        integ = integrals(H)
+    integ = integrals(H)
     Lam = list(integ.left_integral)
     sLam = dense_to_sparse(Lam)
     one = CycloNum.one(M)
@@ -124,10 +134,8 @@ def modular_elements(H: FinHopf, integ: IntegralData | None = None) -> ModularDa
     return ModularData(alpha, g)
 
 
-def is_unimodular(H: FinHopf, mod: ModularData | None = None) -> bool:
-    if mod is None:
-        mod = modular_elements(H)
-    return list(mod.alpha) == list(H.counit)
+def is_unimodular(H: FinHopf) -> bool:
+    return list(modular_elements(H).alpha) == list(H.counit)
 
 
 def grouplike_inverse(H: FinHopf, g: dict) -> dict:
@@ -145,11 +153,10 @@ def grouplike_inverse(H: FinHopf, g: dict) -> dict:
     return prev
 
 
-def radford_s4_check(H: FinHopf, mod: ModularData | None = None) -> bool:
+def radford_s4_check(H: FinHopf) -> bool:
     """S^4(h) = g (alpha -> h <- alpha^{-1}) g^{-1} on every basis element."""
     n = H.dim
-    if mod is None:
-        mod = modular_elements(H)
+    mod = modular_elements(H)
     alpha = list(mod.alpha)
     # alpha^{-1} = alpha o S (convolution inverse of a character)
     alpha_inv = [None] * n
@@ -177,17 +184,14 @@ def radford_s4_check(H: FinHopf, mod: ModularData | None = None) -> bool:
     return True
 
 
-def trace_formula_check(H: FinHopf, f, integ: IntegralData | None = None):
+def trace_formula_check(H: FinHopf, f):
     """Returns (Tr f, <lambda, S(L2) f(L1)>, <lambda, (S o f)(L2) L1>).
 
     (L1, S(L2)) are dual bases for the Frobenius form lambda, which pins
     the Sweedler legs: the two right-hand sides must both equal Tr f.
     """
     n, M = H.dim, H.conductor
-    if integ is None:
-        integ = integrals(H)
-    if not integ.normalized:
-        raise NotNormalized("integral pair is not normalized")
+    integ = integrals(H)
     lam = integ.right_integral_dual
     dL = H.comult_of(dense_to_sparse(list(integ.left_integral)))
     t0 = mat_trace(f)
@@ -213,11 +217,10 @@ def trace_formula_check(H: FinHopf, f, integ: IntegralData | None = None):
     return t0, t1, t2
 
 
-def antipode_order(H: FinHopf, bound: int | None = None) -> int:
-    """Least k >= 1 with S^k = id, by exact matrix powering."""
+def antipode_order(H: FinHopf) -> int:
+    """Least k >= 1 with S^k = id, by exact matrix powering (k <= 4 dim^2)."""
     n, M = H.dim, H.conductor
-    if bound is None:
-        bound = 4 * n * n
+    bound = 4 * n * n
     ident = identity_matrix(n, M)
     S = [list(r) for r in H.antipode]
     P = S
@@ -305,7 +308,7 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     blocks = center_dim(D.semisimple_quotient, M)
     ones = D.character_count
 
-    verified = [g for g in H.claims.grouplikes if H.is_grouplike(g)]
+    verified = H.verified_grouplikes
     gl_span = Subspace.from_vectors(n, M, [list(g) for g in verified])
     if H.claims.grouplikes and ones > len(verified):
         raise FieldTooSmall(
@@ -336,7 +339,6 @@ def _square_partitions(total: int, parts: int, lo: int = 2):
 class CensusResult:
     elements: tuple
     certificate: int
-    certified: bool
     abelian: bool
     invariant_factors: tuple[int, ...] | None
     orders: tuple[int, ...]
@@ -354,17 +356,17 @@ class CensusResult:
 
 
 def grouplike_census(H: FinHopf) -> CensusResult:
-    """Verify the claimed G(H), certify completeness, return the group type."""
+    """Verify the claimed G(H), certify completeness, return the group type;
+    computed once per algebra (it reads H.claims, fixed before any census)."""
+    return H.memo("census", lambda: _grouplike_census(H))
+
+
+def _grouplike_census(H: FinHopf) -> CensusResult:
     n, M = H.dim, H.conductor
-    seen: list[tuple] = []
-    seen_set = set()
-    for g in H.claims.grouplikes:
-        if not H.is_grouplike(g):
-            raise ClaimNotGrouplike("a claimed group-like fails verification")
-        t = tuple(g)
-        if t not in seen_set:
-            seen_set.add(t)
-            seen.append(t)
+    if len(H.verified_grouplikes) != len(H.claims.grouplikes):
+        raise ClaimNotGrouplike("a claimed group-like fails verification")
+    seen = list(dict.fromkeys(H.verified_grouplikes))  # distinct, in claim order
+    seen_set = set(seen)
     if not seen:
         raise ClaimIncomplete("no group-like claims present")
     unit = tuple(sparse_to_dense(H.unit_sparse(), n, M))
@@ -402,11 +404,11 @@ def grouplike_census(H: FinHopf) -> CensusResult:
             k += 1
         orders.append(k)
     invf = _abelian_invariants(tuple(orders)) if abelian else None
-    return CensusResult(tuple(seen), m, True, abelian, invf, tuple(orders))
+    return CensusResult(tuple(seen), m, abelian, invf, tuple(orders))
 
 
 def characters_census(H: FinHopf) -> CensusResult:
-    """G(H*) census: the group-like census of the dual."""
+    """G(H*) census: the group-like census of the dual (the dual's memo)."""
     return grouplike_census(H.dual_cached())
 
 
@@ -484,8 +486,7 @@ def skew_primitives(H: FinHopf, a, b) -> tuple[Subspace, bool]:
         raise NotGrouplike("skew-primitive anchors must be group-like")
     space = intersect_kernels(skew_primitive_conditions(
         H, dense_to_sparse(list(a)), dense_to_sparse(list(b))), n, M)
-    verified = [g for g in H.claims.grouplikes if H.is_grouplike(g)]
-    gl_span = Subspace.from_vectors(n, M, [list(g) for g in verified])
+    gl_span = Subspace.from_vectors(n, M, [list(g) for g in H.verified_grouplikes])
     trivial = gl_span.contains_subspace(space)
     return space, trivial
 
@@ -527,7 +528,6 @@ def fingerprint(H: FinHopf) -> Fingerprint:
     corad = coradical_filtration(H)
     ln = antipode_order(H)
     ss = semisimplicity(H)
-    mod = modular_elements(H)
     # dual coradical dim: (Rad H)^perp inside H*
     dual_h0_dim = n - H.radical.dim
     return Fingerprint(
@@ -541,7 +541,7 @@ def fingerprint(H: FinHopf) -> Fingerprint:
         coradical_dims=corad.filtration_dims,
         pointed=(corad.H0_dim == census.size),
         dual_pointed=(dual_h0_dim == census_d.size),
-        unimodular=is_unimodular(H, mod),
+        unimodular=is_unimodular(H),
     )
 
 

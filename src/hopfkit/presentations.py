@@ -248,7 +248,7 @@ def _unit_exp(n: int, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(n))
 
 
-def build_from_presentation(spec: PresentationSpec, verify: bool = True) -> FinHopf:
+def build_from_presentation(spec: PresentationSpec) -> FinHopf:
     """Assemble the FinHopf with basis the normal monomials.
 
     Self-validation is mandatory: the result must pass verify_hopf, else
@@ -320,11 +320,10 @@ def build_from_presentation(spec: PresentationSpec, verify: bool = True) -> FinH
                 ClaimSet(gls, chars), spec.label)
     H._cache["presentation"] = spec
     H._cache["monomials"] = monos
-    if verify:
-        rep = verify_hopf(H)
-        if not rep.ok:
-            raise AxiomFailure(
-                f"presentation {spec.label!r} failed verification: {rep.failures}")
+    rep = verify_hopf(H)
+    if not rep.ok:
+        raise AxiomFailure(
+            f"presentation {spec.label!r} failed verification: {rep.failures}")
     return H
 
 
@@ -389,15 +388,14 @@ def solve_characters(spec: PresentationSpec):
 # -- generator-image isomorphism search ------------------------------------------
 
 
-def find_embedding(source: FinHopf, target: FinHopf,
-                   require_bijective: bool = True) -> HopfMorphism:
-    """Search for a Hopf map source -> target on generator images.
+def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
+    """Search for a bijective Hopf map source -> target on generator images.
 
     The source must come from build_from_presentation.  Group generators
     range over the target's verified group-like claims; each skew
     generator's image is solved linearly (skew-primitive space cut by the
     commutation eigenvalue conditions).  Every candidate is checked by
-    verify_morphism; the first verified (bijective, if requested) map wins.
+    verify_morphism; the first verified bijective map wins.
     """
     spec: PresentationSpec = source._cache.get("presentation")
     monos = source._cache.get("monomials")
@@ -409,8 +407,7 @@ def find_embedding(source: FinHopf, target: FinHopf,
     n = target.dim
     one = CycloNum.one(M)
 
-    glikes = [dense_to_sparse(list(g)) for g in target.claims.grouplikes
-              if target.is_grouplike(g)]
+    glikes = [dense_to_sparse(list(g)) for g in target.verified_grouplikes]
     if not glikes:
         raise NoEmbeddingFound("target has no verified group-like claims")
 
@@ -422,9 +419,6 @@ def find_embedding(source: FinHopf, target: FinHopf,
 
     def order_divides(v: dict, N: int) -> bool:
         return power(v, N) == target.unit_sparse()
-
-    def sparse_inv_grouplike(v: dict, N: int) -> dict:
-        return power(v, N - 1)
 
     gl_candidates = []
     for g in spec.group_gens:
@@ -542,10 +536,10 @@ def find_embedding(source: FinHopf, target: FinHopf,
             cols.append(sparse_to_dense(img, n, M))
         A = [[cols[j][i2] for j in range(len(monos))] for i2 in range(n)]
         f = HopfMorphism(source, target, A)
-        if require_bijective and f.rank != source.dim:
+        if f.rank != source.dim:
             continue
         rep = verify_morphism(f)
-        if rep.ok and (not require_bijective or rep.bijective):
+        if rep.ok and rep.bijective:
             return f
     raise NoEmbeddingFound(
         f"no generator-image Hopf map {source.label} -> {target.label} found")

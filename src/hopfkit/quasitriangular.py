@@ -18,7 +18,7 @@ from .cyclo import CycloNum
 from .errors import FieldTooSmall, FixtureRejected, IdentityFails
 from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
                    op_cop, verify_morphism)
-from .invariants import CensusResult, grouplike_census, grouplike_inverse
+from .invariants import grouplike_census, grouplike_inverse
 from .linalg import (EchelonBasis, Subspace, dense_to_sparse, image,
                      sparse_add_into, sparse_to_dense, zero_vector)
 
@@ -323,7 +323,7 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
     check("uSu_central", ok)
     ok = all(H.mul(su, dense_to_sparse(list(g))) ==
              H.mul(dense_to_sparse(list(g)), su)
-             for g in H.claims.grouplikes if H.is_grouplike(g))
+             for g in H.verified_grouplikes)
     check("u_commutes_with_grouplikes", ok)
     return DrinfeldReport(checks, u, u_inv)
 
@@ -338,13 +338,12 @@ class RibbonCertificate:
     failures: tuple               # (candidate index, first failing axiom)
 
 
-def ribbon_search(rm: RMatrixData, census: CensusResult | None = None) -> RibbonCertificate:
+def ribbon_search(rm: RMatrixData) -> RibbonCertificate:
     """Try v = l^{-1} u for every group-like l; the search is exhaustive."""
     H = rm.host
     n, M = H.dim, H.conductor
     one = CycloNum.one(M)
-    if census is None:
-        census = grouplike_census(H)
+    census = grouplike_census(H)
     R = rm.r_dict()
     RtR = H.tensor_mul(_tensor_swap(R), R)
     u = dense_to_sparse(list(rm.u))
@@ -461,8 +460,7 @@ def uq_standard_rmatrix(p: int, e: int = 1, conductor: int | None = None):
     the pinned conventions.
     """
     from .constructors import standard_constructors
-    H = standard_constructors("uq_sl2", p, e,
-                              conductor=conductor if conductor else p * p)
+    H = standard_constructors("uq_sl2", p, e, conductor=conductor)
     M = H.conductor
     q = CycloNum.zeta(M, (M // p) * (e % p))
     monos = H._cache["monomials"]

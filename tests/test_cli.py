@@ -174,3 +174,69 @@ def test_op_cop_cli(tmp_path, capsys):
     assert code == 0 and "ordS=6" in out
     code, out = run(["cop", f], capsys)
     assert code == 0 and "dim=9" in out
+
+
+# -- hostile input: usage and parse errors exit 2 without a traceback ----------
+
+
+def _cli_proc(*args):
+    import subprocess
+    import sys
+    r = subprocess.run([sys.executable, "-m", "hopfkit.cli", *args],
+                       capture_output=True, text=True)
+    return r.returncode, r.stderr
+
+
+def _edited_taft(tmp_path, capsys, edit):
+    f = str(tmp_path / "t.hopf")
+    run(["construct", "taft", "--out", f], capsys)
+    obj = json.loads(open(f, encoding="utf-8").read())
+    edit(obj)
+    bad = str(tmp_path / "bad.hopf")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return bad
+
+
+def test_import_missing_file_exit_2(tmp_path):
+    code, err = _cli_proc("import", str(tmp_path / "missing.hopf"))
+    assert code == 2 and "Traceback" not in err and "error:" in err
+
+
+def test_conductor_below_one_exit_2():
+    code, err = _cli_proc("--conductor", "0", "construct", "taft")
+    assert code == 2 and "Traceback" not in err and "--conductor" in err
+
+
+def test_bicharacter_index_not_an_integer_exit_2():
+    code, err = _cli_proc("construct", "group_algebra", "--group", "z3",
+                          "--rmatrix", "bicharacter:abc")
+    assert code == 2 and "Traceback" not in err and "bicharacter" in err
+
+
+def test_import_short_antipode_exit_2(tmp_path, capsys):
+    bad = _edited_taft(tmp_path, capsys, lambda obj: obj["antipode"].pop())
+    code, err = _cli_proc("import", bad)
+    assert code == 2 and "Traceback" not in err and "antipode" in err
+
+
+def test_import_float_tensor_index_exit_2(tmp_path, capsys):
+    def edit(obj):
+        obj["mult"][0][0] = float(obj["mult"][0][0])
+    code, err = _cli_proc("import", _edited_taft(tmp_path, capsys, edit))
+    assert code == 2 and "Traceback" not in err and "index" in err
+
+
+def test_import_out_of_range_rmatrix_index_exit_2(tmp_path, capsys):
+    f = str(tmp_path / "z3.hopf")
+    code, _ = run(["construct", "group_algebra", "--group", "z3",
+                   "--rmatrix", "bicharacter:1", "--out", f], capsys)
+    assert code == 0
+    obj = json.loads(open(f, encoding="utf-8").read())
+    obj["rmatrix"][0][1] = obj["dim"]
+    bad = str(tmp_path / "bad.hopf")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    for cmd in ("import", "qt-verify"):
+        code, err = _cli_proc(cmd, bad)
+        assert code == 2 and "Traceback" not in err and "index" in err, cmd

@@ -11,7 +11,7 @@ import argparse
 import random
 import sys
 
-from .cyclo import CycloNum, render
+from .cyclo import MAX_CONDUCTOR, CycloNum, render
 from .errors import BadParameter, HopfkitError, ParseError, VerificationFailed
 from .hopf import FinHopf, dual, op_cop, tensor, verify_hopf
 from .hopffile import export_hopf, import_hopf
@@ -19,7 +19,7 @@ from .invariants import (coradical_filtration, fingerprint, grouplike_census,
                          characters_census, integrals, is_unimodular,
                          pairing_table, radford_s4_check, semisimplicity,
                          trace_formula_check)
-from .linalg import dense_to_sparse
+from .linalg import dense_to_sparse, outer
 
 CONSTRUCTOR_NAMES = (
     "group_algebra", "dual_group_algebra", "taft", "taft_tensor", "ttilde",
@@ -51,8 +51,7 @@ def _make_rmatrix(H: FinHopf, args) -> dict:
     from .quasitriangular import bicharacter_rmatrices, uq_standard_rmatrix
     kind = args.rmatrix
     if kind == "trivial":
-        u = H.unit_sparse()
-        return {(a, b): ca * cb for a, ca in u.items() for b, cb in u.items()}
+        return outer(H.unit_sparse(), H.unit_sparse())
     if kind == "uq_standard":
         if args.name != "uq_sl2":
             raise BadParameter("--rmatrix uq_standard requires the uq_sl2 host")
@@ -312,10 +311,11 @@ def cmd_import(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _conductor(text: str) -> int:
     v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    if not 1 <= v <= MAX_CONDUCTOR:
+        raise argparse.ArgumentTypeError(
+            f"must be in 1..{MAX_CONDUCTOR}, got {v}")
     return v
 
 
@@ -324,7 +324,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="hopfkit",
         description="Exact construction, verification and classification of "
                     "finite-dimensional Hopf algebras over cyclotomic fields.")
-    ap.add_argument("--conductor", type=_positive_int, default=None,
+    ap.add_argument("--conductor", type=_conductor, default=None,
                     help="cyclotomic conductor override")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for the randomized trace-formula matrices")

@@ -19,8 +19,8 @@ from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
 from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
                    verify_hopf)
 from .linalg import (SparseTensor3, dense_to_sparse, mat_eq,
-                     mult_vectors, sparse_add_into, identity_matrix,
-                     unit_vector, zero_vector)
+                     mult_vectors, outer, sparse_add_into, sparse_columns,
+                     identity_matrix, unit_vector, zero_vector)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
@@ -430,6 +430,7 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
     one = CycloNum.one(M)
     mrows = H.mrows
     Sinv = H.antipode_inv
+    sinv_cols = sparse_columns(Sinv)
 
     def ix(a, b):
         return a * n + b
@@ -472,8 +473,7 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
                 # beta-part depends only on (a, b, c); h-part couples b2 with d
                 parts: dict = {}
                 for (b1, b2, b3), t in d2:
-                    h3s = {k: Sinv[k][b3] for k in range(n) if not Sinv[k][b3].is_zero()}
-                    cov = translate({c: one}, {b1: one}, h3s)
+                    cov = translate({c: one}, {b1: one}, sinv_cols[b3])
                     if not cov:
                         continue
                     # multiply beta_a * cov in the dual algebra
@@ -524,14 +524,13 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
     u_s = dense_to_sparse(list(H.unit))
     Dr = mult_t.rows_ij()
     for a in range(n):
-        # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j)
-        sb = {j: Sinv[a][j] for j in range(n) if not Sinv[a][j].is_zero()}
+        # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j), row a of S^{-1}
+        sb = dense_to_sparse(Sinv[a])
         for b in range(n):
-            sh = {k: H.antipode[k][b] for k in range(n) if not H.antipode[k][b].is_zero()}
             left: dict = {}
             for j, cj in enumerate(eps):
                 if not cj.is_zero():
-                    for k, ck in sh.items():
+                    for k, ck in H.scols[b].items():
                         sparse_add_into(left, ix(j, k), cj * ck)
             right: dict = {}
             for j, cj in sb.items():
@@ -568,7 +567,7 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
         for k, ck in sv.items():
             for ij, c in by_out.get(k, ()):
                 sparse_add_into(img, ij, ck * c)
-        return img == {(a, b): ca * cb for a, ca in sv.items() for b, cb in sv.items()}
+        return img == outer(sv, sv)
 
     chars = []
     central = []

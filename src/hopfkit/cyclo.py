@@ -123,10 +123,17 @@ class _Context:
 
 _CONTEXTS: dict[int, _Context] = {}
 
+# Largest conductor accepted: a context holds phi(M)^2 integers, so an
+# unbounded M (from a file or the command line) could exhaust memory.  The
+# constructors pick at most p^3 (343 at p = 7).
+MAX_CONDUCTOR = 1024
+
 
 def _context(M: int) -> _Context:
     ctx = _CONTEXTS.get(M)
     if ctx is None:
+        if M > MAX_CONDUCTOR:
+            raise ValueError(f"conductor {M} exceeds {MAX_CONDUCTOR}")
         ctx = _Context(M)
         _CONTEXTS[M] = ctx
     return ctx

@@ -9,15 +9,17 @@ certified by transposition instead (see `dual`).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .cyclo import CycloNum
 from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
-from .linalg import (SparseTensor3, Subspace, algebra_radical,
-                     commutative_quotient_dim, dense_to_sparse, identity_matrix,
-                     ideal_closure, image, intersect_kernels, mat_inverse,
-                     mat_vec, mult_vectors, quotient_by_radical,
-                     sparse_add_into, sparse_to_dense, transpose, unit_vector,
-                     vec_is_zero)
+from .linalg import (SparseTensor3, Subspace, algebra_radical, apply_columns,
+                     apply_tensor_columns, commutative_quotient_dim,
+                     dense_to_sparse, identity_matrix, ideal_closure, image,
+                     intersect_kernels, mat_inverse, mat_vec, mult_vectors,
+                     outer, quotient_by_radical, sparse_add_into,
+                     sparse_columns, sparse_to_dense, unit_vector, vec_is_zero)
 
 
 class ClaimSet:
@@ -68,6 +70,11 @@ class FinHopf:
     @property
     def crows(self):
         return self.memo("crows", self.comult.rows_i)
+
+    @property
+    def scols(self) -> list[dict]:
+        """The antipode as sparse columns: scols[j] = S(e_j)."""
+        return self.memo("scols", lambda: sparse_columns(self.antipode))
 
     @property
     def antipode_inv(self):
@@ -132,13 +139,7 @@ class FinHopf:
         return acc
 
     def antipode_of(self, v: dict) -> dict:
-        out: dict = {}
-        S = self.antipode
-        for j, c in v.items():
-            for i in range(self.dim):
-                if not S[i][j].is_zero():
-                    sparse_add_into(out, i, c * S[i][j])
-        return out
+        return apply_columns(self.scols, v)
 
     def unit_sparse(self) -> dict:
         return dense_to_sparse(self.unit)
@@ -163,12 +164,13 @@ class FinHopf:
         sv = dense_to_sparse(list(v))
         if not self.counit_of(sv).is_one():
             return False
-        dv = self.comult_of(sv)
-        outer: dict = {}
-        for a, c in sv.items():
-            for b, d in sv.items():
-                sparse_add_into(outer, (a, b), c * d)
-        return dv == outer
+        return self.comult_of(sv) == outer(sv, sv)
+
+    def is_central(self, v: dict) -> bool:
+        """Does v commute with every basis element?"""
+        one = CycloNum.one(self.conductor)
+        return all(self.mul(v, {h: one}) == self.mul({h: one}, v)
+                   for h in range(self.dim))
 
     def delta2(self, i: int):
         """Delta^2(e_i) as a tuple of ((a,b,c), coeff)."""
@@ -296,12 +298,7 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
 
     # comultiplication is an algebra map (and Delta(1) = 1 (x) 1)
     fail = None
-    d_unit = H.comult_of(su)
-    outer_unit: dict = {}
-    for a, c in su.items():
-        for b, d in su.items():
-            sparse_add_into(outer_unit, (a, b), c * d)
-    if d_unit != outer_unit:
+    if H.comult_of(su) != outer(su, su):
         fail = ("unit",)
     else:
         for i in range(n):
@@ -351,16 +348,14 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta
     fail_l = None
     fail_r = None
-    S = H.antipode
+    S = H.scols
     for i in range(n):
         left: dict = {}
         right: dict = {}
         for (j, k), c in crows[i]:
-            sj = {a: S[a][j] for a in range(n) if not S[a][j].is_zero()}
-            for l, d in H.mul(sj, {k: one}).items():
+            for l, d in H.mul(S[j], {k: one}).items():
                 sparse_add_into(left, l, c * d)
-            sk = {a: S[a][k] for a in range(n) if not S[a][k].is_zero()}
-            for l, d in H.mul({j: one}, sk).items():
+            for l, d in H.mul({j: one}, S[k]).items():
                 sparse_add_into(right, l, c * d)
         target = {a: H.counit[i] * cu for a, cu in su.items()} if not H.counit[i].is_zero() else {}
         target = {a: v for a, v in target.items() if not v.is_zero()}
@@ -522,23 +517,18 @@ class HopfMorphism:
         self.target = target
         self.matrix = tuple(tuple(r) for r in matrix)
 
-    def apply(self, v: dict) -> dict:
-        out: dict = {}
-        A = self.matrix
-        for j, c in v.items():
-            for i in range(self.target.dim):
-                if not A[i][j].is_zero():
-                    sparse_add_into(out, i, c * A[i][j])
-        return out
+    @cached_property
+    def cols(self) -> list[dict]:
+        """The matrix as sparse columns: cols[j] is the image of e_j."""
+        return sparse_columns(self.matrix)
 
-    @property
+    def apply(self, v: dict) -> dict:
+        return apply_columns(self.cols, v)
+
+    @cached_property
     def rank(self) -> int:
-        r = getattr(self, "_rank", None)
-        if r is None:
-            r = image([list(row) for row in self.matrix],
-                      self.source.dim, self.source.conductor).dim
-            self._rank = r
-        return r
+        return image([list(row) for row in self.matrix],
+                     self.source.dim, self.source.conductor).dim
 
     def __repr__(self):
         return f"HopfMorphism({self.source.label} -> {self.target.label})"
@@ -566,10 +556,9 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
     if Hs.conductor != Ht.conductor:
         raise ConductorMismatch("morphism endpoints live over different conductors")
     n = Hs.dim
-    one = CycloNum.one(Hs.conductor)
     checks = []
 
-    imgs = [f.apply({i: one}) for i in range(n)]
+    imgs = f.cols
 
     fail = None
     if f.apply(Hs.unit_sparse()) != Ht.unit_sparse():
@@ -577,11 +566,7 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
     else:
         for i in range(n):
             for j in range(n):
-                lhs: dict = {}
-                for k, c in Hs.mrows[i][j]:
-                    for l, d in imgs[k].items():
-                        sparse_add_into(lhs, l, c * d)
-                if lhs != Ht.mul(imgs[i], imgs[j]):
+                if f.apply(dict(Hs.mrows[i][j])) != Ht.mul(imgs[i], imgs[j]):
                     fail = (i, j)
                     break
             if fail:
@@ -590,14 +575,8 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
 
     fail = None
     for i in range(n):
-        lhs = Ht.comult_of(imgs[i])
-        rhs: dict = {}
-        for (j, k), c in Hs.crows[i]:
-            for a, ca in imgs[j].items():
-                cca = c * ca
-                for b, cb in imgs[k].items():
-                    sparse_add_into(rhs, (a, b), cca * cb)
-        if lhs != rhs:
+        rhs = apply_tensor_columns(imgs, imgs, dict(Hs.crows[i]))
+        if Ht.comult_of(imgs[i]) != rhs:
             fail = (i,)
             break
     checks.append(CheckResult("coalgebra_map", fail is None, fail))
@@ -611,8 +590,7 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
 
     fail = None
     for i in range(n):
-        si = {a: Hs.antipode[a][i] for a in range(n) if not Hs.antipode[a][i].is_zero()}
-        if f.apply(si) != Ht.antipode_of(imgs[i]):
+        if f.apply(Hs.scols[i]) != Ht.antipode_of(imgs[i]):
             fail = (i,)
             break
     checks.append(CheckResult("antipode", fail is None, fail))
@@ -645,13 +623,11 @@ def coinvariants(pi: HopfMorphism) -> Subspace:
         raise NotSurjective("projection is not surjective")
     # (id (x) pi) Delta(h) - h (x) 1_B = 0, one row per (j, b)
     eq: dict = {}
-    A = pi.matrix
     uB = B.unit
     for t in range(n):
         for (j, k), c in H.crows[t]:
-            for b in range(m):
-                if not A[b][k].is_zero():
-                    sparse_add_into(eq.setdefault((j, b), {}), t, c * A[b][k])
+            for b, a in pi.cols[k].items():
+                sparse_add_into(eq.setdefault((j, b), {}), t, c * a)
         for b in range(m):
             if not uB[b].is_zero():
                 sparse_add_into(eq.setdefault((t, b), {}), t, -uB[b])
@@ -679,7 +655,7 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     q = len(coords)
 
     proj_mat = I.projection_rows()
-    proj_cols = transpose(proj_mat)
+    proj_cols = sparse_columns(proj_mat)
 
     def project(vdense):
         return mat_vec(proj_mat, vdense)
@@ -696,18 +672,7 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     # coideal: (pi (x) pi) Delta v = 0 for v in I
     for v in I.basis:
         dv = H.comult_of(dense_to_sparse(list(v)))
-        acc: dict = {}
-        for (j, k), c in dv.items():
-            pj = proj_cols[j]
-            pk = proj_cols[k]
-            for a, ca in enumerate(pj):
-                if ca.is_zero():
-                    continue
-                cca = c * ca
-                for b, cb in enumerate(pk):
-                    if not cb.is_zero():
-                        sparse_add_into(acc, (a, b), cca * cb)
-        if acc:
+        if apply_tensor_columns(proj_cols, proj_cols, dv):
             raise NotAHopfIdeal("ideal is not a coideal")
 
     reps = [unit_vector(n, M, c) for c in coords]
@@ -717,34 +682,20 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
         sa = dense_to_sparse(reps[a])
         for b in range(q):
             prod = H.mul(sa, dense_to_sparse(reps[b]))
-            pv = project(sparse_to_dense(prod, n, M))
-            for t in range(q):
-                if not pv[t].is_zero():
-                    mult_d[(a, b, t)] = pv[t]
+            for t, c in apply_columns(proj_cols, prod).items():
+                mult_d[(a, b, t)] = c
     comult_d = {}
     for a in range(q):
         dv = H.comult_of(dense_to_sparse(reps[a]))
-        acc: dict = {}
-        for (j, k), c in dv.items():
-            pj = proj_cols[j]
-            pk = proj_cols[k]
-            for s, cs in enumerate(pj):
-                if cs.is_zero():
-                    continue
-                ccs = c * cs
-                for t, ct in enumerate(pk):
-                    if not ct.is_zero():
-                        sparse_add_into(acc, (s, t), ccs * ct)
-        for (s, t), c in acc.items():
+        for (s, t), c in apply_tensor_columns(proj_cols, proj_cols, dv).items():
             comult_d[(a, s, t)] = c
     unit_q = project(list(H.unit))
     counit_q = [H.counit_of(dense_to_sparse(r)) for r in reps]
     S_q = [[CycloNum.zero(M)] * q for _ in range(q)]
     for b in range(q):
         sv = H.antipode_of(dense_to_sparse(reps[b]))
-        pv = project(sparse_to_dense(sv, n, M))
-        for a in range(q):
-            S_q[a][b] = pv[a]
+        for a, c in apply_columns(proj_cols, sv).items():
+            S_q[a][b] = c
 
     # project claims
     gls = []

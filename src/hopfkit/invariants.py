@@ -22,10 +22,11 @@ from .errors import (BoundExceeded, ClaimIncomplete, ClaimNotGrouplike,
                      SectionFails)
 from .hopf import (FinHopf, HopfMorphism, coinvariants,
                    skew_primitive_conditions, verify_morphism)
-from .linalg import (Subspace, algebra_radical, center_dim, dense_to_sparse,
-                     identity_matrix, intersect_kernels, mat_eq, mat_mul,
+from .linalg import (Subspace, algebra_radical, apply_columns,
+                     apply_tensor_columns, center_dim, compose_columns,
+                     dense_to_sparse, identity_columns, intersect_kernels,
                      mat_trace, mult_vectors, quotient_by_radical,
-                     sparse_add_into, sparse_to_dense, transpose)
+                     sparse_add_into, sparse_columns, sparse_to_dense)
 
 # -- integrals and modular elements ---------------------------------------------
 
@@ -155,31 +156,22 @@ def grouplike_inverse(H: FinHopf, g: dict) -> dict:
 
 def radford_s4_check(H: FinHopf) -> bool:
     """S^4(h) = g (alpha -> h <- alpha^{-1}) g^{-1} on every basis element."""
-    n = H.dim
     mod = modular_elements(H)
     alpha = list(mod.alpha)
     # alpha^{-1} = alpha o S (convolution inverse of a character)
-    alpha_inv = [None] * n
-    for j in range(n):
-        acc = CycloNum.zero(H.conductor)
-        for a in range(n):
-            if not H.antipode[a][j].is_zero():
-                acc = acc + alpha[a] * H.antipode[a][j]
-        alpha_inv[j] = acc
+    zero = CycloNum.zero(H.conductor)
+    alpha_inv = [sum((alpha[a] * c for a, c in col.items()), zero)
+                 for col in H.scols]
     g = dense_to_sparse(list(mod.g))
     g_inv = grouplike_inverse(H, g)
-    S = [list(r) for r in H.antipode]
-    S2 = mat_mul(S, S)
-    S4 = mat_mul(S2, S2)
-    for i in range(n):
+    S2 = compose_columns(H.scols, H.scols)
+    for i, lhs in enumerate(compose_columns(S2, S2)):
         mid: dict = {}
         for (a, b, c), coef in H.delta2(i):
             w = alpha_inv[a] * alpha[c]
             if not w.is_zero():
                 sparse_add_into(mid, b, coef * w)
-        rhs = H.mul(g, H.mul(mid, g_inv))
-        lhs = {k: S4[k][i] for k in range(n) if not S4[k][i].is_zero()}
-        if lhs != rhs:
+        if lhs != H.mul(g, H.mul(mid, g_inv)):
             return False
     return True
 
@@ -190,27 +182,23 @@ def trace_formula_check(H: FinHopf, f):
     (L1, S(L2)) are dual bases for the Frobenius form lambda, which pins
     the Sweedler legs: the two right-hand sides must both equal Tr f.
     """
-    n, M = H.dim, H.conductor
+    M = H.conductor
     integ = integrals(H)
     lam = integ.right_integral_dual
     dL = H.comult_of(dense_to_sparse(list(integ.left_integral)))
     t0 = mat_trace(f)
     t1 = CycloNum.zero(M)
     t2 = CycloNum.zero(M)
-    S = H.antipode
+    fcols = sparse_columns(f)
     one = CycloNum.one(M)
     for (a, b), c in dL.items():
-        sb = {k: S[k][b] for k in range(n) if not S[k][b].is_zero()}
-        fa = {k: f[k][a] for k in range(n) if not f[k][a].is_zero()}
         acc = CycloNum.zero(M)
-        for k, d in H.mul(sb, fa).items():
+        for k, d in H.mul(H.scols[b], fcols[a]).items():
             if not lam[k].is_zero():
                 acc = acc + lam[k] * d
         t1 = t1 + c * acc
-        fb = {k: f[k][b] for k in range(n) if not f[k][b].is_zero()}
-        sfb = H.antipode_of(fb)
         acc = CycloNum.zero(M)
-        for k, d in H.mul(sfb, {a: one}).items():
+        for k, d in H.mul(H.antipode_of(fcols[b]), {a: one}).items():
             if not lam[k].is_zero():
                 acc = acc + lam[k] * d
         t2 = t2 + c * acc
@@ -218,16 +206,16 @@ def trace_formula_check(H: FinHopf, f):
 
 
 def antipode_order(H: FinHopf) -> int:
-    """Least k >= 1 with S^k = id, by exact matrix powering (k <= 4 dim^2)."""
-    n, M = H.dim, H.conductor
+    """Least k >= 1 with S^k = id, by exact powering of the sparse columns
+    (k <= 4 dim^2)."""
+    n = H.dim
     bound = 4 * n * n
-    ident = identity_matrix(n, M)
-    S = [list(r) for r in H.antipode]
-    P = S
+    ident = identity_columns(n, H.conductor)
+    P = H.scols
     for k in range(1, bound + 1):
-        if mat_eq(P, ident):
+        if P == ident:
             return k
-        P = mat_mul(P, S)
+        P = compose_columns(P, H.scols)
     raise BoundExceeded(f"antipode order exceeds {bound}")
 
 
@@ -241,9 +229,10 @@ class SemisimplicityReport:
 
 
 def semisimplicity(H: FinHopf) -> SemisimplicityReport:
-    """Exact Tr S^2; nonzero iff semisimple iff cosemisimple (char 0)."""
-    S = [list(r) for r in H.antipode]
-    tr = mat_trace(mat_mul(S, S))
+    """Exact Tr S^2 = sum_j S(S e_j)_j; nonzero iff semisimple iff
+    cosemisimple (char 0)."""
+    S, zero = H.scols, CycloNum.zero(H.conductor)
+    tr = sum((apply_columns(S, S[j]).get(j, zero) for j in range(H.dim)), zero)
     ss = not tr.is_zero()
     return SemisimplicityReport(ss, ss, tr)
 
@@ -274,17 +263,14 @@ def coradical_spaces(H: FinHopf) -> list[Subspace]:
     n, M = H.dim, H.conductor
     H0 = H.dual_cached().radical.perp()
     spaces = [H0]
-    p0 = [dense_to_sparse(col) for col in transpose(H0.projection_rows())]
+    p0 = sparse_columns(H0.projection_rows())
     while spaces[-1].dim < n:
         # H_{i+1} = ker (p0 (x) p_i) Delta, one row per (a, b)
-        p1 = [dense_to_sparse(col) for col in transpose(spaces[-1].projection_rows())]
+        p1 = sparse_columns(spaces[-1].projection_rows())
         eq: dict = {}
         for m in range(n):
-            for (j, k), c in H.crows[m]:
-                for a, ca in p0[j].items():
-                    cca = c * ca
-                    for b, cb in p1[k].items():
-                        sparse_add_into(eq.setdefault((a, b), {}), m, cca * cb)
+            for ab, c in apply_tensor_columns(p0, p1, dict(H.crows[m])).items():
+                sparse_add_into(eq.setdefault(ab, {}), m, c)
         nxt = intersect_kernels(eq.values(), n, M)
         if nxt.dim <= spaces[-1].dim:
             raise ExtractionInconsistent("coradical filtration failed to grow")
@@ -607,8 +593,8 @@ def projection_splitting_check(pi: HopfMorphism, gamma: HopfMorphism) -> Splitti
         raise SectionFails("projection is not a Hopf algebra map")
     if not verify_morphism(gamma).ok:
         raise SectionFails("section is not a Hopf algebra map")
-    comp = mat_mul([list(r) for r in pi.matrix], [list(r) for r in gamma.matrix])
-    if not mat_eq(comp, identity_matrix(B.dim, B.conductor)):
+    ident = identity_columns(B.dim, B.conductor)
+    if compose_columns(pi.cols, gamma.cols) != ident:
         raise SectionFails("pi o gamma is not the identity")
     ci = coinvariants(pi)
     return SplittingReport(True, ci.dim, ci.dim * B.dim == H.dim)

@@ -426,6 +426,56 @@ def dense_to_sparse(v) -> dict:
     return {i: c for i, c in enumerate(v) if not c.is_zero()}
 
 
+def outer(u: dict, v: dict) -> dict:
+    """u (x) v for sparse vectors: {(a, b): u_a v_b}."""
+    return {(a, b): ca * cb for a, ca in u.items() for b, cb in v.items()}
+
+
+# -- linear maps as sparse columns ------------------------------------------------
+#
+# A map k^n -> k^m is applied through its columns {row: coef} (nonzeros only):
+# A v touches only the nonzero entries of v and of the columns it selects.
+
+def sparse_columns(A) -> list[dict]:
+    """Columns of the matrix A (a list of rows), nonzeros only."""
+    cols: list[dict] = [{} for _ in range(len(A[0]) if A else 0)]
+    for i, row in enumerate(A):
+        for j, c in enumerate(row):
+            if not c.is_zero():
+                cols[j][i] = c
+    return cols
+
+
+def identity_columns(n: int, M: int) -> list[dict]:
+    one = CycloNum.one(M)
+    return [{j: one} for j in range(n)]
+
+
+def apply_columns(cols: list[dict], v: dict) -> dict:
+    """A v for a sparse vector v; zero sums are dropped."""
+    out: dict = {}
+    for j, c in v.items():
+        for i, a in cols[j].items():
+            sparse_add_into(out, i, c * a)
+    return out
+
+
+def apply_tensor_columns(A: list[dict], B: list[dict], X: dict) -> dict:
+    """(A (x) B) X for a sparse tensor X {(j, k): coef}."""
+    out: dict = {}
+    for (j, k), c in X.items():
+        for a, ca in A[j].items():
+            cca = c * ca
+            for b, cb in B[k].items():
+                sparse_add_into(out, (a, b), cca * cb)
+    return out
+
+
+def compose_columns(A: list[dict], B: list[dict]) -> list[dict]:
+    """Columns of A o B."""
+    return [apply_columns(A, b) for b in B]
+
+
 def sparse_to_dense(d: dict, n: int, M: int) -> list[CycloNum]:
     v = zero_vector(n, M)
     for i, c in d.items():

@@ -19,8 +19,10 @@ from .errors import FieldTooSmall, FixtureRejected, IdentityFails
 from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
                    op_cop, verify_morphism)
 from .invariants import grouplike_census, grouplike_inverse
-from .linalg import (EchelonBasis, Subspace, dense_to_sparse, image,
-                     sparse_add_into, sparse_to_dense, zero_vector)
+from .linalg import (EchelonBasis, Subspace, apply_tensor_columns,
+                     compose_columns, dense_to_sparse, identity_columns, image,
+                     outer, sparse_add_into, sparse_columns, sparse_to_dense,
+                     zero_vector)
 
 
 @dataclass
@@ -39,41 +41,6 @@ class RMatrixData:
 
 def _tensor_swap(X: dict) -> dict:
     return {(b, a): c for (a, b), c in X.items()}
-
-
-def _apply_s_slot1(H: FinHopf, X: dict) -> dict:
-    out: dict = {}
-    S = H.antipode
-    n = H.dim
-    for (a, b), c in X.items():
-        for i in range(n):
-            if not S[i][a].is_zero():
-                sparse_add_into(out, (i, b), c * S[i][a])
-    return out
-
-
-def _apply_s_both(H: FinHopf, X: dict) -> dict:
-    out: dict = {}
-    S = H.antipode
-    n = H.dim
-    for (a, b), c in X.items():
-        for i in range(n):
-            sa = S[i][a]
-            if sa.is_zero():
-                continue
-            csa = c * sa
-            for j in range(n):
-                if not S[j][b].is_zero():
-                    sparse_add_into(out, (i, j), csa * S[j][b])
-    return out
-
-
-def _unit_tensor(H: FinHopf) -> dict:
-    out: dict = {}
-    for a, ca in H.unit_sparse().items():
-        for b, cb in H.unit_sparse().items():
-            sparse_add_into(out, (a, b), ca * cb)
-    return out
 
 
 def f_matrices(H: FinHopf, R: dict):
@@ -103,7 +70,6 @@ def f_maps(rm: RMatrixData):
 def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | None]:
     """Exact QT.1-QT.5, the bialgebra-map formulation, rank and minimality."""
     n, M = H.dim, H.conductor
-    one = CycloNum.one(M)
     checks = []
 
     # QT.1 on every basis element
@@ -159,12 +125,12 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     checks.append(CheckResult("QT.5", ok5, None if ok5 else ("QT.5",)))
 
     # R^{-1} = (S (x) id)(R) and (S (x) S)(R) = R
-    sR = _apply_s_slot1(H, R)
-    unit2 = _unit_tensor(H)
+    sR = apply_tensor_columns(H.scols, identity_columns(n, M), R)
+    unit2 = outer(H.unit_sparse(), H.unit_sparse())
     inv_ok = (H.tensor_mul(sR, R) == unit2 and H.tensor_mul(R, sR) == unit2)
     checks.append(CheckResult("R_inverse_formula", inv_ok,
                               None if inv_ok else ("R_inverse",)))
-    ss_ok = _apply_s_both(H, R) == R
+    ss_ok = apply_tensor_columns(H.scols, H.scols, R) == R
     checks.append(CheckResult("S_tensor_S_fixes_R", ss_ok,
                               None if ss_ok else ("S(x)S",)))
 
@@ -198,6 +164,8 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
 def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
     """unital subalgebra with Delta(V) c V (x) V and S(V) = V."""
     n, M = H.dim, H.conductor
+    if V.dim == n:
+        return True  # H itself
     if not V.contains(list(H.unit)):
         return False
     basis = [dense_to_sparse(list(v)) for v in V.basis]
@@ -206,18 +174,11 @@ def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
             if not V.contains(sparse_to_dense(H.mul(a, b), n, M)):
                 return False
     # Delta(V) c V (x) H and c H (x) V
-    proj = V.projection_rows()
+    proj, ident = sparse_columns(V.projection_rows()), identity_columns(n, M)
     for a in basis:
         dv = H.comult_of(a)
-        acc1: dict = {}
-        acc2: dict = {}
-        for (j, k), c in dv.items():
-            for t in range(len(proj)):
-                if not proj[t][j].is_zero():
-                    sparse_add_into(acc1, (t, k), c * proj[t][j])
-                if not proj[t][k].is_zero():
-                    sparse_add_into(acc2, (j, t), c * proj[t][k])
-        if acc1 or acc2:
+        if (apply_tensor_columns(proj, ident, dv)
+                or apply_tensor_columns(ident, proj, dv)):
             return False
     for a in basis:
         if not V.contains(sparse_to_dense(H.antipode_of(a), n, M)):
@@ -248,11 +209,10 @@ def _generates(H: FinHopf, K: Subspace, L: Subspace) -> bool:
 
 def _drinfeld_u(H: FinHopf, R: dict):
     n, M = H.dim, H.conductor
-    S = H.antipode
+    one = CycloNum.one(M)
     acc: dict = {}
     for (i, j), c in R.items():
-        sj = {a: S[a][j] for a in range(n) if not S[a][j].is_zero()}
-        for k, d in H.mul(sj, {i: CycloNum.one(M)}).items():
+        for k, d in H.mul(H.scols[j], {i: one}).items():
             sparse_add_into(acc, k, c * d)
     return sparse_to_dense(acc, n, M)
 
@@ -279,13 +239,10 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
     su = dense_to_sparse(u)
 
     # u^{-1} = R2 S^2(R1)
-    S = [list(r) for r in H.antipode]
-    from .linalg import mat_mul
-    S2 = mat_mul(S, S)
+    S2 = compose_columns(H.scols, H.scols)
     acc: dict = {}
     for (i, j), c in R.items():
-        s2i = {a: S2[a][i] for a in range(n) if not S2[a][i].is_zero()}
-        for k, d in H.mul({j: one}, s2i).items():
+        for k, d in H.mul({j: one}, S2[i]).items():
             sparse_add_into(acc, k, c * d)
     u_inv = sparse_to_dense(acc, n, M)
     siu = dense_to_sparse(u_inv)
@@ -298,29 +255,19 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
     check("u_invertible", H.mul(su, siu) == H.unit_sparse()
           and H.mul(siu, su) == H.unit_sparse())
     # S^2(h) = u h u^{-1}
-    ok = True
-    for h in range(n):
-        lhs = {a: S2[a][h] for a in range(n) if not S2[a][h].is_zero()}
-        if lhs != H.mul(su, H.mul({h: one}, siu)):
-            ok = False
-            break
-    check("S2_inner_by_u", ok)
+    check("S2_inner_by_u", all(S2[h] == H.mul(su, H.mul({h: one}, siu))
+                               for h in range(n)))
     check("eps_u_is_1", H.counit_of(su).is_one())
 
     # Delta u = (R~R)^{-1}(u (x) u) = (u (x) u)(R~R)^{-1}
     RtR = H.tensor_mul(_tensor_swap(R), R)
     du = H.comult_of(su)
-    uu: dict = {}
-    for a, ca in su.items():
-        for b, cb in su.items():
-            sparse_add_into(uu, (a, b), ca * cb)
+    uu = outer(su, su)
     check("Delta_u_left", H.tensor_mul(RtR, du) == uu)
     check("Delta_u_right", H.tensor_mul(du, RtR) == uu)
 
     # u S(u) central; u commutes with group-likes
-    z = H.mul(su, H.antipode_of(su))
-    ok = all(H.mul(z, {h: one}) == H.mul({h: one}, z) for h in range(n))
-    check("uSu_central", ok)
+    check("uSu_central", H.is_central(H.mul(su, H.antipode_of(su))))
     ok = all(H.mul(su, dense_to_sparse(list(g))) ==
              H.mul(dense_to_sparse(list(g)), su)
              for g in H.verified_grouplikes)
@@ -342,7 +289,6 @@ def ribbon_search(rm: RMatrixData) -> RibbonCertificate:
     """Try v = l^{-1} u for every group-like l; the search is exhaustive."""
     H = rm.host
     n, M = H.dim, H.conductor
-    one = CycloNum.one(M)
     census = grouplike_census(H)
     R = rm.r_dict()
     RtR = H.tensor_mul(_tensor_swap(R), R)
@@ -367,16 +313,11 @@ def ribbon_search(rm: RMatrixData) -> RibbonCertificate:
             fails.append((idx, "R.3"))
             continue
         # R.4 Delta v = (R~R)^{-1} (v (x) v)
-        dv = H.comult_of(v)
-        vv: dict = {}
-        for a, ca in v.items():
-            for b, cb in v.items():
-                sparse_add_into(vv, (a, b), ca * cb)
-        if H.tensor_mul(RtR, dv) != vv:
+        if H.tensor_mul(RtR, H.comult_of(v)) != outer(v, v):
             fails.append((idx, "R.4"))
             continue
         # R.5 central
-        if not all(H.mul(v, {h: one}) == H.mul({h: one}, v) for h in range(n)):
+        if not H.is_central(v):
             fails.append((idx, "R.5"))
             continue
         ribbons.append(tuple(sparse_to_dense(v, n, M)))
@@ -513,18 +454,12 @@ def double_surjection_check(H: FinHopf, rm: RMatrixData, max_dim: int = 9):
     R = rm.r_dict()
     fR, _ = f_matrices(H, R)
     cols = []
-    for a in range(n):
-        fa = {k: fR[k][a] for k in range(n) if not fR[k][a].is_zero()}
+    for fa in sparse_columns(fR):
         for b in range(n):
             cols.append(sparse_to_dense(H.mul(fa, {b: one}), n, M))
     F = [[cols[j][i] for j in range(D.dim)] for i in range(n)]
     f = HopfMorphism(D, H, F)
     rep = verify_morphism(f)
-    central_ok = True
-    for v in D._cache.get("central_grouplikes", ()):
-        sv = dense_to_sparse(list(v))
-        if not all(D.mul(sv, {h: one}) == D.mul({h: one}, sv)
-                   for h in range(D.dim)):
-            central_ok = False
-            break
+    central_ok = all(D.is_central(dense_to_sparse(list(v)))
+                     for v in D._cache.get("central_grouplikes", ()))
     return f, rep, central_ok

@@ -1,6 +1,8 @@
 import json
 
-from hopfkit.cli import main
+import pytest
+
+from hopfkit.cli import main, make_parser
 
 
 def run(argv, capsys):
@@ -28,6 +30,19 @@ def test_construct_and_report(tmp_path, capsys):
     fr = str(tmp_path / "r.hopf")
     code, out = run(["construct", "r", "--out", fr], capsys)
     assert code == 0 and "type=(9;3)" in out
+
+
+def test_construct_that_p5_fingerprint(capsys):
+    # G = Z/p^2 and the characters g -> omega, x -> 0: type (25;25).
+    # S^2(x) = q x: ord S = 2p = 10.  Tr S^2 = 0: not semisimple.
+    # H_n = span{x^i g^j : i <= n}: corad = [25, 50, 75, 100, 125].
+    # J(H) = (x) has dimension 100: pointed and dual pointed.
+    # Lambda g = q Lambda: not unimodular.
+    code, out = run(["construct", "that", "--p", "5", "--q", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "dim=125 type=(25;25) ordS=10 TrS2=0 corad=[25,50,75,100,125] "
+        "pointed=yes dualpointed=yes unimodular=no")
 
 
 def test_construct_bad_params(capsys):
@@ -206,6 +221,12 @@ def test_import_missing_file_exit_2(tmp_path):
 def test_conductor_below_one_exit_2():
     code, err = _cli_proc("--conductor", "0", "construct", "taft")
     assert code == 2 and "Traceback" not in err and "--conductor" in err
+
+
+def test_conductor_above_gate_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        make_parser().parse_args(["--conductor", "20011", "construct", "taft"])
+    assert exc.value.code == 2 and "--conductor" in capsys.readouterr().err
 
 
 def test_bicharacter_index_not_an_integer_exit_2():

@@ -72,3 +72,18 @@ def test_conductor_embedding(tmp_path):
     H, _ = import_hopf(str(p), conductor=9)
     assert H.conductor == 9
     assert fingerprint(H).type_pair() == fingerprint(H3).type_pair() == "(3;3)"
+
+
+def test_large_conductor_is_a_parse_error(taft3, monkeypatch):
+    # The gate must fire before any per-conductor table is built: the stub
+    # fails the test if a context for the file's conductor is ever made.
+    from hopfkit import cyclo
+
+    def no_context(M):
+        raise AssertionError(f"built a context for conductor {M}")
+    monkeypatch.setattr(cyclo, "_Context", no_context)
+    obj = json.loads(dumps(taft3))
+    obj["conductor"] = 20011
+    with pytest.raises(ParseError) as exc:
+        loads(json.dumps(obj))
+    assert "20011" in str(exc.value)

@@ -1,0 +1,180 @@
+"""The sparse-column view of linear maps against the dense matrix products
+it replaced: the antipode order, Tr S^2, Radford's S^4 formula and the
+Drinfeld element, on the p = 3 corpus, its opposites (antipode S^{-1})
+and D(taft)."""
+
+import random
+
+import pytest
+
+from hopfkit.cyclo import CycloNum
+from hopfkit.errors import BoundExceeded
+from hopfkit.hopf import FinHopf, op_cop
+from hopfkit.invariants import (antipode_order, grouplike_inverse,
+                                modular_elements, radford_s4_check,
+                                semisimplicity)
+from hopfkit.linalg import (SparseTensor3, apply_columns, compose_columns,
+                            dense_to_sparse, identity_matrix, mat_eq, mat_mul,
+                            mat_trace, mat_vec, outer, sparse_add_into,
+                            sparse_columns, sparse_to_dense)
+from hopfkit.quasitriangular import drinfeld_element, verify_qt
+
+M = 9
+
+
+def dense_powers(H):
+    """[S, S^2, ...] by dense mat_mul, up to S^(ord S) and at least S^4."""
+    n = H.dim
+    S = [list(r) for r in H.antipode]
+    ident = identity_matrix(n, H.conductor)
+    powers = [S]
+    while len(powers) < 4 or not any(mat_eq(P, ident) for P in powers):
+        assert len(powers) <= 4 * n * n
+        powers.append(mat_mul(powers[-1], S))
+    return powers
+
+
+def dense_order(powers):
+    ident = identity_matrix(len(powers[0]), powers[0][0][0].M)
+    return next(k for k, P in enumerate(powers, 1) if mat_eq(P, ident))
+
+
+def dense_radford(H, S4):
+    """S^4(h) = g (alpha -> h <- alpha^{-1}) g^{-1}, with a dense S and S^4."""
+    n = H.dim
+    mod = modular_elements(H)
+    alpha = list(mod.alpha)
+    alpha_inv = []
+    for j in range(n):
+        acc = CycloNum.zero(H.conductor)
+        for a in range(n):
+            if not H.antipode[a][j].is_zero():
+                acc = acc + alpha[a] * H.antipode[a][j]
+        alpha_inv.append(acc)
+    g = dense_to_sparse(list(mod.g))
+    g_inv = grouplike_inverse(H, g)
+    for i in range(n):
+        mid: dict = {}
+        for (a, b, c), coef in H.delta2(i):
+            w = alpha_inv[a] * alpha[c]
+            if not w.is_zero():
+                sparse_add_into(mid, b, coef * w)
+        lhs = {k: S4[k][i] for k in range(n) if not S4[k][i].is_zero()}
+        if lhs != H.mul(g, H.mul(mid, g_inv)):
+            return False
+    return True
+
+
+def dense_u_inv(H, R, S2):
+    """u^{-1} = R2 S^2(R1), with a dense S^2."""
+    n, M = H.dim, H.conductor
+    one = CycloNum.one(M)
+    acc: dict = {}
+    for (i, j), c in R.items():
+        s2i = {a: S2[a][i] for a in range(n) if not S2[a][i].is_zero()}
+        for k, d in H.mul({j: one}, s2i).items():
+            sparse_add_into(acc, k, c * d)
+    return tuple(sparse_to_dense(acc, n, M))
+
+
+def double_rmatrix(H):
+    """The canonical R = sum_i (eps # e_i) (x) (beta_i # 1) of D(H)."""
+    n = H.dim
+    eps, unit = dense_to_sparse(H.counit), dense_to_sparse(H.unit)
+    R: dict = {}
+    for i in range(n):
+        left = {a * n + i: c for a, c in eps.items()}
+        right = {i * n + b: c for b, c in unit.items()}
+        for k, c in outer(left, right).items():
+            sparse_add_into(R, k, c)
+    return R
+
+
+@pytest.fixture(scope="module")
+def family(corpus3, double_taft):
+    members = list(corpus3.values())
+    return members + [op_cop(H, "op") for H in members] + [double_taft]
+
+
+def test_order_trace_and_powers_match_dense_products(family):
+    for H in family:
+        powers = dense_powers(H)
+        assert antipode_order(H) == dense_order(powers), H.label
+        assert semisimplicity(H).trace_s2 == mat_trace(powers[1]), H.label
+        S2 = compose_columns(H.scols, H.scols)
+        assert S2 == sparse_columns(powers[1]), H.label
+        assert compose_columns(S2, S2) == sparse_columns(powers[3]), H.label
+
+
+def test_radford_s4_matches_dense_oracle(family):
+    for H in family:
+        S4 = dense_powers(H)[3]
+        assert radford_s4_check(H) is dense_radford(H, S4) is True, H.label
+
+
+def test_drinfeld_element_matches_dense_oracle(corpus3, uq_rmatrix, taft3,
+                                               double_taft):
+    hosts = []
+    for H in corpus3.values():
+        delta = dict(H.comult.entries)
+        if delta == {(i, k, j): c for (i, j, k), c in delta.items()}:
+            unit = H.unit_sparse()
+            _, rm = verify_qt(H, outer(unit, unit))  # cocommutative: 1 (x) 1
+            assert rm is not None, H.label
+            hosts.append(rm)
+    assert len(hosts) == 5  # the group algebras
+    hosts.append(uq_rmatrix[1])
+    _, rm = verify_qt(double_taft, double_rmatrix(taft3))
+    assert rm is not None
+    hosts.append(rm)
+    for rm in hosts:
+        H = rm.host
+        S2 = dense_powers(H)[1]
+        rep = drinfeld_element(rm)
+        assert rep.ok and rep.u_inv == dense_u_inv(H, rm.r_dict(), S2), H.label
+        one = CycloNum.one(H.conductor)
+        su, siu = dense_to_sparse(rep.u), dense_to_sparse(rep.u_inv)
+        for h in range(H.dim):
+            lhs = {a: S2[a][h] for a in range(H.dim) if not S2[a][h].is_zero()}
+            assert lhs == H.mul(su, H.mul({h: one}, siu)), (H.label, h)
+
+
+def _random_matrix(rng, rows, cols):
+    zero = CycloNum.zero(M)
+    A = [[zero] * cols for _ in range(rows)]
+    for row in A:
+        for j in range(cols):
+            if rng.random() < 0.3:
+                row[j] = CycloNum.make(M, [rng.randint(-2, 2) for _ in range(6)],
+                                       rng.randint(1, 3))
+    dead = rng.randrange(cols)  # at least one zero column
+    for row in A:
+        row[dead] = zero
+    return A
+
+
+def test_columns_match_dense_products():
+    rng = random.Random(20260501)
+    zero_cols = 0
+    for _ in range(50):
+        m, k, n = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        A, B = _random_matrix(rng, m, k), _random_matrix(rng, k, n)
+        Ac, Bc = sparse_columns(A), sparse_columns(B)
+        zero_cols += sum(1 for c in Ac + Bc if not c)
+        assert compose_columns(Ac, Bc) == sparse_columns(mat_mul(A, B))
+        v = [row[0] for row in _random_matrix(rng, k, 2)]
+        assert apply_columns(Ac, dense_to_sparse(v)) == dense_to_sparse(mat_vec(A, v))
+    assert zero_cols >= 100
+
+
+def test_antipode_order_bound_exceeded():
+    # k[Z/2] with the non-involutive "antipode" diag(2, 1): no power is id.
+    one, zero = CycloNum.one(3), CycloNum.zero(3)
+    two = one + one
+    mult = SparseTensor3.from_dict(
+        (2, 2, 2), {(i, j, (i + j) % 2): one for i in range(2) for j in range(2)})
+    comult = SparseTensor3.from_dict((2, 2, 2), {(i, i, i): one for i in range(2)})
+    H = FinHopf(2, 3, mult, (one, zero), comult, (one, one),
+                ((two, zero), (zero, one)))
+    with pytest.raises(BoundExceeded):
+        antipode_order(H)

@@ -205,6 +205,14 @@ def _build(name, p, e, m, root, group, M, with_fixtures) -> FinHopf:
                                      conductor=M).dual_cached()
 
     _check_exponent(e, p)
+    if name == "book" and m % p == 0:
+        raise BadParameter("book algebra needs m != 0 mod p")
+    if with_fixtures and name in ("ttilde", "book"):
+        # the fixtures are claims on the member built without them
+        H = _build(name, p, e, m, root, group, M, False)
+        if name == "book":
+            return _with_fixtures(H, _book_fixtures(H, p, e, m, M))
+        return _with_fixtures(H, _ttilde_fixtures(H, p, e, root, M))
     if name == "taft":
         return build_from_presentation(taft_spec(p, e, M))
     if name == "taft_tensor":
@@ -217,10 +225,7 @@ def _build(name, p, e, m, root, group, M, with_fixtures) -> FinHopf:
             raise AssertionError(f"tensor failed verification: {rep.failures}")
         return H
     if name == "ttilde":
-        H = build_from_presentation(ttilde_spec(p, e, root, M))
-        if with_fixtures:
-            H.claims = _with_ttilde_fixture(H, p, e, root, M)
-        return H
+        return build_from_presentation(ttilde_spec(p, e, root, M))
     if name == "that":
         return build_from_presentation(that_spec(p, e, M))
     if name == "r":
@@ -228,20 +233,28 @@ def _build(name, p, e, m, root, group, M, with_fixtures) -> FinHopf:
     if name == "uq_sl2":
         return build_from_presentation(uq_sl2_spec(p, e, M))
     if name == "book":
-        if m % p == 0:
-            raise BadParameter("book algebra needs m != 0 mod p")
-        H = build_from_presentation(book_spec(p, e, m, M))
-        if with_fixtures:
-            H.claims = _with_book_fixtures(H, p, e, m, M)
-        return H
+        return build_from_presentation(book_spec(p, e, m, M))
     if name in ("dual_uq_sl2", "dual_r"):
         return standard_constructors(name[len("dual_"):], p, e,
                                      conductor=M).dual_cached()
     raise BadParameter(f"unknown constructor {name!r}")
 
 
-def _with_book_fixtures(H: FinHopf, p, e, m, M) -> ClaimSet:
-    """Attach the two paper-asserted book isomorphism fixtures."""
+def _with_fixtures(H: FinHopf, fixtures) -> FinHopf:
+    """The verified H again, with isomorphism fixtures added to its claims.
+
+    The structure maps are shared, and so are the memos: none depends on the
+    fixtures.  The dual is left out, so that the dual's dual is the result.
+    """
+    K = FinHopf(H.dim, H.conductor, H.mult, H.unit, H.comult, H.counit,
+                H.antipode, ClaimSet(H.claims.grouplikes, H.claims.characters,
+                                     fixtures), H.label)
+    K._cache.update((k, v) for k, v in H._cache.items() if k != "dual")
+    return K
+
+
+def _book_fixtures(H: FinHopf, p, e, m, M) -> tuple:
+    """The two paper-asserted book isomorphism fixtures."""
     fixtures = []
     # h(q,m) ~ h(q^{-m^2}, m^{-1})
     minv = pow(m, -1, p)
@@ -255,16 +268,15 @@ def _with_book_fixtures(H: FinHopf, p, e, m, M) -> ClaimSet:
                                   with_fixtures=False)
     f2 = find_embedding(H, other.dual_cached())
     fixtures.append((("dual_book", p, e, (-m) % p), f2.matrix))
-    return ClaimSet(H.claims.grouplikes, H.claims.characters, fixtures)
+    return tuple(fixtures)
 
 
-def _with_ttilde_fixture(H: FinHopf, p, e, root, M) -> ClaimSet:
+def _ttilde_fixtures(H: FinHopf, p, e, root, M) -> tuple:
     """ttilde(q) does not depend on the choice of the p-th root of q."""
     other = standard_constructors("ttilde", p, e, root=(root + 1) % p,
                                   conductor=M, with_fixtures=False)
     f = find_embedding(H, other)
-    return ClaimSet(H.claims.grouplikes, H.claims.characters,
-                    ((("ttilde", p, e, (root + 1) % p), f.matrix),))
+    return ((("ttilde", p, e, (root + 1) % p), f.matrix),)
 
 
 def resolve_fixture_target(key, conductor: int | None = None) -> FinHopf:

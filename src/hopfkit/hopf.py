@@ -2,9 +2,28 @@
 
 A FinHopf stores multiplication c_{ij}^k, comultiplication d_i^{jk}, unit,
 counit and the antipode matrix explicitly; nothing is derived implicitly.
-verify_hopf checks every axiom exactly and reports failures per axiom with
+verify_hopf decides every axiom exactly and reports failures per axiom with
 the first failing index, so constructors can self-validate; a dual is
 certified by transposition instead (see `dual`).
+
+Associativity and the algebra-map laws of Delta and eps are checked with
+their left factor in a generating set X (`FinHopf.generators`): the words
+x_1 (x_2 ( ... (x_k 1))) in X span H.  Each law then holds on all of H by
+induction on such words, given the laws listed before it:
+  associativity, given the unit law: W = {a : (ab)c = a(bc) for all b, c}
+    contains 1, and for a in W and x in X,
+    ((xa)b)c = (x(ab))c = x((ab)c) = x(a(bc)) = (xa)(bc), so W = H;
+  Delta(ab) = Delta(a)Delta(b), given the unit law, associativity and
+    Delta(1) = 1 (x) 1: V = {a : Delta(ab) = Delta(a)Delta(b) for all b}
+    contains 1, and Delta((xa)b) = Delta(x(ab)) = Delta(x)Delta(ab)
+    = Delta(x)Delta(a)Delta(b) = Delta(xa)Delta(b) (H (x) H is associative
+    because H is), so V = H;
+  eps(ab) = eps(a)eps(b), given the unit law, associativity and
+    eps(1) = 1: the same induction with eps for Delta.
+Fallback rule: a law whose prerequisites fail is swept over all basis pairs
+or triples, and a law that fails on X is swept again in full, so every
+report entry, first failing index included, is the one the full sweeps
+give.
 """
 
 from __future__ import annotations
@@ -14,9 +33,10 @@ from functools import cached_property
 from .cyclo import CycloNum
 from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
-from .linalg import (SparseTensor3, Subspace, algebra_radical, apply_columns,
-                     apply_tensor_columns, commutative_quotient_dim,
-                     dense_to_sparse, identity_matrix, ideal_closure, image,
+from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
+                     apply_columns, apply_tensor_columns,
+                     commutative_quotient_dim, dense_to_sparse,
+                     identity_matrix, ideal_closure, image,
                      intersect_kernels, mat_inverse, mat_vec, mult_vectors,
                      outer, quotient_by_radical, sparse_add_into,
                      sparse_columns, sparse_to_dense, unit_vector, vec_is_zero)
@@ -113,6 +133,19 @@ class FinHopf:
         return self.memo("dual", make)
 
     @property
+    def generators(self) -> tuple[int, ...] | None:
+        """Basis indices X with span{x_1 (x_2 ( ... (x_k 1))) : x_i in X} = H.
+
+        Found by a greedy Krylov closure: start from span{1}, take each basis
+        element not yet in the span (busiest `mrows` row first) into X, and
+        close the span under left multiplication by X, until it is all of H.
+        None when the span stays short of H, which the unit law excludes
+        (x 1 = x puts every x in X into the span).
+        """
+        return self.memo("generators", lambda: _krylov_generators(
+            self.mrows, self.unit, self.conductor))
+
+    @property
     def verified_grouplikes(self) -> tuple:
         """The claimed group-likes that pass `is_grouplike`, in claim order."""
         return self.memo("verified_gl", lambda: tuple(
@@ -189,6 +222,31 @@ class FinHopf:
         return f"FinHopf({self.label or 'unnamed'}, dim={self.dim}, M={self.conductor})"
 
 
+def _krylov_generators(mrows, unit, M: int) -> tuple[int, ...] | None:
+    """See `FinHopf.generators`."""
+    n = len(mrows)
+    one = CycloNum.one(M)
+    span = EchelonBasis(n, M)
+    span.insert(unit)
+    found = [dense_to_sparse(unit)]
+    X: list[int] = []
+    busiest = sorted(range(n), key=lambda i: -sum(1 for cell in mrows[i] if cell))
+    for i in busiest:
+        if len(span) == n:
+            break
+        if span.contains(unit_vector(n, M, i)):
+            continue
+        X.append(i)
+        work = [(i, v) for v in found]
+        while work:
+            x, v = work.pop()
+            w = mult_vectors(mrows, {x: one}, v)
+            if span.insert(sparse_to_dense(w, n, M)):
+                found.append(w)
+                work.extend((y, w) for y in X)
+    return tuple(sorted(X)) if len(span) == n else None
+
+
 # -- verification ---------------------------------------------------------------
 
 
@@ -223,10 +281,11 @@ class VerificationReport:
         return "; ".join(self.lines())
 
 
-def associativity_failure(mrows) -> tuple[int, int, int] | None:
-    """First (i, j, k), in lexicographic order, with (e_i e_j) e_k != e_i (e_j e_k)."""
+def associativity_failure(mrows, left=None) -> tuple[int, int, int] | None:
+    """First (i, j, k), in lexicographic order, with (e_i e_j) e_k != e_i (e_j e_k);
+    i runs over `left` (default: every index)."""
     n = len(mrows)
-    for i in range(n):
+    for i in range(n) if left is None else left:
         ri = mrows[i]
         for j in range(n):
             v = ri[j]
@@ -245,25 +304,74 @@ def associativity_failure(mrows) -> tuple[int, int, int] | None:
     return None
 
 
-def verify_hopf(H: FinHopf) -> VerificationReport:
-    """Exact check of every Hopf axiom; failures are report entries."""
-    n, M = H.dim, H.conductor
-    mrows, crows = H.mrows, H.crows
-    one = CycloNum.one(M)
-    checks = []
+def _comult_multiplicative_failure(H: FinHopf, left=None):
+    """First (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j); i runs over `left`."""
+    n, mrows, crows = H.dim, H.mrows, H.crows
+    for i in range(n) if left is None else left:
+        di = dict(crows[i])
+        for j in range(n):
+            if H.comult_of(dict(mrows[i][j])) != H.tensor_mul(di, dict(crows[j])):
+                return (i, j)
+    return None
 
-    fail = associativity_failure(mrows)
-    checks.append(CheckResult("associativity", fail is None, fail))
+
+def _counit_multiplicative_failure(H: FinHopf, left=None):
+    """First (i, j) with eps(e_i e_j) != eps(e_i) eps(e_j); i runs over `left`."""
+    n, mrows, counit = H.dim, H.mrows, H.counit
+    for i in range(n) if left is None else left:
+        for j in range(n):
+            if H.counit_of(dict(mrows[i][j])) != counit[i] * counit[j]:
+                return (i, j)
+    return None
+
+
+def _certified(sweep, X):
+    """sweep(X) certifies the law when X generates H and its prerequisites
+    hold; a failure there, or no X, is settled by the full sweep(None), so
+    the reported index is always the lexicographically first."""
+    if X is not None and sweep(X) is None:
+        return None
+    return sweep(None)
+
+
+def verify_hopf(H: FinHopf) -> VerificationReport:
+    """Exact decision of every Hopf axiom; failures are report entries.
+
+    The unit law is checked first (the report keeps associativity first).
+    When it holds, X = `H.generators` exists, and three laws are checked
+    with their left factor in X only:
+      associativity on X x basis x basis, given the unit law;
+      Delta(ab) = Delta(a)Delta(b) on X x basis, given the unit law,
+        associativity and Delta(1) = 1 (x) 1;
+      eps(ab) = eps(a)eps(b) on X x basis, given the unit law,
+        associativity and eps(1) = 1.
+    Each suffices by induction on words in X: the set of a for which the
+    law holds for all other arguments contains 1 and is closed under
+    a -> xa, because (xa)b = x(ab) (module docstring).  A law whose
+    prerequisites fail is swept over all basis pairs or triples, and so is
+    a law that fails on X, so each entry (name, verdict, first failing
+    index) is the one the full sweeps give.  The other laws are linear in
+    one argument and are checked on every basis element.
+    """
+    n, M = H.dim, H.conductor
+    crows = H.crows
+    one = CycloNum.one(M)
+    su = H.unit_sparse()
 
     # unit laws
-    fail = None
-    su = H.unit_sparse()
+    unit_fail = None
     for j in range(n):
         ej = {j: one}
         if H.mul(su, ej) != ej or H.mul(ej, su) != ej:
-            fail = (j,)
+            unit_fail = (j,)
             break
-    checks.append(CheckResult("unit", fail is None, fail))
+    X = H.generators if unit_fail is None else None
+
+    fail = _certified(lambda left: associativity_failure(H.mrows, left), X)
+    if fail is not None:
+        X = None
+    checks = [CheckResult("associativity", fail is None, fail),
+              CheckResult("unit", unit_fail is None, unit_fail)]
 
     # coassociativity
     fail = None
@@ -297,52 +405,19 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     checks.append(CheckResult("counit", fail is None, fail))
 
     # comultiplication is an algebra map (and Delta(1) = 1 (x) 1)
-    fail = None
     if H.comult_of(su) != outer(su, su):
         fail = ("unit",)
     else:
-        for i in range(n):
-            di = crows[i]
-            for j in range(n):
-                lhs: dict = {}
-                for k, c in mrows[i][j]:
-                    for (a, b), d in crows[k]:
-                        sparse_add_into(lhs, (a, b), c * d)
-                rhs: dict = {}
-                dj = crows[j]
-                for (a, b), c in di:
-                    ra = mrows[a]
-                    rb = mrows[b]
-                    for (al, be), d in dj:
-                        cd = c * d
-                        for k1, c1 in ra[al]:
-                            cc = cd * c1
-                            for k2, c2 in rb[be]:
-                                sparse_add_into(rhs, (k1, k2), cc * c2)
-                if lhs != rhs:
-                    fail = (i, j)
-                    break
-            if fail:
-                break
+        fail = _certified(
+            lambda left: _comult_multiplicative_failure(H, left), X)
     checks.append(CheckResult("comult_algebra_map", fail is None, fail))
 
-    # counit is an algebra map
-    fail = None
+    # counit is an algebra map (and eps(1) = 1)
     if not H.counit_of(su).is_one():
         fail = ("unit",)
     else:
-        for i in range(n):
-            ei_eps = H.counit[i]
-            for j in range(n):
-                acc = CycloNum.zero(M)
-                for k, c in mrows[i][j]:
-                    if not H.counit[k].is_zero():
-                        acc = acc + c * H.counit[k]
-                if acc != ei_eps * H.counit[j]:
-                    fail = (i, j)
-                    break
-            if fail:
-                break
+        fail = _certified(
+            lambda left: _counit_multiplicative_failure(H, left), X)
     checks.append(CheckResult("counit_algebra_map", fail is None, fail))
 
     # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta

@@ -42,9 +42,18 @@ class IntegralData:
 
 
 def _integral_conditions(A: FinHopf, left: bool):
-    """Rows of e_i x = eps(e_i) x (left) or x e_i = eps(e_i) x, one block per i."""
+    """Rows of e_i x = eps(e_i) x (left) or x e_i = eps(e_i) x, one block per
+    i in `A.generators`.
+
+    That suffices: for a fixed x, {h : hx = eps(h)x} (likewise
+    {h : xh = eps(h)x}) is a subalgebra of the verified Hopf algebra A, since
+    it contains 1 (eps(1) = 1) and (ab)x = a(bx) = eps(b)ax = eps(ab)x; a
+    subalgebra that contains the generators contains every word in them, and
+    these words span A.  The kernel is the same `Subspace` as for all n
+    blocks, because RREF is canonical.
+    """
     n, rows = A.dim, A.mrows
-    for i in range(n):
+    for i in A.generators:
         eq: dict = {}
         for b in range(n):
             for k, c in (rows[i][b] if left else rows[b][i]):

@@ -20,7 +20,7 @@ from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
                    verify_hopf)
 from .linalg import (SparseTensor3, dense_to_sparse, mat_eq,
                      mult_vectors, outer, sparse_add_into, sparse_columns,
-                     identity_matrix, unit_vector, zero_vector)
+                     identity_matrix, zero_vector)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
@@ -53,12 +53,11 @@ def group_algebra(G: FiniteGroup, conductor: int) -> FinHopf:
     S = [[CycloNum.zero(M)] * n for _ in range(n)]
     for j, g in enumerate(G.elements):
         S[G.index[G.inverse(g)]][j] = one
-    gls = [tuple(unit_vector(n, M, i)) for i in range(n)]
-    chars = G.characters(M)
-    H = FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
-                SparseTensor3.from_dict((n, n, n), comult), counit, S,
-                ClaimSet(gls, chars), f"k[{G.label}]")
-    return H
+    gls = [{i: one} for i in range(n)]
+    chars = [dense_to_sparse(chi) for chi in G.characters(M)]
+    return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
+                   SparseTensor3.from_dict((n, n, n), comult), counit, S,
+                   ClaimSet(gls, chars), f"k[{G.label}]")
 
 
 # -- presented families -------------------------------------------------------------
@@ -169,8 +168,7 @@ def default_conductor(name: str, p: int, group: str | None = None) -> int:
 
 def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
                           root: int = 0, group: str | None = None,
-                          conductor: int | None = None,
-                          with_fixtures: bool = True) -> FinHopf:
+                          conductor: int | None = None) -> FinHopf:
     """Build a verified corpus member by registry name, once per algebra.
 
     Names: group_algebra, dual_group_algebra (with `group` token), taft,
@@ -178,15 +176,16 @@ def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
     The conductor defaults before the cache lookup, so passing the default
     conductor returns the same object as omitting it.  A dual member is the
     `dual_cached()` of its base (certified by transposition, see `dual`).
+    The book and ttilde members compute their `iso_fixtures` on first read.
     """
     _check_odd_prime(p)
     if conductor is None:
         conductor = default_conductor(name, p, group)
-    return _build(name, p, e, m, root, group, conductor, with_fixtures)
+    return _build(name, p, e, m, root, group, conductor)
 
 
 @lru_cache(maxsize=None)
-def _build(name, p, e, m, root, group, M, with_fixtures) -> FinHopf:
+def _build(name, p, e, m, root, group, M) -> FinHopf:
     if name == "group_algebra":
         if group is None:
             raise BadParameter("group_algebra needs a group token")
@@ -207,25 +206,21 @@ def _build(name, p, e, m, root, group, M, with_fixtures) -> FinHopf:
     _check_exponent(e, p)
     if name == "book" and m % p == 0:
         raise BadParameter("book algebra needs m != 0 mod p")
-    if with_fixtures and name in ("ttilde", "book"):
-        # the fixtures are claims on the member built without them
-        H = _build(name, p, e, m, root, group, M, False)
-        if name == "book":
-            return _with_fixtures(H, _book_fixtures(H, p, e, m, M))
-        return _with_fixtures(H, _ttilde_fixtures(H, p, e, root, M))
     if name == "taft":
         return build_from_presentation(taft_spec(p, e, M))
     if name == "taft_tensor":
         T = standard_constructors("taft", p, e, conductor=M)
         K = group_algebra(cyclic(p), M)
-        H = tensor(T, K)
-        H.label = f"taft_tensor(p={p},e={e})"
+        H = tensor(T, K, f"taft_tensor(p={p},e={e})")
         rep = verify_hopf(H)
         if not rep.ok:
             raise AssertionError(f"tensor failed verification: {rep.failures}")
         return H
     if name == "ttilde":
-        return build_from_presentation(ttilde_spec(p, e, root, M))
+        # the fixture functions run on first read, when H is bound
+        H = build_from_presentation(ttilde_spec(p, e, root, M),
+                                    lambda: _ttilde_fixtures(H, p, e, root, M))
+        return H
     if name == "that":
         return build_from_presentation(that_spec(p, e, M))
     if name == "r":
@@ -233,24 +228,13 @@ def _build(name, p, e, m, root, group, M, with_fixtures) -> FinHopf:
     if name == "uq_sl2":
         return build_from_presentation(uq_sl2_spec(p, e, M))
     if name == "book":
-        return build_from_presentation(book_spec(p, e, m, M))
+        H = build_from_presentation(book_spec(p, e, m, M),
+                                    lambda: _book_fixtures(H, p, e, m, M))
+        return H
     if name in ("dual_uq_sl2", "dual_r"):
         return standard_constructors(name[len("dual_"):], p, e,
                                      conductor=M).dual_cached()
     raise BadParameter(f"unknown constructor {name!r}")
-
-
-def _with_fixtures(H: FinHopf, fixtures) -> FinHopf:
-    """The verified H again, with isomorphism fixtures added to its claims.
-
-    The structure maps are shared, and so are the memos: none depends on the
-    fixtures.  The dual is left out, so that the dual's dual is the result.
-    """
-    K = FinHopf(H.dim, H.conductor, H.mult, H.unit, H.comult, H.counit,
-                H.antipode, ClaimSet(H.claims.grouplikes, H.claims.characters,
-                                     fixtures), H.label)
-    K._cache.update((k, v) for k, v in H._cache.items() if k != "dual")
-    return K
 
 
 def _book_fixtures(H: FinHopf, p, e, m, M) -> tuple:
@@ -259,13 +243,11 @@ def _book_fixtures(H: FinHopf, p, e, m, M) -> tuple:
     # h(q,m) ~ h(q^{-m^2}, m^{-1})
     minv = pow(m, -1, p)
     e2 = (-m * m * e) % p
-    twin = standard_constructors("book", p, e2, minv, conductor=M,
-                                 with_fixtures=False)
+    twin = standard_constructors("book", p, e2, minv, conductor=M)
     f = find_embedding(H, twin)
     fixtures.append((("book", p, e2, minv), f.matrix))
     # h(q,-m)* ~ h(q,m): map h(q,m) -> dual(h(q,-m))
-    other = standard_constructors("book", p, e, (-m) % p, conductor=M,
-                                  with_fixtures=False)
+    other = standard_constructors("book", p, e, (-m) % p, conductor=M)
     f2 = find_embedding(H, other.dual_cached())
     fixtures.append((("dual_book", p, e, (-m) % p), f2.matrix))
     return tuple(fixtures)
@@ -274,23 +256,22 @@ def _book_fixtures(H: FinHopf, p, e, m, M) -> tuple:
 def _ttilde_fixtures(H: FinHopf, p, e, root, M) -> tuple:
     """ttilde(q) does not depend on the choice of the p-th root of q."""
     other = standard_constructors("ttilde", p, e, root=(root + 1) % p,
-                                  conductor=M, with_fixtures=False)
+                                  conductor=M)
     f = find_embedding(H, other)
     return ((("ttilde", p, e, (root + 1) % p), f.matrix),)
 
 
 def resolve_fixture_target(key, conductor: int | None = None) -> FinHopf:
+    """The corpus member a fixture key names."""
     kind, p, e, m_or_root = key
     if kind == "book":
-        return standard_constructors("book", p, e, m_or_root,
-                                     conductor=conductor, with_fixtures=False)
+        return standard_constructors("book", p, e, m_or_root, conductor=conductor)
     if kind == "dual_book":
-        return standard_constructors(
-            "book", p, e, m_or_root, conductor=conductor,
-            with_fixtures=False).dual_cached()
+        return standard_constructors("book", p, e, m_or_root,
+                                     conductor=conductor).dual_cached()
     if kind == "ttilde":
         return standard_constructors("ttilde", p, e, root=m_or_root,
-                                     conductor=conductor, with_fixtures=False)
+                                     conductor=conductor)
     raise BadParameter(f"unknown fixture target {key!r}")
 
 
@@ -554,57 +535,40 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
 
     # claims: group-likes beta # x for characters beta, group-likes x;
     # character candidates x # beta, kept when they are algebra characters
-    # of D(H), i.e. group-likes of D(H)*
-    gls = []
-    for beta in H.claims.characters:
-        for x in H.claims.grouplikes:
-            v = zero_vector(nD, M)
-            for a in range(n):
-                if not beta[a].is_zero():
-                    for b in range(n):
-                        if not x[b].is_zero():
-                            v[ix(a, b)] = beta[a] * x[b]
-            gls.append(tuple(v))
+    # of D(H), i.e. group-likes of D(H)*; for each kept one, beta # x is
+    # claimed central as well
+    def smash(u: dict, v: dict) -> dict:
+        return {ix(a, b): ua * vb for a, ua in u.items() for b, vb in v.items()}
+
+    gls = [smash(beta, x) for beta in H.claims.characters
+           for x in H.claims.grouplikes]
     # e_i e_j = sum_k c_ij^k e_k, grouped by k: the comultiplication of D(H)*
     by_out: dict = {}
     for (i, j, k), c in mult_t.entries:
         by_out.setdefault(k, []).append(((i, j), c))
 
-    def is_character(v) -> bool:
+    def is_character(v: dict) -> bool:
         """v(1) = 1 and v(e_i e_j) = v(e_i) v(e_j): v is group-like in D(H)*."""
-        sv = dense_to_sparse(v)
-        if sum((c * unit[k] for k, c in sv.items()), CycloNum.zero(M)) != one:
+        if sum((c * unit[k] for k, c in v.items()), CycloNum.zero(M)) != one:
             return False
         img: dict = {}
-        for k, ck in sv.items():
+        for k, ck in v.items():
             for ij, c in by_out.get(k, ()):
                 sparse_add_into(img, ij, ck * c)
-        return img == outer(sv, sv)
+        return img == outer(v, v)
 
     chars = []
     central = []
     for x in H.claims.grouplikes:
         for beta in H.claims.characters:
-            v = zero_vector(nD, M)
-            for a in range(n):
-                if not x[a].is_zero():
-                    for b in range(n):
-                        if not beta[b].is_zero():
-                            v[ix(a, b)] = x[a] * beta[b]
+            v = smash(x, beta)
             if is_character(v):
-                chars.append(tuple(v))
-                w = zero_vector(nD, M)
-                for a in range(n):
-                    if not beta[a].is_zero():
-                        for b in range(n):
-                            if not x[b].is_zero():
-                                w[ix(a, b)] = beta[a] * x[b]
-                central.append(tuple(w))
+                chars.append(v)
+                central.append(smash(beta, x))
 
     DD = FinHopf(nD, M, mult_t, unit,
                  SparseTensor3.from_dict((nD, nD, nD), comult), counit, S,
-                 ClaimSet(gls, chars), f"D({H.label})")
-    DD._cache["central_grouplikes"] = tuple(central)
+                 ClaimSet(gls, chars, central), f"D({H.label})")
 
     rep = verify_hopf(DD)
     if not rep.ok:

@@ -42,40 +42,61 @@ from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
                      sparse_columns, sparse_to_dense, unit_vector, vec_is_zero)
 
 
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+
 class ClaimSet:
-    """Unverified metadata attached by constructors; verified before use."""
+    """Unverified group-like and character claims; verified before use.
 
-    __slots__ = ("grouplikes", "characters", "iso_fixtures")
+    Every vector is sparse, {index: nonzero coefficient}, the form that
+    `FinHopf.mul` and `FinHopf.comult_of` take.  `central_grouplikes` are
+    group-likes also claimed central (the Drinfeld double supplies them).
+    Assigning to a field after construction raises AttributeError.
+    """
 
-    def __init__(self, grouplikes=(), characters=(), iso_fixtures=()):
-        self.grouplikes = tuple(tuple(v) for v in grouplikes)
-        self.characters = tuple(tuple(v) for v in characters)
-        self.iso_fixtures = tuple(iso_fixtures)
+    __slots__ = ("grouplikes", "characters", "central_grouplikes")
+    __setattr__ = __delattr__ = _frozen
 
-    def swapped(self) -> "ClaimSet":
-        return ClaimSet(self.characters, self.grouplikes, ())
+    def __init__(self, grouplikes=(), characters=(), central_grouplikes=()):
+        for name, vectors in zip(self.__slots__,
+                                 (grouplikes, characters, central_grouplikes)):
+            object.__setattr__(self, name, tuple(vectors))
 
 
 class FinHopf:
-    """A Hopf algebra over Q(zeta_M) given by structure constants."""
+    """A Hopf algebra over Q(zeta_M) given by structure constants.
+
+    Every field is set by __init__; assigning to or deleting one afterwards
+    raises AttributeError.  Derived data (row views, radical, dual,
+    generators, censuses, ...) is computed on first use and kept by `memo`,
+    the only writer of the private cache.
+
+    `claims` is a sparse `ClaimSet`.  `presentation` is the PresentationSpec
+    the algebra was built from, and `monomials` its normal monomials in basis
+    order; both are None for an algebra not built from a presentation.
+    `fixtures` is a zero-argument function returning the paper-asserted
+    isomorphism fixtures, which `iso_fixtures` calls on first read.
+    """
+
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, dim: int, conductor: int, mult: SparseTensor3,
                  unit, comult: SparseTensor3, counit, antipode,
-                 claims: ClaimSet | None = None, label: str = ""):
-        self.dim = dim
-        self.conductor = conductor
-        self.mult = mult
-        self.unit = tuple(unit)
-        self.comult = comult
-        self.counit = tuple(counit)
-        self.antipode = tuple(tuple(r) for r in antipode)
-        self.claims = claims or ClaimSet()
-        self.label = label
-        self._cache: dict = {}
+                 claims: ClaimSet | None = None, label: str = "",
+                 presentation=None, fixtures=None):
+        vars(self).update(
+            dim=dim, conductor=conductor, mult=mult, unit=tuple(unit),
+            comult=comult, counit=tuple(counit),
+            antipode=tuple(tuple(r) for r in antipode),
+            claims=claims or ClaimSet(), label=label,
+            presentation=presentation,
+            monomials=presentation and presentation.monomials(),
+            _fixtures=fixtures, _cache={})
 
     # -- cached views ----------------------------------------------------------
 
-    def memo(self, key: str, make):
+    def memo(self, key, make):
         """make(), computed once per algebra and kept under `key`."""
         r = self._cache.get(key)
         if r is None:
@@ -128,7 +149,7 @@ class FinHopf:
         """H*, built once; its own dual_cached() is H again (H** = H)."""
         def make():
             D = dual(self)
-            D._cache["dual"] = self
+            D.memo("dual", lambda: self)
             return D
         return self.memo("dual", make)
 
@@ -144,6 +165,13 @@ class FinHopf:
         """
         return self.memo("generators", lambda: _krylov_generators(
             self.mrows, self.unit, self.conductor))
+
+    @property
+    def iso_fixtures(self) -> tuple:
+        """((target key, matrix), ...): the paper-asserted isomorphisms from
+        this algebra, computed by the `fixtures` function on first read."""
+        return self.memo("iso_fixtures", lambda: tuple(
+            self._fixtures()) if self._fixtures else ())
 
     @property
     def verified_grouplikes(self) -> tuple:
@@ -192,31 +220,34 @@ class FinHopf:
                         sparse_add_into(out, (k1, k2), cc * c2)
         return out
 
-    def is_grouplike(self, v) -> bool:
-        """Is the dense vector v group-like: eps(v) = 1, Delta v = v (x) v?"""
-        sv = dense_to_sparse(list(v))
-        if not self.counit_of(sv).is_one():
+    def is_grouplike(self, v: dict) -> bool:
+        """Is the sparse vector v group-like: eps(v) = 1, Delta v = v (x) v?"""
+        if not self.counit_of(v).is_one():
             return False
-        return self.comult_of(sv) == outer(sv, sv)
+        return self.comult_of(v) == outer(v, v)
 
     def is_central(self, v: dict) -> bool:
-        """Does v commute with every basis element?"""
+        """Does v commute with every element of H?
+
+        It is enough that v commutes with every x in X = `generators`: the
+        centraliser {a : av = va} is a subalgebra of H that contains 1, since
+        (ab)v = a(vb) = (av)b = v(ab) for a, b in it, so it contains every
+        word x_1 (x_2 ( ... (x_k 1))) in X, and these words span H.  (The
+        unit law and associativity are assumed, as for a verified algebra.)
+        """
         one = CycloNum.one(self.conductor)
-        return all(self.mul(v, {h: one}) == self.mul({h: one}, v)
-                   for h in range(self.dim))
+        return all(self.mul(v, {x: one}) == self.mul({x: one}, v)
+                   for x in self.generators)
 
     def delta2(self, i: int):
         """Delta^2(e_i) as a tuple of ((a,b,c), coeff)."""
-        cache = self._cache.setdefault("d2", {})
-        r = cache.get(i)
-        if r is None:
+        def make():
             acc: dict = {}
             for (j, k), c in self.crows[i]:
                 for (a, b), d in self.crows[j]:
                     sparse_add_into(acc, (a, b, k), c * d)
-            r = tuple(acc.items())
-            cache[i] = r
-        return r
+            return tuple(acc.items())
+        return self.memo(("d2", i), make)
 
     def __repr__(self):
         return f"FinHopf({self.label or 'unnamed'}, dim={self.dim}, M={self.conductor})"
@@ -474,7 +505,7 @@ def dual(H: FinHopf) -> FinHopf:
                    SparseTensor3.from_dict((n, n, n), comult_d),
                    H.unit,
                    S_t,
-                   H.claims.swapped(),
+                   ClaimSet(H.claims.characters, H.claims.grouplikes),
                    f"dual({H.label})" if H.label else "dual")
 
 
@@ -492,8 +523,7 @@ def op_cop(H: FinHopf, which: str) -> FinHopf:
         comult = SparseTensor3.from_dict(
             (n, n, n), {(i, k, j): c for (i, j, k), c in H.comult.entries})
     antipode = H.antipode if which == "both" else H.antipode_inv
-    return FinHopf(n, M, mult, H.unit, comult, H.counit, antipode,
-                   ClaimSet(H.claims.grouplikes, H.claims.characters),
+    return FinHopf(n, M, mult, H.unit, comult, H.counit, antipode, H.claims,
                    f"{which}({H.label})" if H.label else which)
 
 
@@ -501,11 +531,13 @@ def trivial_hopf(M: int) -> FinHopf:
     one = CycloNum.one(M)
     t = SparseTensor3.from_dict((1, 1, 1), {(0, 0, 0): one})
     return FinHopf(1, M, t, (one,), t, (one,), ((one,),),
-                   ClaimSet([(one,)], [(one,)]), "k")
+                   ClaimSet([{0: one}], [{0: one}]), "k")
 
 
-def tensor(H: FinHopf, K: FinHopf) -> FinHopf:
-    """Tensor-product Hopf algebra; all structure tensors are Kronecker products."""
+def tensor(H: FinHopf, K: FinHopf, label: str | None = None) -> FinHopf:
+    """Tensor-product Hopf algebra; all structure tensors are Kronecker products.
+
+    The label defaults to "H (x) K", or "tensor" when either is unnamed."""
     if H.conductor != K.conductor:
         raise ConductorMismatch(
             f"conductors {H.conductor} and {K.conductor} differ")
@@ -538,26 +570,18 @@ def tensor(H: FinHopf, K: FinHopf) -> FinHopf:
                 for b in range(nK):
                     if not K.antipode[a][b].is_zero():
                         S[ix(i, a)][ix(j, b)] = H.antipode[i][j] * K.antipode[a][b]
-    gls = []
-    for g in H.claims.grouplikes:
-        for h in K.claims.grouplikes:
-            v = [CycloNum.zero(M)] * n
-            for i in range(nH):
-                for a in range(nK):
-                    v[ix(i, a)] = g[i] * h[a]
-            gls.append(tuple(v))
-    chs = []
-    for g in H.claims.characters:
-        for h in K.claims.characters:
-            v = [CycloNum.zero(M)] * n
-            for i in range(nH):
-                for a in range(nK):
-                    v[ix(i, a)] = g[i] * h[a]
-            chs.append(tuple(v))
-    label = f"{H.label} (x) {K.label}" if H.label and K.label else "tensor"
+
+    def products(us, vs):
+        return [{ix(i, a): ui * va for i, ui in u.items() for a, va in v.items()}
+                for u in us for v in vs]
+
+    if label is None:
+        label = f"{H.label} (x) {K.label}" if H.label and K.label else "tensor"
     return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
                    SparseTensor3.from_dict((n, n, n), comult), counit, S,
-                   ClaimSet(gls, chs), label)
+                   ClaimSet(products(H.claims.grouplikes, K.claims.grouplikes),
+                            products(H.claims.characters, K.claims.characters)),
+                   label)
 
 
 def embed_hopf(H: FinHopf, M_new: int) -> FinHopf:
@@ -573,12 +597,14 @@ def embed_hopf(H: FinHopf, M_new: int) -> FinHopf:
     def vec(v):
         return tuple(em(c, M_new) for c in v)
 
+    def claims(vs):
+        return [{k: em(c, M_new) for k, c in v.items()} for v in vs]
+
     return FinHopf(H.dim, M_new, t3(H.mult), vec(H.unit), t3(H.comult),
                    vec(H.counit), tuple(vec(r) for r in H.antipode),
-                   ClaimSet([vec(g) for g in H.claims.grouplikes],
-                            [vec(c) for c in H.claims.characters],
-                            H.claims.iso_fixtures),
-                   H.label)
+                   ClaimSet(claims(H.claims.grouplikes),
+                            claims(H.claims.characters)),
+                   H.label, fixtures=lambda: H.iso_fixtures)
 
 
 # -- morphisms --------------------------------------------------------------------
@@ -732,9 +758,6 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     proj_mat = I.projection_rows()
     proj_cols = sparse_columns(proj_mat)
 
-    def project(vdense):
-        return mat_vec(proj_mat, vdense)
-
     # counit must vanish on I
     for v in I.basis:
         if not H.counit_of(dense_to_sparse(list(v))).is_zero():
@@ -764,7 +787,7 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
         dv = H.comult_of(dense_to_sparse(reps[a]))
         for (s, t), c in apply_tensor_columns(proj_cols, proj_cols, dv).items():
             comult_d[(a, s, t)] = c
-    unit_q = project(list(H.unit))
+    unit_q = mat_vec(proj_mat, list(H.unit))
     counit_q = [H.counit_of(dense_to_sparse(r)) for r in reps]
     S_q = [[CycloNum.zero(M)] * q for _ in range(q)]
     for b in range(q):
@@ -772,23 +795,21 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
         for a, c in apply_columns(proj_cols, sv).items():
             S_q[a][b] = c
 
-    # project claims
-    gls = []
-    seen = set()
+    # project claims: group-likes map to their (distinct, nonzero) images;
+    # a character vanishing on I restricts to the coordinates of H/I
+    gls = {}
     for g in H.claims.grouplikes:
-        pg = tuple(project(list(g)))
-        if pg not in seen and not all(x.is_zero() for x in pg):
-            seen.add(pg)
-            gls.append(pg)
-    chs = []
-    for chi in H.claims.characters:
-        if all(sum((chi[i2] * v[i2] for i2 in range(n)),
-                   CycloNum.zero(M)).is_zero() for v in I.basis):
-            chs.append(tuple(
-                sum((chi[i2] * r[i2] for i2 in range(n)), CycloNum.zero(M))
-                for r in reps))
+        pg = apply_columns(proj_cols, g)
+        if pg:
+            gls.setdefault(frozenset(pg.items()), pg)
+    zero = CycloNum.zero(M)
+    chs = [{a: chi[c] for a, c in enumerate(coords) if c in chi}
+           for chi in H.claims.characters
+           if all(sum((x * v[i] for i, x in chi.items()), zero).is_zero()
+                  for v in I.basis)]
 
     Q = FinHopf(q, M, SparseTensor3.from_dict((q, q, q), mult_d), unit_q,
                 SparseTensor3.from_dict((q, q, q), comult_d), counit_q, S_q,
-                ClaimSet(gls, chs), f"{H.label}/ideal" if H.label else "quotient")
+                ClaimSet(gls.values(), chs),
+                f"{H.label}/ideal" if H.label else "quotient")
     return Q, HopfMorphism(H, Q, proj_mat)

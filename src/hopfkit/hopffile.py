@@ -14,7 +14,7 @@ import tempfile
 from .cyclo import parse as cparse, render
 from .errors import ParseError, VerificationFailed
 from .hopf import ClaimSet, FinHopf, embed_hopf, verify_hopf
-from .linalg import SparseTensor3
+from .linalg import SparseTensor3, dense_to_sparse, sparse_to_dense
 
 FORMAT_VERSION = "hopf-v1"
 
@@ -28,6 +28,9 @@ def _triples(t: SparseTensor3):
 
 
 def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
+    def claims(vs):
+        return [_vec_strs(sparse_to_dense(v, H.dim, H.conductor)) for v in vs]
+
     obj = {
         "format_version": FORMAT_VERSION,
         "label": H.label,
@@ -39,11 +42,11 @@ def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
         "counit": _vec_strs(H.counit),
         "antipode": [_vec_strs(row) for row in H.antipode],
         "claims": {
-            "grouplikes": [_vec_strs(g) for g in H.claims.grouplikes],
-            "characters": [_vec_strs(c) for c in H.claims.characters],
+            "grouplikes": claims(H.claims.grouplikes),
+            "characters": claims(H.claims.characters),
             "iso_fixtures": [
                 [list(key), [_vec_strs(row) for row in mat]]
-                for key, mat in H.claims.iso_fixtures
+                for key, mat in H.iso_fixtures
             ],
         },
     }
@@ -78,13 +81,20 @@ def from_obj(obj: dict, conductor: int | None = None,
         ver = obj["format_version"]
         if ver != FORMAT_VERSION:
             raise ParseError(f"unknown format version {ver!r}")
-        n = int(obj["dim"])
-        M = int(obj["conductor"])
+        n, M = obj["dim"], obj["conductor"]
+        if type(n) is not int or type(M) is not int:
+            raise ParseError("dim and conductor must be integers")
 
         def num(s):
+            if type(s) is not str:
+                raise ParseError(
+                    f"coefficient of type {type(s).__name__}, expected a string")
             return cparse(M, s)
 
         def vec(ss):
+            if type(ss) is not list:
+                raise ParseError(
+                    f"vector of type {type(ss).__name__}, expected a list")
             if len(ss) != n:
                 raise ParseError(f"vector of length {len(ss)}, expected {n}")
             return tuple(num(s) for s in ss)
@@ -104,6 +114,8 @@ def from_obj(obj: dict, conductor: int | None = None,
             return SparseTensor3.from_dict((n, n, n), d)
 
         claims = obj.get("claims", {})
+        if type(claims) is not dict:
+            raise ParseError("claims is not an object")
         if len(obj["antipode"]) != n:
             raise ParseError(f"antipode has {len(obj['antipode'])} rows, expected {n}")
         fixtures = []
@@ -112,10 +124,9 @@ def from_obj(obj: dict, conductor: int | None = None,
         H = FinHopf(
             n, M, tens(obj["mult"]), vec(obj["unit"]), tens(obj["comult"]),
             vec(obj["counit"]), tuple(vec(row) for row in obj["antipode"]),
-            ClaimSet([vec(g) for g in claims.get("grouplikes", [])],
-                     [vec(c) for c in claims.get("characters", [])],
-                     fixtures),
-            str(obj.get("label", "")))
+            ClaimSet([dense_to_sparse(vec(g)) for g in claims.get("grouplikes", [])],
+                     [dense_to_sparse(vec(c)) for c in claims.get("characters", [])]),
+            str(obj.get("label", "")), fixtures=lambda: fixtures)
         rmat = None
         if "rmatrix" in obj:
             rmat = {}

@@ -137,9 +137,9 @@ def _modular_elements(H: FinHopf) -> ModularData:
     for j in range(n):
         w = D.mul({j: one}, slam)
         g.append(_proportionality(lam, sparse_to_dense(w, n, M)))
-    if not D.is_grouplike(alpha):
+    if not D.is_grouplike(dense_to_sparse(alpha)):
         raise ExtractionInconsistent("modular alpha is not an algebra character")
-    if not H.is_grouplike(g):
+    if not H.is_grouplike(dense_to_sparse(g)):
         raise ExtractionInconsistent("modular g is not group-like")
     return ModularData(alpha, g)
 
@@ -304,7 +304,8 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     ones = D.character_count
 
     verified = H.verified_grouplikes
-    gl_span = Subspace.from_vectors(n, M, [list(g) for g in verified])
+    gl_span = Subspace.from_vectors(
+        n, M, [sparse_to_dense(g, n, M) for g in verified])
     if H.claims.grouplikes and ones > len(verified):
         raise FieldTooSmall(
             f"{ones} one-dimensional blocks but only {len(verified)} verified "
@@ -332,7 +333,7 @@ def _square_partitions(total: int, parts: int, lo: int = 2):
 
 @dataclass(frozen=True)
 class CensusResult:
-    elements: tuple
+    elements: tuple                 # sparse vectors, in claim order
     certificate: int
     abelian: bool
     invariant_factors: tuple[int, ...] | None
@@ -357,23 +358,24 @@ def grouplike_census(H: FinHopf) -> CensusResult:
 
 
 def _grouplike_census(H: FinHopf) -> CensusResult:
-    n, M = H.dim, H.conductor
     if len(H.verified_grouplikes) != len(H.claims.grouplikes):
         raise ClaimNotGrouplike("a claimed group-like fails verification")
-    seen = list(dict.fromkeys(H.verified_grouplikes))  # distinct, in claim order
-    seen_set = set(seen)
+    # the distinct claims in claim order, keyed by their items
+    distinct: dict = {}
+    for g in H.verified_grouplikes:
+        distinct.setdefault(frozenset(g.items()), g)
+    seen = list(distinct)
     if not seen:
         raise ClaimIncomplete("no group-like claims present")
-    unit = tuple(sparse_to_dense(H.unit_sparse(), n, M))
-    if unit not in seen_set:
+    unit = frozenset(H.unit_sparse().items())
+    if unit not in distinct:
         raise ClaimIncomplete("unit is not among the claimed group-likes")
 
     prods: dict = {}
     for a in seen:
-        sa = dense_to_sparse(list(a))
         for b in seen:
-            p = tuple(sparse_to_dense(H.mul(sa, dense_to_sparse(list(b))), n, M))
-            if p not in seen_set:
+            p = frozenset(H.mul(distinct[a], distinct[b]).items())
+            if p not in distinct:
                 raise ClaimIncomplete(
                     "claimed group-likes are not closed under multiplication")
             prods[(a, b)] = p
@@ -399,7 +401,7 @@ def _grouplike_census(H: FinHopf) -> CensusResult:
             k += 1
         orders.append(k)
     invf = _abelian_invariants(tuple(orders)) if abelian else None
-    return CensusResult(tuple(seen), m, abelian, invf, tuple(orders))
+    return CensusResult(tuple(distinct.values()), m, abelian, invf, tuple(orders))
 
 
 def characters_census(H: FinHopf) -> CensusResult:
@@ -470,8 +472,9 @@ def _abelian_invariants(orders: tuple[int, ...]) -> tuple[int, ...]:
 # -- skew primitives ----------------------------------------------------------------
 
 
-def skew_primitives(H: FinHopf, a, b) -> tuple[Subspace, bool]:
-    """P_{a,b} = {c : Delta c = a (x) c + c (x) b}, plus a triviality flag.
+def skew_primitives(H: FinHopf, a: dict, b: dict) -> tuple[Subspace, bool]:
+    """P_{a,b} = {c : Delta c = a (x) c + c (x) b} for sparse group-likes a, b,
+    plus a triviality flag.
 
     Trivial means P_{a,b} is contained in the span of the (verified
     claimed) group-likes.
@@ -479,9 +482,9 @@ def skew_primitives(H: FinHopf, a, b) -> tuple[Subspace, bool]:
     n, M = H.dim, H.conductor
     if not H.is_grouplike(a) or not H.is_grouplike(b):
         raise NotGrouplike("skew-primitive anchors must be group-like")
-    space = intersect_kernels(skew_primitive_conditions(
-        H, dense_to_sparse(list(a)), dense_to_sparse(list(b))), n, M)
-    gl_span = Subspace.from_vectors(n, M, [list(g) for g in H.verified_grouplikes])
+    space = intersect_kernels(skew_primitive_conditions(H, a, b), n, M)
+    gl_span = Subspace.from_vectors(
+        n, M, [sparse_to_dense(g, n, M) for g in H.verified_grouplikes])
     trivial = gl_span.contains_subspace(space)
     return space, trivial
 
@@ -561,9 +564,9 @@ def pairing_table(H: FinHopf) -> PairingReport:
         row = []
         for x in census.elements:
             acc = CycloNum.zero(H.conductor)
-            for bc, xc in zip(beta, x):
-                if not bc.is_zero() and not xc.is_zero():
-                    acc = acc + bc * xc
+            for i, bc in beta.items():
+                if i in x:
+                    acc = acc + bc * x[i]
             row.append(acc)
             if acc != one:
                 nontrivial = True

@@ -27,8 +27,7 @@ from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
 from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
                    verify_hopf, verify_morphism)
 from .linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
-                     sparse_add_into, sparse_to_dense, unit_vector,
-                     zero_vector)
+                     sparse_add_into, sparse_to_dense, zero_vector)
 
 
 class GroupGen:
@@ -248,11 +247,13 @@ def _unit_exp(n: int, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(n))
 
 
-def build_from_presentation(spec: PresentationSpec) -> FinHopf:
+def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
     """Assemble the FinHopf with basis the normal monomials.
 
     Self-validation is mandatory: the result must pass verify_hopf, else
     AxiomFailure is raised (a wrong presentation or antipode choice).
+    `fixtures` is passed on to `FinHopf` (isomorphism fixtures, computed on
+    first read).
     """
     eng = _Engine(spec)
     M = spec.conductor
@@ -309,17 +310,12 @@ def build_from_presentation(spec: PresentationSpec) -> FinHopf:
         for m, coef in acc.items():
             S[index[m]][j] = coef
 
-    gls = []
-    for i, (a, c) in enumerate(monos):
-        if not any(a):
-            gls.append(tuple(unit_vector(n, M, i)))
-    chars = solve_characters(spec)
+    gls = [{i: one} for i, (a, c) in enumerate(monos) if not any(a)]
+    chars = [dense_to_sparse(chi) for chi in solve_characters(spec)]
 
     H = FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult_d), unit,
                 SparseTensor3.from_dict((n, n, n), comult_d), counit, S,
-                ClaimSet(gls, chars), spec.label)
-    H._cache["presentation"] = spec
-    H._cache["monomials"] = monos
+                ClaimSet(gls, chars), spec.label, spec, fixtures)
     rep = verify_hopf(H)
     if not rep.ok:
         raise AxiomFailure(
@@ -397,8 +393,8 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
     commutation eigenvalue conditions).  Every candidate is checked by
     verify_morphism; the first verified bijective map wins.
     """
-    spec: PresentationSpec = source._cache.get("presentation")
-    monos = source._cache.get("monomials")
+    spec: PresentationSpec = source.presentation
+    monos = source.monomials
     if spec is None:
         raise NoEmbeddingFound("source was not built from a presentation")
     M = target.conductor
@@ -407,7 +403,7 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
     n = target.dim
     one = CycloNum.one(M)
 
-    glikes = [dense_to_sparse(list(g)) for g in target.verified_grouplikes]
+    glikes = target.verified_grouplikes
     if not glikes:
         raise NoEmbeddingFound("target has no verified group-like claims")
 

@@ -270,9 +270,7 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
 
     # u S(u) central; u commutes with group-likes
     check("uSu_central", H.is_central(H.mul(su, H.antipode_of(su))))
-    ok = all(H.mul(su, dense_to_sparse(list(g))) ==
-             H.mul(dense_to_sparse(list(g)), su)
-             for g in H.verified_grouplikes)
+    ok = all(H.mul(su, g) == H.mul(g, su) for g in H.verified_grouplikes)
     check("u_commutes_with_grouplikes", ok)
     return DrinfeldReport(checks, u, u_inv)
 
@@ -299,8 +297,7 @@ def ribbon_search(rm: RMatrixData) -> RibbonCertificate:
     ribbons = []
     fails = []
     for idx, l in enumerate(census.elements):
-        sl = dense_to_sparse(list(l))
-        li = grouplike_inverse(H, sl)
+        li = grouplike_inverse(H, l)
         v = H.mul(li, u)
         # R.1 v^2 = u S(u)
         if H.mul(v, v) != usu:
@@ -406,7 +403,7 @@ def uq_standard_rmatrix(p: int, e: int = 1, conductor: int | None = None):
     H = standard_constructors("uq_sl2", p, e, conductor=conductor)
     M = H.conductor
     q = CycloNum.zeta(M, (M // p) * (e % p))
-    monos = H._cache["monomials"]
+    monos = H.monomials
     ix = {m: i for i, m in enumerate(monos)}
     one = CycloNum.one(M)
 
@@ -462,6 +459,5 @@ def double_surjection_check(H: FinHopf, rm: RMatrixData, max_dim: int = 9):
     F = [[cols[j][i] for j in range(D.dim)] for i in range(n)]
     f = HopfMorphism(D, H, F)
     rep = verify_morphism(f)
-    central_ok = all(D.is_central(dense_to_sparse(list(v)))
-                     for v in D._cache.get("central_grouplikes", ()))
+    central_ok = all(D.is_central(v) for v in D.claims.central_grouplikes)
     return f, rep, central_ok

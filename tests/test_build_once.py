@@ -102,8 +102,8 @@ def test_corpus_builds_and_verifies_each_algebra_once(monkeypatch):
                         monkeypatch.setattr(mod, attr, wrapped)
     members = corpus(3, 1)
     assert len(members) == 17
-    assert calls["verify_hopf"] <= 18
-    assert calls["build_from_presentation"] <= 10
+    assert calls["verify_hopf"] <= 13
+    assert calls["build_from_presentation"] <= 7
 
 
 def test_default_conductor_is_the_same_object():

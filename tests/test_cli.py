@@ -261,3 +261,27 @@ def test_import_out_of_range_rmatrix_index_exit_2(tmp_path, capsys):
     for cmd in ("import", "qt-verify"):
         code, err = _cli_proc(cmd, bad)
         assert code == 2 and "Traceback" not in err and "index" in err, cmd
+
+
+def test_import_claims_not_an_object_exit_2(tmp_path, capsys):
+    def edit(obj):
+        obj["claims"] = []
+    code, err = _cli_proc("import", _edited_taft(tmp_path, capsys, edit))
+    assert code == 2 and "Traceback" not in err and "claims" in err
+
+
+def test_import_string_vector_exit_2(tmp_path, capsys):
+    # "100000000" has one character per entry, as taft's unit has one entry
+    # per basis element; it is still not a list of coefficients
+    def edit(obj):
+        obj["unit"] = "".join(obj["unit"])
+    code, err = _cli_proc("import", _edited_taft(tmp_path, capsys, edit))
+    assert code == 2 and "Traceback" not in err and "vector" in err
+
+
+def test_import_non_integer_dim_or_conductor_exit_2(tmp_path, capsys):
+    for key, value in (("dim", 9.5), ("conductor", "9")):
+        def edit(obj):
+            obj[key] = value
+        code, err = _cli_proc("import", _edited_taft(tmp_path, capsys, edit))
+        assert code == 2 and "Traceback" not in err and "integers" in err, key

@@ -1,5 +1,5 @@
-"""verify_hopf, the integrals and QT.1 checked on a generating set X, against
-the sweeps over all basis pairs and triples that they replace.
+"""verify_hopf, the integrals, QT.1 and is_central checked on a generating
+set X, against the sweeps over all basis pairs and triples that they replace.
 
 Each report entry (name, verdict, first failing index) must be the one the
 full sweeps give: on the p = 3 corpus, on D(taft), on seeded relabelled and
@@ -14,8 +14,8 @@ from hopfkit.constructors import standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import FinHopf, verify_hopf
 from hopfkit.invariants import _integral_conditions, integrals
-from hopfkit.linalg import (SparseTensor3, intersect_kernels, outer,
-                            sparse_add_into)
+from hopfkit.linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
+                            outer, sparse_add_into)
 from hopfkit.quasitriangular import _tensor_swap, verify_qt
 
 PARTS = ("mult", "comult", "unit", "counit", "antipode")
@@ -311,3 +311,29 @@ def test_qt1_index_matches_the_full_loop(taft3, uq3, uq_rmatrix):
         want = qt1_oracle(H, R)
         assert qt1.name == "QT.1"
         assert (qt1.ok, qt1.first_failure) == (want is None, want), H.label
+
+
+def test_is_central_matches_the_basis_loop(corpus3, double_taft, uq_rmatrix):
+    def central_oracle(H, v):
+        one = CycloNum.one(H.conductor)
+        return all(H.mul(v, {h: one}) == H.mul({h: one}, v)
+                   for h in range(H.dim))
+
+    rng = random.Random(7)
+    uq, rm = uq_rmatrix
+    u = dense_to_sparse(list(rm.u))
+    hosts = [(H, ()) for H in corpus3.values()]
+    hosts.append((double_taft, double_taft.claims.central_grouplikes))
+    hosts.append((uq, (u, uq.mul(u, uq.antipode_of(u)))))
+    verdicts = set()
+    for H, extra in hosts:
+        M = H.conductor
+        randoms = [{i: CycloNum.from_rational(M, rng.choice((-2, -1, 1, 3)))
+                    for i in rng.sample(range(H.dim), k)} for k in (1, 2, 4)]
+        for v in (*H.verified_grouplikes, *extra, *randoms):
+            want = central_oracle(H, v)
+            assert H.is_central(v) == want, H.label
+            verdicts.add((want, H.label == uq.label))
+    # central and non-central inputs, both on u_q (u is not central, u S(u)
+    # is) and on the other hosts
+    assert {(True, True), (False, True), (True, False), (False, False)} <= verdicts

@@ -112,7 +112,7 @@ def test_coinvariants_that_projection():
     # is dim H / dim B by Nichols-Zoeller freeness
     H = standard_constructors("that", 3, 1)
     B = kz3()
-    monos = H._cache["monomials"]
+    monos = H.monomials
     mat = [zero_vector(27, M) for _ in range(3)]
     for j, (a, c) in enumerate(monos):
         if a == (0,):
@@ -155,7 +155,7 @@ def test_quotient_rejects_non_hopf_ideal():
 
 def test_quotient_taft_by_x_ideal(taft3):
     # <x> is a Hopf ideal of T(q); the quotient is k[Z/3]
-    monos = taft3._cache["monomials"]
+    monos = taft3.monomials
     ix = {m: i for i, m in enumerate(monos)}
     v = zero_vector(9, M)
     v[ix[((1,), (0,))]] = CycloNum.one(M)

@@ -13,7 +13,7 @@ def same_structure(A, B):
             and A.counit == B.counit and A.antipode == B.antipode
             and A.claims.grouplikes == B.claims.grouplikes
             and A.claims.characters == B.claims.characters
-            and A.claims.iso_fixtures == B.claims.iso_fixtures
+            and A.iso_fixtures == B.iso_fixtures
             and A.label == B.label and A.conductor == B.conductor)
 
 

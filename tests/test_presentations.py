@@ -14,7 +14,7 @@ M = 9
 
 def test_taft_structure(taft3):
     assert taft3.dim == 9
-    monos = taft3._cache["monomials"]
+    monos = taft3.monomials
     ix = {m: i for i, m in enumerate(monos)}
     one = CycloNum.one(M)
     x = ix[((1,), (0,))]
@@ -32,7 +32,7 @@ def test_taft_structure(taft3):
 
 def test_uq_commutation_relation(uq3):
     # y x must rewrite to x y - g + g^{-1}
-    monos = uq3._cache["monomials"]
+    monos = uq3.monomials
     ix = {m: i for i, m in enumerate(monos)}
     one = CycloNum.one(M)
     x = ix[((1, 0), (0,))]
@@ -46,7 +46,7 @@ def test_uq_commutation_relation(uq3):
 
 def test_r_power_relation():
     R = standard_constructors("r", 3, 1)
-    monos = R._cache["monomials"]
+    monos = R.monomials
     ix = {m: i for i, m in enumerate(monos)}
     one = CycloNum.one(M)
     x = ix[((1,), (0,))]

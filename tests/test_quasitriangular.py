@@ -6,7 +6,7 @@ from hopfkit.errors import FieldTooSmall
 from hopfkit.groups import cyclic
 from hopfkit.hopf import op_cop
 from hopfkit.invariants import semisimplicity
-from hopfkit.linalg import dense_to_sparse
+from hopfkit.linalg import dense_to_sparse, sparse_to_dense
 from hopfkit.quasitriangular import (bicharacter_rmatrices, double_surjection_check,
                                      drinfeld_element, f_matrices, ribbon_search,
                                      uq_standard_rmatrix, verify_qt)
@@ -78,7 +78,7 @@ def test_uq_standard_rmatrix(uq_rmatrix):
     dr = drinfeld_element(rm)
     assert dr.ok
     # S^2 = conjugation by g, so u g^{-1} is central
-    monos = Hu._cache["monomials"]
+    monos = Hu.monomials
     ix = {m: i for i, m in enumerate(monos)}
     one = CycloNum.one(M)
     g_inv = {ix[((0, 0), (2,))]: one}
@@ -218,8 +218,8 @@ def test_uq_is_central_quotient_of_taft_double(double_taft, taft3, uq3):
     from hopfkit.presentations import find_embedding
     from hopfkit.linalg import sparse_add_into
     unit = list(double_taft.unit)
-    gens = [[a - b for a, b in zip(v, unit)]
-            for v in double_taft._cache["central_grouplikes"]]
+    gens = [[a - b for a, b in zip(sparse_to_dense(v, 81, M), unit)]
+            for v in double_taft.claims.central_grouplikes]
     Q, proj = quotient_by_hopf_ideal(double_taft, gens)
     assert Q.dim == 27
     RD = _canonical_double_r(taft3, double_taft)

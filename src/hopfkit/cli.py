@@ -421,6 +421,9 @@ def main(argv=None) -> int:
     except HopfkitError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -604,7 +604,9 @@ def embed_hopf(H: FinHopf, M_new: int) -> FinHopf:
                    vec(H.counit), tuple(vec(r) for r in H.antipode),
                    ClaimSet(claims(H.claims.grouplikes),
                             claims(H.claims.characters)),
-                   H.label, fixtures=lambda: H.iso_fixtures)
+                   H.label, fixtures=lambda: tuple(
+                       (key, tuple(vec(r) for r in mat))
+                       for key, mat in H.iso_fixtures))
 
 
 # -- morphisms --------------------------------------------------------------------

@@ -9,6 +9,20 @@ the split-character count of the dual algebra (sound over a splitting
 field, where characters biject with one-dimensional Wedderburn blocks).
 FieldTooSmall is raised instead of silently under-reporting when the
 certificate cannot be met.
+
+The group-like census needs no closure table.  Let S be the distinct
+verified claims and m = `H.dual_cached().character_count`.  S lies in G(H),
+each claim being verified.  A group-like of H is a character of H*, and
+distinct characters of H* are linearly independent functionals on its
+largest commutative semisimple quotient, whose dimension is m; so
+|G(H)| <= m.  Hence |S| = m gives S = G(H), and S is a group.  Its
+structure is read from the left multiplication of a generating set X of
+S, taken greedily in claim order (each claim not yet reached joins X, so
+|X| <= log2 |S|).  Each product x s, x in X and s in S, lies in S, so a
+few coordinates K on which the members of S differ pairwise identify it
+exactly; only those coordinates are computed.  The left action of every
+element follows by composing permutations along words in X, and G is
+abelian iff the elements of X commute.
 """
 
 from __future__ import annotations
@@ -358,50 +372,130 @@ def grouplike_census(H: FinHopf) -> CensusResult:
 
 
 def _grouplike_census(H: FinHopf) -> CensusResult:
+    """The census of G(H): certified by its count, structured by an action.
+
+    Certificate.  Let S be the distinct verified claims and m the character
+    count of H*.  S lies in G(H), and |G(H)| <= m (see the module
+    docstring), so |S| = m gives S = G(H): S is a group, and closure and
+    inverses need no check.  |S| < m and |S| > m raise ClaimIncomplete and
+    ClaimOvercomplete.  Claims that are not closed under multiplication
+    fall in the first branch: they are a proper subset of the group G(H),
+    so fewer than m.
+
+    Structure.  `_left_regular_action` gives the left multiplication of
+    every element as a permutation of S, from the products x s with x in a
+    generating set only.  The abelian flag, the element orders and the
+    invariant factors are then integer arithmetic: G is abelian iff its
+    generators commute.
+    """
     if len(H.verified_grouplikes) != len(H.claims.grouplikes):
         raise ClaimNotGrouplike("a claimed group-like fails verification")
-    # the distinct claims in claim order, keyed by their items
+    # the distinct claims in claim order, keyed by their nonzero items
     distinct: dict = {}
     for g in H.verified_grouplikes:
-        distinct.setdefault(frozenset(g.items()), g)
-    seen = list(distinct)
-    if not seen:
+        distinct.setdefault(
+            frozenset((k, c) for k, c in g.items() if not c.is_zero()), g)
+    keys = list(distinct)
+    if not keys:
         raise ClaimIncomplete("no group-like claims present")
     unit = frozenset(H.unit_sparse().items())
     if unit not in distinct:
         raise ClaimIncomplete("unit is not among the claimed group-likes")
 
-    prods: dict = {}
-    for a in seen:
-        for b in seen:
-            p = frozenset(H.mul(distinct[a], distinct[b]).items())
-            if p not in distinct:
-                raise ClaimIncomplete(
-                    "claimed group-likes are not closed under multiplication")
-            prods[(a, b)] = p
-    for a in seen:
-        if not any(prods[(a, b)] == unit for b in seen):
-            raise ClaimIncomplete("a claimed group-like has no inverse among claims")
-
     m = H.dual_cached().character_count
-    if len(seen) < m:
+    if len(keys) < m:
         raise ClaimIncomplete(
-            f"{len(seen)} verified group-likes but certificate is {m}: "
+            f"{len(keys)} verified group-likes but certificate is {m}: "
             "missing group-likes, or a nonsplit field factor")
-    if len(seen) > m:
+    if len(keys) > m:
         raise ClaimOvercomplete(
-            f"{len(seen)} verified group-likes exceed certificate {m}")
+            f"{len(keys)} verified group-likes exceed certificate {m}")
 
-    abelian = all(prods[(a, b)] == prods[(b, a)] for a in seen for b in seen)
+    S = tuple(distinct.values())
+    e = keys.index(unit)
+    gens, lam = _left_regular_action(H, S, e)
+    abelian = all(lam[a][b] == lam[b][a] for a in gens for b in gens)
     orders = []
-    for a in seen:
+    for a in range(len(S)):
         k, acc = 1, a
-        while acc != unit:
-            acc = prods[(acc, a)]
+        while acc != e:
+            acc = lam[a][acc]
             k += 1
         orders.append(k)
     invf = _abelian_invariants(tuple(orders)) if abelian else None
-    return CensusResult(tuple(distinct.values()), m, abelian, invf, tuple(orders))
+    return CensusResult(S, m, abelian, invf, tuple(orders))
+
+
+def _separating_coordinates(S, zero) -> list[int]:
+    """Coordinates K, taken greedily in index order, on which the pairwise
+    distinct sparse vectors S differ pairwise."""
+    K, cls, count = [], [0] * len(S), 1
+    for k in sorted(set().union(*S)):
+        if count == len(S):
+            break
+        ids: dict = {}
+        new = [ids.setdefault((c, s.get(k, zero)), len(ids))
+               for c, s in zip(cls, S)]
+        if len(ids) > count:
+            K.append(k)
+            cls, count = new, len(ids)
+    return K
+
+
+def _left_columns(H: FinHopf, x: dict, K) -> list[dict]:
+    """Left multiplication by x on the coordinates K, as sparse columns:
+    cols[j] = {k: (x e_j)_k for k in K}."""
+    Kset, mrows = set(K), H.mrows
+    cols: list[dict] = [{} for _ in range(H.dim)]
+    for i, xi in x.items():
+        for col, cell in zip(cols, mrows[i]):
+            for k, c in cell:
+                if k in Kset:
+                    sparse_add_into(col, k, xi * c)
+    return cols
+
+
+def _left_regular_action(H: FinHopf, S: tuple, e: int):
+    """(gens, lam) for the group S = G(H) with unit S[e]: gens are indices of
+    a generating set, and lam[a][b] is the index of S[a] S[b].
+
+    gens is chosen greedily in claim order, taking each element the set does
+    not yet reach, so |gens| <= log2 |S|.  Only the products x s with x in
+    gens are computed, each on the separating coordinates K alone, which
+    identify it exactly because x s lies in S.  Every other lam[a] follows
+    from a word a = x b found on the way: lam[a] = lam[x] o lam[b].
+    """
+    zero = CycloNum.zero(H.conductor)
+    K = _separating_coordinates(S, zero)
+    index = {tuple(s.get(k, zero) for k in K): a for a, s in enumerate(S)}
+    gens, cols, acts = [], [], []       # acts[g][b] = index of S[gens[g]] S[b]
+    reached, word = [e], {e: None}      # word[a] = (g, b): S[a] = S[gens[g]] S[b]
+    for x in range(len(S)):
+        if x in word:
+            continue
+        gens.append(x)
+        cols.append(_left_columns(H, S[x], K))
+        acts.append({})
+        pending = [(len(gens) - 1, b) for b in reached]
+        while pending:
+            g, b = pending.pop()
+            prod = apply_columns(cols[g], S[b])
+            a = index.get(tuple(prod.get(k, zero) for k in K))
+            if a is None:
+                raise ExtractionInconsistent(
+                    "a product of group-likes is not among them")
+            acts[g][b] = a
+            if a not in word:
+                word[a] = (g, b)
+                reached.append(a)
+                pending.extend((h, a) for h in range(len(gens)))
+    lam: list = [None] * len(S)
+    lam[e] = list(range(len(S)))
+    for a in reached[1:]:
+        g, b = word[a]
+        act = acts[g]
+        lam[a] = [act[t] for t in lam[b]]
+    return gens, lam
 
 
 def characters_census(H: FinHopf) -> CensusResult:

@@ -285,3 +285,37 @@ def test_import_non_integer_dim_or_conductor_exit_2(tmp_path, capsys):
             obj[key] = value
         code, err = _cli_proc("import", _edited_taft(tmp_path, capsys, edit))
         assert code == 2 and "Traceback" not in err and "integers" in err, key
+
+
+def test_internal_error_exit_2_without_traceback():
+    # no exception escapes main as a traceback, whatever a command raises
+    import subprocess
+    import sys
+    stub = ("import sys, hopfkit.cli as cli\n"
+            "def boom(args):\n"
+            "    raise RuntimeError('stub failure')\n"
+            "cli.cmd_construct = boom\n"
+            "sys.exit(cli.main(['construct', 'taft']))\n")
+    r = subprocess.run([sys.executable, "-c", stub],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr == "error: internal RuntimeError: stub failure\n"
+
+
+def test_export_conductor_embeds_fixtures(tmp_path, capsys):
+    # the fixture matrices are embedded with the rest of the algebra, so
+    # both book isomorphisms still verify at the new conductor
+    from hopfkit.constructors import resolve_fixture_target
+    from hopfkit.hopf import HopfMorphism, verify_morphism
+    from hopfkit.hopffile import import_hopf
+    f = str(tmp_path / "book.hopf")
+    f18 = str(tmp_path / "b18.hopf")
+    assert run(["construct", "book", "--m", "1", "--out", f], capsys)[0] == 0
+    assert run(["--conductor", "18", "export", f, "--out", f18], capsys)[0] == 0
+    H, _ = import_hopf(f18)
+    assert H.conductor == 18 and len(H.iso_fixtures) == 2
+    for key, mat in H.iso_fixtures:
+        target = resolve_fixture_target(key, conductor=18)
+        rep = verify_morphism(HopfMorphism(H, target, mat))
+        assert rep.ok and rep.bijective, key

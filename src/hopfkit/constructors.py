@@ -18,9 +18,9 @@ from .errors import (BadParameter, CocycleConditionFails,
 from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
 from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
                    verify_hopf)
-from .linalg import (SparseTensor3, dense_to_sparse, mat_eq,
-                     mult_vectors, outer, sparse_add_into, sparse_columns,
-                     identity_matrix, zero_vector)
+from .linalg import (SparseTensor3, apply_columns, dense_to_sparse,
+                     identity_columns, mult_vectors, outer, sparse_add_into,
+                     sparse_columns, zero_vector)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
@@ -50,9 +50,7 @@ def group_algebra(G: FiniteGroup, conductor: int) -> FinHopf:
     comult = {(i, i, i): one for i in range(n)}
     unit = [one if g == G.identity else CycloNum.zero(M) for g in G.elements]
     counit = [one] * n
-    S = [[CycloNum.zero(M)] * n for _ in range(n)]
-    for j, g in enumerate(G.elements):
-        S[G.index[G.inverse(g)]][j] = one
+    S = [{G.index[G.inverse(g)]: one} for g in G.elements]
     gls = [{i: one} for i in range(n)]
     chars = [dense_to_sparse(chi) for chi in G.characters(M)]
     return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
@@ -245,11 +243,11 @@ def _book_fixtures(H: FinHopf, p, e, m, M) -> tuple:
     e2 = (-m * m * e) % p
     twin = standard_constructors("book", p, e2, minv, conductor=M)
     f = find_embedding(H, twin)
-    fixtures.append((("book", p, e2, minv), f.matrix))
+    fixtures.append((("book", p, e2, minv), f.cols))
     # h(q,-m)* ~ h(q,m): map h(q,m) -> dual(h(q,-m))
     other = standard_constructors("book", p, e, (-m) % p, conductor=M)
     f2 = find_embedding(H, other.dual_cached())
-    fixtures.append((("dual_book", p, e, (-m) % p), f2.matrix))
+    fixtures.append((("dual_book", p, e, (-m) % p), f2.cols))
     return tuple(fixtures)
 
 
@@ -258,7 +256,7 @@ def _ttilde_fixtures(H: FinHopf, p, e, root, M) -> tuple:
     other = standard_constructors("ttilde", p, e, root=(root + 1) % p,
                                   conductor=M)
     f = find_embedding(H, other)
-    return ((("ttilde", p, e, (root + 1) % p), f.matrix),)
+    return ((("ttilde", p, e, (root + 1) % p), f.cols),)
 
 
 def resolve_fixture_target(key, conductor: int | None = None) -> FinHopf:
@@ -301,7 +299,10 @@ def corpus(p: int = 3, e: int = 1) -> dict[str, FinHopf]:
 
 class CrossedProductData:
     """A #_sigma k[Z/m]: a weak action (one algebra map per group element)
-    and a 2-cocycle table with values in A."""
+    and a 2-cocycle table with values in A.
+
+    The action matrices, given as dense rows, are held as sparse columns,
+    and the cocycle values as sparse vectors."""
 
     def __init__(self, A_mult: SparseTensor3, A_unit, conductor: int,
                  gamma_order: int, action, sigma):
@@ -309,60 +310,40 @@ class CrossedProductData:
         self.A_unit = tuple(A_unit)
         self.M = conductor
         self.gamma_order = gamma_order
-        self.action = [tuple(tuple(r) for r in U) for U in action]
-        self.sigma = {k: tuple(v) for k, v in sigma.items()}
+        self.action = [sparse_columns(U) for U in action]
+        self.sigma = {k: dense_to_sparse(v) for k, v in sigma.items()}
         self._verify()
 
     def _verify(self):
         nA = self.A_mult.dims[0]
-        M = self.M
         mg = self.gamma_order
         rows = self.A_mult.rows_ij()
-        unit = list(self.A_unit)
+        unit = dense_to_sparse(self.A_unit)
         if len(self.action) != mg:
             raise WeakActionAxiomFails("need one action matrix per group element")
-        if not mat_eq([list(r) for r in self.action[0]], identity_matrix(nA, M)):
+        if self.action[0] != identity_columns(nA, self.M):
             raise WeakActionAxiomFails("identity must act trivially")
-        for j, U in enumerate(self.action):
-            Ul = [list(r) for r in U]
-            # unital: U(1) = 1
-            img1 = [sum((Ul[a][b] * unit[b] for b in range(nA)),
-                        CycloNum.zero(M)) for a in range(nA)]
-            if img1 != unit:
+        for j, cols in enumerate(self.action):
+            if apply_columns(cols, unit) != unit:
                 raise WeakActionAxiomFails(f"action of element {j} does not fix 1")
             # multiplicative on basis pairs: b.(aa') = (b.a)(b.a')
-            cols = [dense_to_sparse([Ul[a][b] for a in range(nA)]) for b in range(nA)]
             for a in range(nA):
                 for b in range(nA):
-                    lhs: dict = {}
-                    for k, c in rows[a][b]:
-                        for i2, d in cols[k].items():
-                            sparse_add_into(lhs, i2, c * d)
-                    if lhs != mult_vectors(rows, cols[a], cols[b]):
+                    if (apply_columns(cols, dict(rows[a][b]))
+                            != mult_vectors(rows, cols[a], cols[b])):
                         raise WeakActionAxiomFails(
                             f"action of element {j} is not an algebra map at ({a},{b})")
-        one = CycloNum.one(M)
-        unit_s = dense_to_sparse(unit)
-        for i in range(mg):
-            si1 = dense_to_sparse(list(self.sigma[(i, 0)]))
-            s1i = dense_to_sparse(list(self.sigma[(0, i)]))
-            if si1 != unit_s or s1i != unit_s:
-                raise CocycleConditionFails("sigma is not normalized")
+        sigma = self.sigma
+        if any(sigma[(i, 0)] != unit or sigma[(0, i)] != unit for i in range(mg)):
+            raise CocycleConditionFails("sigma is not normalized")
         # [b . sigma(b', b'')] sigma(b, b'b'') = sigma(b, b') sigma(bb', b'')
         for i in range(mg):
-            Ui = [list(r) for r in self.action[i]]
             for j in range(mg):
                 for k in range(mg):
-                    s_jk = list(self.sigma[(j, k)])
-                    acted = dense_to_sparse(
-                        [sum((Ui[a][b] * s_jk[b] for b in range(nA)),
-                             CycloNum.zero(M)) for a in range(nA)])
                     lhs = mult_vectors(
-                        rows, acted,
-                        dense_to_sparse(list(self.sigma[(i, (j + k) % mg)])))
-                    rhs = mult_vectors(
-                        rows, dense_to_sparse(list(self.sigma[(i, j)])),
-                        dense_to_sparse(list(self.sigma[((i + j) % mg, k)])))
+                        rows, apply_columns(self.action[i], sigma[(j, k)]),
+                        sigma[(i, (j + k) % mg)])
+                    rhs = mult_vectors(rows, sigma[(i, j)], sigma[((i + j) % mg, k)])
                     if lhs != rhs:
                         raise CocycleConditionFails(
                             f"cocycle condition fails at ({i},{j},{k})")
@@ -375,22 +356,19 @@ def crossed_product(data: CrossedProductData) -> tuple[SparseTensor3, tuple]:
     M = data.M
     n = nA * mg
     rows = data.A_mult.rows_ij()
+    one = CycloNum.one(M)
 
     def ix(a, i):
         return a * mg + i
 
     mult: dict = {}
     for i in range(mg):
-        Ui = [list(r) for r in data.action[i]]
-        acted_cols = [dense_to_sparse([Ui[a][b] for a in range(nA)])
-                      for b in range(nA)]
         for j in range(mg):
-            s_ij = dense_to_sparse(list(data.sigma[(i, j)]))
+            s_ij = data.sigma[(i, j)]
             for a in range(nA):
                 for c in range(nA):
                     prod = mult_vectors(
-                        rows, {a: CycloNum.one(M)},
-                        mult_vectors(rows, acted_cols[c], s_ij))
+                        rows, {a: one}, mult_vectors(rows, data.action[i][c], s_ij))
                     for k, coef in prod.items():
                         sparse_add_into(mult, (ix(a, i), ix(c, j), ix(k, (i + j) % mg)), coef)
     unit = zero_vector(n, M)
@@ -422,8 +400,7 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
     nD = n * n
     one = CycloNum.one(M)
     mrows = H.mrows
-    Sinv = H.antipode_inv
-    sinv_cols = sparse_columns(Sinv)
+    sinv_cols = H.antipode_inv
 
     def ix(a, b):
         return a * n + b
@@ -511,27 +488,28 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
 
     mult_t = SparseTensor3.from_dict((nD, nD, nD), mult)
 
-    # antipode: S_D(beta # h) = (eps # S h) . ((S^{-1})* beta # 1)
-    S = [[CycloNum.zero(M)] * nD for _ in range(nD)]
+    # antipode: S_D(beta # h) = (eps # S h) . ((S^{-1})* beta # 1), column
+    # ix(a, b) for beta_a # e_b
+    S = []
     eps = list(H.counit)
-    u_s = dense_to_sparse(list(H.unit))
+    u_s = H.unit_sparse()
     Dr = mult_t.rows_ij()
+    # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j), row a of S^{-1},
+    # which is column a of (S^*)^{-1}, the inverse antipode of H*
+    sinv_rows = H.dual_cached().antipode_inv
     for a in range(n):
-        # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j), row a of S^{-1}
-        sb = dense_to_sparse(Sinv[a])
+        sb = sinv_rows[a]
         for b in range(n):
             left: dict = {}
             for j, cj in enumerate(eps):
                 if not cj.is_zero():
-                    for k, ck in H.scols[b].items():
+                    for k, ck in H.antipode[b].items():
                         sparse_add_into(left, ix(j, k), cj * ck)
             right: dict = {}
             for j, cj in sb.items():
                 for k, ck in u_s.items():
                     sparse_add_into(right, ix(j, k), cj * ck)
-            img = mult_vectors(Dr, left, right)
-            for t, c in img.items():
-                S[t][ix(a, b)] = c
+            S.append(mult_vectors(Dr, left, right))
 
     # claims: group-likes beta # x for characters beta, group-likes x;
     # character candidates x # beta, kept when they are algebra characters

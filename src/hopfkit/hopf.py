@@ -1,7 +1,9 @@
 """Finite-dimensional Hopf algebras as sparse structure constants.
 
 A FinHopf stores multiplication c_{ij}^k, comultiplication d_i^{jk}, unit,
-counit and the antipode matrix explicitly; nothing is derived implicitly.
+counit and the antipode explicitly; nothing is derived implicitly.  Every
+linear map (the antipode, a morphism, a quotient projection) is held as
+sparse columns, column j = {row: nonzero coefficient} being the image of e_j.
 verify_hopf decides every axiom exactly and reports failures per axiom with
 the first failing index, so constructors can self-validate; a dual is
 certified by transposition instead (see `dual`).
@@ -35,11 +37,12 @@ from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
 from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
                      apply_columns, apply_tensor_columns,
-                     commutative_quotient_dim, dense_to_sparse,
-                     identity_matrix, ideal_closure, image,
-                     intersect_kernels, mat_inverse, mat_vec, mult_vectors,
-                     outer, quotient_by_radical, sparse_add_into,
-                     sparse_columns, sparse_to_dense, unit_vector, vec_is_zero)
+                     commutative_quotient_dim, dense_rows, dense_to_sparse,
+                     identity_columns, ideal_closure, image,
+                     intersect_kernels, mat_inverse, mult_vectors, outer,
+                     quotient_by_radical, quotient_mult, sparse_add_into,
+                     sparse_columns, sparse_to_dense, transpose_columns,
+                     unit_vector, vec_is_zero)
 
 
 def _frozen(self, name, *value):
@@ -72,6 +75,8 @@ class FinHopf:
     generators, censuses, ...) is computed on first use and kept by `memo`,
     the only writer of the private cache.
 
+    `antipode` is a tuple of sparse columns, antipode[j] = S(e_j); zero
+    coefficients are dropped here, so equal maps have equal columns.
     `claims` is a sparse `ClaimSet`.  `presentation` is the PresentationSpec
     the algebra was built from, and `monomials` its normal monomials in basis
     order; both are None for an algebra not built from a presentation.
@@ -88,7 +93,8 @@ class FinHopf:
         vars(self).update(
             dim=dim, conductor=conductor, mult=mult, unit=tuple(unit),
             comult=comult, counit=tuple(counit),
-            antipode=tuple(tuple(r) for r in antipode),
+            antipode=tuple({i: c for i, c in col.items() if not c.is_zero()}
+                           for col in antipode),
             claims=claims or ClaimSet(), label=label,
             presentation=presentation,
             monomials=presentation and presentation.monomials(),
@@ -113,17 +119,14 @@ class FinHopf:
         return self.memo("crows", self.comult.rows_i)
 
     @property
-    def scols(self) -> list[dict]:
-        """The antipode as sparse columns: scols[j] = S(e_j)."""
-        return self.memo("scols", lambda: sparse_columns(self.antipode))
-
-    @property
-    def antipode_inv(self):
+    def antipode_inv(self) -> list[dict]:
+        """S^{-1} as sparse columns."""
         def make():
-            r = mat_inverse([list(row) for row in self.antipode], self.conductor)
+            M = self.conductor
+            r = mat_inverse(dense_rows(self.antipode, self.dim, M), M)
             if r is None:
                 raise AntipodeNotInvertible(self.label or "antipode matrix is singular")
-            return r
+            return sparse_columns(r)
         return self.memo("sinv", make)
 
     @property
@@ -135,8 +138,7 @@ class FinHopf:
     @property
     def semisimple_quotient(self) -> SparseTensor3:
         """Multiplication of H/J(H) (H itself when semisimple)."""
-        return self.memo("ssq", lambda: quotient_by_radical(
-            self.mult, self.radical, self.conductor))
+        return self.memo("ssq", lambda: quotient_by_radical(self.mult, self.radical))
 
     @property
     def character_count(self) -> int:
@@ -168,10 +170,12 @@ class FinHopf:
 
     @property
     def iso_fixtures(self) -> tuple:
-        """((target key, matrix), ...): the paper-asserted isomorphisms from
-        this algebra, computed by the `fixtures` function on first read."""
+        """((target key, sparse columns), ...): the paper-asserted
+        isomorphisms from this algebra, computed by the `fixtures` function
+        on first read."""
         return self.memo("iso_fixtures", lambda: tuple(
-            self._fixtures()) if self._fixtures else ())
+            (key, tuple(cols)) for key, cols in self._fixtures())
+            if self._fixtures else ())
 
     @property
     def verified_grouplikes(self) -> tuple:
@@ -200,7 +204,7 @@ class FinHopf:
         return acc
 
     def antipode_of(self, v: dict) -> dict:
-        return apply_columns(self.scols, v)
+        return apply_columns(self.antipode, v)
 
     def unit_sparse(self) -> dict:
         return dense_to_sparse(self.unit)
@@ -454,7 +458,7 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta
     fail_l = None
     fail_r = None
-    S = H.scols
+    S = H.antipode
     for i in range(n):
         left: dict = {}
         right: dict = {}
@@ -498,13 +502,12 @@ def dual(H: FinHopf) -> FinHopf:
     comult_d = {}
     for (i, j, k), c in H.mult.entries:
         comult_d[(k, i, j)] = c
-    S_t = tuple(tuple(H.antipode[j][i] for j in range(n)) for i in range(n))
     return FinHopf(n, M,
                    SparseTensor3.from_dict((n, n, n), mult_d),
                    H.counit,
                    SparseTensor3.from_dict((n, n, n), comult_d),
                    H.unit,
-                   S_t,
+                   transpose_columns(H.antipode, n),
                    ClaimSet(H.claims.characters, H.claims.grouplikes),
                    f"dual({H.label})" if H.label else "dual")
 
@@ -530,7 +533,7 @@ def op_cop(H: FinHopf, which: str) -> FinHopf:
 def trivial_hopf(M: int) -> FinHopf:
     one = CycloNum.one(M)
     t = SparseTensor3.from_dict((1, 1, 1), {(0, 0, 0): one})
-    return FinHopf(1, M, t, (one,), t, (one,), ((one,),),
+    return FinHopf(1, M, t, (one,), t, (one,), ({0: one},),
                    ClaimSet([{0: one}], [{0: one}]), "k")
 
 
@@ -561,24 +564,17 @@ def tensor(H: FinHopf, K: FinHopf, label: str | None = None) -> FinHopf:
         for a in range(nK):
             unit[ix(i, a)] = H.unit[i] * K.unit[a]
             counit[ix(i, a)] = H.counit[i] * K.counit[a]
-    S = [[CycloNum.zero(M)] * n for _ in range(n)]
-    for i in range(nH):
-        for j in range(nH):
-            if H.antipode[i][j].is_zero():
-                continue
-            for a in range(nK):
-                for b in range(nK):
-                    if not K.antipode[a][b].is_zero():
-                        S[ix(i, a)][ix(j, b)] = H.antipode[i][j] * K.antipode[a][b]
 
     def products(us, vs):
+        # u (x) v in (u, v) order, so S_H(e_j) (x) S_K(e_b) is column ix(j, b)
         return [{ix(i, a): ui * va for i, ui in u.items() for a, va in v.items()}
                 for u in us for v in vs]
 
     if label is None:
         label = f"{H.label} (x) {K.label}" if H.label and K.label else "tensor"
     return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
-                   SparseTensor3.from_dict((n, n, n), comult), counit, S,
+                   SparseTensor3.from_dict((n, n, n), comult), counit,
+                   products(H.antipode, K.antipode),
                    ClaimSet(products(H.claims.grouplikes, K.claims.grouplikes),
                             products(H.claims.characters, K.claims.characters)),
                    label)
@@ -597,48 +593,42 @@ def embed_hopf(H: FinHopf, M_new: int) -> FinHopf:
     def vec(v):
         return tuple(em(c, M_new) for c in v)
 
-    def claims(vs):
+    def sparse(vs):
         return [{k: em(c, M_new) for k, c in v.items()} for v in vs]
 
     return FinHopf(H.dim, M_new, t3(H.mult), vec(H.unit), t3(H.comult),
-                   vec(H.counit), tuple(vec(r) for r in H.antipode),
-                   ClaimSet(claims(H.claims.grouplikes),
-                            claims(H.claims.characters)),
+                   vec(H.counit), sparse(H.antipode),
+                   ClaimSet(sparse(H.claims.grouplikes),
+                            sparse(H.claims.characters)),
                    H.label, fixtures=lambda: tuple(
-                       (key, tuple(vec(r) for r in mat))
-                       for key, mat in H.iso_fixtures))
+                       (key, sparse(cols)) for key, cols in H.iso_fixtures))
 
 
 # -- morphisms --------------------------------------------------------------------
 
 
 class HopfMorphism:
-    """A linear map source -> target claimed to be a Hopf algebra map."""
+    """A linear map source -> target claimed to be a Hopf algebra map, held
+    as sparse columns: cols[j] is the image of e_j."""
 
-    def __init__(self, source: FinHopf, target: FinHopf, matrix):
+    def __init__(self, source: FinHopf, target: FinHopf, cols):
         self.source = source
         self.target = target
-        self.matrix = tuple(tuple(r) for r in matrix)
-
-    @cached_property
-    def cols(self) -> list[dict]:
-        """The matrix as sparse columns: cols[j] is the image of e_j."""
-        return sparse_columns(self.matrix)
+        self.cols = tuple(cols)
 
     def apply(self, v: dict) -> dict:
         return apply_columns(self.cols, v)
 
     @cached_property
     def rank(self) -> int:
-        return image([list(row) for row in self.matrix],
-                     self.source.dim, self.source.conductor).dim
+        return image(self.cols, self.target.dim, self.source.conductor).dim
 
     def __repr__(self):
         return f"HopfMorphism({self.source.label} -> {self.target.label})"
 
 
 def identity_morphism(H: FinHopf) -> HopfMorphism:
-    return HopfMorphism(H, H, identity_matrix(H.dim, H.conductor))
+    return HopfMorphism(H, H, identity_columns(H.dim, H.conductor))
 
 
 class MorphismReport(VerificationReport):
@@ -654,7 +644,16 @@ class MorphismReport(VerificationReport):
 
 
 def verify_morphism(f: HopfMorphism) -> MorphismReport:
-    """Checks algebra / coalgebra / unit / counit / antipode compatibility."""
+    """Checks algebra / coalgebra / unit / counit / antipode compatibility.
+
+    Given f(1) = 1, f(ab) = f(a)f(b) is checked with a in X = the source's
+    `generators` only, and b over the basis: W = {a : f(ab) = f(a)f(b) for
+    all b} contains 1, and for a in W and x in X,
+    f((xa)b) = f(x(ab)) = f(x)f(ab) = f(x)f(a)f(b) = f(xa)f(b), so W holds
+    every word in X, which span the source (both ends are verified, so
+    associative and unital).  A failure on X is located by the full sweep
+    (`_certified`), so the first failing index is the one it gives.
+    """
     Hs, Ht = f.source, f.target
     if Hs.conductor != Ht.conductor:
         raise ConductorMismatch("morphism endpoints live over different conductors")
@@ -663,17 +662,17 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
 
     imgs = f.cols
 
-    fail = None
+    def algebra_failure(left):
+        for i in range(n) if left is None else left:
+            for j in range(n):
+                if f.apply(dict(Hs.mrows[i][j])) != Ht.mul(imgs[i], imgs[j]):
+                    return (i, j)
+        return None
+
     if f.apply(Hs.unit_sparse()) != Ht.unit_sparse():
         fail = ("unit",)
     else:
-        for i in range(n):
-            for j in range(n):
-                if f.apply(dict(Hs.mrows[i][j])) != Ht.mul(imgs[i], imgs[j]):
-                    fail = (i, j)
-                    break
-            if fail:
-                break
+        fail = _certified(algebra_failure, Hs.generators)
     checks.append(CheckResult("algebra_map", fail is None, fail))
 
     fail = None
@@ -693,7 +692,7 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
 
     fail = None
     for i in range(n):
-        if f.apply(Hs.scols[i]) != Ht.antipode_of(imgs[i]):
+        if f.apply(Hs.antipode[i]) != Ht.antipode_of(imgs[i]):
             fail = (i,)
             break
     checks.append(CheckResult("antipode", fail is None, fail))
@@ -756,62 +755,47 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
 
     coords = I.complement_coords()
     q = len(coords)
+    proj = I.projection_columns()
 
-    proj_mat = I.projection_rows()
-    proj_cols = sparse_columns(proj_mat)
+    basis = [dense_to_sparse(v) for v in I.basis]
 
     # counit must vanish on I
-    for v in I.basis:
-        if not H.counit_of(dense_to_sparse(list(v))).is_zero():
+    for v in basis:
+        if not H.counit_of(v).is_zero():
             raise NotAHopfIdeal("counit does not vanish on the ideal")
     # S-stability
-    for v in I.basis:
-        sv = H.antipode_of(dense_to_sparse(list(v)))
-        if not I.contains(sparse_to_dense(sv, n, M)):
+    for v in basis:
+        if not I.contains(sparse_to_dense(H.antipode_of(v), n, M)):
             raise NotAHopfIdeal("ideal is not antipode-stable")
     # coideal: (pi (x) pi) Delta v = 0 for v in I
-    for v in I.basis:
-        dv = H.comult_of(dense_to_sparse(list(v)))
-        if apply_tensor_columns(proj_cols, proj_cols, dv):
+    for v in basis:
+        if apply_tensor_columns(proj, proj, H.comult_of(v)):
             raise NotAHopfIdeal("ideal is not a coideal")
 
-    reps = [unit_vector(n, M, c) for c in coords]
-
-    mult_d = {}
-    for a in range(q):
-        sa = dense_to_sparse(reps[a])
-        for b in range(q):
-            prod = H.mul(sa, dense_to_sparse(reps[b]))
-            for t, c in apply_columns(proj_cols, prod).items():
-                mult_d[(a, b, t)] = c
+    # the quotient lives on the complement basis e_c, c in coords
     comult_d = {}
-    for a in range(q):
-        dv = H.comult_of(dense_to_sparse(reps[a]))
-        for (s, t), c in apply_tensor_columns(proj_cols, proj_cols, dv).items():
-            comult_d[(a, s, t)] = c
-    unit_q = mat_vec(proj_mat, list(H.unit))
-    counit_q = [H.counit_of(dense_to_sparse(r)) for r in reps]
-    S_q = [[CycloNum.zero(M)] * q for _ in range(q)]
-    for b in range(q):
-        sv = H.antipode_of(dense_to_sparse(reps[b]))
-        for a, c in apply_columns(proj_cols, sv).items():
-            S_q[a][b] = c
+    for a, c in enumerate(coords):
+        for (s, t), x in apply_tensor_columns(proj, proj, dict(H.crows[c])).items():
+            comult_d[(a, s, t)] = x
+    unit_q = sparse_to_dense(apply_columns(proj, H.unit_sparse()), q, M)
+    counit_q = [H.counit[c] for c in coords]
+    S_q = [apply_columns(proj, H.antipode[c]) for c in coords]
 
     # project claims: group-likes map to their (distinct, nonzero) images;
     # a character vanishing on I restricts to the coordinates of H/I
     gls = {}
     for g in H.claims.grouplikes:
-        pg = apply_columns(proj_cols, g)
+        pg = apply_columns(proj, g)
         if pg:
             gls.setdefault(frozenset(pg.items()), pg)
     zero = CycloNum.zero(M)
     chs = [{a: chi[c] for a, c in enumerate(coords) if c in chi}
            for chi in H.claims.characters
-           if all(sum((x * v[i] for i, x in chi.items()), zero).is_zero()
-                  for v in I.basis)]
+           if all(sum((x * v[i] for i, x in chi.items() if i in v), zero).is_zero()
+                  for v in basis)]
 
-    Q = FinHopf(q, M, SparseTensor3.from_dict((q, q, q), mult_d), unit_q,
+    Q = FinHopf(q, M, quotient_mult(H.mrows, I, proj), unit_q,
                 SparseTensor3.from_dict((q, q, q), comult_d), counit_q, S_q,
                 ClaimSet(gls.values(), chs),
                 f"{H.label}/ideal" if H.label else "quotient")
-    return Q, HopfMorphism(H, Q, proj_mat)
+    return Q, HopfMorphism(H, Q, proj)

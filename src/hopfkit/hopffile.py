@@ -14,9 +14,12 @@ import tempfile
 from .cyclo import parse as cparse, render
 from .errors import ParseError, VerificationFailed
 from .hopf import ClaimSet, FinHopf, embed_hopf, verify_hopf
-from .linalg import SparseTensor3, dense_to_sparse, sparse_to_dense
+from .linalg import (SparseTensor3, dense_rows, dense_to_sparse,
+                     sparse_columns, sparse_to_dense)
 
 FORMAT_VERSION = "hopf-v1"
+# The file holds the antipode and each fixture as dense n x n matrices.
+MAX_DIM = 4096
 
 
 def _vec_strs(v):
@@ -31,6 +34,9 @@ def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
     def claims(vs):
         return [_vec_strs(sparse_to_dense(v, H.dim, H.conductor)) for v in vs]
 
+    def matrix(cols):
+        return [_vec_strs(row) for row in dense_rows(cols, H.dim, H.conductor)]
+
     obj = {
         "format_version": FORMAT_VERSION,
         "label": H.label,
@@ -40,13 +46,12 @@ def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
         "unit": _vec_strs(H.unit),
         "comult": _triples(H.comult),
         "counit": _vec_strs(H.counit),
-        "antipode": [_vec_strs(row) for row in H.antipode],
+        "antipode": matrix(H.antipode),
         "claims": {
             "grouplikes": claims(H.claims.grouplikes),
             "characters": claims(H.claims.characters),
             "iso_fixtures": [
-                [list(key), [_vec_strs(row) for row in mat]]
-                for key, mat in H.iso_fixtures
+                [list(key), matrix(cols)] for key, cols in H.iso_fixtures
             ],
         },
     }
@@ -84,6 +89,8 @@ def from_obj(obj: dict, conductor: int | None = None,
         n, M = obj["dim"], obj["conductor"]
         if type(n) is not int or type(M) is not int:
             raise ParseError("dim and conductor must be integers")
+        if n > MAX_DIM:
+            raise ParseError(f"dim {n} exceeds {MAX_DIM}")
 
         def num(s):
             if type(s) is not str:
@@ -116,14 +123,18 @@ def from_obj(obj: dict, conductor: int | None = None,
         claims = obj.get("claims", {})
         if type(claims) is not dict:
             raise ParseError("claims is not an object")
-        if len(obj["antipode"]) != n:
-            raise ParseError(f"antipode has {len(obj['antipode'])} rows, expected {n}")
-        fixtures = []
-        for key, mat in claims.get("iso_fixtures", []):
-            fixtures.append((tuple(key), tuple(vec(row) for row in mat)))
+
+        def matrix(rows, name):
+            if len(rows) != n:
+                raise ParseError(f"{name} has {len(rows)} rows, expected {n}")
+            return sparse_columns([vec(row) for row in rows])
+
+        S = matrix(obj["antipode"], "antipode")
+        fixtures = tuple((tuple(key), matrix(rows, "iso fixture"))
+                         for key, rows in claims.get("iso_fixtures", []))
         H = FinHopf(
             n, M, tens(obj["mult"]), vec(obj["unit"]), tens(obj["comult"]),
-            vec(obj["counit"]), tuple(vec(row) for row in obj["antipode"]),
+            vec(obj["counit"]), S,
             ClaimSet([dense_to_sparse(vec(g)) for g in claims.get("grouplikes", [])],
                      [dense_to_sparse(vec(c)) for c in claims.get("characters", [])]),
             str(obj.get("label", "")), fixtures=lambda: fixtures)

@@ -184,10 +184,10 @@ def radford_s4_check(H: FinHopf) -> bool:
     # alpha^{-1} = alpha o S (convolution inverse of a character)
     zero = CycloNum.zero(H.conductor)
     alpha_inv = [sum((alpha[a] * c for a, c in col.items()), zero)
-                 for col in H.scols]
+                 for col in H.antipode]
     g = dense_to_sparse(list(mod.g))
     g_inv = grouplike_inverse(H, g)
-    S2 = compose_columns(H.scols, H.scols)
+    S2 = compose_columns(H.antipode, H.antipode)
     for i, lhs in enumerate(compose_columns(S2, S2)):
         mid: dict = {}
         for (a, b, c), coef in H.delta2(i):
@@ -216,7 +216,7 @@ def trace_formula_check(H: FinHopf, f):
     one = CycloNum.one(M)
     for (a, b), c in dL.items():
         acc = CycloNum.zero(M)
-        for k, d in H.mul(H.scols[b], fcols[a]).items():
+        for k, d in H.mul(H.antipode[b], fcols[a]).items():
             if not lam[k].is_zero():
                 acc = acc + lam[k] * d
         t1 = t1 + c * acc
@@ -234,11 +234,11 @@ def antipode_order(H: FinHopf) -> int:
     n = H.dim
     bound = 4 * n * n
     ident = identity_columns(n, H.conductor)
-    P = H.scols
+    P = ident
     for k in range(1, bound + 1):
+        P = compose_columns(H.antipode, P)
         if P == ident:
             return k
-        P = compose_columns(P, H.scols)
     raise BoundExceeded(f"antipode order exceeds {bound}")
 
 
@@ -254,7 +254,7 @@ class SemisimplicityReport:
 def semisimplicity(H: FinHopf) -> SemisimplicityReport:
     """Exact Tr S^2 = sum_j S(S e_j)_j; nonzero iff semisimple iff
     cosemisimple (char 0)."""
-    S, zero = H.scols, CycloNum.zero(H.conductor)
+    S, zero = H.antipode, CycloNum.zero(H.conductor)
     tr = sum((apply_columns(S, S[j]).get(j, zero) for j in range(H.dim)), zero)
     ss = not tr.is_zero()
     return SemisimplicityReport(ss, ss, tr)
@@ -286,10 +286,10 @@ def coradical_spaces(H: FinHopf) -> list[Subspace]:
     n, M = H.dim, H.conductor
     H0 = H.dual_cached().radical.perp()
     spaces = [H0]
-    p0 = sparse_columns(H0.projection_rows())
+    p0 = H0.projection_columns()
     while spaces[-1].dim < n:
         # H_{i+1} = ker (p0 (x) p_i) Delta, one row per (a, b)
-        p1 = sparse_columns(spaces[-1].projection_rows())
+        p1 = spaces[-1].projection_columns()
         eq: dict = {}
         for m in range(n):
             for ab, c in apply_tensor_columns(p0, p1, dict(H.crows[m])).items():
@@ -670,7 +670,7 @@ def pairing_table(H: FinHopf) -> PairingReport:
 
 def commutative_quotient_check(mult, unit, M: int) -> bool:
     """True iff A/Rad A is commutative (then all simple modules are 1-dim)."""
-    q = quotient_by_radical(mult, algebra_radical(mult, unit, M), M)
+    q = quotient_by_radical(mult, algebra_radical(mult, unit, M))
     rows, n = q.rows_ij(), q.dims[0]
     one = CycloNum.one(M)
     for i in range(n):

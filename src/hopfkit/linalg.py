@@ -193,22 +193,22 @@ class Subspace:
         piv = set(self.pivots)
         return [i for i in range(self.ambient_dim) if i not in piv]
 
-    def projection_rows(self) -> list[list[CycloNum]]:
-        """Quotient map onto the canonical complement, as rows.
+    def projection_columns(self) -> list[dict]:
+        """Quotient map onto the canonical complement, as sparse columns.
 
-        Row t, column j is coordinate complement_coords()[t] of e_j reduced
-        modulo this subspace: e_j itself off the pivots, e_j - basis[r] on
-        pivot r (the echelon rows vanish on the other pivots).
+        Column j holds the complement coordinates of e_j reduced modulo this
+        subspace: e_j itself off the pivots, e_j - basis[r] on pivot r (the
+        echelon rows vanish on the other pivots).
         """
-        M = self.conductor
-        zero, one = CycloNum.zero(M), CycloNum.one(M)
+        one = CycloNum.one(self.conductor)
         coords = self.complement_coords()
-        P = [[one if j == c else zero for j in range(self.ambient_dim)]
-             for c in coords]
+        cols: list[dict] = [{} for _ in range(self.ambient_dim)]
+        for t, c in enumerate(coords):
+            cols[c][t] = one
         for row, p in zip(self.basis, self.pivots):
-            for t, c in enumerate(coords):
-                P[t][p] = -row[c]
-        return P
+            cols[p] = {t: -row[c] for t, c in enumerate(coords)
+                       if not row[c].is_zero()}
+        return cols
 
 
 # -- matrices (lists of rows) --------------------------------------------------
@@ -312,11 +312,9 @@ def kernel(rows, n_cols: int, M: int) -> Subspace:
     return Subspace.from_vectors(n_cols, M, vectors)
 
 
-def image(rows, n_cols: int, M: int) -> Subspace:
-    """Column space (image) of the matrix, as a subspace of k^m."""
-    m = len(rows)
-    cols = [[rows[i][j] for i in range(m)] for j in range(n_cols)]
-    return Subspace.from_vectors(m, M, cols)
+def image(cols: list[dict], m: int, M: int) -> Subspace:
+    """Column space of the map k^n -> k^m with sparse columns `cols`."""
+    return Subspace.from_vectors(m, M, [sparse_to_dense(c, m, M) for c in cols])
 
 
 def preimage(rows, n_cols: int, M: int, W: Subspace) -> Subspace:
@@ -476,6 +474,20 @@ def compose_columns(A: list[dict], B: list[dict]) -> list[dict]:
     return [apply_columns(A, b) for b in B]
 
 
+def transpose_columns(cols: list[dict], m: int) -> list[dict]:
+    """Columns of the transpose of the m-row map with sparse columns `cols`."""
+    out: list[dict] = [{} for _ in range(m)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][j] = c
+    return out
+
+
+def dense_rows(cols: list[dict], m: int, M: int) -> list[list[CycloNum]]:
+    """The m dense rows of the map with sparse columns `cols`."""
+    return [sparse_to_dense(r, len(cols), M) for r in transpose_columns(cols, m)]
+
+
 def sparse_to_dense(d: dict, n: int, M: int) -> list[CycloNum]:
     v = zero_vector(n, M)
     for i, c in d.items():
@@ -528,33 +540,21 @@ def ideal_closure(rows, n: int, M: int, generators) -> Subspace:
     return eb.to_subspace()
 
 
-class QuotientAlgebra:
-    """Algebra structure on the canonical complement of an ideal."""
+def quotient_mult(rows, I: Subspace, proj: list[dict]) -> SparseTensor3:
+    """Multiplication of A/I on the canonical complement of the ideal I.
 
-    def __init__(self, rows, n: int, M: int, ideal: Subspace):
-        self.M = M
-        self.ideal = ideal
-        self.coords = ideal.complement_coords()
-        self.dim = len(self.coords)
-        self.n = n
-        pos = {c: t for t, c in enumerate(self.coords)}
-        self.proj = ideal.projection_rows()
-        # representatives: complement coordinate basis vectors
-        self.reps = [unit_vector(n, M, c) for c in self.coords]
-        # quotient multiplication rows
-        d: dict[tuple[int, int, int], CycloNum] = {}
-        for a in range(self.dim):
-            sa = dense_to_sparse(self.reps[a])
-            for b in range(self.dim):
-                prod = mult_vectors(rows, sa, dense_to_sparse(self.reps[b]))
-                red = ideal.reduce(sparse_to_dense(prod, n, M))
-                for c, t in pos.items():
-                    if not red[c].is_zero():
-                        d[(a, b, t)] = red[c]
-        self.mult = SparseTensor3.from_dict((self.dim,) * 3, d)
-
-    def project(self, v):
-        return mat_vec(self.proj, list(v))
+    `proj` is `I.projection_columns()`; the product of complement basis
+    elements e_a e_b is projected, which equals reducing it modulo I and
+    reading the complement coordinates, because reduction is linear.
+    """
+    coords = I.complement_coords()
+    q = len(coords)
+    d: dict = {}
+    for a, ca in enumerate(coords):
+        for b, cb in enumerate(coords):
+            for t, c in apply_columns(proj, dict(rows[ca][cb])).items():
+                d[(a, b, t)] = c
+    return SparseTensor3.from_dict((q, q, q), d)
 
 
 def commutator_generators(rows, n: int, M: int):
@@ -573,14 +573,14 @@ def commutator_generators(rows, n: int, M: int):
     return out
 
 
-def quotient_by_radical(mult: SparseTensor3, rad: Subspace, M: int) -> SparseTensor3:
+def quotient_by_radical(mult: SparseTensor3, rad: Subspace) -> SparseTensor3:
     """Multiplication of A/rad on the canonical complement of the radical.
 
     A itself when the radical is zero (then no quotient is built).
     """
     if not rad.dim:
         return mult
-    return QuotientAlgebra(mult.rows_ij(), mult.dims[0], M, rad).mult
+    return quotient_mult(mult.rows_ij(), rad, rad.projection_columns())
 
 
 def commutative_quotient_dim(mult: SparseTensor3, M: int) -> int:
@@ -597,7 +597,7 @@ def split_character_count(mult: SparseTensor3, unit, M: int) -> int:
     of A/Rad A, i.e. the number of algebra characters.
     """
     rad = algebra_radical(mult, unit, M)
-    return commutative_quotient_dim(quotient_by_radical(mult, rad, M), M)
+    return commutative_quotient_dim(quotient_by_radical(mult, rad), M)
 
 
 def center_dim(mult: SparseTensor3, M: int) -> int:

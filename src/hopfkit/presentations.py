@@ -27,7 +27,7 @@ from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
 from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
                    verify_hopf, verify_morphism)
 from .linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
-                     sparse_add_into, sparse_to_dense, zero_vector)
+                     sparse_add_into, zero_vector)
 
 
 class GroupGen:
@@ -301,14 +301,13 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
         val = eng.elem_mul({gm_v: -one}, eng.elem_mul({xm: one}, {gm_u: one}))
         s_gen.append(val)
     # S(x1^a1 ... xs^as g^c) = S(g^c) S(xs)^as ... S(x1)^a1
-    S = [[CycloNum.zero(M)] * n for _ in range(n)]
-    for j, (a, c) in enumerate(monos):
+    S = []
+    for a, c in monos:
         acc = {(eng.zero_x, spec.gneg(c)): one}
         for k in range(eng.s - 1, -1, -1):
             for _ in range(a[k]):
                 acc = eng.elem_mul(acc, s_gen[k])
-        for m, coef in acc.items():
-            S[index[m]][j] = coef
+        S.append({index[m]: coef for m, coef in acc.items()})
 
     gls = [{i: one} for i, (a, c) in enumerate(monos) if not any(a)]
     chars = [dense_to_sparse(chi) for chi in solve_characters(spec)]
@@ -529,9 +528,8 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
             for k in range(len(spec.skew_gens) - 1, -1, -1):
                 for _ in range(a[k]):
                     img = target.mul(images_x[k], img)
-            cols.append(sparse_to_dense(img, n, M))
-        A = [[cols[j][i2] for j in range(len(monos))] for i2 in range(n)]
-        f = HopfMorphism(source, target, A)
+            cols.append(img)
+        f = HopfMorphism(source, target, cols)
         if f.rank != source.dim:
             continue
         rep = verify_morphism(f)

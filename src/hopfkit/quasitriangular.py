@@ -21,8 +21,8 @@ from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
 from .invariants import grouplike_census, grouplike_inverse
 from .linalg import (EchelonBasis, Subspace, apply_tensor_columns,
                      compose_columns, dense_to_sparse, identity_columns, image,
-                     outer, sparse_add_into, sparse_columns, sparse_to_dense,
-                     zero_vector)
+                     outer, sparse_add_into, sparse_to_dense,
+                     transpose_columns, zero_vector)
 
 
 @dataclass
@@ -44,26 +44,25 @@ def _tensor_swap(X: dict) -> dict:
 
 
 def f_matrices(H: FinHopf, R: dict):
-    """(f_R, f_R~) as matrices on dual-basis coordinates.
+    """(f_R, f_R~) as sparse columns on dual-basis coordinates.
 
-    f_R(beta) = <beta, R1> R2 and f_R~(beta) = <beta, R2> R1; the
+    f_R(beta_a) = sum_b R_ab e_b and f_R~(beta_b) = sum_a R_ab e_a; the
     transpose-dual relation f_R~ = (f_R)* holds by construction.
     """
-    n, M = H.dim, H.conductor
-    fR = [[CycloNum.zero(M)] * n for _ in range(n)]
-    fRt = [[CycloNum.zero(M)] * n for _ in range(n)]
+    n = H.dim
+    fR: list[dict] = [{} for _ in range(n)]
+    fRt: list[dict] = [{} for _ in range(n)]
     for (a, b), c in R.items():
-        fR[b][a] = fR[b][a] + c
-        fRt[a][b] = fRt[a][b] + c
+        if not c.is_zero():
+            fR[a][b] = c
+            fRt[b][a] = c
     return fR, fRt
 
 
 def f_maps(rm: RMatrixData):
     """(f_R, f_R~) for a verified R; asserts the transpose-dual relation."""
     fR, fRt = f_matrices(rm.host, rm.r_dict())
-    n = rm.host.dim
-    assert all(fRt[i][j] == fR[j][i] for i in range(n) for j in range(n)), \
-        "f_R~ != (f_R)*"
+    assert fRt == transpose_columns(fR, rm.host.dim), "f_R~ != (f_R)*"
     return fR, fRt
 
 
@@ -127,12 +126,12 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     checks.append(CheckResult("QT.5", ok5, None if ok5 else ("QT.5",)))
 
     # R^{-1} = (S (x) id)(R) and (S (x) S)(R) = R
-    sR = apply_tensor_columns(H.scols, identity_columns(n, M), R)
+    sR = apply_tensor_columns(H.antipode, identity_columns(n, M), R)
     unit2 = outer(H.unit_sparse(), H.unit_sparse())
     inv_ok = (H.tensor_mul(sR, R) == unit2 and H.tensor_mul(R, sR) == unit2)
     checks.append(CheckResult("R_inverse_formula", inv_ok,
                               None if inv_ok else ("R_inverse",)))
-    ss_ok = apply_tensor_columns(H.scols, H.scols, R) == R
+    ss_ok = apply_tensor_columns(H.antipode, H.antipode, R) == R
     checks.append(CheckResult("S_tensor_S_fixes_R", ss_ok,
                               None if ss_ok else ("S(x)S",)))
 
@@ -176,7 +175,7 @@ def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
             if not V.contains(sparse_to_dense(H.mul(a, b), n, M)):
                 return False
     # Delta(V) c V (x) H and c H (x) V
-    proj, ident = sparse_columns(V.projection_rows()), identity_columns(n, M)
+    proj, ident = V.projection_columns(), identity_columns(n, M)
     for a in basis:
         dv = H.comult_of(a)
         if (apply_tensor_columns(proj, ident, dv)
@@ -214,7 +213,7 @@ def _drinfeld_u(H: FinHopf, R: dict):
     one = CycloNum.one(M)
     acc: dict = {}
     for (i, j), c in R.items():
-        for k, d in H.mul(H.scols[j], {i: one}).items():
+        for k, d in H.mul(H.antipode[j], {i: one}).items():
             sparse_add_into(acc, k, c * d)
     return sparse_to_dense(acc, n, M)
 
@@ -241,7 +240,7 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
     su = dense_to_sparse(u)
 
     # u^{-1} = R2 S^2(R1)
-    S2 = compose_columns(H.scols, H.scols)
+    S2 = compose_columns(H.antipode, H.antipode)
     acc: dict = {}
     for (i, j), c in R.items():
         for k, d in H.mul({j: one}, S2[i]).items():
@@ -452,12 +451,7 @@ def double_surjection_check(H: FinHopf, rm: RMatrixData, max_dim: int = 9):
     one = CycloNum.one(M)
     R = rm.r_dict()
     fR, _ = f_matrices(H, R)
-    cols = []
-    for fa in sparse_columns(fR):
-        for b in range(n):
-            cols.append(sparse_to_dense(H.mul(fa, {b: one}), n, M))
-    F = [[cols[j][i] for j in range(D.dim)] for i in range(n)]
-    f = HopfMorphism(D, H, F)
+    f = HopfMorphism(D, H, [H.mul(fa, {b: one}) for fa in fR for b in range(n)])
     rep = verify_morphism(f)
     central_ok = all(D.is_central(v) for v in D.claims.central_grouplikes)
     return f, rep, central_ok

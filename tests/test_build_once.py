@@ -50,7 +50,7 @@ def _corrupt(H, part, rng):
     one = CycloNum.one(M)
     mult, comult = H.mult, H.comult
     unit, counit = list(H.unit), list(H.counit)
-    S = [list(r) for r in H.antipode]
+    S = [dict(col) for col in H.antipode]
     if part in ("mult", "comult"):
         t = dict((mult if part == "mult" else comult).entries)
         key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
@@ -67,7 +67,7 @@ def _corrupt(H, part, rng):
         v[i] = v[i] + one
     else:
         i, j = rng.randrange(n), rng.randrange(n)
-        S[i][j] = S[i][j] + one
+        S[j][i] = S[j].get(i, CycloNum.zero(M)) + one
     return FinHopf(n, M, mult, unit, comult, counit, S, label=f"{H.label}:{part}")
 
 

@@ -81,10 +81,9 @@ def relabel(H, seed):
     for i in range(n):
         unit[sigma[i]] = H.unit[i] * q(1 / lam[i])
         counit[sigma[i]] = H.counit[i] * q(lam[i])
-    S = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for j in range(n):
-            S[sigma[a]][sigma[j]] = H.antipode[a][j] * q(lam[j] / lam[a])
+    S = [None] * n
+    for j, col in enumerate(H.antipode):
+        S[sigma[j]] = {sigma[a]: c * q(lam[j] / lam[a]) for a, c in col.items()}
     # a group-like v = sum v_i e_i has v'_{sigma(i)} = v_i / lam_i; a
     # character beta has beta'_{sigma(i)} = beta(lam_i e_i)
     grouplikes = [{sigma[i]: c * q(1 / lam[i]) for i, c in g.items()}

@@ -231,11 +231,11 @@ def test_isomorphic_pairs_share_fingerprints(book1):
 def test_dual_book_fixture_inverse_direction(book1):
     # the stored fixture goes h(q,m) -> h(q,-m)*; its matrix inverse is the
     # asserted isomorphism h(q,-m)* -> h(q,m)
-    from hopfkit.linalg import mat_inverse
-    key, mat = next(f for f in book1.iso_fixtures
-                    if f[0][0] == "dual_book")
+    from hopfkit.linalg import dense_rows, mat_inverse, sparse_columns
+    key, cols = next(f for f in book1.iso_fixtures
+                     if f[0][0] == "dual_book")
     target = resolve_fixture_target(key, conductor=M)
-    inv = mat_inverse([list(r) for r in mat], M)
+    inv = mat_inverse(dense_rows(cols, book1.dim, M), M)
     assert inv is not None
-    rep = verify_morphism(HopfMorphism(target, book1, inv))
+    rep = verify_morphism(HopfMorphism(target, book1, sparse_columns(inv)))
     assert rep.ok and rep.bijective

@@ -1,5 +1,6 @@
-"""verify_hopf, the integrals, QT.1 and is_central checked on a generating
-set X, against the sweeps over all basis pairs and triples that they replace.
+"""verify_hopf, the integrals, QT.1, is_central and the algebra-map check of
+verify_morphism checked on a generating set X, against the sweeps over all
+basis pairs and triples that they replace.
 
 Each report entry (name, verdict, first failing index) must be the one the
 full sweeps give: on the p = 3 corpus, on D(taft), on seeded relabelled and
@@ -10,13 +11,13 @@ structure map of taft, u_q(sl2) and D(taft).
 import random
 from fractions import Fraction
 
-from hopfkit.constructors import standard_constructors
+from hopfkit.constructors import resolve_fixture_target, standard_constructors
 from hopfkit.cyclo import CycloNum
-from hopfkit.hopf import FinHopf, verify_hopf
+from hopfkit.hopf import FinHopf, HopfMorphism, op_cop, verify_hopf, verify_morphism
 from hopfkit.invariants import _integral_conditions, integrals
 from hopfkit.linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
                             outer, sparse_add_into)
-from hopfkit.quasitriangular import _tensor_swap, verify_qt
+from hopfkit.quasitriangular import _tensor_swap, f_matrices, verify_qt
 
 PARTS = ("mult", "comult", "unit", "counit", "antipode")
 
@@ -137,7 +138,7 @@ def oracle_verify(H):
 
     fail_l = None
     fail_r = None
-    S = H.scols
+    S = H.antipode
     for i in range(n):
         left: dict = {}
         right: dict = {}
@@ -189,10 +190,9 @@ def relabel(H, rng, rescale):
     for i in range(n):
         unit[sigma[i]] = H.unit[i] * q(1 / lam[i])
         counit[sigma[i]] = H.counit[i] * q(lam[i])
-    S = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for j in range(n):
-            S[sigma[a]][sigma[j]] = H.antipode[a][j] * q(lam[j] / lam[a])
+    S = [None] * n
+    for j, col in enumerate(H.antipode):
+        S[sigma[j]] = {sigma[a]: c * q(lam[j] / lam[a]) for a, c in col.items()}
     return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
                    SparseTensor3.from_dict((n, n, n), comult), counit, S,
                    label=f"{H.label}:relabelled")
@@ -204,7 +204,7 @@ def corrupt(H, part, rng):
     one = CycloNum.one(M)
     mult, comult = H.mult, H.comult
     unit, counit = list(H.unit), list(H.counit)
-    S = [list(r) for r in H.antipode]
+    S = [dict(col) for col in H.antipode]
     if part in ("mult", "comult"):
         t = dict((mult if part == "mult" else comult).entries)
         key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
@@ -220,7 +220,7 @@ def corrupt(H, part, rng):
         v[i] = v[i] + one
     else:
         i, j = rng.randrange(n), rng.randrange(n)
-        S[i][j] = S[i][j] + one
+        S[j][i] = S[j].get(i, CycloNum.zero(M)) + one
     return FinHopf(n, M, mult, unit, comult, counit, S, label=f"{H.label}:{part}")
 
 
@@ -337,3 +337,56 @@ def test_is_central_matches_the_basis_loop(corpus3, double_taft, uq_rmatrix):
     # central and non-central inputs, both on u_q (u is not central, u S(u)
     # is) and on the other hosts
     assert {(True, True), (False, True), (True, False), (False, False)} <= verdicts
+
+
+def test_morphism_algebra_check_matches_the_full_sweep(corpus3, double_taft, taft3,
+                                                        z3_bichar, z3z3_bichar,
+                                                        uq_rmatrix):
+    def algebra_map_oracle(f):
+        Hs, Ht = f.source, f.target
+        if f.apply(Hs.unit_sparse()) != Ht.unit_sparse():
+            return ("unit",)
+        for i in range(Hs.dim):
+            for j in range(Hs.dim):
+                if f.apply(dict(Hs.mrows[i][j])) != Ht.mul(f.cols[i], f.cols[j]):
+                    return (i, j)
+        return None
+
+    maps = []
+    # the paper's isomorphism fixtures, and seeded one-entry corruptions
+    rng = random.Random(5)
+    for H in corpus3.values():
+        for key, cols in H.iso_fixtures:
+            T = resolve_fixture_target(key, conductor=H.conductor)
+            maps.append(HopfMorphism(H, T, cols))
+            bad = [dict(c) for c in cols]
+            j, i = rng.randrange(H.dim), rng.randrange(T.dim)
+            bad[j][i] = bad[j].get(i, CycloNum.zero(H.conductor)) + CycloNum.one(H.conductor)
+            maps.append(HopfMorphism(H, T, bad))
+    # f_R : H*^cop -> H of the quasitriangular hosts
+    hosts = [*z3_bichar[1], *z3z3_bichar[1], uq_rmatrix[1]]
+    for rm in hosts:
+        H = rm.host
+        fR, _ = f_matrices(H, rm.r_dict())
+        maps.append(HopfMorphism(op_cop(H.dual_cached(), "cop"), H, fR))
+    # D(taft) -> taft, beta # h -> beta(1) h, and taft -> D(taft), h -> eps # h
+    n = taft3.dim
+    down = [{b: taft3.unit[a]} if not taft3.unit[a].is_zero() else {}
+            for a in range(n) for b in range(n)]
+    maps.append(HopfMorphism(double_taft, taft3, down))
+    up = [{a * n + b: c for a, c in enumerate(taft3.counit) if not c.is_zero()}
+          for b in range(n)]
+    maps.append(HopfMorphism(taft3, double_taft, up))
+    # the broken map of k[Z/3]: g -> g, g^2 -> g
+    kz3 = standard_constructors("group_algebra", 3, group="z3", conductor=9)
+    one = CycloNum.one(9)
+    maps.append(HopfMorphism(kz3, kz3, [{0: one}, {1: one}, {1: one}]))
+
+    verdicts = set()
+    for f in maps:
+        check = verify_morphism(f).checks[0]
+        want = algebra_map_oracle(f)
+        assert check.name == "algebra_map"
+        assert (check.ok, check.first_failure) == (want is None, want), f
+        verdicts.add(check.ok)
+    assert verdicts == {True, False}

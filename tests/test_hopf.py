@@ -8,7 +8,7 @@ from hopfkit.hopf import (FinHopf, HopfMorphism, coinvariants, dual,
                           tensor, trivial_hopf, verify_hopf, verify_morphism)
 from hopfkit.errors import ConductorMismatch, NotAHopfIdeal
 from hopfkit.invariants import fingerprint, grouplike_census
-from hopfkit.linalg import zero_vector
+from hopfkit.linalg import sparse_columns, zero_vector
 
 M = 9
 
@@ -30,7 +30,7 @@ def test_broken_antipode_detected():
     one = CycloNum.one(M)
     z = CycloNum.zero(M)
     ident = [[one if i == j else z for j in range(3)] for i in range(3)]
-    bad = FinHopf(3, M, H.mult, H.unit, H.comult, H.counit, ident)
+    bad = FinHopf(3, M, H.mult, H.unit, H.comult, H.counit, sparse_columns(ident))
     rep = verify_hopf(bad)
     assert not rep.ok
     names = {c.name for c in rep.failures}
@@ -87,23 +87,25 @@ def test_morphisms():
     H = kz3()
     r = verify_morphism(identity_morphism(H))
     assert r.ok and r.bijective
-    eps = HopfMorphism(H, trivial_hopf(M), [list(H.counit)])
+    eps = HopfMorphism(H, trivial_hopf(M), sparse_columns([list(H.counit)]))
     r = verify_morphism(eps)
     assert r.ok and r.surjective and not r.injective
     # inversion g -> g^2 is a Hopf automorphism of an abelian group algebra
     one = CycloNum.one(M)
     z = CycloNum.zero(M)
-    inv = verify_morphism(HopfMorphism(H, H, [[one, z, z], [z, z, one], [z, one, z]]))
+    inv = verify_morphism(HopfMorphism(
+        H, H, sparse_columns([[one, z, z], [z, z, one], [z, one, z]])))
     assert inv.ok and inv.bijective
     # g -> g, g^2 -> g is not an algebra map
-    bad = verify_morphism(HopfMorphism(H, H, [[one, z, z], [z, one, one], [z, z, z]]))
+    bad = verify_morphism(HopfMorphism(
+        H, H, sparse_columns([[one, z, z], [z, one, one], [z, z, z]])))
     assert not bad.ok
 
 
 def test_coinvariants_identity_and_counit():
     H = kz3()
     assert coinvariants(identity_morphism(H)).dim == 1
-    eps = HopfMorphism(H, trivial_hopf(M), [list(H.counit)])
+    eps = HopfMorphism(H, trivial_hopf(M), sparse_columns([list(H.counit)]))
     assert coinvariants(eps).dim == 3
 
 
@@ -117,7 +119,7 @@ def test_coinvariants_that_projection():
     for j, (a, c) in enumerate(monos):
         if a == (0,):
             mat[c[0] % 3][j] = CycloNum.one(M)
-    pi = HopfMorphism(H, B, mat)
+    pi = HopfMorphism(H, B, sparse_columns(mat))
     assert verify_morphism(pi).ok
     assert coinvariants(pi).dim == 9
 

@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
 from hopfkit.constructors import standard_constructors
+from hopfkit.cyclo import CycloNum
 from hopfkit.errors import ParseError, VerificationFailed
+from hopfkit.hopf import embed_hopf, op_cop, quotient_by_hopf_ideal
 from hopfkit.hopffile import dumps, export_hopf, import_hopf, loads
 from hopfkit.invariants import fingerprint
+from hopfkit.linalg import sparse_to_dense
 
 
 def same_structure(A, B):
@@ -87,3 +91,99 @@ def test_large_conductor_is_a_parse_error(taft3, monkeypatch):
     with pytest.raises(ParseError) as exc:
         loads(json.dumps(obj))
     assert "20011" in str(exc.value)
+
+
+# sha256 of `dumps` per constructor, recorded when the antipode, the morphisms
+# and the fixtures were first held as sparse columns: the .hopf bytes (dense
+# rows) must not change with the in-memory representation.
+EXPORT_SHA256 = {
+    'k[Z/27]':
+        "f1783e0279b2048757a2419406ed729375a822dba491018444e74706158a4b51",
+    'k[Z/9 x Z/3]':
+        "cb51c9759884492bc06399ba1eebeea98ad3848d558d5a70dc7cd77d06611c61",
+    'k[Z/3 x Z/3 x Z/3]':
+        "77a2f3f688e3e05a5548030034313281e88db5ce61995baa78b9aafb83a55626",
+    'k[Heis(3)]':
+        "822b9d6057354b36bda4aa28f018db1dc3a6f35c6654c042d779e81cb38850ca",
+    'k[Z/9 : Z/3]':
+        "9608e8b3d25ae05e8989c371068434dd02fb9ffdb1a1286f2b01baae6518178e",
+    'dual(k[Heis(3)])':
+        "0f0410af4a22194fa43409076ba8b707db23ecc92e8d3bb82dbf3daf63cd49a4",
+    'dual(k[Z/9 : Z/3])':
+        "26f0bd315554fa68c5337e490d873d64f2a4998d6c351d1f75b9736b869377ce",
+    'taft(p=3,e=1)':
+        "edf2c630b2e62375a452b1c4398298baed01107b3be2f6160d764d97349a97c4",
+    'taft_tensor(p=3,e=1)':
+        "904c735396679074d7ab1360c1bf4ceb8b3aec346cdf1b551033061c1dde5096",
+    'ttilde(p=3,e=1,root=0)':
+        "39178a190c6d7c42f02d476ceda88e3cc27f8a4244227ad39368a99266a725dd",
+    'that(p=3,e=1)':
+        "1db42183b80865520d10e0243938b077fad25f17ed3a889aa1bd6516c303e5bd",
+    'r(p=3,e=1)':
+        "24b05bd9d6a75f81e1ac86055fb411c9ba434a9300b84a519ae228b59d240285",
+    'uq_sl2(p=3,e=1)':
+        "2b50f2f2eb5c4aecc8bb458641f3f1bae72fed50e4409eeb09bdf2db530df58c",
+    'book(p=3,e=1,m=1)':
+        "63d1e4c7225ee09af236aa57fc9a957c270f69f10aa24053279f07d4ea6428a3",
+    'book(p=3,e=1,m=2)':
+        "3311da3c88c384e02272ffd2eb7e89d8e73f9b46b7c09b33342b79ad8b20f989",
+    'dual(uq_sl2(p=3,e=1))':
+        "85b9134af458a40d255018b2be11eca9b418f90829dd065eda50c8e9b1bbe193",
+    'dual(r(p=3,e=1))':
+        "4c573ef711effab3c407da5a8a2c7cee80651d731314388d4f895f9148e64afd",
+    'dual(book)':
+        "2e6aaead07fec691cf80910e224285430939d5ba6f308e6b2b5c66ff7cab3a21",
+    'op(book)':
+        "79a54c34f3fb7cd26629bfc9ae4aa80239958da22c4b6f6536b8d6305fc531f1",
+    'cop(book)':
+        "88a39f74769f13065903faec2cd4596591aae032d3797d86dd56b3878e544874",
+    'D(taft)':
+        "7b8d251b0f350bbb411ccc5231a75cd6d2880c78e9194ec80f8e672a36033c99",
+    'quotient':
+        "42d73c3b2d89245ac62d51383342efb338c55a5105a71b2ef536bcbe98c15ecb",
+    'embed(book,18)':
+        "89316b86c892a9fa085f6d1e32bb7cbb1add3630b5e78a8fd210cbd1e2d2b241",
+}
+
+
+def _export_subject(name, corpus3, book1, double_taft):
+    if name in corpus3:
+        return corpus3[name]
+    if name == "dual(book)":
+        return book1.dual_cached()
+    if name in ("op(book)", "cop(book)"):
+        return op_cop(book1, name[:-len("(book)")])
+    if name == "D(taft)":
+        return double_taft
+    if name == "embed(book,18)":
+        return embed_hopf(book1, 18)
+    # k[Z/9 x Z/3] modulo g^3 - 1 for the generator g of Z/9
+    G = standard_constructors("group_algebra", 3, group="z9xz3")
+    one = CycloNum.one(G.conductor)
+    Q, _ = quotient_by_hopf_ideal(G, [sparse_to_dense({9: one, 0: -one}, 27,
+                                                      G.conductor)])
+    return Q
+
+
+@pytest.mark.parametrize("name", list(EXPORT_SHA256))
+def test_export_bytes_are_pinned(name, corpus3, book1, double_taft):
+    H = _export_subject(name, corpus3, book1, double_taft)
+    digest = hashlib.sha256(dumps(H).encode("utf-8")).hexdigest()
+    assert digest == EXPORT_SHA256[name]
+
+
+def test_large_dim_is_a_parse_error(taft3, monkeypatch):
+    # The gate must fire before any coefficient is parsed: the dense antipode
+    # of the file alone is dim^2 values.  The antipode has as many rows as
+    # the dim claims, so only the gate stops the parse.
+    from hopfkit import hopffile
+
+    def no_parse(M, s):
+        raise AssertionError("parsed a coefficient")
+    monkeypatch.setattr(hopffile, "cparse", no_parse)
+    obj = json.loads(dumps(taft3))
+    obj["dim"] = 4097
+    obj["antipode"] = [[]] * 4097
+    with pytest.raises(ParseError) as exc:
+        hopffile.from_obj(obj)
+    assert str(exc.value) == "dim 4097 exceeds 4096"

@@ -6,7 +6,7 @@ from hopfkit.errors import FieldTooSmall
 from hopfkit.groups import cyclic
 from hopfkit.hopf import op_cop
 from hopfkit.invariants import semisimplicity
-from hopfkit.linalg import dense_to_sparse, sparse_to_dense
+from hopfkit.linalg import dense_rows, dense_to_sparse, sparse_to_dense
 from hopfkit.quasitriangular import (bicharacter_rmatrices, double_surjection_check,
                                      drinfeld_element, f_matrices, ribbon_search,
                                      uq_standard_rmatrix, verify_qt)
@@ -65,8 +65,8 @@ def test_field_too_small_for_bicharacters():
 def test_f_matrices_transpose_relation(z3_bichar):
     H, rms = z3_bichar
     for rm in rms:
-        fR, fRt = f_matrices(H, rm.r_dict())
         n = H.dim
+        fR, fRt = (dense_rows(f, n, M) for f in f_matrices(H, rm.r_dict()))
         assert all(fRt[i][j] == fR[j][i] for i in range(n) for j in range(n))
 
 
@@ -93,7 +93,7 @@ def test_uq_modular_image_under_f_r(uq_rmatrix):
     Hu, rm = uq_rmatrix
     mod = modular_elements(Hu)
     assert list(mod.alpha) == list(Hu.counit)
-    fR, _ = f_matrices(Hu, rm.r_dict())
+    fR = dense_rows(f_matrices(Hu, rm.r_dict())[0], 27, M)
     img: dict = {}
     for a, c in enumerate(mod.alpha):
         if not c.is_zero():
@@ -224,7 +224,7 @@ def test_uq_is_central_quotient_of_taft_double(double_taft, taft3, uq3):
     assert Q.dim == 27
     RD = _canonical_double_r(taft3, double_taft)
     RQ = {}
-    A = proj.matrix
+    A = dense_rows(proj.cols, Q.dim, M)
     for (I, J), c in RD.items():
         for i2 in range(Q.dim):
             if A[i2][I].is_zero():

@@ -1,7 +1,8 @@
 """The sparse-column view of linear maps against the dense matrix products
 it replaced: the antipode order, Tr S^2, Radford's S^4 formula and the
 Drinfeld element, on the p = 3 corpus, its opposites (antipode S^{-1})
-and D(taft)."""
+and D(taft); the zero-free column invariant of every stored map; and the
+projected quotient multiplication against reduction modulo the ideal."""
 
 import random
 
@@ -9,14 +10,17 @@ import pytest
 
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import BoundExceeded
-from hopfkit.hopf import FinHopf, op_cop
+from hopfkit.constructors import resolve_fixture_target, standard_constructors
+from hopfkit.hopf import FinHopf, op_cop, quotient_by_hopf_ideal
 from hopfkit.invariants import (antipode_order, grouplike_inverse,
                                 modular_elements, radford_s4_check,
                                 semisimplicity)
-from hopfkit.linalg import (SparseTensor3, apply_columns, compose_columns,
-                            dense_to_sparse, identity_matrix, mat_eq, mat_mul,
-                            mat_trace, mat_vec, outer, sparse_add_into,
-                            sparse_columns, sparse_to_dense)
+from hopfkit.linalg import (SparseTensor3, apply_columns,
+                            compose_columns, dense_rows, dense_to_sparse,
+                            identity_matrix, ideal_closure, mat_eq, mat_mul,
+                            mat_trace, mat_vec, outer, quotient_mult,
+                            sparse_add_into, sparse_columns, sparse_to_dense)
+from hopfkit.presentations import find_embedding
 from hopfkit.quasitriangular import drinfeld_element, verify_qt
 
 M = 9
@@ -25,7 +29,7 @@ M = 9
 def dense_powers(H):
     """[S, S^2, ...] by dense mat_mul, up to S^(ord S) and at least S^4."""
     n = H.dim
-    S = [list(r) for r in H.antipode]
+    S = dense_rows(H.antipode, n, H.conductor)
     ident = identity_matrix(n, H.conductor)
     powers = [S]
     while len(powers) < 4 or not any(mat_eq(P, ident) for P in powers):
@@ -44,12 +48,13 @@ def dense_radford(H, S4):
     n = H.dim
     mod = modular_elements(H)
     alpha = list(mod.alpha)
+    S = dense_rows(H.antipode, n, H.conductor)
     alpha_inv = []
     for j in range(n):
         acc = CycloNum.zero(H.conductor)
         for a in range(n):
-            if not H.antipode[a][j].is_zero():
-                acc = acc + alpha[a] * H.antipode[a][j]
+            if not S[a][j].is_zero():
+                acc = acc + alpha[a] * S[a][j]
         alpha_inv.append(acc)
     g = dense_to_sparse(list(mod.g))
     g_inv = grouplike_inverse(H, g)
@@ -101,7 +106,7 @@ def test_order_trace_and_powers_match_dense_products(family):
         powers = dense_powers(H)
         assert antipode_order(H) == dense_order(powers), H.label
         assert semisimplicity(H).trace_s2 == mat_trace(powers[1]), H.label
-        S2 = compose_columns(H.scols, H.scols)
+        S2 = compose_columns(H.antipode, H.antipode)
         assert S2 == sparse_columns(powers[1]), H.label
         assert compose_columns(S2, S2) == sparse_columns(powers[3]), H.label
 
@@ -175,6 +180,70 @@ def test_antipode_order_bound_exceeded():
         (2, 2, 2), {(i, j, (i + j) % 2): one for i in range(2) for j in range(2)})
     comult = SparseTensor3.from_dict((2, 2, 2), {(i, i, i): one for i in range(2)})
     H = FinHopf(2, 3, mult, (one, zero), comult, (one, one),
-                ((two, zero), (zero, one)))
+                sparse_columns(((two, zero), (zero, one))))
     with pytest.raises(BoundExceeded):
         antipode_order(H)
+
+
+def zero_free(cols, n):
+    return len(cols) == n and all(not c.is_zero() for col in cols
+                                  for c in col.values())
+
+
+def test_stored_maps_are_zero_free_columns(corpus3, double_taft, taft3):
+    for H in (*corpus3.values(), double_taft):
+        assert zero_free(H.antipode, H.dim), H.label
+        assert zero_free(H.antipode_inv, H.dim), H.label
+        for key, cols in H.iso_fixtures:
+            assert zero_free(cols, H.dim), (H.label, key)
+    t0 = standard_constructors("ttilde", 3, 1, root=0)
+    f = find_embedding(t0, resolve_fixture_target(("ttilde", 3, 1, 1)))
+    assert zero_free(f.cols, t0.dim)
+    G = standard_constructors("group_algebra", 3, group="z9xz3")
+    one = CycloNum.one(G.conductor)
+    Q, pi = quotient_by_hopf_ideal(G, [sparse_to_dense({9: one, 0: -one}, 27,
+                                                       G.conductor)])
+    assert Q.dim == 9 and zero_free(pi.cols, G.dim) and zero_free(Q.antipode, 9)
+    # explicit zeros in the given columns are dropped: the same algebra
+    for H in (taft3, corpus3["k[Z/27]"]):
+        zero, one = CycloNum.zero(H.conductor), CycloNum.one(H.conductor)
+        padded = [{i: col.get(i, zero) for i in range(H.dim)}
+                  for col in H.antipode]
+        P = FinHopf(H.dim, H.conductor, H.mult, H.unit, H.comult, H.counit,
+                    padded)
+        assert P.antipode == H.antipode, H.label
+        assert antipode_order(P) == antipode_order(H), H.label
+        for j in range(H.dim):
+            v = {j: one, (j + 1) % H.dim: -one}
+            assert P.antipode_of(v) == H.antipode_of(v), H.label
+
+
+def test_quotient_mult_matches_reduction(corpus3, taft3):
+    """Coordinate c of reduce(v) is (P v)[c]: the projected products equal
+    the reduced ones that the dense quotient built."""
+    ideals = [(H, H.radical) for H in corpus3.values() if H.radical.dim]
+    G = corpus3["k[Z/9 x Z/3]"]
+    one = CycloNum.one(G.conductor)
+    ideals.append((G, ideal_closure(G.mrows, 27, G.conductor, [sparse_to_dense(
+        {9: one, 0: -one}, 27, G.conductor)])))
+    assert len(ideals) >= 10
+    for H, I in ideals:
+        n, M = H.dim, H.conductor
+        one = CycloNum.one(M)
+        coords = I.complement_coords()
+        proj = I.projection_columns()
+        for j in range(n):
+            red = I.reduce(sparse_to_dense({j: one}, n, M))
+            assert proj[j] == {t: red[c] for t, c in enumerate(coords)
+                               if not red[c].is_zero()}, (H.label, j)
+        want = {}
+        for a, ca in enumerate(coords):
+            for b, cb in enumerate(coords):
+                prod = sparse_to_dense(H.mul({ca: one}, {cb: one}), n, M)
+                red = I.reduce(prod)
+                for t, c in enumerate(coords):
+                    if not red[c].is_zero():
+                        want[(a, b, t)] = red[c]
+        q = len(coords)
+        assert quotient_mult(H.mrows, I, proj) == SparseTensor3.from_dict(
+            (q, q, q), want), H.label

@@ -20,7 +20,7 @@ from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
                    verify_hopf)
 from .linalg import (SparseTensor3, apply_columns, dense_to_sparse,
                      identity_columns, mult_vectors, outer, sparse_add_into,
-                     sparse_columns, zero_vector)
+                     sparse_columns, transpose_columns, zero_vector)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
@@ -494,9 +494,8 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
     eps = list(H.counit)
     u_s = H.unit_sparse()
     Dr = mult_t.rows_ij()
-    # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j), row a of S^{-1},
-    # which is column a of (S^*)^{-1}, the inverse antipode of H*
-    sinv_rows = H.dual_cached().antipode_inv
+    # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j), row a of S^{-1}
+    sinv_rows = transpose_columns(sinv_cols, n)
     for a in range(n):
         sb = sinv_rows[a]
         for b in range(n):

@@ -444,6 +444,11 @@ def sparse_columns(A) -> list[dict]:
     return cols
 
 
+def zero_free_columns(cols) -> tuple[dict, ...]:
+    """`cols` with zero coefficients dropped, so equal maps have equal columns."""
+    return tuple({i: c for i, c in col.items() if not c.is_zero()} for col in cols)
+
+
 def identity_columns(n: int, M: int) -> list[dict]:
     one = CycloNum.one(M)
     return [{j: one} for j in range(n)]

@@ -1,7 +1,8 @@
 """The sparse-column view of linear maps against the dense matrix products
 it replaced: the antipode order, Tr S^2, Radford's S^4 formula and the
 Drinfeld element, on the p = 3 corpus, its opposites (antipode S^{-1})
-and D(taft); the zero-free column invariant of every stored map; and the
+and D(taft); the zero-free column invariant of every stored map and
+morphism; and the
 projected quotient multiplication against reduction modulo the ideal."""
 
 import random
@@ -11,7 +12,8 @@ import pytest
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import BoundExceeded
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
-from hopfkit.hopf import FinHopf, op_cop, quotient_by_hopf_ideal
+from hopfkit.hopf import (FinHopf, HopfMorphism, identity_morphism, op_cop,
+                          quotient_by_hopf_ideal, verify_morphism)
 from hopfkit.invariants import (antipode_order, grouplike_inverse,
                                 modular_elements, radford_s4_check,
                                 semisimplicity)
@@ -216,6 +218,20 @@ def test_stored_maps_are_zero_free_columns(corpus3, double_taft, taft3):
         for j in range(H.dim):
             v = {j: one, (j + 1) % H.dim: -one}
             assert P.antipode_of(v) == H.antipode_of(v), H.label
+    # and by a morphism, so a valid map given explicit zeros still verifies
+    book = corpus3["book(p=3,e=1,m=1)"]
+    key, cols = book.iso_fixtures[0]
+    for Hs, Ht, cols in (
+            (taft3, taft3, identity_morphism(taft3).cols),
+            (book, resolve_fixture_target(key, conductor=book.conductor), cols)):
+        zero = CycloNum.zero(Hs.conductor)
+        padded = [{**col, (j + 1) % Ht.dim: col.get((j + 1) % Ht.dim, zero)}
+                  for j, col in enumerate(cols)]
+        assert any(c.is_zero() for col in padded for c in col.values())
+        f = HopfMorphism(Hs, Ht, padded)
+        assert f.cols == tuple(cols)
+        rep = verify_morphism(f)
+        assert rep.ok and rep.bijective, [c for c in rep.checks if not c.ok]
 
 
 def test_quotient_mult_matches_reduction(corpus3, taft3):

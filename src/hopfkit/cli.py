@@ -19,7 +19,7 @@ from .invariants import (coradical_filtration, fingerprint, grouplike_census,
                          characters_census, integrals, is_unimodular,
                          pairing_table, radford_s4_check, semisimplicity,
                          trace_formula_check)
-from .linalg import dense_to_sparse, outer
+from .linalg import dense_to_sparse, outer, sparse_to_dense
 
 CONSTRUCTOR_NAMES = (
     "group_algebra", "dual_group_algebra", "taft", "taft_tensor", "ttilde",
@@ -80,7 +80,7 @@ def _report_lines(H: FinHopf, which: str, seed: int, rmat: dict | None):
     if which in ("all", "fingerprint"):
         lines.append("fingerprint: " + fingerprint(H).line())
     if which in ("all", "integrals"):
-        eps_lam = H.counit_of(dense_to_sparse(list(integrals(H).left_integral)))
+        eps_lam = H.counit_of(integrals(H).left_integral)
         ss = semisimplicity(H)
         lines.append(f"epsLambda={render(eps_lam)}")
         lines.append(f"TrS2={render(ss.trace_s2)}")
@@ -214,7 +214,10 @@ def cmd_quotient(args) -> int:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad generator file: {exc}") from exc
     gens = [[cparse(H.conductor, s) for s in row] for row in gens_raw]
-    Q, proj = quotient_by_hopf_ideal(H, gens)
+    if any(len(g) != H.dim for g in gens):
+        raise ParseError(
+            f"bad generator file: each generator needs {H.dim} coefficients")
+    Q, proj = quotient_by_hopf_ideal(H, [dense_to_sparse(g) for g in gens])
     rep = verify_hopf(Q)
     if not rep.ok:
         raise VerificationFailed("quotient failed verification")
@@ -258,7 +261,8 @@ def cmd_ribbon(args) -> int:
     rc = ribbon_search(rm)
     print(f"ribbon_count={len(rc.ribbon_elements)}")
     for v in rc.ribbon_elements:
-        print("ribbon=[" + ", ".join(render(c) for c in v) + "]")
+        dense = sparse_to_dense(v, H.dim, H.conductor)
+        print("ribbon=[" + ", ".join(render(c) for c in dense) + "]")
     return 0
 
 

@@ -20,7 +20,7 @@ from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
                    verify_hopf)
 from .linalg import (SparseTensor3, apply_columns, dense_to_sparse,
                      identity_columns, mult_vectors, outer, sparse_add_into,
-                     sparse_columns, transpose_columns, zero_vector)
+                     sparse_columns, transpose_columns)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
@@ -371,7 +371,7 @@ def crossed_product(data: CrossedProductData) -> tuple[SparseTensor3, tuple]:
                         rows, {a: one}, mult_vectors(rows, data.action[i][c], s_ij))
                     for k, coef in prod.items():
                         sparse_add_into(mult, (ix(a, i), ix(c, j), ix(k, (i + j) % mg)), coef)
-    unit = zero_vector(n, M)
+    unit = [CycloNum.zero(M)] * n
     for a, c in enumerate(data.A_unit):
         unit[ix(a, 0)] = c
     t = SparseTensor3.from_dict((n, n, n), mult)
@@ -473,13 +473,13 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
                 key = (ix(a, b), ix(k2, p), ix(j, q2))
                 sparse_add_into(comult, key, cc * dd)
 
-    unit = zero_vector(nD, M)
+    unit = [CycloNum.zero(M)] * nD
     for a in range(n):
         if not H.counit[a].is_zero():
             for b in range(n):
                 if not H.unit[b].is_zero():
                     unit[ix(a, b)] = H.counit[a] * H.unit[b]
-    counit = zero_vector(nD, M)
+    counit = [CycloNum.zero(M)] * nD
     for a in range(n):
         if not H.unit[a].is_zero():
             for b in range(n):

@@ -149,10 +149,13 @@ def _gcd_list(nums, den: int) -> int:
     return g
 
 
+# Values are interned and products and inverses memoised, each table up to
+# _CACHE_CAP entries; past it new results are computed but not stored, which
+# is safe because equality and hashing compare fields, not identity.
 _INTERN: dict[tuple, "CycloNum"] = {}
 _MUL_CACHE: dict[tuple, "CycloNum"] = {}
 _INV_CACHE: dict["CycloNum", "CycloNum"] = {}
-_MUL_CACHE_CAP = 1 << 20
+_CACHE_CAP = 1 << 20
 
 
 class CycloNum:
@@ -170,7 +173,8 @@ class CycloNum:
             obj.num = num
             obj.den = den
             obj._hash = hash(key)
-            _INTERN[key] = obj
+            if len(_INTERN) < _CACHE_CAP:
+                _INTERN[key] = obj
         return obj
 
     # -- constructors ---------------------------------------------------------
@@ -277,7 +281,7 @@ class CycloNum:
                     if row[i]:
                         res[i] += c * row[i]
         out = CycloNum.make(self.M, res, self.den * other.den)
-        if len(_MUL_CACHE) < _MUL_CACHE_CAP:
+        if len(_MUL_CACHE) < _CACHE_CAP:
             _MUL_CACHE[key] = out
         return out
 
@@ -313,7 +317,8 @@ class CycloNum:
             den = den * f.denominator // gcd(den, f.denominator)
         ints = [int(f * den) for f in nums]
         inv = CycloNum.make(self.M, ints, den)
-        _INV_CACHE[self] = inv
+        if len(_INV_CACHE) < _CACHE_CAP:
+            _INV_CACHE[self] = inv
         return inv
 
     def __truediv__(self, other: "CycloNum") -> "CycloNum":

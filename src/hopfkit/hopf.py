@@ -37,12 +37,10 @@ from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
 from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
                      apply_columns, apply_tensor_columns,
-                     commutative_quotient_dim, dense_rows, dense_to_sparse,
-                     identity_columns, ideal_closure, image,
-                     intersect_kernels, mat_inverse, mult_vectors, outer,
-                     quotient_by_radical, quotient_mult, sparse_add_into,
-                     sparse_columns, sparse_to_dense, transpose_columns,
-                     unit_vector, vec_is_zero, zero_free_columns)
+                     commutative_quotient_dim, identity_columns,
+                     ideal_closure, image, intersect_kernels, mat_inverse,
+                     mult_vectors, outer, quotient_by_radical, quotient_mult,
+                     sparse_add_into, transpose_columns, zero_free_columns)
 
 
 def _frozen(self, name, *value):
@@ -121,11 +119,10 @@ class FinHopf:
     def antipode_inv(self) -> list[dict]:
         """S^{-1} as sparse columns."""
         def make():
-            M = self.conductor
-            r = mat_inverse(dense_rows(self.antipode, self.dim, M), M)
+            r = mat_inverse(self.antipode, self.conductor)
             if r is None:
                 raise AntipodeNotInvertible(self.label or "antipode matrix is singular")
-            return sparse_columns(r)
+            return r
         return self.memo("sinv", make)
 
     @property
@@ -165,7 +162,7 @@ class FinHopf:
         (x 1 = x puts every x in X into the span).
         """
         return self.memo("generators", lambda: _krylov_generators(
-            self.mrows, self.unit, self.conductor))
+            self.mrows, self.unit_sparse(), self.conductor))
 
     @property
     def iso_fixtures(self) -> tuple:
@@ -206,7 +203,8 @@ class FinHopf:
         return apply_columns(self.antipode, v)
 
     def unit_sparse(self) -> dict:
-        return dense_to_sparse(self.unit)
+        """The unit, a dense field, as a fresh sparse vector."""
+        return {i: c for i, c in enumerate(self.unit) if not c.is_zero()}
 
     def tensor_mul(self, X: dict, Y: dict) -> dict:
         """Product of sparse elements of H (x) H."""
@@ -256,26 +254,26 @@ class FinHopf:
         return f"FinHopf({self.label or 'unnamed'}, dim={self.dim}, M={self.conductor})"
 
 
-def _krylov_generators(mrows, unit, M: int) -> tuple[int, ...] | None:
+def _krylov_generators(mrows, unit: dict, M: int) -> tuple[int, ...] | None:
     """See `FinHopf.generators`."""
     n = len(mrows)
     one = CycloNum.one(M)
     span = EchelonBasis(n, M)
     span.insert(unit)
-    found = [dense_to_sparse(unit)]
+    found = [unit]
     X: list[int] = []
     busiest = sorted(range(n), key=lambda i: -sum(1 for cell in mrows[i] if cell))
     for i in busiest:
         if len(span) == n:
             break
-        if span.contains(unit_vector(n, M, i)):
+        if span.contains({i: one}):
             continue
         X.append(i)
         work = [(i, v) for v in found]
         while work:
             x, v = work.pop()
             w = mult_vectors(mrows, {x: one}, v)
-            if span.insert(sparse_to_dense(w, n, M)):
+            if span.insert(w):
                 found.append(w)
                 work.extend((y, w) for y in X)
     return tuple(sorted(X)) if len(span) == n else None
@@ -728,17 +726,13 @@ def coinvariants(pi: HopfMorphism) -> Subspace:
 
 
 def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphism]:
-    """Quotient by the two-sided ideal generated by `generators`.
+    """Quotient by the two-sided ideal generated by the sparse `generators`.
 
     The ideal closure is computed first; it must then be a coideal, stable
     under S and killed by the counit, otherwise NotAHopfIdeal is raised.
     """
     n, M = H.dim, H.conductor
-    gens = [list(g) for g in generators]
-    gens = [g for g in gens if not vec_is_zero(g)]
-    if not gens:
-        return H, identity_morphism(H)
-    I = ideal_closure(H.mrows, n, M, gens)
+    I = ideal_closure(H.mrows, n, M, generators)
     if I.dim == 0:
         return H, identity_morphism(H)
     if I.dim == n:
@@ -747,8 +741,7 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     coords = I.complement_coords()
     q = len(coords)
     proj = I.projection_columns()
-
-    basis = [dense_to_sparse(v) for v in I.basis]
+    basis = I.basis
 
     # counit must vanish on I
     for v in basis:
@@ -756,7 +749,7 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
             raise NotAHopfIdeal("counit does not vanish on the ideal")
     # S-stability
     for v in basis:
-        if not I.contains(sparse_to_dense(H.antipode_of(v), n, M)):
+        if not I.contains(H.antipode_of(v)):
             raise NotAHopfIdeal("ideal is not antipode-stable")
     # coideal: (pi (x) pi) Delta v = 0 for v in I
     for v in basis:
@@ -768,7 +761,9 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     for a, c in enumerate(coords):
         for (s, t), x in apply_tensor_columns(proj, proj, dict(H.crows[c])).items():
             comult_d[(a, s, t)] = x
-    unit_q = sparse_to_dense(apply_columns(proj, H.unit_sparse()), q, M)
+    zero = CycloNum.zero(M)
+    pu = apply_columns(proj, H.unit_sparse())
+    unit_q = [pu.get(t, zero) for t in range(q)]
     counit_q = [H.counit[c] for c in coords]
     S_q = [apply_columns(proj, H.antipode[c]) for c in coords]
 
@@ -779,7 +774,6 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
         pg = apply_columns(proj, g)
         if pg:
             gls.setdefault(frozenset(pg.items()), pg)
-    zero = CycloNum.zero(M)
     chs = [{a: chi[c] for a, c in enumerate(coords) if c in chi}
            for chi in H.claims.characters
            if all(sum((x * v[i] for i, x in chi.items() if i in v), zero).is_zero()

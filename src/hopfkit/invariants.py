@@ -38,21 +38,24 @@ from .hopf import (FinHopf, HopfMorphism, coinvariants,
                    skew_primitive_conditions, verify_morphism)
 from .linalg import (Subspace, algebra_radical, apply_columns,
                      apply_tensor_columns, center_dim, compose_columns,
-                     dense_to_sparse, identity_columns, intersect_kernels,
-                     mat_trace, mult_vectors, quotient_by_radical,
-                     sparse_add_into, sparse_columns, sparse_to_dense)
+                     identity_columns, intersect_kernels, mat_trace,
+                     mult_vectors, quotient_by_radical, sparse_add_into,
+                     sparse_columns)
 
 # -- integrals and modular elements ---------------------------------------------
 
 
 class IntegralData:
-    """Left integral Lambda of H, right integral lambda of H*; <lambda, Lambda> = 1."""
+    """Left integral Lambda of H, right integral lambda of H*; <lambda, Lambda> = 1.
+
+    Both are sparse vectors.
+    """
 
     __slots__ = ("left_integral", "right_integral_dual")
 
-    def __init__(self, left_integral, right_integral_dual):
-        self.left_integral = tuple(left_integral)
-        self.right_integral_dual = tuple(right_integral_dual)
+    def __init__(self, left_integral: dict, right_integral_dual: dict):
+        self.left_integral = left_integral
+        self.right_integral_dual = right_integral_dual
 
 
 def _integral_conditions(A: FinHopf, left: bool):
@@ -91,41 +94,50 @@ def _integrals(H: FinHopf) -> IntegralData:
     if space.dim != 1:
         raise IntegralSpaceNotOneDim(
             f"left integral space has dimension {space.dim}")
-    Lam = list(space.basis[0])
+    Lam = space.basis[0]
 
     space2 = intersect_kernels(_integral_conditions(H.dual_cached(), False), n, M)
     if space2.dim != 1:
         raise IntegralSpaceNotOneDim(
             f"right integral space of the dual has dimension {space2.dim}")
-    lam = list(space2.basis[0])
+    lam = space2.basis[0]
     pairing = CycloNum.zero(M)
-    for a, b in zip(lam, Lam):
-        pairing = pairing + a * b
+    for k, a in lam.items():
+        if k in Lam:
+            pairing = pairing + a * Lam[k]
     if pairing.is_zero():
         raise NotNormalizable("<lambda, Lambda> = 0")
     inv = pairing.inverse()
-    lam = [inv * a for a in lam]
-    return IntegralData(Lam, lam)
+    return IntegralData(Lam, {k: inv * a for k, a in lam.items()})
 
 
 class ModularData:
+    """The modular character alpha of H and group-like g, as sparse vectors."""
+
     __slots__ = ("alpha", "g")
 
-    def __init__(self, alpha, g):
-        self.alpha = tuple(alpha)
-        self.g = tuple(g)
+    def __init__(self, alpha: dict, g: dict):
+        self.alpha = alpha
+        self.g = g
 
 
-def _proportionality(vec_ref, vec) -> CycloNum:
-    """c with vec = c * vec_ref, or raise ExtractionInconsistent."""
-    pivot = next((i for i, x in enumerate(vec_ref) if not x.is_zero()), None)
-    if pivot is None:
+def _proportionalities(vec_ref: dict, vecs) -> dict:
+    """{j: c_j} (nonzero c_j only) with vecs[j] = c_j vec_ref, or raise
+    ExtractionInconsistent."""
+    if not vec_ref:
         raise ExtractionInconsistent("reference vector is zero")
-    c = vec[pivot] / vec_ref[pivot]
-    for a, b in zip(vec_ref, vec):
-        if b != c * a:
+    pivot = min(vec_ref)
+    out = {}
+    for j, vec in enumerate(vecs):
+        if pivot in vec:
+            c = vec[pivot] / vec_ref[pivot]
+            out[j] = c
+            expected = {i: c * a for i, a in vec_ref.items()}
+        else:
+            expected = {}
+        if vec != expected:
             raise ExtractionInconsistent("vector is not proportional")
-    return c
+    return out
 
 
 def modular_elements(H: FinHopf) -> ModularData:
@@ -137,29 +149,21 @@ def modular_elements(H: FinHopf) -> ModularData:
 def _modular_elements(H: FinHopf) -> ModularData:
     n, M = H.dim, H.conductor
     integ = integrals(H)
-    Lam = list(integ.left_integral)
-    sLam = dense_to_sparse(Lam)
+    Lam, lam = integ.left_integral, integ.right_integral_dual
     one = CycloNum.one(M)
-    alpha = []
-    for j in range(n):
-        w = H.mul(sLam, {j: one})
-        alpha.append(_proportionality(Lam, sparse_to_dense(w, n, M)))
+    alpha = _proportionalities(Lam, (H.mul(Lam, {j: one}) for j in range(n)))
     D = H.dual_cached()
-    lam = list(integ.right_integral_dual)
-    slam = dense_to_sparse(lam)
-    g = []
-    for j in range(n):
-        w = D.mul({j: one}, slam)
-        g.append(_proportionality(lam, sparse_to_dense(w, n, M)))
-    if not D.is_grouplike(dense_to_sparse(alpha)):
+    g = _proportionalities(lam, (D.mul({j: one}, lam) for j in range(n)))
+    if not D.is_grouplike(alpha):
         raise ExtractionInconsistent("modular alpha is not an algebra character")
-    if not H.is_grouplike(dense_to_sparse(g)):
+    if not H.is_grouplike(g):
         raise ExtractionInconsistent("modular g is not group-like")
     return ModularData(alpha, g)
 
 
 def is_unimodular(H: FinHopf) -> bool:
-    return list(modular_elements(H).alpha) == list(H.counit)
+    alpha, zero = modular_elements(H).alpha, CycloNum.zero(H.conductor)
+    return all(alpha.get(j, zero) == e for j, e in enumerate(H.counit))
 
 
 def grouplike_inverse(H: FinHopf, g: dict) -> dict:
@@ -180,20 +184,19 @@ def grouplike_inverse(H: FinHopf, g: dict) -> dict:
 def radford_s4_check(H: FinHopf) -> bool:
     """S^4(h) = g (alpha -> h <- alpha^{-1}) g^{-1} on every basis element."""
     mod = modular_elements(H)
-    alpha = list(mod.alpha)
+    alpha = mod.alpha
     # alpha^{-1} = alpha o S (convolution inverse of a character)
     zero = CycloNum.zero(H.conductor)
-    alpha_inv = [sum((alpha[a] * c for a, c in col.items()), zero)
+    alpha_inv = [sum((alpha[a] * c for a, c in col.items() if a in alpha), zero)
                  for col in H.antipode]
-    g = dense_to_sparse(list(mod.g))
+    g = mod.g
     g_inv = grouplike_inverse(H, g)
     S2 = compose_columns(H.antipode, H.antipode)
     for i, lhs in enumerate(compose_columns(S2, S2)):
         mid: dict = {}
         for (a, b, c), coef in H.delta2(i):
-            w = alpha_inv[a] * alpha[c]
-            if not w.is_zero():
-                sparse_add_into(mid, b, coef * w)
+            if c in alpha and not alpha_inv[a].is_zero():
+                sparse_add_into(mid, b, coef * (alpha_inv[a] * alpha[c]))
         if lhs != H.mul(g, H.mul(mid, g_inv)):
             return False
     return True
@@ -208,7 +211,7 @@ def trace_formula_check(H: FinHopf, f):
     M = H.conductor
     integ = integrals(H)
     lam = integ.right_integral_dual
-    dL = H.comult_of(dense_to_sparse(list(integ.left_integral)))
+    dL = H.comult_of(integ.left_integral)
     t0 = mat_trace(f)
     t1 = CycloNum.zero(M)
     t2 = CycloNum.zero(M)
@@ -217,12 +220,12 @@ def trace_formula_check(H: FinHopf, f):
     for (a, b), c in dL.items():
         acc = CycloNum.zero(M)
         for k, d in H.mul(H.antipode[b], fcols[a]).items():
-            if not lam[k].is_zero():
+            if k in lam:
                 acc = acc + lam[k] * d
         t1 = t1 + c * acc
         acc = CycloNum.zero(M)
         for k, d in H.mul(H.antipode_of(fcols[b]), {a: one}).items():
-            if not lam[k].is_zero():
+            if k in lam:
                 acc = acc + lam[k] * d
         t2 = t2 + c * acc
     return t0, t1, t2
@@ -318,8 +321,7 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     ones = D.character_count
 
     verified = H.verified_grouplikes
-    gl_span = Subspace.from_vectors(
-        n, M, [sparse_to_dense(g, n, M) for g in verified])
+    gl_span = Subspace.from_vectors(n, M, verified)
     if H.claims.grouplikes and ones > len(verified):
         raise FieldTooSmall(
             f"{ones} one-dimensional blocks but only {len(verified)} verified "
@@ -577,8 +579,7 @@ def skew_primitives(H: FinHopf, a: dict, b: dict) -> tuple[Subspace, bool]:
     if not H.is_grouplike(a) or not H.is_grouplike(b):
         raise NotGrouplike("skew-primitive anchors must be group-like")
     space = intersect_kernels(skew_primitive_conditions(H, a, b), n, M)
-    gl_span = Subspace.from_vectors(
-        n, M, [sparse_to_dense(g, n, M) for g in H.verified_grouplikes])
+    gl_span = Subspace.from_vectors(n, M, H.verified_grouplikes)
     trivial = gl_span.contains_subspace(space)
     return space, trivial
 

@@ -1,42 +1,19 @@
 """Exact linear and multilinear algebra over Q(zeta_M).
 
-Vectors are dense tuples/lists of CycloNum; subspaces are canonical
-reduced-row-echelon bases, so equal subspaces have identical
+Vectors are sparse dicts {index: nonzero coefficient}; subspaces are
+canonical reduced-row-echelon bases, so equal subspaces have identical
 representations.  Pivoting is always by first nonzero entry (no magnitude
-comparisons), which keeps every computation deterministic.
+comparisons), which keeps every computation deterministic.  Dense lists
+appear only where data arrives or leaves in that form: the `.hopf` file
+format, dense constructor input and printing (the dense-boundary helpers).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cyclo import CycloNum
 from .errors import AmbientMismatch
-
-Vector = tuple[CycloNum, ...]
-
-
-def zero_vector(n: int, M: int) -> list[CycloNum]:
-    z = CycloNum.zero(M)
-    return [z] * n
-
-
-def unit_vector(n: int, M: int, i: int) -> list[CycloNum]:
-    v = zero_vector(n, M)
-    v[i] = CycloNum.one(M)
-    return v
-
-
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_is_zero(a) -> bool:
-    return all(x.is_zero() for x in a)
 
 
 def dot(a, b) -> CycloNum:
@@ -52,74 +29,80 @@ def dot(a, b) -> CycloNum:
 
 
 class EchelonBasis:
-    """Mutable reduced-row-echelon basis supporting incremental insertion."""
+    """Mutable reduced-row-echelon basis supporting incremental insertion.
 
-    def __init__(self, ambient: int, M: int):
+    `rows` maps each pivot p to its row: a sparse vector that is 1 at p and
+    vanishes on every other pivot.  Reducing a vector therefore touches only
+    the pivots in its support, each coefficient read once.
+    """
+
+    def __init__(self, ambient: int, M: int, rows: dict[int, dict] | None = None):
         self.ambient = ambient
         self.M = M
-        self.rows: list[list[CycloNum]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict] = {} if rows is None else rows
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence[CycloNum]) -> list[CycloNum]:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not c.is_zero():
-                for i in range(p, self.ambient):
-                    if not row[i].is_zero():
-                        v[i] = v[i] - c * row[i]
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its components along the rows: zero on every pivot."""
+        v = {i: c for i, c in vec.items() if not c.is_zero()}
+        rows = self.rows
+        for p, c in list(v.items()):
+            row = rows.get(p)
+            if row is not None:
+                for i, a in row.items():
+                    sparse_add_into(v, i, -(c * a))
         return v
 
-    def insert(self, vec: Sequence[CycloNum]) -> bool:
+    def insert(self, vec: dict) -> bool:
         """Insert a vector; returns True if the dimension grew."""
         v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if p is None:
+        if not v:
             return False
+        p = min(v)
         lead = v[p]
         if not lead.is_one():
             inv = lead.inverse()
-            v = [inv * x for x in v]
-        for row in self.rows:
-            c = row[p]
-            if not c.is_zero():
-                for i in range(p, self.ambient):
-                    if not v[i].is_zero():
-                        row[i] = row[i] - c * v[i]
-        at = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, p)
+            v = {i: inv * x for i, x in v.items()}
+        for row in self.rows.values():
+            c = row.get(p)
+            if c is not None:
+                for i, a in v.items():
+                    sparse_add_into(row, i, -(c * a))
+        self.rows[p] = v
         return True
 
-    def contains(self, vec: Sequence[CycloNum]) -> bool:
-        return vec_is_zero(self.reduce(vec))
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
 
     def to_subspace(self) -> "Subspace":
+        pivots = tuple(sorted(self.rows))
         return Subspace(self.ambient, self.M,
-                        tuple(tuple(r) for r in self.rows), tuple(self.pivots))
+                        tuple(self.rows[p] for p in pivots), pivots)
 
 
 class Subspace:
-    """An exact subspace of k^n in canonical reduced-row-echelon form."""
+    """An exact subspace of k^n in canonical reduced-row-echelon form.
+
+    `basis` holds the echelon rows as sparse vectors in pivot order.
+    """
 
     __slots__ = ("ambient_dim", "conductor", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, conductor: int,
-                 basis: tuple[Vector, ...], pivots: tuple[int, ...]):
+                 basis: tuple[dict, ...], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.conductor = conductor
         self.basis = basis
         self.pivots = pivots
 
     @staticmethod
-    def from_vectors(ambient: int, M: int, vectors: Iterable[Sequence[CycloNum]]) -> "Subspace":
+    def from_vectors(ambient: int, M: int, vectors: Iterable[dict]) -> "Subspace":
         eb = EchelonBasis(ambient, M)
         for v in vectors:
-            if len(v) != ambient:
-                raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient}")
+            if any(not 0 <= i < ambient for i in v):
+                raise AmbientMismatch(f"vector index outside ambient {ambient}")
             eb.insert(v)
         return eb.to_subspace()
 
@@ -130,9 +113,8 @@ class Subspace:
     @staticmethod
     def full(ambient: int, M: int) -> "Subspace":
         one = CycloNum.one(M)
-        z = CycloNum.zero(M)
-        rows = tuple(tuple(one if j == i else z for j in range(ambient)) for i in range(ambient))
-        return Subspace(ambient, M, rows, tuple(range(ambient)))
+        return Subspace(ambient, M, tuple({i: one} for i in range(ambient)),
+                        tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -149,33 +131,32 @@ class Subspace:
         return (self.ambient_dim == other.ambient_dim and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
-    def contains(self, vec: Sequence[CycloNum]) -> bool:
-        eb = self._eb()
-        return eb.contains(vec)
+    def _eb(self) -> EchelonBasis:
+        """An echelon basis over (not a copy of) the rows: read only."""
+        return EchelonBasis(self.ambient_dim, self.conductor,
+                            dict(zip(self.pivots, self.basis)))
+
+    def contains(self, vec: dict) -> bool:
+        return self._eb().contains(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
         eb = self._eb()
         return all(eb.contains(v) for v in other.basis)
 
-    def reduce(self, vec: Sequence[CycloNum]) -> list[CycloNum]:
+    def reduce(self, vec: dict) -> dict:
         """Canonical representative of vec modulo this subspace."""
         return self._eb().reduce(vec)
 
-    def _eb(self) -> EchelonBasis:
-        eb = EchelonBasis(self.ambient_dim, self.conductor)
-        eb.rows = [list(r) for r in self.basis]
-        eb.pivots = list(self.pivots)
-        return eb
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        eb = self._eb()
+        eb = EchelonBasis(self.ambient_dim, self.conductor,
+                          {p: dict(r) for p, r in zip(self.pivots, self.basis)})
         for v in other.basis:
             eb.insert(v)
         return eb.to_subspace()
@@ -183,10 +164,6 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Orthogonal complement for the standard coordinate pairing."""
         return kernel(self.basis, self.ambient_dim, self.conductor)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return self.perp().sum(other.perp()).perp()
 
     def complement_coords(self) -> list[int]:
         """Non-pivot coordinates: the canonical complement basis indices."""
@@ -201,40 +178,22 @@ class Subspace:
         echelon rows vanish on the other pivots).
         """
         one = CycloNum.one(self.conductor)
-        coords = self.complement_coords()
+        at = {c: t for t, c in enumerate(self.complement_coords())}
         cols: list[dict] = [{} for _ in range(self.ambient_dim)]
-        for t, c in enumerate(coords):
+        for c, t in at.items():
             cols[c][t] = one
         for row, p in zip(self.basis, self.pivots):
-            cols[p] = {t: -row[c] for t, c in enumerate(coords)
-                       if not row[c].is_zero()}
+            cols[p] = {at[c]: -a for c, a in row.items() if c != p}
         return cols
 
 
 # -- matrices (lists of rows) --------------------------------------------------
-
-def identity_matrix(n: int, M: int) -> list[list[CycloNum]]:
-    one = CycloNum.one(M)
-    z = CycloNum.zero(M)
-    return [[one if i == j else z for j in range(n)] for i in range(n)]
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        out.append(dot(row, v))
-    return out
-
 
 def mat_mul(A, B):
     n = len(B)
     cols = len(B[0]) if n else 0
     Bc = [[B[i][j] for i in range(n)] for j in range(cols)]
     return [[dot(row, col) for col in Bc] for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def mat_trace(A) -> CycloNum:
@@ -244,105 +203,58 @@ def mat_trace(A) -> CycloNum:
     return acc
 
 
-def mat_eq(A, B) -> bool:
-    return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+def mat_inverse(cols: list[dict], M: int) -> list[dict] | None:
+    """Columns of the inverse of the square map with sparse columns `cols`,
+    or None if it is singular.
 
-
-def mat_inverse(A, M: int):
-    """Inverse of a square matrix (solving A x = e_i), or None if singular."""
-    n = len(A)
-    cols = []
-    for i in range(n):
-        x = solve(A, unit_vector(n, M, i))
-        if x is None:
-            return None
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def solve(A, b):
-    """One solution x of A x = b, or None if inconsistent (A: m rows)."""
-    m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
-    M = b[0].M if b else A[0][0].M
-    aug = [list(A[i]) + [b[i]] for i in range(m)]
-    eb = EchelonBasis(n + 1, M)
-    for row in aug:
+    The rows (A | I) reduce to (I | A^-1) exactly when A is invertible, so
+    row p of the echelon basis carries row p of A^-1 in its last n entries.
+    """
+    n = len(cols)
+    one = CycloNum.one(M)
+    eb = EchelonBasis(2 * n, M)
+    for i, row in enumerate(transpose_columns(cols, n)):
+        row[n + i] = one
         eb.insert(row)
-    x = zero_vector(n, M)
-    for row, p in zip(eb.rows, eb.pivots):
-        if p == n:
-            return None  # row (0 ... 0 | 1): inconsistent
-        x[p] = row[n]
-    # back-check not needed: rref rows give x directly only if free vars set 0;
-    # verify to be safe against free-variable interactions
-    for row, p in zip(eb.rows, eb.pivots):
-        acc = row[n]
-        s = None
-        for j in range(p, n):
-            if not row[j].is_zero() and not x[j].is_zero():
-                t = row[j] * x[j]
-                s = t if s is None else s + t
-        if s is None:
-            s = CycloNum.zero(M)
-        if s != acc:
-            return None
-    return x
+    if any(p >= n for p in eb.rows):
+        return None
+    inv: list[dict] = [{} for _ in range(n)]
+    for p, row in eb.rows.items():
+        for j, c in row.items():
+            if j >= n:
+                inv[j - n][p] = c
+    return inv
 
 
 def kernel(rows, n_cols: int, M: int) -> Subspace:
-    """Kernel of the linear map given by a list of row vectors on k^n."""
+    """Kernel of the linear map given by sparse rows {col: coef} on k^n."""
     eb = EchelonBasis(n_cols, M)
     for r in rows:
         eb.insert(r)
-    piv = list(eb.pivots)
-    piv_set = set(piv)
-    free = [i for i in range(n_cols) if i not in piv_set]
-    vectors = []
+    # one kernel vector per free column f: e_f - sum_p row_p[f] e_p (the
+    # rows' entries off their own pivot all lie in free columns)
     one = CycloNum.one(M)
-    for f in free:
-        v = zero_vector(n_cols, M)
-        v[f] = one
-        for row, p in zip(eb.rows, eb.pivots):
-            if not row[f].is_zero():
-                v[p] = -row[f]
-        vectors.append(v)
-    return Subspace.from_vectors(n_cols, M, vectors)
+    free = {f: {f: one} for f in range(n_cols) if f not in eb.rows}
+    for p, row in eb.rows.items():
+        for f, c in row.items():
+            if f != p:
+                free[f][p] = -c
+    return Subspace.from_vectors(n_cols, M, free.values())
 
 
 def image(cols: list[dict], m: int, M: int) -> Subspace:
     """Column space of the map k^n -> k^m with sparse columns `cols`."""
-    return Subspace.from_vectors(m, M, [sparse_to_dense(c, m, M) for c in cols])
-
-
-def preimage(rows, n_cols: int, M: int, W: Subspace) -> Subspace:
-    """{x : A x in W} computed as the kernel of (W-perp basis) . A."""
-    m = len(rows)
-    comp = []
-    for w in W.perp().basis:
-        comp.append([dot(w, [rows[i][j] for i in range(m)]) for j in range(n_cols)])
-    return kernel(comp, n_cols, M)
+    return Subspace.from_vectors(m, M, cols)
 
 
 def intersect_kernels(conditions, n: int, M: int) -> Subspace:
     """Common kernel of linear conditions given as sparse rows {col: coef}.
 
-    The rows are densified and inserted into one echelon basis one at a
-    time, so the stack of conditions is never materialised.  Since
-    ker A cap ker B = ker [A; B], this is the canonical kernel of the stack.
+    The rows are streamed into one echelon basis, so the stack of conditions
+    is never materialised.  Since ker A cap ker B = ker [A; B], this is the
+    canonical kernel of the stack.
     """
-    zero = CycloNum.zero(M)
-
-    def dense_rows():
-        for cond in conditions:
-            if cond:
-                v = [zero] * n
-                for j, c in cond.items():
-                    v[j] = c
-                yield v
-    return kernel(dense_rows(), n, M)
+    return kernel((cond for cond in conditions if cond), n, M)
 
 
 # -- sparse order-3 tensors ----------------------------------------------------
@@ -420,10 +332,6 @@ def mult_vectors(rows, u: dict, v: dict) -> dict:
     return acc
 
 
-def dense_to_sparse(v) -> dict:
-    return {i: c for i, c in enumerate(v) if not c.is_zero()}
-
-
 def outer(u: dict, v: dict) -> dict:
     """u (x) v for sparse vectors: {(a, b): u_a v_b}."""
     return {(a, b): ca * cb for a, ca in u.items() for b, cb in v.items()}
@@ -488,27 +396,26 @@ def transpose_columns(cols: list[dict], m: int) -> list[dict]:
     return out
 
 
-def dense_rows(cols: list[dict], m: int, M: int) -> list[list[CycloNum]]:
-    """The m dense rows of the map with sparse columns `cols`."""
-    return [sparse_to_dense(r, len(cols), M) for r in transpose_columns(cols, m)]
+# -- the dense boundary: file formats, constructor input, printing -------------
+
+def dense_to_sparse(v) -> dict:
+    return {i: c for i, c in enumerate(v) if not c.is_zero()}
 
 
 def sparse_to_dense(d: dict, n: int, M: int) -> list[CycloNum]:
-    v = zero_vector(n, M)
+    v = [CycloNum.zero(M)] * n
     for i, c in d.items():
         v[i] = c
     return v
 
 
-def trace_of_left_mults(mult: SparseTensor3, M: int) -> list[CycloNum]:
-    """T[m] = Tr(L_{e_m})."""
-    n = mult.dims[0]
-    T = zero_vector(n, M)
-    for (i, j, k), c in mult.entries:
-        if j == k:
-            T[i] = T[i] + c
-    return T
+def dense_rows(cols: list[dict], m: int, M: int) -> list[list[CycloNum]]:
+    """The m dense rows of the map with sparse columns `cols`."""
+    zero = CycloNum.zero(M)
+    return [[col.get(i, zero) for col in cols] for i in range(m)]
 
+
+# -- associative algebra invariants ----------------------------------------------
 
 def algebra_radical(mult: SparseTensor3, unit, M: int) -> Subspace:
     """Jacobson radical via the trace form (x,y) -> Tr(L_{xy}); char 0 only.
@@ -516,32 +423,30 @@ def algebra_radical(mult: SparseTensor3, unit, M: int) -> Subspace:
     Assumes the multiplication is associative and unital (caller-verified).
     """
     n = mult.dims[0]
-    T = trace_of_left_mults(mult, M)
-    gram = [[CycloNum.zero(M)] * n for _ in range(n)]
+    T: dict = {}  # T[m] = Tr(L_{e_m})
     for (i, j, k), c in mult.entries:
-        if not T[k].is_zero():
-            gram[i][j] = gram[i][j] + c * T[k]
+        if j == k:
+            sparse_add_into(T, i, c)
+    gram: list[dict] = [{} for _ in range(n)]
+    for (i, j, k), c in mult.entries:
+        t = T.get(k)
+        if t is not None:
+            sparse_add_into(gram[i], j, c * t)
     return kernel(gram, n, M)
 
 
 def ideal_closure(rows, n: int, M: int, generators) -> Subspace:
     """Smallest subspace containing generators, closed under left/right mult."""
     eb = EchelonBasis(n, M)
-    work = []
-    for g in generators:
-        gd = list(g)
-        if eb.insert(gd):
-            work.append(gd)
+    work = [g for g in generators if eb.insert(g)]
     one = CycloNum.one(M)
     while work:
         v = work.pop()
-        sv = dense_to_sparse(v)
         for j in range(n):
             ej = {j: one}
-            for prod in (mult_vectors(rows, sv, ej), mult_vectors(rows, ej, sv)):
-                pv = sparse_to_dense(prod, n, M)
-                if eb.insert(pv):
-                    work.append(pv)
+            for prod in (mult_vectors(rows, v, ej), mult_vectors(rows, ej, v)):
+                if eb.insert(prod):
+                    work.append(prod)
     return eb.to_subspace()
 
 
@@ -563,7 +468,7 @@ def quotient_mult(rows, I: Subspace, proj: list[dict]) -> SparseTensor3:
 
 
 def commutator_generators(rows, n: int, M: int):
-    """All [e_i, e_j], i < j, as dense vectors (commutator-ideal generators)."""
+    """All nonzero [e_i, e_j], i < j (commutator-ideal generators)."""
     one = CycloNum.one(M)
     out = []
     for i in range(n):
@@ -574,7 +479,7 @@ def commutator_generators(rows, n: int, M: int):
             for k, c in b.items():
                 sparse_add_into(acc, k, -c)
             if acc:
-                out.append(sparse_to_dense(acc, n, M))
+                out.append(acc)
     return out
 
 
@@ -593,16 +498,6 @@ def commutative_quotient_dim(mult: SparseTensor3, M: int) -> int:
     n = mult.dims[0]
     rows = mult.rows_ij()
     return n - ideal_closure(rows, n, M, commutator_generators(rows, n, M)).dim
-
-
-def split_character_count(mult: SparseTensor3, unit, M: int) -> int:
-    """dim of the maximal split commutative semisimple quotient.
-
-    Over a splitting field this equals the number of 1-dimensional blocks
-    of A/Rad A, i.e. the number of algebra characters.
-    """
-    rad = algebra_radical(mult, unit, M)
-    return commutative_quotient_dim(quotient_by_radical(mult, rad), M)
 
 
 def center_dim(mult: SparseTensor3, M: int) -> int:

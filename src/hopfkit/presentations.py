@@ -27,7 +27,7 @@ from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
 from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
                    verify_hopf, verify_morphism)
 from .linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
-                     sparse_add_into, zero_vector)
+                     sparse_add_into)
 
 
 class GroupGen:
@@ -288,7 +288,7 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
             if not coef.is_zero():
                 comult_d[(i, index[ml], index[mr])] = coef
 
-    unit = zero_vector(n, M)
+    unit = [CycloNum.zero(M)] * n
     unit[index[unit_mono]] = one
     counit = [one if not any(a) else CycloNum.zero(M) for (a, c) in monos]
 
@@ -448,7 +448,7 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
             if sol.dim == 0:
                 feasible = False
                 break
-            images_x.append(dense_to_sparse(list(sol.basis[0])))
+            images_x.append(sol.basis[0])
         if not feasible:
             continue
 

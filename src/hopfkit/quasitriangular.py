@@ -20,9 +20,8 @@ from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
                    op_cop, verify_morphism)
 from .invariants import grouplike_census, grouplike_inverse
 from .linalg import (EchelonBasis, Subspace, apply_tensor_columns,
-                     compose_columns, dense_to_sparse, identity_columns, image,
-                     outer, sparse_add_into, sparse_to_dense,
-                     transpose_columns, zero_vector)
+                     compose_columns, identity_columns, image, outer,
+                     sparse_add_into, transpose_columns)
 
 
 @dataclass
@@ -32,7 +31,7 @@ class RMatrixData:
     rank: int
     K: Subspace                   # image of f_R
     L: Subspace                   # image of f_R~
-    u: tuple                      # Drinfeld element (cached at construction)
+    u: dict                       # Drinfeld element (cached at construction)
     minimal: bool
 
     def r_dict(self) -> dict:
@@ -158,7 +157,7 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     if not report.ok:
         return report, None
     u = _drinfeld_u(H, R)
-    rm = RMatrixData(H, tuple(sorted(R.items())), rank, K, L, tuple(u), minimal)
+    rm = RMatrixData(H, tuple(sorted(R.items())), rank, K, L, u, minimal)
     return report, rm
 
 
@@ -167,12 +166,12 @@ def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
     n, M = H.dim, H.conductor
     if V.dim == n:
         return True  # H itself
-    if not V.contains(list(H.unit)):
+    if not V.contains(H.unit_sparse()):
         return False
-    basis = [dense_to_sparse(list(v)) for v in V.basis]
+    basis = V.basis
     for a in basis:
         for b in basis:
-            if not V.contains(sparse_to_dense(H.mul(a, b), n, M)):
+            if not V.contains(H.mul(a, b)):
                 return False
     # Delta(V) c V (x) H and c H (x) V
     proj, ident = V.projection_columns(), identity_columns(n, M)
@@ -182,47 +181,42 @@ def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
                 or apply_tensor_columns(ident, proj, dv)):
             return False
     for a in basis:
-        if not V.contains(sparse_to_dense(H.antipode_of(a), n, M)):
+        if not V.contains(H.antipode_of(a)):
             return False
     return True
 
 
 def _generates(H: FinHopf, K: Subspace, L: Subspace) -> bool:
     """Does the subalgebra generated by K and L equal H?  (H_R = KL = LK.)"""
-    n, M = H.dim, H.conductor
-    eb = EchelonBasis(n, M)
-    work = []
-    for v in list(K.basis) + list(L.basis) + [tuple(H.unit)]:
-        lv = list(v)
-        if eb.insert(lv):
-            work.append(lv)
-    gens = [dense_to_sparse(list(v)) for v in list(K.basis) + list(L.basis)]
+    n = H.dim
+    eb = EchelonBasis(n, H.conductor)
+    gens = K.basis + L.basis
+    work = [v for v in gens + (H.unit_sparse(),) if eb.insert(v)]
     while work:
         v = work.pop()
-        sv = dense_to_sparse(v)
         for g in gens:
-            for prod in (H.mul(sv, g), H.mul(g, sv)):
-                pv = sparse_to_dense(prod, n, M)
-                if eb.insert(pv):
-                    work.append(pv)
+            for prod in (H.mul(v, g), H.mul(g, v)):
+                if eb.insert(prod):
+                    work.append(prod)
     return len(eb) == n
 
 
-def _drinfeld_u(H: FinHopf, R: dict):
-    n, M = H.dim, H.conductor
-    one = CycloNum.one(M)
+def _drinfeld_u(H: FinHopf, R: dict) -> dict:
+    one = CycloNum.one(H.conductor)
     acc: dict = {}
     for (i, j), c in R.items():
         for k, d in H.mul(H.antipode[j], {i: one}).items():
             sparse_add_into(acc, k, c * d)
-    return sparse_to_dense(acc, n, M)
+    return acc
 
 
 class DrinfeldReport(VerificationReport):
-    def __init__(self, checks, u, u_inv):
+    """The checks, with u and u^{-1} as sparse vectors."""
+
+    def __init__(self, checks, u: dict, u_inv: dict):
         super().__init__(checks)
-        self.u = tuple(u)
-        self.u_inv = tuple(u_inv)
+        self.u = u
+        self.u_inv = u_inv
 
 
 def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
@@ -236,17 +230,14 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
     R = rm.r_dict()
     one = CycloNum.one(M)
     checks = []
-    u = list(rm.u)
-    su = dense_to_sparse(u)
+    su = rm.u
 
     # u^{-1} = R2 S^2(R1)
     S2 = compose_columns(H.antipode, H.antipode)
-    acc: dict = {}
+    siu: dict = {}
     for (i, j), c in R.items():
         for k, d in H.mul({j: one}, S2[i]).items():
-            sparse_add_into(acc, k, c * d)
-    u_inv = sparse_to_dense(acc, n, M)
-    siu = dense_to_sparse(u_inv)
+            sparse_add_into(siu, k, c * d)
 
     def check(name, ok):
         checks.append(CheckResult(name, ok, None if ok else (name,)))
@@ -271,7 +262,7 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
     check("uSu_central", H.is_central(H.mul(su, H.antipode_of(su))))
     ok = all(H.mul(su, g) == H.mul(g, su) for g in H.verified_grouplikes)
     check("u_commutes_with_grouplikes", ok)
-    return DrinfeldReport(checks, u, u_inv)
+    return DrinfeldReport(checks, su, siu)
 
 
 # -- ribbon ---------------------------------------------------------------------------
@@ -279,7 +270,7 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
 
 @dataclass
 class RibbonCertificate:
-    ribbon_elements: tuple
+    ribbon_elements: tuple        # sparse vectors
     candidate_grouplikes: tuple   # the l in G(H) tried (exhaustive)
     failures: tuple               # (candidate index, first failing axiom)
 
@@ -287,11 +278,10 @@ class RibbonCertificate:
 def ribbon_search(rm: RMatrixData) -> RibbonCertificate:
     """Try v = l^{-1} u for every group-like l; the search is exhaustive."""
     H = rm.host
-    n, M = H.dim, H.conductor
     census = grouplike_census(H)
     R = rm.r_dict()
     RtR = H.tensor_mul(_tensor_swap(R), R)
-    u = dense_to_sparse(list(rm.u))
+    u = rm.u
     usu = H.mul(u, H.antipode_of(u))
     ribbons = []
     fails = []
@@ -318,7 +308,7 @@ def ribbon_search(rm: RMatrixData) -> RibbonCertificate:
         if not H.is_central(v):
             fails.append((idx, "R.5"))
             continue
-        ribbons.append(tuple(sparse_to_dense(v, n, M)))
+        ribbons.append(v)
     return RibbonCertificate(tuple(ribbons), census.elements, tuple(fails))
 
 
@@ -343,12 +333,8 @@ def bicharacter_rmatrices(factors: tuple[int, ...], conductor: int):
     chars = G.characters(M)  # indexed like elements: chi_a
     inv_n = CycloNum.from_rational(M, 1) / CycloNum.from_rational(M, n)
     # idempotent E_a = (1/n) sum_g chi_a(g^{-1}) g
-    idems = []
-    for a in range(n):
-        v = zero_vector(n, M)
-        for gi, g in enumerate(G.elements):
-            v[gi] = inv_n * chars[a][G.index[G.inverse(g)]]
-        idems.append(v)
+    idems = [{gi: inv_n * chars[a][G.index[G.inverse(g)]]
+              for gi, g in enumerate(G.elements)} for a in range(n)]
 
     from math import gcd
     pair_orders = [[gcd(da, db) for db in factors] for da in factors]
@@ -375,13 +361,10 @@ def bicharacter_rmatrices(factors: tuple[int, ...], conductor: int):
         for ai, av in enumerate(G.elements):
             for bi, bv in enumerate(G.elements):
                 c = beta(av, bv)
-                for i, ci in enumerate(idems[ai]):
-                    if ci.is_zero():
-                        continue
+                for i, ci in idems[ai].items():
                     cci = c * ci
-                    for j, cj in enumerate(idems[bi]):
-                        if not cj.is_zero():
-                            sparse_add_into(R, (i, j), cci * cj)
+                    for j, cj in idems[bi].items():
+                        sparse_add_into(R, (i, j), cci * cj)
         rep, rm = verify_qt(H, R)
         if rm is None:
             raise FixtureRejected(

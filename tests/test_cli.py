@@ -104,6 +104,12 @@ def test_quotient_command(tmp_path, capsys):
     code, out = run(["quotient", f, gf, "--out", str(tmp_path / "q.hopf")], capsys)
     assert code == 0
     assert "dim=9" in out
+    # a generator of the wrong length is a parse error, whatever its entries
+    for row in (gens[0][:26], gens[0] + ["1"], ["1"] + ["0"] * 27):
+        with open(gf, "w", encoding="utf-8") as fh:
+            json.dump([row], fh)
+        assert main(["quotient", f, gf]) == 2
+        assert "each generator needs 27 coefficients" in capsys.readouterr().err
 
 
 def test_papercheck_commands(capsys):

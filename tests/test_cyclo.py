@@ -113,3 +113,30 @@ def test_embed_transitive():
     for _ in range(20):
         a = rnd(rng, 3)
         assert embed(embed(a, 9), 27) == embed(a, 27)
+
+
+def test_tables_stop_growing_at_the_cap_and_stay_exact(monkeypatch):
+    from hopfkit import cyclo
+    M = 9
+    # values no other test builds, so every product and inverse is new
+    a = CycloNum.make(M, [1001, -7, 3, 0, 5, 2], 13)
+    b = CycloNum.make(M, [-999, 4, 0, 11, 1, 0], 17)
+    c = CycloNum.make(M, [2, 0, 0, 1003, 0, -1], 19)
+    tables = (cyclo._INTERN, cyclo._MUL_CACHE, cyclo._INV_CACHE)
+    sizes = [len(t) for t in tables]
+    monkeypatch.setattr(cyclo, "_CACHE_CAP", min(sizes))
+    ab, inv_a = a * b, a.inverse()
+    assert ab == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a * inv_a).is_one() and inv_a.inverse() == a
+    assert (a / b) * b == a
+    # past the cap a value is not interned: equal objects need not be identical
+    twin = CycloNum(M, ab.num, ab.den)
+    assert twin is not ab
+    assert twin == ab and hash(twin) == hash(ab) and {ab: 1}[twin] == 1
+    assert [len(t) for t in tables] == sizes
+    monkeypatch.undo()
+    # the same values once the tables accept them again
+    assert a * b == ab and a.inverse() == inv_a
+    assert len(cyclo._MUL_CACHE) > sizes[1] and len(cyclo._INV_CACHE) > sizes[2]

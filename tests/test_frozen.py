@@ -14,7 +14,7 @@ from hopfkit.errors import NoEmbeddingFound
 from hopfkit.hopf import (ClaimSet, HopfMorphism, dual, op_cop,
                           quotient_by_hopf_ideal, tensor, verify_morphism)
 from hopfkit.hopffile import export_hopf, import_hopf
-from hopfkit.linalg import sparse_to_dense
+from hopfkit.linalg import dense_to_sparse, sparse_to_dense
 from hopfkit.presentations import find_embedding
 
 
@@ -23,7 +23,8 @@ def test_assignment_raises(tmp_path, taft3, double_taft):
     export_hopf(taft3, path)
     loaded, _ = import_hopf(path)
     unit = list(double_taft.unit)
-    gens = [[a - b for a, b in zip(sparse_to_dense(v, 81, taft3.conductor), unit)]
+    gens = [dense_to_sparse([a - b for a, b in zip(
+                sparse_to_dense(v, 81, taft3.conductor), unit)])
             for v in double_taft.claims.central_grouplikes]
     quotient, _ = quotient_by_hopf_ideal(double_taft, gens)
     algebras = [taft3, dual(taft3), op_cop(taft3, "op"), tensor(taft3, taft3),

@@ -15,8 +15,7 @@ from hopfkit.constructors import resolve_fixture_target, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import FinHopf, HopfMorphism, op_cop, verify_hopf, verify_morphism
 from hopfkit.invariants import _integral_conditions, integrals
-from hopfkit.linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
-                            outer, sparse_add_into)
+from hopfkit.linalg import SparseTensor3, intersect_kernels, outer, sparse_add_into
 from hopfkit.quasitriangular import _tensor_swap, f_matrices, verify_qt
 
 PARTS = ("mult", "comult", "unit", "counit", "antipode")
@@ -321,7 +320,7 @@ def test_is_central_matches_the_basis_loop(corpus3, double_taft, uq_rmatrix):
 
     rng = random.Random(7)
     uq, rm = uq_rmatrix
-    u = dense_to_sparse(list(rm.u))
+    u = rm.u
     hosts = [(H, ()) for H in corpus3.values()]
     hosts.append((double_taft, double_taft.claims.central_grouplikes))
     hosts.append((uq, (u, uq.mul(u, uq.antipode_of(u)))))

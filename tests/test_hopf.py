@@ -1,5 +1,6 @@
 import pytest
 
+from dense_oracle import zero_vector
 from hopfkit.cyclo import CycloNum
 from hopfkit.constructors import group_algebra, standard_constructors
 from hopfkit.groups import cyclic
@@ -8,7 +9,7 @@ from hopfkit.hopf import (FinHopf, HopfMorphism, coinvariants, dual,
                           tensor, trivial_hopf, verify_hopf, verify_morphism)
 from hopfkit.errors import ConductorMismatch, NotAHopfIdeal
 from hopfkit.invariants import fingerprint, grouplike_census
-from hopfkit.linalg import sparse_columns, zero_vector
+from hopfkit.linalg import dense_to_sparse, sparse_columns
 
 M = 9
 
@@ -130,7 +131,7 @@ def test_quotient_group_algebra():
     gen = zero_vector(9, M)
     gen[3] = one
     gen[0] = -one  # g^3 - 1
-    Q, proj = quotient_by_hopf_ideal(H9, [gen])
+    Q, proj = quotient_by_hopf_ideal(H9, [dense_to_sparse(gen)])
     assert Q.dim == 3
     assert verify_hopf(Q).ok
     rep = verify_morphism(proj)
@@ -142,7 +143,7 @@ def test_quotient_trivial_generators():
     H = kz3()
     Q, proj = quotient_by_hopf_ideal(H, [])
     assert Q is H
-    Q2, _ = quotient_by_hopf_ideal(H, [zero_vector(3, M)])
+    Q2, _ = quotient_by_hopf_ideal(H, [{0: CycloNum.zero(M), 2: CycloNum.zero(M)}])
     assert Q2 is H
 
 
@@ -152,7 +153,7 @@ def test_quotient_rejects_non_hopf_ideal():
     v = zero_vector(9, M)
     v[1] = CycloNum.one(M)
     with pytest.raises(NotAHopfIdeal):
-        quotient_by_hopf_ideal(H9, [v])
+        quotient_by_hopf_ideal(H9, [dense_to_sparse(v)])
 
 
 def test_quotient_taft_by_x_ideal(taft3):
@@ -161,7 +162,7 @@ def test_quotient_taft_by_x_ideal(taft3):
     ix = {m: i for i, m in enumerate(monos)}
     v = zero_vector(9, M)
     v[ix[((1,), (0,))]] = CycloNum.one(M)
-    Q, proj = quotient_by_hopf_ideal(taft3, [v])
+    Q, proj = quotient_by_hopf_ideal(taft3, [dense_to_sparse(v)])
     assert Q.dim == 3
     assert verify_hopf(Q).ok
     assert fingerprint(Q) == fingerprint(kz3())

@@ -9,7 +9,6 @@ from hopfkit.errors import ParseError, VerificationFailed
 from hopfkit.hopf import embed_hopf, op_cop, quotient_by_hopf_ideal
 from hopfkit.hopffile import dumps, export_hopf, import_hopf, loads
 from hopfkit.invariants import fingerprint
-from hopfkit.linalg import sparse_to_dense
 
 
 def same_structure(A, B):
@@ -160,8 +159,7 @@ def _export_subject(name, corpus3, book1, double_taft):
     # k[Z/9 x Z/3] modulo g^3 - 1 for the generator g of Z/9
     G = standard_constructors("group_algebra", 3, group="z9xz3")
     one = CycloNum.one(G.conductor)
-    Q, _ = quotient_by_hopf_ideal(G, [sparse_to_dense({9: one, 0: -one}, 27,
-                                                      G.conductor)])
+    Q, _ = quotient_by_hopf_ideal(G, [{9: one, 0: -one}])
     return Q
 
 

@@ -4,37 +4,41 @@ intersection of kernels it replaced, and the per-algebra memos."""
 import random
 import sys
 
+from dense_oracle import (dense_kernel, dense_span, mat_vec, unit_vector,
+                          vec_add, zero_vector)
 from hopfkit import linalg
 from hopfkit.constructors import taft_spec
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import dual
 from hopfkit.invariants import fingerprint, integrals
 from hopfkit.linalg import (Subspace, center_dim, dense_to_sparse,
-                            intersect_kernels, kernel, mat_vec, unit_vector,
-                            vec_add, zero_vector)
+                            intersect_kernels, sparse_to_dense)
 from hopfkit.presentations import build_from_presentation
 
 M = 9
 
 
 def dense_intersect_kernels(matrices, n, M):
-    """Oracle: restrict the kernel matrix by matrix, dense at every step."""
+    """Oracle: restrict the kernel matrix by matrix, dense at every step.
+
+    Returns the `Subspace` with the oracle's pivots and echelon rows."""
     basis = [tuple(unit_vector(n, M, i)) for i in range(n)]
     for A in matrices:
         if not basis:
             break
         imgs = [mat_vec(A, list(v)) for v in basis]
         rows = [[imgs[k][r] for k in range(len(basis))] for r in range(len(A))]
-        small = kernel(rows, len(basis), M)
+        small = dense_kernel(rows, len(basis), M)
         new_basis = []
-        for coeffs in small.basis:
+        for coeffs in small.rows:
             acc = zero_vector(n, M)
             for c, v in zip(coeffs, basis):
                 if not c.is_zero():
                     acc = vec_add(acc, [c * x for x in v])
             new_basis.append(tuple(acc))
         basis = new_basis
-    return Subspace.from_vectors(n, M, basis)
+    pivots, rows = dense_span(n, M, basis).sparse_basis()
+    return Subspace(n, M, rows, pivots)
 
 
 def sparse_rows(matrices):
@@ -124,10 +128,11 @@ def test_integrals_and_centre_match_dense_oracle(corpus3):
         assert left.dim == 1 and right.dim == 1, label
         integ = integrals(H)
         assert integ.left_integral == left.basis[0], label
-        pairing = sum((a * b for a, b in zip(right.basis[0], left.basis[0])),
-                      CycloNum.zero(Mc))
+        right0, left0 = (sparse_to_dense(v, n, Mc) for v in (right.basis[0], left.basis[0]))
+        pairing = sum((a * b for a, b in zip(right0, left0)), CycloNum.zero(Mc))
         inv = pairing.inverse()
-        assert integ.right_integral_dual == tuple(inv * a for a in right.basis[0]), label
+        assert sparse_to_dense(integ.right_integral_dual, n, Mc) == [
+            inv * a for a in right0], label
         L, R = _mult_matrices(H, True), _mult_matrices(H, False)
         comm = [[[L[j][a][b] - R[j][a][b] for b in range(n)] for a in range(n)]
                 for j in range(n)]

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from dense_oracle import identity_matrix, mat_eq, mat_vec
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import BoundExceeded
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
@@ -17,10 +18,9 @@ from hopfkit.hopf import (FinHopf, HopfMorphism, identity_morphism, op_cop,
 from hopfkit.invariants import (antipode_order, grouplike_inverse,
                                 modular_elements, radford_s4_check,
                                 semisimplicity)
-from hopfkit.linalg import (SparseTensor3, apply_columns,
-                            compose_columns, dense_rows, dense_to_sparse,
-                            identity_matrix, ideal_closure, mat_eq, mat_mul,
-                            mat_trace, mat_vec, outer, quotient_mult,
+from hopfkit.linalg import (SparseTensor3, apply_columns, compose_columns,
+                            dense_rows, dense_to_sparse, ideal_closure,
+                            mat_mul, mat_trace, outer, quotient_mult,
                             sparse_add_into, sparse_columns, sparse_to_dense)
 from hopfkit.presentations import find_embedding
 from hopfkit.quasitriangular import drinfeld_element, verify_qt
@@ -49,7 +49,7 @@ def dense_radford(H, S4):
     """S^4(h) = g (alpha -> h <- alpha^{-1}) g^{-1}, with a dense S and S^4."""
     n = H.dim
     mod = modular_elements(H)
-    alpha = list(mod.alpha)
+    alpha = sparse_to_dense(mod.alpha, n, H.conductor)
     S = dense_rows(H.antipode, n, H.conductor)
     alpha_inv = []
     for j in range(n):
@@ -58,7 +58,7 @@ def dense_radford(H, S4):
             if not S[a][j].is_zero():
                 acc = acc + alpha[a] * S[a][j]
         alpha_inv.append(acc)
-    g = dense_to_sparse(list(mod.g))
+    g = mod.g
     g_inv = grouplike_inverse(H, g)
     for i in range(n):
         mid: dict = {}
@@ -138,9 +138,10 @@ def test_drinfeld_element_matches_dense_oracle(corpus3, uq_rmatrix, taft3,
         H = rm.host
         S2 = dense_powers(H)[1]
         rep = drinfeld_element(rm)
-        assert rep.ok and rep.u_inv == dense_u_inv(H, rm.r_dict(), S2), H.label
+        u_inv = tuple(sparse_to_dense(rep.u_inv, H.dim, H.conductor))
+        assert rep.ok and u_inv == dense_u_inv(H, rm.r_dict(), S2), H.label
         one = CycloNum.one(H.conductor)
-        su, siu = dense_to_sparse(rep.u), dense_to_sparse(rep.u_inv)
+        su, siu = rep.u, rep.u_inv
         for h in range(H.dim):
             lhs = {a: S2[a][h] for a in range(H.dim) if not S2[a][h].is_zero()}
             assert lhs == H.mul(su, H.mul({h: one}, siu)), (H.label, h)
@@ -203,8 +204,7 @@ def test_stored_maps_are_zero_free_columns(corpus3, double_taft, taft3):
     assert zero_free(f.cols, t0.dim)
     G = standard_constructors("group_algebra", 3, group="z9xz3")
     one = CycloNum.one(G.conductor)
-    Q, pi = quotient_by_hopf_ideal(G, [sparse_to_dense({9: one, 0: -one}, 27,
-                                                       G.conductor)])
+    Q, pi = quotient_by_hopf_ideal(G, [{9: one, 0: -one}])
     assert Q.dim == 9 and zero_free(pi.cols, G.dim) and zero_free(Q.antipode, 9)
     # explicit zeros in the given columns are dropped: the same algebra
     for H in (taft3, corpus3["k[Z/27]"]):
@@ -240,8 +240,7 @@ def test_quotient_mult_matches_reduction(corpus3, taft3):
     ideals = [(H, H.radical) for H in corpus3.values() if H.radical.dim]
     G = corpus3["k[Z/9 x Z/3]"]
     one = CycloNum.one(G.conductor)
-    ideals.append((G, ideal_closure(G.mrows, 27, G.conductor, [sparse_to_dense(
-        {9: one, 0: -one}, 27, G.conductor)])))
+    ideals.append((G, ideal_closure(G.mrows, 27, G.conductor, [{9: one, 0: -one}])))
     assert len(ideals) >= 10
     for H, I in ideals:
         n, M = H.dim, H.conductor
@@ -249,14 +248,13 @@ def test_quotient_mult_matches_reduction(corpus3, taft3):
         coords = I.complement_coords()
         proj = I.projection_columns()
         for j in range(n):
-            red = I.reduce(sparse_to_dense({j: one}, n, M))
+            red = sparse_to_dense(I.reduce({j: one}), n, M)
             assert proj[j] == {t: red[c] for t, c in enumerate(coords)
                                if not red[c].is_zero()}, (H.label, j)
         want = {}
         for a, ca in enumerate(coords):
             for b, cb in enumerate(coords):
-                prod = sparse_to_dense(H.mul({ca: one}, {cb: one}), n, M)
-                red = I.reduce(prod)
+                red = sparse_to_dense(I.reduce(H.mul({ca: one}, {cb: one})), n, M)
                 for t, c in enumerate(coords):
                     if not red[c].is_zero():
                         want[(a, b, t)] = red[c]

@@ -3,8 +3,9 @@ presented pointed families, crossed products, and the Drinfeld double.
 
 q parameters are integer exponents (q = zeta_p^e); nothing is ever passed
 as a floating approximation.  Every constructor output is verified at build
-time, by verify_hopf or, for a dual member, as the transpose of a verified
-algebra (see `hopf.dual`): self-validation is mandatory, not optional.
+time: by verify_hopf for a presentation, a group algebra and the Drinfeld
+double, and by the certificate of `hopf.dual` or `hopf.tensor` for a dual
+member and taft_tensor.  Self-validation is mandatory, not optional.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def _check_exponent(e: int, p: int):
 
 
 def group_algebra(G: FiniteGroup, conductor: int) -> FinHopf:
-    """k[G] on the basis G, with all group-likes and all linear characters."""
+    """k[G] on the basis G, with all group-likes and all linear characters;
+    verified by verify_hopf, so every k[G] is checked where it is built."""
     n = G.order
     M = conductor
     one = CycloNum.one(M)
@@ -53,9 +55,13 @@ def group_algebra(G: FiniteGroup, conductor: int) -> FinHopf:
     S = [{G.index[G.inverse(g)]: one} for g in G.elements]
     gls = [{i: one} for i in range(n)]
     chars = [dense_to_sparse(chi) for chi in G.characters(M)]
-    return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
-                   SparseTensor3.from_dict((n, n, n), comult), counit, S,
-                   ClaimSet(gls, chars), f"k[{G.label}]")
+    H = FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
+                SparseTensor3.from_dict((n, n, n), comult), counit, S,
+                ClaimSet(gls, chars), f"k[{G.label}]")
+    rep = verify_hopf(H)
+    if not rep.ok:
+        raise AssertionError(f"group algebra failed verification: {rep.failures}")
+    return H
 
 
 # -- presented families -------------------------------------------------------------
@@ -192,11 +198,7 @@ def _build(name, p, e, m, root, group, M) -> FinHopf:
             raise BadParameter(
                 f"conductor {M} too small for k[{G.label}] "
                 f"(characters need {G.exponent} | M)")
-        H = group_algebra(G, M)
-        rep = verify_hopf(H)
-        if not rep.ok:
-            raise AssertionError(f"group algebra failed verification: {rep.failures}")
-        return H
+        return group_algebra(G, M)
     if name == "dual_group_algebra":
         return standard_constructors("group_algebra", p, group=group,
                                      conductor=M).dual_cached()
@@ -208,12 +210,7 @@ def _build(name, p, e, m, root, group, M) -> FinHopf:
         return build_from_presentation(taft_spec(p, e, M))
     if name == "taft_tensor":
         T = standard_constructors("taft", p, e, conductor=M)
-        K = group_algebra(cyclic(p), M)
-        H = tensor(T, K, f"taft_tensor(p={p},e={e})")
-        rep = verify_hopf(H)
-        if not rep.ok:
-            raise AssertionError(f"tensor failed verification: {rep.failures}")
-        return H
+        return tensor(T, group_algebra(cyclic(p), M), f"taft_tensor(p={p},e={e})")
     if name == "ttilde":
         # the fixture functions run on first read, when H is bound
         H = build_from_presentation(ttilde_spec(p, e, root, M),

@@ -1,8 +1,8 @@
 """The .hopf file format: UTF-8 JSON text with canonical coefficient
 rendering, sorted sparse triples, and whole-file atomic writes.
 
-import(export(H)) reproduces H bit-exactly; import re-runs verify_hopf
-before returning.
+import(export(H)) reproduces H bit-exactly; import runs verify_hopf before
+returning, as a file is one of the sources of an algebra.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
         raise
 
 
-def from_obj(obj: dict, conductor: int | None = None,
-             verify: bool = True) -> tuple[FinHopf, dict | None]:
+def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | None]:
     try:
         ver = obj["format_version"]
         if ver != FORMAT_VERSION:
@@ -151,25 +150,22 @@ def from_obj(obj: dict, conductor: int | None = None,
         H = embed_hopf(H, conductor)
         if rmat is not None:
             rmat = {k: embed(c, conductor) for k, c in rmat.items()}
-    if verify:
-        rep = verify_hopf(H)
-        if not rep.ok:
-            bad = ", ".join(f"{c.name} at {c.first_failure}" for c in rep.failures)
-            raise VerificationFailed(f"imported algebra fails axioms: {bad}")
+    rep = verify_hopf(H)
+    if not rep.ok:
+        bad = ", ".join(f"{c.name} at {c.first_failure}" for c in rep.failures)
+        raise VerificationFailed(f"imported algebra fails axioms: {bad}")
     return H, rmat
 
 
-def loads(text: str, conductor: int | None = None,
-          verify: bool = True) -> tuple[FinHopf, dict | None]:
+def loads(text: str, conductor: int | None = None) -> tuple[FinHopf, dict | None]:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"JSON error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return from_obj(obj, conductor, verify)
+    return from_obj(obj, conductor)
 
 
-def import_hopf(path: str, conductor: int | None = None,
-                verify: bool = True) -> tuple[FinHopf, dict | None]:
+def import_hopf(path: str, conductor: int | None = None) -> tuple[FinHopf, dict | None]:
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read(), conductor, verify)
+        return loads(fh.read(), conductor)

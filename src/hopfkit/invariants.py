@@ -38,9 +38,8 @@ from .hopf import (FinHopf, HopfMorphism, coinvariants,
                    skew_primitive_conditions, verify_morphism)
 from .linalg import (Subspace, algebra_radical, apply_columns,
                      apply_tensor_columns, center_dim, compose_columns,
-                     identity_columns, intersect_kernels, mat_trace,
-                     mult_vectors, quotient_by_radical, sparse_add_into,
-                     sparse_columns)
+                     identity_columns, intersect_kernels, mult_vectors,
+                     quotient_by_radical, sparse_add_into)
 
 # -- integrals and modular elements ---------------------------------------------
 
@@ -203,7 +202,8 @@ def radford_s4_check(H: FinHopf) -> bool:
 
 
 def trace_formula_check(H: FinHopf, f):
-    """Returns (Tr f, <lambda, S(L2) f(L1)>, <lambda, (S o f)(L2) L1>).
+    """Returns (Tr f, <lambda, S(L2) f(L1)>, <lambda, (S o f)(L2) L1>) for
+    the linear map f given as sparse columns.
 
     (L1, S(L2)) are dual bases for the Frobenius form lambda, which pins
     the Sweedler legs: the two right-hand sides must both equal Tr f.
@@ -212,19 +212,17 @@ def trace_formula_check(H: FinHopf, f):
     integ = integrals(H)
     lam = integ.right_integral_dual
     dL = H.comult_of(integ.left_integral)
-    t0 = mat_trace(f)
-    t1 = CycloNum.zero(M)
-    t2 = CycloNum.zero(M)
-    fcols = sparse_columns(f)
-    one = CycloNum.one(M)
+    zero, one = CycloNum.zero(M), CycloNum.one(M)
+    t0 = sum((col.get(j, zero) for j, col in enumerate(f)), zero)
+    t1 = t2 = zero
     for (a, b), c in dL.items():
-        acc = CycloNum.zero(M)
-        for k, d in H.mul(H.antipode[b], fcols[a]).items():
+        acc = zero
+        for k, d in H.mul(H.antipode[b], f[a]).items():
             if k in lam:
                 acc = acc + lam[k] * d
         t1 = t1 + c * acc
-        acc = CycloNum.zero(M)
-        for k, d in H.mul(H.antipode_of(fcols[b]), {a: one}).items():
+        acc = zero
+        for k, d in H.mul(H.antipode_of(f[b]), {a: one}).items():
             if k in lam:
                 acc = acc + lam[k] * d
         t2 = t2 + c * acc

@@ -196,13 +196,6 @@ def mat_mul(A, B):
     return [[dot(row, col) for col in Bc] for row in A]
 
 
-def mat_trace(A) -> CycloNum:
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = acc + A[i][i]
-    return acc
-
-
 def mat_inverse(cols: list[dict], M: int) -> list[dict] | None:
     """Columns of the inverse of the square map with sparse columns `cols`,
     or None if it is singular.

@@ -50,6 +50,13 @@ def identity_matrix(n, M):
     return [[one if i == j else z for j in range(n)] for i in range(n)]
 
 
+def mat_trace(A):
+    acc = A[0][0]
+    for i in range(1, len(A)):
+        acc = acc + A[i][i]
+    return acc
+
+
 def mat_eq(A, B):
     return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 

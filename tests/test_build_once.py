@@ -3,7 +3,8 @@
 The constructor cache is keyed on the canonical conductor, a dual member is
 the `dual_cached()` of its base and is certified by transposition instead of
 a second `verify_hopf`, and integrals, modular elements and censuses are
-memoised on the algebra.
+memoised on the algebra.  The certificates of `op_cop`, `tensor` and
+`quotient_by_hopf_ideal` are checked here against `verify_hopf` too.
 """
 
 import random
@@ -11,12 +12,14 @@ import sys
 from functools import lru_cache
 
 from hopfkit import constructors, hopf, presentations
-from hopfkit.constructors import corpus, standard_constructors
+from hopfkit.constructors import corpus, group_algebra, standard_constructors
 from hopfkit.cyclo import CycloNum
-from hopfkit.hopf import FinHopf, dual, verify_hopf
+from hopfkit.groups import cyclic
+from hopfkit.hopf import (FinHopf, dual, op_cop, quotient_by_hopf_ideal,
+                          tensor, verify_hopf)
 from hopfkit.invariants import (characters_census, grouplike_census,
                                 integrals, modular_elements)
-from hopfkit.linalg import SparseTensor3
+from hopfkit.linalg import SparseTensor3, sparse_add_into
 
 # verify_hopf check on H*  ->  the check on H it transposes to
 TRANSPOSED = {"associativity": "coassociativity",
@@ -27,9 +30,13 @@ TRANSPOSED = {"associativity": "coassociativity",
 ALGEBRA_MAP = ("comult_algebra_map", "counit_algebra_map")
 
 
+def _verdicts(H):
+    return {c.name: c.ok for c in verify_hopf(H).checks}
+
+
 def _assert_certificate(H, label):
-    a = {c.name: c.ok for c in verify_hopf(H).checks}
-    b = {c.name: c.ok for c in verify_hopf(dual(H)).checks}
+    a = _verdicts(H)
+    b = _verdicts(dual(H))
     assert all(a.values()) == all(b.values()), label
     for on_dual, on_H in TRANSPOSED.items():
         assert b[on_dual] == a[on_H], (label, on_dual)
@@ -77,6 +84,50 @@ def test_dual_certificate_on_corruptions(taft3, uq3):
             for seed in seeds:
                 Hc = _corrupt(H, part, random.Random(seed))
                 assert not _assert_certificate(Hc, (H.label, part, seed))
+
+
+def _assert_tensor_certificate(H, label):
+    """Each axiom holds on H (x) k[Z/3] and on k[Z/3] (x) H iff it holds on H."""
+    K = group_algebra(cyclic(3), H.conductor)
+    a = _verdicts(H)
+    for T in (tensor(H, K), tensor(K, H)):
+        assert _verdicts(T) == a, (label, T.label)
+    return all(a.values())
+
+
+def test_tensor_certificate_on_corpus(corpus3):
+    for label, H in corpus3.items():
+        assert _assert_tensor_certificate(H, label)
+
+
+def test_tensor_certificate_on_corruptions(taft3):
+    for part in ("mult", "comult", "unit", "counit", "antipode"):
+        for seed in range(3):
+            Hc = _corrupt(taft3, part, random.Random(seed))
+            assert not _assert_tensor_certificate(Hc, (part, seed))
+
+
+def test_op_cop_certificate(corpus3, double_taft):
+    for H in list(corpus3.values()) + [double_taft]:
+        for which in ("op", "cop", "both"):
+            assert verify_hopf(op_cop(H, which)).ok, (H.label, which)
+
+
+def test_quotient_certificate(double_taft):
+    one = CycloNum.one(9)
+    # D(taft) by its central group-likes minus 1: dimension 27
+    gens = []
+    for g in double_taft.claims.central_grouplikes:
+        v = dict(g)
+        for i, c in double_taft.unit_sparse().items():
+            sparse_add_into(v, i, -c)
+        gens.append(v)
+    Q, _ = quotient_by_hopf_ideal(double_taft, gens)
+    assert Q.dim == 27 and verify_hopf(Q).ok
+    # k[Z/9 x Z/3] by g^3 (x) 1 - 1 (x) 1: dimension 9
+    H = standard_constructors("group_algebra", 3, group="z9xz3")
+    Q, _ = quotient_by_hopf_ideal(H, [{9: one, 0: -one}])
+    assert Q.dim == 9 and verify_hopf(Q).ok
 
 
 def test_corpus_builds_and_verifies_each_algebra_once(monkeypatch):

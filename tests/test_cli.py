@@ -91,6 +91,18 @@ def test_dual_tensor_double(tmp_path, capsys):
     assert code == 0 and "dim=81" in out and "semisimple=no" in out
 
 
+def test_tensor_above_file_limit_exit_2(tmp_path, capsys, double_taft):
+    from hopfkit.hopffile import export_hopf
+    f = str(tmp_path / "dt.hopf")
+    export_hopf(double_taft, f)
+    code = main(["tensor", f, f, "--out", str(tmp_path / "big.hopf")])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err == ("error: tensor product dim 81 x 81 exceeds "
+                       "the .hopf file limit 4096\n")
+    assert not (tmp_path / "big.hopf").exists()
+
+
 def test_quotient_command(tmp_path, capsys):
     f = str(tmp_path / "z9.hopf")
     run(["construct", "group_algebra", "--group", "z9xz3", "--out", f], capsys)

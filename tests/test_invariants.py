@@ -15,7 +15,8 @@ from hopfkit.invariants import (antipode_order, characters_census,
                                 projection_splitting_check, radford_s4_check,
                                 semisimplicity, skew_primitives,
                                 trace_formula_check)
-from hopfkit.linalg import Subspace, dense_to_sparse, sparse_columns, sparse_to_dense
+from hopfkit.linalg import (Subspace, compose_columns, dense_to_sparse,
+                            identity_columns, sparse_columns, sparse_to_dense)
 
 M = 9
 
@@ -87,20 +88,18 @@ def test_trace_formula(taft3, uq3):
     for H in (group_algebra(cyclic(3), M), taft3, uq3):
         n = H.dim
         # f = id gives Tr = dim
-        ident = [[CycloNum.one(M) if i == j else CycloNum.zero(M)
-                  for j in range(n)] for i in range(n)]
-        a, b, c = trace_formula_check(H, ident)
+        a, b, c = trace_formula_check(H, identity_columns(n, M))
         assert a == b == c
         assert a == CycloNum.from_rational(M, n)
         for _ in range(20):
-            f = [[CycloNum.from_rational(M, rng.randint(-3, 3))
-                  for _ in range(n)] for _ in range(n)]
+            f = sparse_columns(
+                [[CycloNum.from_rational(M, rng.randint(-3, 3))
+                  for _ in range(n)] for _ in range(n)])
             a, b, c = trace_formula_check(H, f)
             assert a == b == c
     # f = S^2 on Taft: the common value is Tr S^2 = 0
-    from hopfkit.linalg import dense_rows, mat_mul
-    S = dense_rows(taft3.antipode, 9, M)
-    a, b, c = trace_formula_check(taft3, mat_mul(S, S))
+    S2 = compose_columns(taft3.antipode, taft3.antipode)
+    a, b, c = trace_formula_check(taft3, S2)
     assert a == b == c and a.is_zero()
 
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from dense_oracle import identity_matrix, mat_eq, mat_vec
+from dense_oracle import identity_matrix, mat_eq, mat_trace, mat_vec
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import BoundExceeded
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
@@ -20,7 +20,7 @@ from hopfkit.invariants import (antipode_order, grouplike_inverse,
                                 semisimplicity)
 from hopfkit.linalg import (SparseTensor3, apply_columns, compose_columns,
                             dense_rows, dense_to_sparse, ideal_closure,
-                            mat_mul, mat_trace, outer, quotient_mult,
+                            mat_mul, outer, quotient_mult,
                             sparse_add_into, sparse_columns, sparse_to_dense)
 from hopfkit.presentations import find_embedding
 from hopfkit.quasitriangular import drinfeld_element, verify_qt

@@ -51,7 +51,7 @@ def _make_rmatrix(H: FinHopf, args) -> dict:
     from .quasitriangular import bicharacter_rmatrices, uq_standard_rmatrix
     kind = args.rmatrix
     if kind == "trivial":
-        return outer(H.unit_sparse(), H.unit_sparse())
+        return outer(H.unit, H.unit)
     if kind == "uq_standard":
         if args.name != "uq_sl2":
             raise BadParameter("--rmatrix uq_standard requires the uq_sl2 host")

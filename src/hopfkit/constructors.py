@@ -19,9 +19,9 @@ from .errors import (BadParameter, CocycleConditionFails,
 from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
 from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
                    verify_hopf)
-from .linalg import (SparseTensor3, apply_columns, dense_to_sparse,
-                     identity_columns, mult_vectors, outer, sparse_add_into,
-                     sparse_columns, transpose_columns)
+from .linalg import (SparseTensor3, apply_columns, identity_columns,
+                     mult_vectors, outer, sparse_add_into, sparse_dot,
+                     transpose_columns)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
@@ -50,14 +50,13 @@ def group_algebra(G: FiniteGroup, conductor: int) -> FinHopf:
         for j, h in enumerate(G.elements):
             mult[(i, j, G.index[G.mul(g, h)])] = one
     comult = {(i, i, i): one for i in range(n)}
-    unit = [one if g == G.identity else CycloNum.zero(M) for g in G.elements]
-    counit = [one] * n
+    unit = {G.index[G.identity]: one}
+    counit = dict.fromkeys(range(n), one)
     S = [{G.index[G.inverse(g)]: one} for g in G.elements]
     gls = [{i: one} for i in range(n)]
-    chars = [dense_to_sparse(chi) for chi in G.characters(M)]
     H = FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
                 SparseTensor3.from_dict((n, n, n), comult), counit, S,
-                ClaimSet(gls, chars), f"k[{G.label}]")
+                ClaimSet(gls, G.characters(M)), f"k[{G.label}]")
     rep = verify_hopf(H)
     if not rep.ok:
         raise AssertionError(f"group algebra failed verification: {rep.failures}")
@@ -298,24 +297,24 @@ class CrossedProductData:
     """A #_sigma k[Z/m]: a weak action (one algebra map per group element)
     and a 2-cocycle table with values in A.
 
-    The action matrices, given as dense rows, are held as sparse columns,
-    and the cocycle values as sparse vectors."""
+    The unit of A and the cocycle values are sparse vectors, and each
+    action map is a list of sparse columns."""
 
-    def __init__(self, A_mult: SparseTensor3, A_unit, conductor: int,
+    def __init__(self, A_mult: SparseTensor3, A_unit: dict, conductor: int,
                  gamma_order: int, action, sigma):
         self.A_mult = A_mult
-        self.A_unit = tuple(A_unit)
+        self.A_unit = A_unit
         self.M = conductor
         self.gamma_order = gamma_order
-        self.action = [sparse_columns(U) for U in action]
-        self.sigma = {k: dense_to_sparse(v) for k, v in sigma.items()}
+        self.action = [list(cols) for cols in action]
+        self.sigma = dict(sigma)
         self._verify()
 
     def _verify(self):
         nA = self.A_mult.dims[0]
         mg = self.gamma_order
         rows = self.A_mult.rows_ij()
-        unit = dense_to_sparse(self.A_unit)
+        unit = self.A_unit
         if len(self.action) != mg:
             raise WeakActionAxiomFails("need one action matrix per group element")
         if self.action[0] != identity_columns(nA, self.M):
@@ -346,7 +345,7 @@ class CrossedProductData:
                             f"cocycle condition fails at ({i},{j},{k})")
 
 
-def crossed_product(data: CrossedProductData) -> tuple[SparseTensor3, tuple]:
+def crossed_product(data: CrossedProductData) -> tuple[SparseTensor3, dict]:
     """Structure constants of A #_sigma k[Z/m]; associativity re-verified."""
     nA = data.A_mult.dims[0]
     mg = data.gamma_order
@@ -368,16 +367,13 @@ def crossed_product(data: CrossedProductData) -> tuple[SparseTensor3, tuple]:
                         rows, {a: one}, mult_vectors(rows, data.action[i][c], s_ij))
                     for k, coef in prod.items():
                         sparse_add_into(mult, (ix(a, i), ix(c, j), ix(k, (i + j) % mg)), coef)
-    unit = [CycloNum.zero(M)] * n
-    for a, c in enumerate(data.A_unit):
-        unit[ix(a, 0)] = c
     t = SparseTensor3.from_dict((n, n, n), mult)
     fail = associativity_failure(t.rows_ij())
     if fail is not None:
         i, j, k = fail
         raise CocycleConditionFails(
             f"crossed product is not associative at ({i},{j},{k})")
-    return t, tuple(unit)
+    return t, {ix(a, 0): c for a, c in data.A_unit.items()}
 
 
 # -- Drinfeld double -------------------------------------------------------------------
@@ -470,50 +466,25 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
                 key = (ix(a, b), ix(k2, p), ix(j, q2))
                 sparse_add_into(comult, key, cc * dd)
 
-    unit = [CycloNum.zero(M)] * nD
-    for a in range(n):
-        if not H.counit[a].is_zero():
-            for b in range(n):
-                if not H.unit[b].is_zero():
-                    unit[ix(a, b)] = H.counit[a] * H.unit[b]
-    counit = [CycloNum.zero(M)] * nD
-    for a in range(n):
-        if not H.unit[a].is_zero():
-            for b in range(n):
-                if not H.counit[b].is_zero():
-                    counit[ix(a, b)] = H.unit[a] * H.counit[b]
+    def smash(u: dict, v: dict) -> dict:
+        """u # v for sparse u in H* and v in H."""
+        return {ix(a, b): ua * vb for a, ua in u.items() for b, vb in v.items()}
 
+    unit, counit = smash(H.counit, H.unit), smash(H.unit, H.counit)
     mult_t = SparseTensor3.from_dict((nD, nD, nD), mult)
 
     # antipode: S_D(beta # h) = (eps # S h) . ((S^{-1})* beta # 1), column
     # ix(a, b) for beta_a # e_b
-    S = []
-    eps = list(H.counit)
-    u_s = H.unit_sparse()
     Dr = mult_t.rows_ij()
     # (S^{-1})* beta_a: covector j -> beta_a(S^{-1} e_j), row a of S^{-1}
     sinv_rows = transpose_columns(sinv_cols, n)
-    for a in range(n):
-        sb = sinv_rows[a]
-        for b in range(n):
-            left: dict = {}
-            for j, cj in enumerate(eps):
-                if not cj.is_zero():
-                    for k, ck in H.antipode[b].items():
-                        sparse_add_into(left, ix(j, k), cj * ck)
-            right: dict = {}
-            for j, cj in sb.items():
-                for k, ck in u_s.items():
-                    sparse_add_into(right, ix(j, k), cj * ck)
-            S.append(mult_vectors(Dr, left, right))
+    S = [mult_vectors(Dr, smash(H.counit, H.antipode[b]), smash(sinv_rows[a], H.unit))
+         for a in range(n) for b in range(n)]
 
     # claims: group-likes beta # x for characters beta, group-likes x;
     # character candidates x # beta, kept when they are algebra characters
     # of D(H), i.e. group-likes of D(H)*; for each kept one, beta # x is
     # claimed central as well
-    def smash(u: dict, v: dict) -> dict:
-        return {ix(a, b): ua * vb for a, ua in u.items() for b, vb in v.items()}
-
     gls = [smash(beta, x) for beta in H.claims.characters
            for x in H.claims.grouplikes]
     # e_i e_j = sum_k c_ij^k e_k, grouped by k: the comultiplication of D(H)*
@@ -523,7 +494,7 @@ def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
 
     def is_character(v: dict) -> bool:
         """v(1) = 1 and v(e_i e_j) = v(e_i) v(e_j): v is group-like in D(H)*."""
-        if sum((c * unit[k] for k, c in v.items()), CycloNum.zero(M)) != one:
+        if sparse_dot(v, unit, M) != one:
             return False
         img: dict = {}
         for k, ck in v.items():

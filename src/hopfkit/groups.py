@@ -50,18 +50,17 @@ class FiniteGroup:
             e = lcm(e, self.element_order(g))
         return e
 
-    def characters(self, M: int):
-        """Character value vectors over Q(zeta_M); needs char_modulus | M."""
+    def characters(self, M: int) -> list[dict]:
+        """Characters over Q(zeta_M) as sparse vectors on the element basis
+        (every value is a root of unity); needs char_modulus | M."""
         if M % self.char_modulus != 0:
             raise FieldTooSmall(
                 f"characters of {self.label} need conductor divisible by "
                 f"{self.char_modulus}, got {M}")
         step = M // self.char_modulus
-        out = []
-        for expfun in self.char_exponents:
-            out.append(tuple(CycloNum.zeta(M, step * expfun(g))
-                             for g in self.elements))
-        return out
+        return [{i: CycloNum.zeta(M, step * expfun(g))
+                 for i, g in enumerate(self.elements)}
+                for expfun in self.char_exponents]
 
 
 def cyclic(n: int) -> FiniteGroup:

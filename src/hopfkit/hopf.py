@@ -2,8 +2,9 @@
 
 A FinHopf stores multiplication c_{ij}^k, comultiplication d_i^{jk}, unit,
 counit and the antipode explicitly; nothing is derived implicitly.  Every
-linear map (the antipode, a morphism, a quotient projection) is held as
-sparse columns, column j = {row: nonzero coefficient} being the image of e_j.
+vector (the unit, the counit, a claim) is a sparse dict {index: nonzero
+coefficient}, and every linear map (the antipode, a morphism, a quotient
+projection) is held as sparse columns, column j being the image of e_j.
 verify_hopf decides every axiom exactly and reports failures per axiom with
 the first failing index.  It runs only where an algebra enters the program:
 a presentation, a group algebra, the Drinfeld double and a .hopf file.
@@ -42,7 +43,8 @@ from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
                      commutative_quotient_dim, identity_columns,
                      ideal_closure, image, intersect_kernels, mat_inverse,
                      mult_vectors, outer, quotient_by_radical, quotient_mult,
-                     sparse_add_into, transpose_columns, zero_free_columns)
+                     sparse_add_into, sparse_dot, transpose_columns, zero_free,
+                     zero_free_columns)
 
 
 def _frozen(self, name, *value):
@@ -75,8 +77,9 @@ class FinHopf:
     generators, censuses, ...) is computed on first use and kept by `memo`,
     the only writer of the private cache.
 
-    `antipode` is a tuple of sparse columns, antipode[j] = S(e_j); zero
-    coefficients are dropped here, so equal maps have equal columns.
+    `unit` and `counit` are sparse vectors, and `antipode` is a tuple of
+    sparse columns, antipode[j] = S(e_j); zero coefficients are dropped
+    here, so equal vectors and maps compare equal.
     `claims` is a sparse `ClaimSet`.  `presentation` is the PresentationSpec
     the algebra was built from, and `monomials` its normal monomials in basis
     order; both are None for an algebra not built from a presentation.
@@ -87,12 +90,12 @@ class FinHopf:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, dim: int, conductor: int, mult: SparseTensor3,
-                 unit, comult: SparseTensor3, counit, antipode,
+                 unit: dict, comult: SparseTensor3, counit: dict, antipode,
                  claims: ClaimSet | None = None, label: str = "",
                  presentation=None, fixtures=None):
         vars(self).update(
-            dim=dim, conductor=conductor, mult=mult, unit=tuple(unit),
-            comult=comult, counit=tuple(counit),
+            dim=dim, conductor=conductor, mult=mult, unit=zero_free(unit),
+            comult=comult, counit=zero_free(counit),
             antipode=zero_free_columns(antipode),
             claims=claims or ClaimSet(), label=label,
             presentation=presentation,
@@ -131,7 +134,7 @@ class FinHopf:
     def radical(self) -> Subspace:
         """Jacobson radical of the algebra."""
         return self.memo("radical", lambda: algebra_radical(
-            self.mult, self.unit, self.conductor))
+            self.mult, self.conductor))
 
     @property
     def semisimple_quotient(self) -> SparseTensor3:
@@ -164,7 +167,7 @@ class FinHopf:
         (x 1 = x puts every x in X into the span).
         """
         return self.memo("generators", lambda: _krylov_generators(
-            self.mrows, self.unit_sparse(), self.conductor))
+            self.mrows, self.unit, self.conductor))
 
     @property
     def iso_fixtures(self) -> tuple:
@@ -195,18 +198,10 @@ class FinHopf:
         return out
 
     def counit_of(self, v: dict) -> CycloNum:
-        acc = CycloNum.zero(self.conductor)
-        for i, c in v.items():
-            if not self.counit[i].is_zero():
-                acc = acc + c * self.counit[i]
-        return acc
+        return sparse_dot(v, self.counit, self.conductor)
 
     def antipode_of(self, v: dict) -> dict:
         return apply_columns(self.antipode, v)
-
-    def unit_sparse(self) -> dict:
-        """The unit, a dense field, as a fresh sparse vector."""
-        return {i: c for i, c in enumerate(self.unit) if not c.is_zero()}
 
     def tensor_mul(self, X: dict, Y: dict) -> dict:
         """Product of sparse elements of H (x) H."""
@@ -352,9 +347,11 @@ def _comult_multiplicative_failure(H: FinHopf, left=None):
 def _counit_multiplicative_failure(H: FinHopf, left=None):
     """First (i, j) with eps(e_i e_j) != eps(e_i) eps(e_j); i runs over `left`."""
     n, mrows, counit = H.dim, H.mrows, H.counit
+    zero = CycloNum.zero(H.conductor)
     for i in range(n) if left is None else left:
         for j in range(n):
-            if H.counit_of(dict(mrows[i][j])) != counit[i] * counit[j]:
+            eps_ij = counit.get(i, zero) * counit.get(j, zero)
+            if H.counit_of(dict(mrows[i][j])) != eps_ij:
                 return (i, j)
     return None
 
@@ -388,9 +385,8 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     one argument and are checked on every basis element.
     """
     n, M = H.dim, H.conductor
-    crows = H.crows
+    crows, su, counit = H.crows, H.unit, H.counit
     one = CycloNum.one(M)
-    su = H.unit_sparse()
 
     # unit laws
     unit_fail = None
@@ -428,10 +424,10 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
         left: dict = {}
         right: dict = {}
         for (j, k), c in crows[i]:
-            if not H.counit[j].is_zero():
-                sparse_add_into(left, k, c * H.counit[j])
-            if not H.counit[k].is_zero():
-                sparse_add_into(right, j, c * H.counit[k])
+            if j in counit:
+                sparse_add_into(left, k, c * counit[j])
+            if k in counit:
+                sparse_add_into(right, j, c * counit[k])
         ei = {i: one}
         if left != ei or right != ei:
             fail = (i,)
@@ -466,8 +462,7 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
                 sparse_add_into(left, l, c * d)
             for l, d in H.mul({j: one}, S[k]).items():
                 sparse_add_into(right, l, c * d)
-        target = {a: H.counit[i] * cu for a, cu in su.items()} if not H.counit[i].is_zero() else {}
-        target = {a: v for a, v in target.items() if not v.is_zero()}
+        target = {a: counit[i] * cu for a, cu in su.items()} if i in counit else {}
         if fail_l is None and left != target:
             fail_l = (i,)
         if fail_r is None and right != target:
@@ -539,7 +534,7 @@ def op_cop(H: FinHopf, which: str) -> FinHopf:
 def trivial_hopf(M: int) -> FinHopf:
     one = CycloNum.one(M)
     t = SparseTensor3.from_dict((1, 1, 1), {(0, 0, 0): one})
-    return FinHopf(1, M, t, (one,), t, (one,), ({0: one},),
+    return FinHopf(1, M, t, {0: one}, t, {0: one}, ({0: one},),
                    ClaimSet([{0: one}], [{0: one}]), "k")
 
 
@@ -571,18 +566,14 @@ def tensor(H: FinHopf, K: FinHopf, label: str | None = None) -> FinHopf:
     for (i, j, k), c in H.comult.entries:
         for (a, b, t), d in K.comult.entries:
             comult[(ix(i, a), ix(j, b), ix(k, t))] = c * d
-    unit = [CycloNum.zero(M)] * n
-    counit = [CycloNum.zero(M)] * n
-    for i in range(nH):
-        for a in range(nK):
-            unit[ix(i, a)] = H.unit[i] * K.unit[a]
-            counit[ix(i, a)] = H.counit[i] * K.counit[a]
 
     def products(us, vs):
         # u (x) v in (u, v) order, so S_H(e_j) (x) S_K(e_b) is column ix(j, b)
         return [{ix(i, a): ui * va for i, ui in u.items() for a, va in v.items()}
                 for u in us for v in vs]
 
+    (unit,) = products([H.unit], [K.unit])
+    (counit,) = products([H.counit], [K.counit])
     if label is None:
         label = f"{H.label} (x) {K.label}" if H.label and K.label else "tensor"
     return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult), unit,
@@ -603,14 +594,12 @@ def embed_hopf(H: FinHopf, M_new: int) -> FinHopf:
         return SparseTensor3.from_dict(
             t.dims, {k: em(c, M_new) for k, c in t.entries})
 
-    def vec(v):
-        return tuple(em(c, M_new) for c in v)
-
     def sparse(vs):
         return [{k: em(c, M_new) for k, c in v.items()} for v in vs]
 
-    return FinHopf(H.dim, M_new, t3(H.mult), vec(H.unit), t3(H.comult),
-                   vec(H.counit), sparse(H.antipode),
+    unit, counit = sparse((H.unit, H.counit))
+    return FinHopf(H.dim, M_new, t3(H.mult), unit, t3(H.comult),
+                   counit, sparse(H.antipode),
                    ClaimSet(sparse(H.claims.grouplikes),
                             sparse(H.claims.characters)),
                    H.label, fixtures=lambda: tuple(
@@ -668,7 +657,7 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
     imgs = f.cols
 
     fail = None
-    if f.apply(Hs.unit_sparse()) != Ht.unit_sparse():
+    if f.apply(Hs.unit) != Ht.unit:
         fail = ("unit",)
     else:
         for i in range(n):
@@ -689,8 +678,9 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
     checks.append(CheckResult("coalgebra_map", fail is None, fail))
 
     fail = None
+    zero = CycloNum.zero(Hs.conductor)
     for i in range(n):
-        if Ht.counit_of(imgs[i]) != Hs.counit[i]:
+        if Ht.counit_of(imgs[i]) != Hs.counit.get(i, zero):
             fail = (i,)
             break
     checks.append(CheckResult("counit", fail is None, fail))
@@ -730,14 +720,12 @@ def coinvariants(pi: HopfMorphism) -> Subspace:
         raise NotSurjective("projection is not surjective")
     # (id (x) pi) Delta(h) - h (x) 1_B = 0, one row per (j, b)
     eq: dict = {}
-    uB = B.unit
     for t in range(n):
         for (j, k), c in H.crows[t]:
             for b, a in pi.cols[k].items():
                 sparse_add_into(eq.setdefault((j, b), {}), t, c * a)
-        for b in range(m):
-            if not uB[b].is_zero():
-                sparse_add_into(eq.setdefault((t, b), {}), t, -uB[b])
+        for b, u in B.unit.items():
+            sparse_add_into(eq.setdefault((t, b), {}), t, -u)
     return intersect_kernels(eq.values(), n, M)
 
 
@@ -783,11 +771,12 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
     for a, c in enumerate(coords):
         for (s, t), x in apply_tensor_columns(proj, proj, dict(H.crows[c])).items():
             comult_d[(a, s, t)] = x
-    zero = CycloNum.zero(M)
-    pu = apply_columns(proj, H.unit_sparse())
-    unit_q = [pu.get(t, zero) for t in range(q)]
-    counit_q = [H.counit[c] for c in coords]
+    unit_q = apply_columns(proj, H.unit)
     S_q = [apply_columns(proj, H.antipode[c]) for c in coords]
+
+    def restrict(chi):
+        """A functional vanishing on I (the counit, a character) on H/I."""
+        return {a: chi[c] for a, c in enumerate(coords) if c in chi}
 
     # project claims: group-likes map to their (distinct, nonzero) images;
     # a character vanishing on I restricts to the coordinates of H/I
@@ -796,13 +785,11 @@ def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphis
         pg = apply_columns(proj, g)
         if pg:
             gls.setdefault(frozenset(pg.items()), pg)
-    chs = [{a: chi[c] for a, c in enumerate(coords) if c in chi}
-           for chi in H.claims.characters
-           if all(sum((x * v[i] for i, x in chi.items() if i in v), zero).is_zero()
-                  for v in basis)]
+    chs = [restrict(chi) for chi in H.claims.characters
+           if all(sparse_dot(chi, v, M).is_zero() for v in basis)]
 
     Q = FinHopf(q, M, quotient_mult(H.mrows, I, proj), unit_q,
-                SparseTensor3.from_dict((q, q, q), comult_d), counit_q, S_q,
+                SparseTensor3.from_dict((q, q, q), comult_d), restrict(H.counit), S_q,
                 ClaimSet(gls.values(), chs),
                 f"{H.label}/ideal" if H.label else "quotient")
     return Q, HopfMorphism(H, Q, proj)

@@ -31,8 +31,8 @@ def _triples(t: SparseTensor3):
 
 
 def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
-    def claims(vs):
-        return [_vec_strs(sparse_to_dense(v, H.dim, H.conductor)) for v in vs]
+    def vector(v):
+        return _vec_strs(sparse_to_dense(v, H.dim, H.conductor))
 
     def matrix(cols):
         return [_vec_strs(row) for row in dense_rows(cols, H.dim, H.conductor)]
@@ -43,13 +43,13 @@ def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
         "dim": H.dim,
         "conductor": H.conductor,
         "mult": _triples(H.mult),
-        "unit": _vec_strs(H.unit),
+        "unit": vector(H.unit),
         "comult": _triples(H.comult),
-        "counit": _vec_strs(H.counit),
+        "counit": vector(H.counit),
         "antipode": matrix(H.antipode),
         "claims": {
-            "grouplikes": claims(H.claims.grouplikes),
-            "characters": claims(H.claims.characters),
+            "grouplikes": [vector(g) for g in H.claims.grouplikes],
+            "characters": [vector(c) for c in H.claims.characters],
             "iso_fixtures": [
                 [list(key), matrix(cols)] for key, cols in H.iso_fixtures
             ],
@@ -105,6 +105,9 @@ def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | N
                 raise ParseError(f"vector of length {len(ss)}, expected {n}")
             return tuple(num(s) for s in ss)
 
+        def sparse_vec(ss):
+            return dense_to_sparse(vec(ss))
+
         def index(x):
             if type(x) is not int or not 0 <= x < n:
                 raise ParseError(f"index {x!r} is not an integer in 0..{n - 1}")
@@ -132,10 +135,10 @@ def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | N
         fixtures = tuple((tuple(key), matrix(rows, "iso fixture"))
                          for key, rows in claims.get("iso_fixtures", []))
         H = FinHopf(
-            n, M, tens(obj["mult"]), vec(obj["unit"]), tens(obj["comult"]),
-            vec(obj["counit"]), S,
-            ClaimSet([dense_to_sparse(vec(g)) for g in claims.get("grouplikes", [])],
-                     [dense_to_sparse(vec(c)) for c in claims.get("characters", [])]),
+            n, M, tens(obj["mult"]), sparse_vec(obj["unit"]), tens(obj["comult"]),
+            sparse_vec(obj["counit"]), S,
+            ClaimSet([sparse_vec(g) for g in claims.get("grouplikes", [])],
+                     [sparse_vec(c) for c in claims.get("characters", [])]),
             str(obj.get("label", "")), fixtures=lambda: fixtures)
         rmat = None
         if "rmatrix" in obj:

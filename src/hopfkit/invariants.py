@@ -39,7 +39,7 @@ from .hopf import (FinHopf, HopfMorphism, coinvariants,
 from .linalg import (Subspace, algebra_radical, apply_columns,
                      apply_tensor_columns, center_dim, compose_columns,
                      identity_columns, intersect_kernels, mult_vectors,
-                     quotient_by_radical, sparse_add_into)
+                     quotient_by_radical, sparse_add_into, sparse_dot)
 
 # -- integrals and modular elements ---------------------------------------------
 
@@ -74,10 +74,9 @@ def _integral_conditions(A: FinHopf, left: bool):
         for b in range(n):
             for k, c in (rows[i][b] if left else rows[b][i]):
                 sparse_add_into(eq.setdefault(k, {}), b, c)
-        e = A.counit[i]
-        if not e.is_zero():
+        if i in A.counit:
             for b in range(n):
-                sparse_add_into(eq.setdefault(b, {}), b, -e)
+                sparse_add_into(eq.setdefault(b, {}), b, -A.counit[i])
         yield from eq.values()
 
 
@@ -100,10 +99,7 @@ def _integrals(H: FinHopf) -> IntegralData:
         raise IntegralSpaceNotOneDim(
             f"right integral space of the dual has dimension {space2.dim}")
     lam = space2.basis[0]
-    pairing = CycloNum.zero(M)
-    for k, a in lam.items():
-        if k in Lam:
-            pairing = pairing + a * Lam[k]
+    pairing = sparse_dot(lam, Lam, M)
     if pairing.is_zero():
         raise NotNormalizable("<lambda, Lambda> = 0")
     inv = pairing.inverse()
@@ -161,13 +157,12 @@ def _modular_elements(H: FinHopf) -> ModularData:
 
 
 def is_unimodular(H: FinHopf) -> bool:
-    alpha, zero = modular_elements(H).alpha, CycloNum.zero(H.conductor)
-    return all(alpha.get(j, zero) == e for j, e in enumerate(H.counit))
+    return modular_elements(H).alpha == H.counit
 
 
 def grouplike_inverse(H: FinHopf, g: dict) -> dict:
     """g^{-1} = g^{ord g - 1}; NotGrouplike past 4 dim^2 powers."""
-    unit = H.unit_sparse()
+    unit = H.unit
     if g == unit:
         return unit
     prev, acc = g, H.mul(g, g)
@@ -185,9 +180,7 @@ def radford_s4_check(H: FinHopf) -> bool:
     mod = modular_elements(H)
     alpha = mod.alpha
     # alpha^{-1} = alpha o S (convolution inverse of a character)
-    zero = CycloNum.zero(H.conductor)
-    alpha_inv = [sum((alpha[a] * c for a, c in col.items() if a in alpha), zero)
-                 for col in H.antipode]
+    alpha_inv = [sparse_dot(col, alpha, H.conductor) for col in H.antipode]
     g = mod.g
     g_inv = grouplike_inverse(H, g)
     S2 = compose_columns(H.antipode, H.antipode)
@@ -398,7 +391,7 @@ def _grouplike_census(H: FinHopf) -> CensusResult:
     keys = list(distinct)
     if not keys:
         raise ClaimIncomplete("no group-like claims present")
-    unit = frozenset(H.unit_sparse().items())
+    unit = frozenset(H.unit.items())
     if unit not in distinct:
         raise ClaimIncomplete("unit is not among the claimed group-likes")
 
@@ -656,10 +649,7 @@ def pairing_table(H: FinHopf) -> PairingReport:
     for beta in census_d.elements:
         row = []
         for x in census.elements:
-            acc = CycloNum.zero(H.conductor)
-            for i, bc in beta.items():
-                if i in x:
-                    acc = acc + bc * x[i]
+            acc = sparse_dot(beta, x, H.conductor)
             row.append(acc)
             if acc != one:
                 nontrivial = True
@@ -667,9 +657,9 @@ def pairing_table(H: FinHopf) -> PairingReport:
     return PairingReport(tuple(rows), nontrivial, not nontrivial)
 
 
-def commutative_quotient_check(mult, unit, M: int) -> bool:
+def commutative_quotient_check(mult, M: int) -> bool:
     """True iff A/Rad A is commutative (then all simple modules are 1-dim)."""
-    q = quotient_by_radical(mult, algebra_radical(mult, unit, M))
+    q = quotient_by_radical(mult, algebra_radical(mult, M))
     rows, n = q.rows_ij(), q.dims[0]
     one = CycloNum.one(M)
     for i in range(n):

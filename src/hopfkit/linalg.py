@@ -5,7 +5,7 @@ canonical reduced-row-echelon bases, so equal subspaces have identical
 representations.  Pivoting is always by first nonzero entry (no magnitude
 comparisons), which keeps every computation deterministic.  Dense lists
 appear only where data arrives or leaves in that form: the `.hopf` file
-format, dense constructor input and printing (the dense-boundary helpers).
+format and the command line (the dense-boundary helpers).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class EchelonBasis:
 
     def reduce(self, vec: dict) -> dict:
         """vec minus its components along the rows: zero on every pivot."""
-        v = {i: c for i, c in vec.items() if not c.is_zero()}
+        v = zero_free(vec)
         rows = self.rows
         for p, c in list(v.items()):
             row = rows.get(p)
@@ -325,6 +325,11 @@ def mult_vectors(rows, u: dict, v: dict) -> dict:
     return acc
 
 
+def sparse_dot(u: dict, v: dict, M: int) -> CycloNum:
+    """sum_i u_i v_i for sparse vectors."""
+    return sum((c * v[i] for i, c in u.items() if i in v), CycloNum.zero(M))
+
+
 def outer(u: dict, v: dict) -> dict:
     """u (x) v for sparse vectors: {(a, b): u_a v_b}."""
     return {(a, b): ca * cb for a, ca in u.items() for b, cb in v.items()}
@@ -345,9 +350,14 @@ def sparse_columns(A) -> list[dict]:
     return cols
 
 
+def zero_free(v: dict) -> dict:
+    """v with zero coefficients dropped, so equal vectors are equal dicts."""
+    return {i: c for i, c in v.items() if not c.is_zero()}
+
+
 def zero_free_columns(cols) -> tuple[dict, ...]:
     """`cols` with zero coefficients dropped, so equal maps have equal columns."""
-    return tuple({i: c for i, c in col.items() if not c.is_zero()} for col in cols)
+    return tuple(zero_free(col) for col in cols)
 
 
 def identity_columns(n: int, M: int) -> list[dict]:
@@ -389,7 +399,7 @@ def transpose_columns(cols: list[dict], m: int) -> list[dict]:
     return out
 
 
-# -- the dense boundary: file formats, constructor input, printing -------------
+# -- the dense boundary: the .hopf format and the command line -----------------
 
 def dense_to_sparse(v) -> dict:
     return {i: c for i, c in enumerate(v) if not c.is_zero()}
@@ -410,7 +420,7 @@ def dense_rows(cols: list[dict], m: int, M: int) -> list[list[CycloNum]]:
 
 # -- associative algebra invariants ----------------------------------------------
 
-def algebra_radical(mult: SparseTensor3, unit, M: int) -> Subspace:
+def algebra_radical(mult: SparseTensor3, M: int) -> Subspace:
     """Jacobson radical via the trace form (x,y) -> Tr(L_{xy}); char 0 only.
 
     Assumes the multiplication is associative and unital (caller-verified).

@@ -26,8 +26,7 @@ from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
                      NonMonomialConstraint, NonTerminatingRewrite)
 from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
                    verify_hopf, verify_morphism)
-from .linalg import (SparseTensor3, dense_to_sparse, intersect_kernels,
-                     sparse_add_into)
+from .linalg import SparseTensor3, intersect_kernels, sparse_add_into
 
 
 class GroupGen:
@@ -128,6 +127,7 @@ class _Engine:
         self.one = CycloNum.one(self.M)
         self._rmul_memo: dict = {}
         self._xmul_memo: dict = {}
+        self._theta_memo: dict = {}
         self.s = len(spec.skew_gens)
         self.r = len(spec.group_gens)
         self.zero_g = tuple(0 for _ in range(self.r))
@@ -135,13 +135,17 @@ class _Engine:
 
     def theta_pass(self, gexp, xexp) -> CycloNum:
         """Scalar from moving g^gexp right past x^xexp."""
-        acc = self.one
-        th = self.spec.theta
-        for t, ct in enumerate(gexp):
-            if ct:
-                for i, bi in enumerate(xexp):
-                    if bi:
-                        acc = acc * th[t][i] ** (ct * bi)
+        key = (gexp, xexp)
+        acc = self._theta_memo.get(key)
+        if acc is None:
+            acc = self.one
+            th = self.spec.theta
+            for t, ct in enumerate(gexp):
+                if ct:
+                    for i, bi in enumerate(xexp):
+                        if bi:
+                            acc = acc * th[t][i] ** (ct * bi)
+            self._theta_memo[key] = acc
         return acc
 
     def rmul_x(self, a: tuple, i: int) -> dict:
@@ -270,7 +274,6 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
                     mult_d[(i, j, index[m])] = c
 
     # comultiplication by multiplying generator coproducts in H (x) H
-    unit_mono = (eng.zero_x, eng.zero_g)
     comult_d = {}
     dx = []
     for x in spec.skew_gens:
@@ -288,9 +291,8 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
             if not coef.is_zero():
                 comult_d[(i, index[ml], index[mr])] = coef
 
-    unit = [CycloNum.zero(M)] * n
-    unit[index[unit_mono]] = one
-    counit = [one if not any(a) else CycloNum.zero(M) for (a, c) in monos]
+    unit = {index[(eng.zero_x, eng.zero_g)]: one}
+    counit = {i: one for i, (a, c) in enumerate(monos) if not any(a)}
 
     # antipode: anti-multiplicative extension of the generator values
     s_gen = []
@@ -310,11 +312,10 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
         S.append({index[m]: coef for m, coef in acc.items()})
 
     gls = [{i: one} for i, (a, c) in enumerate(monos) if not any(a)]
-    chars = [dense_to_sparse(chi) for chi in solve_characters(spec)]
 
     H = FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult_d), unit,
                 SparseTensor3.from_dict((n, n, n), comult_d), counit, S,
-                ClaimSet(gls, chars), spec.label, spec, fixtures)
+                ClaimSet(gls, solve_characters(spec)), spec.label, spec, fixtures)
     rep = verify_hopf(H)
     if not rep.ok:
         raise AxiomFailure(
@@ -323,7 +324,8 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
 
 
 def solve_characters(spec: PresentationSpec):
-    """All algebra maps H -> k, as covectors on the monomial basis.
+    """All algebra maps H -> k, as sparse covectors on the monomial basis
+    (nonzero exactly on the group-likes, where the values are roots of unity).
 
     Skew-primitive generators are forced to 0 (by a nontrivial commutation
     coefficient, or by nilpotency when the power value is 0); group
@@ -375,8 +377,8 @@ def solve_characters(spec: PresentationSpec):
                     ok = False
                     break
         if ok:
-            out.append(tuple(ev_group(c) if not any(a) else zero
-                             for (a, c) in monos))
+            out.append({i: ev_group(c) for i, (a, c) in enumerate(monos)
+                        if not any(a)})
     return out
 
 
@@ -407,13 +409,13 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
         raise NoEmbeddingFound("target has no verified group-like claims")
 
     def power(v: dict, e: int) -> dict:
-        acc = target.unit_sparse()
+        acc = target.unit
         for _ in range(e):
             acc = target.mul(acc, v)
         return acc
 
     def order_divides(v: dict, N: int) -> bool:
-        return power(v, N) == target.unit_sparse()
+        return power(v, N) == target.unit
 
     gl_candidates = []
     for g in spec.group_gens:
@@ -421,7 +423,7 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
 
     for phi_g in product(*gl_candidates):
         def ev_group(w) -> dict:
-            acc = target.unit_sparse()
+            acc = target.unit
             for val, e in zip(phi_g, w):
                 acc = target.mul(acc, power(val, e))
             return acc
@@ -491,7 +493,7 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
                 if not cc.is_zero():
                     for k, ck in ev_group(spec.gmod(w)).items():
                         sparse_add_into(t, k, cc * ck)
-            ce = target.unit_sparse()
+            ce = target.unit
             for _ in range(x.power_exp):
                 ce = target.mul(ce, images_x[i])
             if not t and not ce:

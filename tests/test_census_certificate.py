@@ -34,7 +34,7 @@ def oracle_census(H):
     for g in H.verified_grouplikes:
         distinct.setdefault(frozenset(g.items()), g)
     seen = list(distinct)
-    unit = frozenset(H.unit_sparse().items())
+    unit = frozenset(H.unit.items())
     assert seen and unit in distinct
     prods = {}
     for a in seen:
@@ -77,10 +77,8 @@ def relabel(H, seed):
             for (i, j, k), c in H.mult.entries}
     comult = {(sigma[i], sigma[j], sigma[k]): c * q(lam[i] / (lam[j] * lam[k]))
               for (i, j, k), c in H.comult.entries}
-    unit, counit = [None] * n, [None] * n
-    for i in range(n):
-        unit[sigma[i]] = H.unit[i] * q(1 / lam[i])
-        counit[sigma[i]] = H.counit[i] * q(lam[i])
+    unit = {sigma[i]: c * q(1 / lam[i]) for i, c in H.unit.items()}
+    counit = {sigma[i]: c * q(lam[i]) for i, c in H.counit.items()}
     S = [None] * n
     for j, col in enumerate(H.antipode):
         S[sigma[j]] = {sigma[a]: c * q(lam[j] / lam[a]) for a, c in col.items()}
@@ -134,7 +132,7 @@ def test_proper_subgroup_of_claims_fails_the_count():
 def test_claims_not_closed_fail_the_count():
     H = group_algebra(cyclic(9), 9)
     orders = oracle_census(H).orders
-    unit = H.unit_sparse()
+    unit = H.unit
     gen = next(x for k, x in enumerate(H.claims.grouplikes) if orders[k] == 9)
     with pytest.raises(ClaimIncomplete, match="2 " + COUNT_MESSAGE):
         grouplike_census(with_claims(H, [unit, gen], "open"))

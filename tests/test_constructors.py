@@ -11,8 +11,8 @@ from hopfkit.groups import abelian, cyclic, heisenberg, semidirect_p2_p
 from hopfkit.hopf import HopfMorphism, dual, verify_hopf, verify_morphism
 from hopfkit.invariants import (characters_census, fingerprint,
                                 grouplike_census, semisimplicity)
-from dense_oracle import identity_matrix, zero_vector
-from hopfkit.linalg import SparseTensor3, dense_to_sparse, sparse_to_dense
+from hopfkit.linalg import (SparseTensor3, dense_to_sparse, identity_columns,
+                            sparse_to_dense)
 
 M = 9
 
@@ -79,11 +79,10 @@ def test_ttilde_fixture_verifies():
 def test_crossed_product_trivial_is_tensor():
     # trivial action and cocycle: bit-exact tensor-product algebra
     A = group_algebra(cyclic(3), M)
-    one = CycloNum.one(M)
-    unit = list(A.unit)
+    unit = A.unit
     data = CrossedProductData(
         A.mult, unit, M, 3,
-        [identity_matrix(3, M)] * 3,
+        [identity_columns(3, M)] * 3,
         {(i, j): unit for i in range(3) for j in range(3)})
     t, u = crossed_product(data)
     expected = {}
@@ -97,15 +96,10 @@ def test_crossed_product_trivial_is_tensor():
 def test_crossed_product_carry_cocycle_gives_z9():
     # A = k[Z/3] = <h>, sigma(t^i, t^j) = h^((i+j) div 3): the group Z/9
     A = group_algebra(cyclic(3), M)
-    unit = list(A.unit)
-    sigma = {}
-    for i in range(3):
-        for j in range(3):
-            v = zero_vector(3, M)
-            v[(i + j) // 3] = CycloNum.one(M)
-            sigma[(i, j)] = v
-    data = CrossedProductData(A.mult, unit, M, 3,
-                              [identity_matrix(3, M)] * 3, sigma)
+    sigma = {(i, j): {(i + j) // 3: CycloNum.one(M)}
+             for i in range(3) for j in range(3)}
+    data = CrossedProductData(A.mult, A.unit, M, 3,
+                              [identity_columns(3, M)] * 3, sigma)
     t, u = crossed_product(data)
     # basis h^a # t^i at index 3a+i matches g^(3a+i) in k[Z/9] (h = g^3)
     Z9 = group_algebra(cyclic(9), M)
@@ -118,54 +112,45 @@ def test_crossed_product_taft_action():
     T = standard_constructors("taft", 3, 1)
     monos = T.monomials
     q = CycloNum.zeta(M, 3)
-    U = [[CycloNum.zero(M)] * 9 for _ in range(9)]
-    for j, (a, c) in enumerate(monos):
-        U[j][j] = q ** a[0]
-    action = [identity_matrix(9, M), U,
-              [[U[i][j] * U[i][j] if i == j else CycloNum.zero(M)
-                for j in range(9)] for i in range(9)]]
-    unit = list(T.unit)
+    U = [{j: q ** a[0]} for j, (a, c) in enumerate(monos)]
+    action = [identity_columns(9, M), U,
+              [{j: c * c for j, c in col.items()} for col in U]]
+    unit = T.unit
     sigma = {(i, j): unit for i in range(3) for j in range(3)}
     data = CrossedProductData(T.mult, unit, M, 3, action, sigma)
     t, u = crossed_product(data)
-    assert commutative_quotient_check(t, u, M)
+    assert u == {3 * i: c for i, c in unit.items()}
+    assert commutative_quotient_check(t, M)
 
 
 def test_crossed_product_rejects_broken_cocycle():
     A = group_algebra(cyclic(3), M)
-    unit = list(A.unit)
-    sigma = {}
-    for i in range(3):
-        for j in range(3):
-            v = zero_vector(3, M)
-            v[(i + j) // 3] = CycloNum.one(M)
-            sigma[(i, j)] = v
+    unit = A.unit
+    sigma = {(i, j): {(i + j) // 3: CycloNum.one(M)}
+             for i in range(3) for j in range(3)}
     corrupted = dict(sigma)
     corrupted[(2, 2)] = unit  # drop one carry
     with pytest.raises(CocycleConditionFails):
         CrossedProductData(A.mult, unit, M, 3,
-                           [identity_matrix(3, M)] * 3, corrupted)
+                           [identity_columns(3, M)] * 3, corrupted)
     # non-normalized sigma
     bad2 = dict(sigma)
-    v = zero_vector(3, M)
-    v[1] = CycloNum.one(M)
-    bad2[(0, 1)] = v
+    bad2[(0, 1)] = {1: CycloNum.one(M)}
     with pytest.raises(CocycleConditionFails):
         CrossedProductData(A.mult, unit, M, 3,
-                           [identity_matrix(3, M)] * 3, bad2)
+                           [identity_columns(3, M)] * 3, bad2)
 
 
 def test_crossed_product_rejects_broken_action():
     A = group_algebra(cyclic(3), M)
-    unit = list(A.unit)
+    unit = A.unit
     sigma = {(i, j): unit for i in range(3) for j in range(3)}
-    bad = [[CycloNum.zero(M)] * 3 for _ in range(3)]
-    bad[0][0] = CycloNum.one(M)
-    bad[1][1] = CycloNum.from_rational(M, 2)  # g -> 2g: not an algebra map
-    bad[2][2] = CycloNum.one(M)
+    # g -> 2g: not an algebra map
+    bad = [{0: CycloNum.one(M)}, {1: CycloNum.from_rational(M, 2)},
+           {2: CycloNum.one(M)}]
     with pytest.raises(WeakActionAxiomFails):
         CrossedProductData(A.mult, unit, M, 3,
-                           [identity_matrix(3, M), bad, bad], sigma)
+                           [identity_columns(3, M), bad, bad], sigma)
 
 
 def test_double_of_group_algebra():
@@ -192,7 +177,7 @@ def test_double_taft(double_taft):
     # the quotient by the central group-likes has dimension 27
     from hopfkit.hopf import quotient_by_hopf_ideal
     gens = []
-    unit = list(double_taft.unit)
+    unit = sparse_to_dense(double_taft.unit, 81, M)
     for v in double_taft.claims.central_grouplikes:
         gens.append(dense_to_sparse([a - b for a, b in zip(sparse_to_dense(v, 81, M), unit)]))
     Q, proj = quotient_by_hopf_ideal(double_taft, gens)

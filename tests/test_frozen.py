@@ -22,7 +22,7 @@ def test_assignment_raises(tmp_path, taft3, double_taft):
     path = str(tmp_path / "taft.hopf")
     export_hopf(taft3, path)
     loaded, _ = import_hopf(path)
-    unit = list(double_taft.unit)
+    unit = sparse_to_dense(double_taft.unit, 81, taft3.conductor)
     gens = [dense_to_sparse([a - b for a, b in zip(
                 sparse_to_dense(v, 81, taft3.conductor), unit)])
             for v in double_taft.claims.central_grouplikes]

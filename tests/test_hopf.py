@@ -88,7 +88,7 @@ def test_morphisms():
     H = kz3()
     r = verify_morphism(identity_morphism(H))
     assert r.ok and r.bijective
-    eps = HopfMorphism(H, trivial_hopf(M), sparse_columns([list(H.counit)]))
+    eps = HopfMorphism(H, trivial_hopf(M), [{0: H.counit[j]} for j in range(3)])
     r = verify_morphism(eps)
     assert r.ok and r.surjective and not r.injective
     # inversion g -> g^2 is a Hopf automorphism of an abelian group algebra
@@ -106,7 +106,7 @@ def test_morphisms():
 def test_coinvariants_identity_and_counit():
     H = kz3()
     assert coinvariants(identity_morphism(H)).dim == 1
-    eps = HopfMorphism(H, trivial_hopf(M), sparse_columns([list(H.counit)]))
+    eps = HopfMorphism(H, trivial_hopf(M), [{0: H.counit[j]} for j in range(3)])
     assert coinvariants(eps).dim == 3
 
 

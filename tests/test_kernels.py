@@ -110,11 +110,12 @@ def _mult_matrices(A, left):
 
 
 def _minus_counit(A, mats):
+    eps = sparse_to_dense(A.counit, A.dim, A.conductor)
     out = []
     for i, X in enumerate(mats):
         X = [list(r) for r in X]
         for d in range(A.dim):
-            X[d][d] = X[d][d] - A.counit[i]
+            X[d][d] = X[d][d] - eps[i]
         out.append(X)
     return out
 
@@ -155,9 +156,9 @@ def test_fingerprint_computes_each_radical_once(monkeypatch):
     orig = linalg.algebra_radical
     seen = []
 
-    def counting(mult, unit, M):
+    def counting(mult, M):
         seen.append(mult)
-        return orig(mult, unit, M)
+        return orig(mult, M)
     for name, mod in list(sys.modules.items()):
         if name == "hopfkit" or name.startswith("hopfkit."):
             for attr, val in list(vars(mod).items()):

@@ -7,7 +7,7 @@ from dense_oracle import (identity_matrix, mat_eq, mat_vec, sparse_rows,
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import AmbientMismatch
 from hopfkit.linalg import (SparseTensor3, Subspace, algebra_radical,
-                            apply_columns, center_dim, commutative_quotient_dim,
+                            center_dim, commutative_quotient_dim,
                             dense_rows, dense_to_sparse, image, kernel,
                             mat_inverse, mat_mul, mult_vectors,
                             quotient_by_radical, quotient_mult, sparse_columns,
@@ -42,9 +42,9 @@ def intersect(U, V):
     return U.perp().sum(V.perp()).perp()
 
 
-def split_character_count(mult, unit, M):
+def split_character_count(mult, M):
     """dim of the largest commutative quotient of A/Rad A."""
-    rad = algebra_radical(mult, unit, M)
+    rad = algebra_radical(mult, M)
     return commutative_quotient_dim(quotient_by_radical(mult, rad), M)
 
 
@@ -135,42 +135,39 @@ def _upper_triangular_fixture():
     # basis e11, e12, e22 of upper-triangular 2x2 matrices
     one = CycloNum.one(M)
     d = {(0, 0, 0): one, (0, 1, 1): one, (1, 2, 1): one, (2, 2, 2): one}
-    mult = SparseTensor3.from_dict((3, 3, 3), d)
-    unit = [one, CycloNum.zero(M), one]
-    return mult, unit
+    return SparseTensor3.from_dict((3, 3, 3), d)
 
 
-def _block_count(mult, unit, M):
+def _block_count(mult, M):
     """Wedderburn blocks of A/Rad A: the centre dimension of that quotient."""
-    return center_dim(quotient_by_radical(mult, algebra_radical(mult, unit, M)), M)
+    return center_dim(quotient_by_radical(mult, algebra_radical(mult, M)), M)
 
 
 def _group_algebra_z3():
     one = CycloNum.one(3)
     d = {(i, j, (i + j) % 3): one for i in range(3) for j in range(3)}
-    return SparseTensor3.from_dict((3, 3, 3), d), \
-        [one, CycloNum.zero(3), CycloNum.zero(3)]
+    return SparseTensor3.from_dict((3, 3, 3), d)
 
 
 def test_radical_upper_triangular():
-    mult, unit = _upper_triangular_fixture()
-    rad = algebra_radical(mult, unit, M)
+    mult = _upper_triangular_fixture()
+    rad = algebra_radical(mult, M)
     assert rad.dim == 1
     assert rad.contains({1: CycloNum.one(M)})
 
 
 def test_radical_group_algebra_semisimple():
-    mult, unit = _group_algebra_z3()
-    assert algebra_radical(mult, unit, 3).dim == 0
-    assert split_character_count(mult, unit, 3) == 3
-    assert _block_count(mult, unit, 3) == 3
+    mult = _group_algebra_z3()
+    assert algebra_radical(mult, 3).dim == 0
+    assert split_character_count(mult, 3) == 3
+    assert _block_count(mult, 3) == 3
 
 
 def test_radical_is_nilpotent_ideal_and_quotient_semisimple():
     # radical output: two-sided ideal, nilpotent left-multiplications,
     # semisimple quotient (its own radical vanishes)
-    mult, unit = _upper_triangular_fixture()
-    rad = algebra_radical(mult, unit, M)
+    mult = _upper_triangular_fixture()
+    rad = algebra_radical(mult, M)
     rows = mult.rows_ij()
     one = CycloNum.one(M)
     for sv in rad.basis:
@@ -185,9 +182,7 @@ def test_radical_is_nilpotent_ideal_and_quotient_semisimple():
         assert all(c.is_zero() for row in P for c in row)
     proj = rad.projection_columns()
     qmult = quotient_mult(rows, rad, proj)
-    q = qmult.dims[0]
-    qunit = sparse_to_dense(apply_columns(proj, dense_to_sparse(unit)), q, M)
-    assert algebra_radical(qmult, qunit, M).dim == 0
+    assert algebra_radical(qmult, M).dim == 0
 
 
 def test_matrix_algebra_blocks():
@@ -200,10 +195,9 @@ def test_matrix_algebra_blocks():
             if b == c:
                 d[(i, j, idx[(a, e)])] = one
     mult = SparseTensor3.from_dict((4, 4, 4), d)
-    unit = [one, CycloNum.zero(3), CycloNum.zero(3), one]
-    assert algebra_radical(mult, unit, 3).dim == 0
-    assert split_character_count(mult, unit, 3) == 0
-    assert _block_count(mult, unit, 3) == 1
+    assert algebra_radical(mult, 3).dim == 0
+    assert split_character_count(mult, 3) == 0
+    assert _block_count(mult, 3) == 1
 
 
 def test_perp_of_sum_is_intersection_of_perps():

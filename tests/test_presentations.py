@@ -7,7 +7,8 @@ from hopfkit.constructors import standard_constructors
 from hopfkit.errors import NonMonomialConstraint, NonTerminatingRewrite
 from hopfkit.hopf import verify_hopf
 from hopfkit.presentations import (GroupGen, PresentationSpec, SkewGen,
-                                   find_embedding, solve_characters)
+                                   build_from_presentation, find_embedding,
+                                   solve_characters)
 
 M = 9
 
@@ -64,6 +65,26 @@ def test_rewrite_associativity_smoke(uq3):
         a = uq3.mul(uq3.mul({i: one}, {j: one}), {k: one})
         b = uq3.mul({i: one}, uq3.mul({j: one}, {k: one}))
         assert a == b
+
+
+def test_theta_pass_is_computed_once_per_exponent_pair(monkeypatch, uq3):
+    """The scalar for moving g^c past x^b depends only on (c, b): building
+    u_q(sl2) at p = 3 takes 32 `CycloNum.__pow__` calls (854 when every
+    monomial product recomputed it)."""
+    from hopfkit.constructors import uq_sl2_spec
+    spec = uq_sl2_spec(3, 1, M)
+    pow_, calls = CycloNum.__pow__, []
+
+    def counting(self, e):
+        calls.append(e)
+        return pow_(self, e)
+
+    monkeypatch.setattr(CycloNum, "__pow__", counting)
+    H = build_from_presentation(spec)
+    monkeypatch.undo()
+    assert len(calls) == 32
+    assert H.mult == uq3.mult and H.comult == uq3.comult
+    assert H.antipode == uq3.antipode
 
 
 def test_solve_characters_counts(taft3, uq3, book1):

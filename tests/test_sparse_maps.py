@@ -1,9 +1,9 @@
 """The sparse-column view of linear maps against the dense matrix products
 it replaced: the antipode order, Tr S^2, Radford's S^4 formula and the
 Drinfeld element, on the p = 3 corpus, its opposites (antipode S^{-1})
-and D(taft); the zero-free column invariant of every stored map and
-morphism; and the
-projected quotient multiplication against reduction modulo the ideal."""
+and D(taft); the zero-free invariant of every stored map, morphism, unit
+and counit; and the projected quotient multiplication against reduction
+modulo the ideal."""
 
 import random
 
@@ -13,8 +13,10 @@ from dense_oracle import identity_matrix, mat_eq, mat_trace, mat_vec
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import BoundExceeded
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
-from hopfkit.hopf import (FinHopf, HopfMorphism, identity_morphism, op_cop,
-                          quotient_by_hopf_ideal, verify_morphism)
+from hopfkit.hopf import (FinHopf, HopfMorphism, embed_hopf, identity_morphism,
+                          op_cop, quotient_by_hopf_ideal, tensor, verify_hopf,
+                          verify_morphism)
+from hopfkit.hopffile import dumps, loads
 from hopfkit.invariants import (antipode_order, grouplike_inverse,
                                 modular_elements, radford_s4_check,
                                 semisimplicity)
@@ -87,7 +89,7 @@ def dense_u_inv(H, R, S2):
 def double_rmatrix(H):
     """The canonical R = sum_i (eps # e_i) (x) (beta_i # 1) of D(H)."""
     n = H.dim
-    eps, unit = dense_to_sparse(H.counit), dense_to_sparse(H.unit)
+    eps, unit = H.counit, H.unit
     R: dict = {}
     for i in range(n):
         left = {a * n + i: c for a, c in eps.items()}
@@ -125,7 +127,7 @@ def test_drinfeld_element_matches_dense_oracle(corpus3, uq_rmatrix, taft3,
     for H in corpus3.values():
         delta = dict(H.comult.entries)
         if delta == {(i, k, j): c for (i, j, k), c in delta.items()}:
-            unit = H.unit_sparse()
+            unit = H.unit
             _, rm = verify_qt(H, outer(unit, unit))  # cocommutative: 1 (x) 1
             assert rm is not None, H.label
             hosts.append(rm)
@@ -182,7 +184,7 @@ def test_antipode_order_bound_exceeded():
     mult = SparseTensor3.from_dict(
         (2, 2, 2), {(i, j, (i + j) % 2): one for i in range(2) for j in range(2)})
     comult = SparseTensor3.from_dict((2, 2, 2), {(i, i, i): one for i in range(2)})
-    H = FinHopf(2, 3, mult, (one, zero), comult, (one, one),
+    H = FinHopf(2, 3, mult, {0: one}, comult, {0: one, 1: one},
                 sparse_columns(((two, zero), (zero, one))))
     with pytest.raises(BoundExceeded):
         antipode_order(H)
@@ -191,6 +193,11 @@ def test_antipode_order_bound_exceeded():
 def zero_free(cols, n):
     return len(cols) == n and all(not c.is_zero() for col in cols
                                   for c in col.values())
+
+
+def zero_free_vector(v, n):
+    return type(v) is dict and all(0 <= i < n and not c.is_zero()
+                                   for i, c in v.items())
 
 
 def test_stored_maps_are_zero_free_columns(corpus3, double_taft, taft3):
@@ -206,13 +213,28 @@ def test_stored_maps_are_zero_free_columns(corpus3, double_taft, taft3):
     one = CycloNum.one(G.conductor)
     Q, pi = quotient_by_hopf_ideal(G, [{9: one, 0: -one}])
     assert Q.dim == 9 and zero_free(pi.cols, G.dim) and zero_free(Q.antipode, 9)
-    # explicit zeros in the given columns are dropped: the same algebra
+    # the unit and the counit are zero-free dicts on every construction path
+    members = tuple(corpus3.values())
+    assert len(members) == 17
+    for H in (*members, *(H.dual_cached() for H in members),
+              op_cop(taft3, "op"), op_cop(taft3, "cop"), op_cop(taft3, "both"),
+              tensor(taft3, G), double_taft, Q, embed_hopf(taft3, 18),
+              loads(dumps(double_taft))[0]):
+        assert zero_free_vector(H.unit, H.dim), H.label
+        assert zero_free_vector(H.counit, H.dim), H.label
+    # explicit zeros in the given unit, counit and columns are dropped: the
+    # same algebra
     for H in (taft3, corpus3["k[Z/27]"]):
         zero, one = CycloNum.zero(H.conductor), CycloNum.one(H.conductor)
         padded = [{i: col.get(i, zero) for i in range(H.dim)}
                   for col in H.antipode]
-        P = FinHopf(H.dim, H.conductor, H.mult, H.unit, H.comult, H.counit,
+        unit, counit = ({i: v.get(i, zero) for i in range(H.dim)}
+                        for v in (H.unit, H.counit))
+        assert any(c.is_zero() for c in (*unit.values(), *counit.values()))
+        P = FinHopf(H.dim, H.conductor, H.mult, unit, H.comult, counit,
                     padded)
+        assert P.unit == H.unit and P.counit == H.counit, H.label
+        assert verify_hopf(P).ok, H.label
         assert P.antipode == H.antipode, H.label
         assert antipode_order(P) == antipode_order(H), H.label
         for j in range(H.dim):

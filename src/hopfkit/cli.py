@@ -3,6 +3,10 @@
 Exit codes: 0 = all checks pass, 1 = a mathematical verification failed,
 2 = usage or parse error.  All output is deterministic: fixed-order
 key=value lines, no timestamps, so reports are golden-file testable.
+
+The analysis modules (invariants, constructors, quasitriangular,
+papercheck) are imported inside the commands that use them, so that a
+process importing or verifying a file does not pay for loading them.
 """
 
 from __future__ import annotations
@@ -15,10 +19,6 @@ from .cyclo import MAX_CONDUCTOR, CycloNum, render
 from .errors import BadParameter, HopfkitError, ParseError
 from .hopf import FinHopf, dual, op_cop, tensor
 from .hopffile import MAX_DIM, export_hopf, import_hopf
-from .invariants import (coradical_filtration, fingerprint, grouplike_census,
-                         characters_census, integrals, is_unimodular,
-                         pairing_table, radford_s4_check, semisimplicity,
-                         trace_formula_check)
 from .linalg import dense_to_sparse, outer, sparse_columns, sparse_to_dense
 
 CONSTRUCTOR_NAMES = (
@@ -35,6 +35,7 @@ def _build(args) -> FinHopf:
 
 
 def cmd_construct(args) -> int:
+    from .invariants import fingerprint
     H = _build(args)
     rmat = None
     if args.rmatrix:
@@ -76,6 +77,10 @@ def _make_rmatrix(H: FinHopf, args) -> dict:
 
 
 def _report_lines(H: FinHopf, which: str, seed: int, rmat: dict | None):
+    from .invariants import (characters_census, coradical_filtration,
+                             fingerprint, grouplike_census, integrals,
+                             is_unimodular, pairing_table, radford_s4_check,
+                             semisimplicity, trace_formula_check)
     lines = [f"label={H.label}", f"dim={H.dim}", f"conductor={H.conductor}"]
     if which in ("all", "fingerprint"):
         lines.append("fingerprint: " + fingerprint(H).line())
@@ -159,6 +164,7 @@ def cmd_report(args) -> int:
 
 
 def _unary(args, op: str) -> int:
+    from .invariants import fingerprint
     H, _ = import_hopf(args.file, conductor=args.conductor)
     K = dual(H) if op == "dual" else op_cop(H, op)
     print(f"label={K.label}")
@@ -186,6 +192,7 @@ def cmd_tensor(args) -> int:
 
 def cmd_double(args) -> int:
     from .constructors import drinfeld_double
+    from .invariants import semisimplicity
     H, _ = import_hopf(args.file, conductor=args.conductor)
     D = drinfeld_double(H, max_dim=args.max_dim)
     print(f"label={D.label}")

@@ -12,21 +12,24 @@ a presentation, a group algebra, the Drinfeld double and a .hopf file.
 from verified ones and carry a certificate in their docstrings instead.
 
 Associativity and the algebra-map laws of Delta and eps are checked with
-their left factor in a generating set X (`FinHopf.generators`): the words
-x_1 (x_2 ( ... (x_k 1))) in X span H.  Each law then holds on all of H by
-induction on such words, given the laws listed before it:
-  associativity, given the unit law: W = {a : (ab)c = a(bc) for all b, c}
-    contains 1, and for a in W and x in X,
+their left factor in a set L of basis indices: L = X = `FinHopf.generators`,
+joined by supp(u) when the unit law fails, u being the claimed unit.  The
+words x_1 (x_2 ( ... (x_k u))) in X span H.  Each law then holds on all of
+H by induction on such words, given the law listed before it:
+  associativity, given only that X exists: W = {a : (ab)c = a(bc) for all
+    b, c} is a subspace that contains u (it contains 1 by the unit law, or
+    supp(u) is in L), and for a in W and x in X (in W, being in L),
     ((xa)b)c = (x(ab))c = x((ab)c) = x(a(bc)) = (xa)(bc), so W = H;
-  Delta(ab) = Delta(a)Delta(b), given the unit law, associativity and
-    Delta(1) = 1 (x) 1: V = {a : Delta(ab) = Delta(a)Delta(b) for all b}
-    contains 1, and Delta((xa)b) = Delta(x(ab)) = Delta(x)Delta(ab)
+  Delta(ab) = Delta(a)Delta(b), given associativity:
+    V = {a : Delta(ab) = Delta(a)Delta(b) for all b} contains u (by the
+    unit law and Delta(1) = 1 (x) 1, or as supp(u) is in L), and
+    Delta((xa)b) = Delta(x(ab)) = Delta(x)Delta(ab)
     = Delta(x)Delta(a)Delta(b) = Delta(xa)Delta(b) (H (x) H is associative
     because H is), so V = H;
-  eps(ab) = eps(a)eps(b), given the unit law, associativity and
-    eps(1) = 1: the same induction with eps for Delta.
+  eps(ab) = eps(a)eps(b), given associativity: the same induction with
+    eps for Delta.
 Fallback rule: a law whose prerequisites fail is swept over all basis pairs
-or triples, and a law that fails on X is swept again in full, so every
+or triples, and a law that fails on L is swept again in full, so every
 report entry, first failing index included, is the one the full sweeps
 give.
 """
@@ -158,13 +161,15 @@ class FinHopf:
 
     @property
     def generators(self) -> tuple[int, ...] | None:
-        """Basis indices X with span{x_1 (x_2 ( ... (x_k 1))) : x_i in X} = H.
+        """Basis indices X with span{x_1 (x_2 ( ... (x_k u))) : x_i in X} = H,
+        u = `unit`.
 
-        Found by a greedy Krylov closure: start from span{1}, take each basis
+        Found by a greedy Krylov closure: start from span{u}, take each basis
         element not yet in the span (busiest `mrows` row first) into X, and
         close the span under left multiplication by X, until it is all of H.
         None when the span stays short of H, which the unit law excludes
-        (x 1 = x puts every x in X into the span).
+        (x 1 = x puts every x in X into the span); a claimed unit that fails
+        the unit law may still give an X.
         """
         return self.memo("generators", lambda: _krylov_generators(
             self.mrows, self.unit, self.conductor))
@@ -356,11 +361,12 @@ def _counit_multiplicative_failure(H: FinHopf, left=None):
     return None
 
 
-def _certified(sweep, X):
-    """sweep(X) certifies the law when X generates H and its prerequisites
-    hold; a failure there, or no X, is settled by the full sweep(None), so
-    the reported index is always the lexicographically first."""
-    if X is not None and sweep(X) is None:
+def _certified(sweep, L):
+    """sweep(L) certifies the law when L holds generators of H (and supp(u)
+    when the unit law fails) and its prerequisites hold; a failure there, or
+    no L, is settled by the full sweep(None), so the reported index is always
+    the lexicographically first."""
+    if L is not None and sweep(L) is None:
         return None
     return sweep(None)
 
@@ -369,20 +375,21 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     """Exact decision of every Hopf axiom; failures are report entries.
 
     The unit law is checked first (the report keeps associativity first).
-    When it holds, X = `H.generators` exists, and three laws are checked
-    with their left factor in X only:
-      associativity on X x basis x basis, given the unit law;
-      Delta(ab) = Delta(a)Delta(b) on X x basis, given the unit law,
-        associativity and Delta(1) = 1 (x) 1;
-      eps(ab) = eps(a)eps(b) on X x basis, given the unit law,
-        associativity and eps(1) = 1.
+    Where X = `H.generators` exists, three laws are checked with their left
+    factor in L = X, joined by supp(u) for the claimed unit u when the unit
+    law fails:
+      associativity on L x basis x basis, given only that X exists;
+      Delta(ab) = Delta(a)Delta(b) on L x basis, given associativity;
+      eps(ab) = eps(a)eps(b) on L x basis, given associativity.
     Each suffices by induction on words in X: the set of a for which the
-    law holds for all other arguments contains 1 and is closed under
-    a -> xa, because (xa)b = x(ab) (module docstring).  A law whose
-    prerequisites fail is swept over all basis pairs or triples, and so is
-    a law that fails on X, so each entry (name, verdict, first failing
-    index) is the one the full sweeps give.  The other laws are linear in
-    one argument and are checked on every basis element.
+    law holds for all other arguments is a subspace, contains u and is
+    closed under a -> xa, because (xa)b = x(ab) (module docstring).
+    Delta(u) = u (x) u and eps(u) = 1 are checked first and reported at
+    ("unit",).  A law whose prerequisites fail is swept over all basis
+    pairs or triples, and so is a law that fails on L, so each entry
+    (name, verdict, first failing index) is the one the full sweeps give.
+    The other laws are linear in one argument and are checked on every
+    basis element.
     """
     n, M = H.dim, H.conductor
     crows, su, counit = H.crows, H.unit, H.counit
@@ -395,11 +402,14 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
         if H.mul(su, ej) != ej or H.mul(ej, su) != ej:
             unit_fail = (j,)
             break
-    X = H.generators if unit_fail is None else None
+    # L, the left factors of the checks on generators (verify_hopf docstring)
+    L = H.generators
+    if L is not None and unit_fail is not None:
+        L = tuple(sorted({*L, *su}))
 
-    fail = _certified(lambda left: associativity_failure(H.mrows, left), X)
+    fail = _certified(lambda left: associativity_failure(H.mrows, left), L)
     if fail is not None:
-        X = None
+        L = None
     checks = [CheckResult("associativity", fail is None, fail),
               CheckResult("unit", unit_fail is None, unit_fail)]
 
@@ -439,7 +449,7 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
         fail = ("unit",)
     else:
         fail = _certified(
-            lambda left: _comult_multiplicative_failure(H, left), X)
+            lambda left: _comult_multiplicative_failure(H, left), L)
     checks.append(CheckResult("comult_algebra_map", fail is None, fail))
 
     # counit is an algebra map (and eps(1) = 1)
@@ -447,7 +457,7 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
         fail = ("unit",)
     else:
         fail = _certified(
-            lambda left: _counit_multiplicative_failure(H, left), X)
+            lambda left: _counit_multiplicative_failure(H, left), L)
     checks.append(CheckResult("counit_algebra_map", fail is None, fail))
 
     # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta

@@ -2,7 +2,9 @@
 rendering, sorted sparse triples, and whole-file atomic writes.
 
 import(export(H)) reproduces H bit-exactly; import runs verify_hopf before
-returning, as a file is one of the sources of an algebra.
+returning, as a file is one of the sources of an algebra.  A file repeats few
+distinct coefficients many times, so an import parses each distinct
+coefficient string once and an export renders each distinct value once.
 """
 
 from __future__ import annotations
@@ -22,29 +24,33 @@ FORMAT_VERSION = "hopf-v1"
 MAX_DIM = 4096
 
 
-def _vec_strs(v):
-    return [render(c) for c in v]
-
-
-def _triples(t: SparseTensor3):
-    return [[i, j, k, render(c)] for (i, j, k), c in t.entries]
-
-
 def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
+    texts: dict = {}
+
+    def text(c):
+        s = texts.get(c)
+        if s is None:
+            s = texts[c] = render(c)
+        return s
+
+    def triples(t: SparseTensor3):
+        return [[i, j, k, text(c)] for (i, j, k), c in t.entries]
+
     def vector(v):
-        return _vec_strs(sparse_to_dense(v, H.dim, H.conductor))
+        return [text(c) for c in sparse_to_dense(v, H.dim, H.conductor)]
 
     def matrix(cols):
-        return [_vec_strs(row) for row in dense_rows(cols, H.dim, H.conductor)]
+        return [[text(c) for c in row]
+                for row in dense_rows(cols, H.dim, H.conductor)]
 
     obj = {
         "format_version": FORMAT_VERSION,
         "label": H.label,
         "dim": H.dim,
         "conductor": H.conductor,
-        "mult": _triples(H.mult),
+        "mult": triples(H.mult),
         "unit": vector(H.unit),
-        "comult": _triples(H.comult),
+        "comult": triples(H.comult),
         "counit": vector(H.counit),
         "antipode": matrix(H.antipode),
         "claims": {
@@ -56,7 +62,7 @@ def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
         },
     }
     if rmatrix is not None:
-        obj["rmatrix"] = [[i, j, render(c)]
+        obj["rmatrix"] = [[i, j, text(c)]
                           for (i, j), c in sorted(rmatrix.items())]
     return obj
 
@@ -91,11 +97,16 @@ def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | N
         if n > MAX_DIM:
             raise ParseError(f"dim {n} exceeds {MAX_DIM}")
 
+        values: dict = {}
+
         def num(s):
             if type(s) is not str:
                 raise ParseError(
                     f"coefficient of type {type(s).__name__}, expected a string")
-            return cparse(M, s)
+            c = values.get(s)
+            if c is None:
+                c = values[s] = cparse(M, s)
+            return c
 
         def vec(ss):
             if type(ss) is not list:

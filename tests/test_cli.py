@@ -305,6 +305,20 @@ def test_import_non_integer_dim_or_conductor_exit_2(tmp_path, capsys):
         assert code == 2 and "Traceback" not in err and "integers" in err, key
 
 
+def test_cli_import_leaves_the_analysis_modules_unloaded():
+    # `import` and the other file commands load only what they use; the
+    # analysis modules are imported inside the commands that need them
+    import subprocess
+    import sys
+    code = "import sys, hopfkit.cli\nprint(*sys.modules, sep='\\n')\n"
+    r = subprocess.run([sys.executable, "-c", code],
+                       capture_output=True, text=True, check=True)
+    loaded = set(r.stdout.split())
+    assert "hopfkit.hopffile" in loaded
+    for name in ("invariants", "constructors", "quasitriangular", "papercheck"):
+        assert f"hopfkit.{name}" not in loaded, name
+
+
 def test_internal_error_exit_2_without_traceback():
     # no exception escapes main as a traceback, whatever a command raises
     import subprocess

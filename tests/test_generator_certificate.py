@@ -4,13 +4,17 @@ basis pairs and triples that they replace.
 
 Each report entry (name, verdict, first failing index) must be the one the
 full sweeps give: on the p = 3 corpus, on D(taft), on seeded relabelled and
-rescaled copies of D(taft), and on seeded one-entry corruptions of every
-structure map of taft, u_q(sl2) and D(taft).
+rescaled copies of D(taft), on seeded one-entry corruptions of every
+structure map of taft, u_q(sl2) and D(taft), and on unit corruptions of
+D(taft) and its relabelled and rescaled copies, where associativity is
+checked on X and the support of the claimed unit instead of in full.
 """
 
 import random
+import sys
 from fractions import Fraction
 
+from hopfkit import hopf
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import FinHopf, HopfMorphism, op_cop, verify_hopf, verify_morphism
@@ -252,6 +256,32 @@ def test_corruptions_match_the_full_sweeps(taft3, uq3, double_taft):
                 rep = report(Hc)
                 assert rep == oracle_verify(Hc), (H.label, part, seed)
                 assert not all(ok for _, ok, _ in rep), (H.label, part, seed)
+
+
+def test_unit_corruptions_keep_the_generator_certificate(double_taft, monkeypatch):
+    # With the unit law failing, associativity is still checked with its left
+    # factor in X and supp(u), u the claimed unit, never swept in full
+    orig = hopf.associativity_failure
+    calls = []
+
+    def recording(mrows, left=None):
+        calls.append(left)
+        return orig(mrows, left)
+    for mod in list(sys.modules.values()):
+        if mod.__name__ == "hopfkit" or mod.__name__.startswith("hopfkit."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, recording)
+    bases = (double_taft, relabel(double_taft, random.Random(11), False),
+             relabel(double_taft, random.Random(12), True))
+    for H in bases:
+        for seed in range(3):
+            Hc = corrupt(H, "unit", random.Random(seed))
+            calls.clear()
+            rep = report(Hc)
+            assert rep == oracle_verify(Hc), (H.label, seed)
+            assert rep[1][:2] == ("unit", False), (H.label, seed)
+            assert calls and None not in calls, (H.label, seed)
 
 
 def test_generating_sets_stay_small(double_taft):

@@ -185,3 +185,63 @@ def test_large_dim_is_a_parse_error(taft3, monkeypatch):
     with pytest.raises(ParseError) as exc:
         hopffile.from_obj(obj)
     assert str(exc.value) == "dim 4097 exceeds 4096"
+
+
+def _coefficient_strings(obj):
+    """Every coefficient string of a .hopf object, with repeats."""
+    def flat(rows):
+        return [s for row in rows for s in row]
+    claims = obj["claims"]
+    return [*(t[3] for t in obj["mult"]), *(t[3] for t in obj["comult"]),
+            *obj["unit"], *obj["counit"], *flat(obj["antipode"]),
+            *flat(claims["grouplikes"]), *flat(claims["characters"]),
+            *(s for _, rows in claims["iso_fixtures"] for s in flat(rows)),
+            *(t[2] for t in obj.get("rmatrix", ()))]
+
+
+def test_import_parses_each_distinct_coefficient_once(double_taft, monkeypatch):
+    from hopfkit import hopffile
+    text = dumps(double_taft)
+    strings = _coefficient_strings(json.loads(text))
+    parse = hopffile.cparse
+    calls = []
+
+    def counting(M, s):
+        calls.append(s)
+        return parse(M, s)
+    monkeypatch.setattr(hopffile, "cparse", counting)
+    H, _ = loads(text)
+    assert same_structure(H, double_taft)
+    assert len(strings) > 10 * len(set(strings))
+    assert sorted(calls) == sorted(set(strings))
+
+
+def test_export_renders_each_distinct_coefficient_once(double_taft, monkeypatch):
+    from hopfkit import hopffile
+    text = dumps(double_taft)
+    render = hopffile.render
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return render(c)
+    monkeypatch.setattr(hopffile, "render", counting)
+    assert dumps(double_taft) == text
+    assert len(calls) == len(set(calls))
+    assert sorted(map(render, calls)) == sorted(
+        set(_coefficient_strings(json.loads(text))))
+
+
+def test_list_coefficient_is_a_parse_error(taft3):
+    # the type check comes before the lookup of the string's parsed value,
+    # so an unhashable coefficient is named as such
+    obj = json.loads(dumps(taft3))
+    i, j, k, s = obj["mult"][0]
+    edits = (lambda o: o["mult"].__setitem__(0, [i, j, k, [s]]),
+             lambda o: o["unit"].__setitem__(0, [o["unit"][0]]))
+    for edit in edits:
+        bad = json.loads(dumps(taft3))
+        edit(bad)
+        with pytest.raises(ParseError) as exc:
+            loads(json.dumps(bad))
+        assert str(exc.value) == "coefficient of type list, expected a string"

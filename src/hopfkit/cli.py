@@ -194,7 +194,7 @@ def cmd_double(args) -> int:
     from .constructors import drinfeld_double
     from .invariants import semisimplicity
     H, _ = import_hopf(args.file, conductor=args.conductor)
-    D = drinfeld_double(H, max_dim=args.max_dim)
+    D = drinfeld_double(H)
     print(f"label={D.label}")
     print(f"dim={D.dim}")
     ss = semisimplicity(D)
@@ -228,13 +228,18 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def cmd_qt_verify(args) -> int:
-    from .quasitriangular import verify_qt
+def _host_and_rmatrix(args):
     H, rmat = import_hopf(args.host, conductor=args.conductor)
     if args.rfile:
         _, rmat = import_hopf(args.rfile, conductor=H.conductor)
     if rmat is None:
         raise ParseError("no R-matrix block in the given files")
+    return H, rmat
+
+
+def cmd_qt_verify(args) -> int:
+    from .quasitriangular import verify_qt
+    H, rmat = _host_and_rmatrix(args)
     rep, rm = verify_qt(H, rmat)
     for c in rep.checks:
         print(f"{c.name}={'pass' if c.ok else 'FAIL'}")
@@ -247,11 +252,7 @@ def cmd_qt_verify(args) -> int:
 
 def cmd_ribbon(args) -> int:
     from .quasitriangular import drinfeld_element, ribbon_search, verify_qt
-    H, rmat = import_hopf(args.host, conductor=args.conductor)
-    if args.rfile:
-        _, rmat = import_hopf(args.rfile, conductor=H.conductor)
-    if rmat is None:
-        raise ParseError("no R-matrix block in the given files")
+    H, rmat = _host_and_rmatrix(args)
     rep, rm = verify_qt(H, rmat)
     if rm is None:
         print("qt=FAIL")
@@ -369,7 +370,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("double", help="Drinfeld double of a .hopf file")
     d.add_argument("file")
-    d.add_argument("--max-dim", type=int, default=9)
     d.add_argument("--out", default=None)
     d.set_defaults(func=cmd_double)
 

@@ -378,17 +378,20 @@ def crossed_product(data: CrossedProductData) -> tuple[SparseTensor3, dict]:
 
 # -- Drinfeld double -------------------------------------------------------------------
 
+# the largest H whose double is built: D(H) has dimension at most 81
+DOUBLE_MAX_DIM = 9
 
-def drinfeld_double(H: FinHopf, max_dim: int = 9) -> FinHopf:
+
+def drinfeld_double(H: FinHopf) -> FinHopf:
     """D(H) = H*^{cop} (x) H with the standard double multiplication.
 
     Convention: (b # h)(b' # h') = b (h1 -> b' <- S^{-1} h3) # h2 h',
     with (h -> b)(m) = b(m h) and (b <- h)(m) = b(h m).  Validated by
     verify_hopf and by the F-surjection tests downstream.
     """
-    if H.dim > max_dim:
+    if H.dim > DOUBLE_MAX_DIM:
         raise DimensionGateExceeded(
-            f"dim {H.dim} exceeds the double's dimension gate {max_dim}")
+            f"dim {H.dim} exceeds the double's dimension gate {DOUBLE_MAX_DIM}")
     n, M = H.dim, H.conductor
     nD = n * n
     one = CycloNum.one(M)

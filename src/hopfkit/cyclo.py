@@ -226,9 +226,6 @@ class CycloNum:
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other: "CycloNum"):

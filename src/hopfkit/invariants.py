@@ -37,9 +37,10 @@ from .errors import (BoundExceeded, ClaimIncomplete, ClaimNotGrouplike,
 from .hopf import (FinHopf, HopfMorphism, coinvariants,
                    skew_primitive_conditions, verify_morphism)
 from .linalg import (Subspace, algebra_radical, apply_columns,
-                     apply_tensor_columns, center_dim, compose_columns,
-                     identity_columns, intersect_kernels, mult_vectors,
-                     quotient_by_radical, sparse_add_into, sparse_dot)
+                     apply_tensor_columns, center_dim,
+                     commutative_quotient_dim, compose_columns,
+                     identity_columns, intersect_kernels, quotient_by_radical,
+                     ratio, sparse_add_into, sparse_dot)
 
 # -- integrals and modular elements ---------------------------------------------
 
@@ -121,17 +122,13 @@ def _proportionalities(vec_ref: dict, vecs) -> dict:
     ExtractionInconsistent."""
     if not vec_ref:
         raise ExtractionInconsistent("reference vector is zero")
-    pivot = min(vec_ref)
     out = {}
     for j, vec in enumerate(vecs):
-        if pivot in vec:
-            c = vec[pivot] / vec_ref[pivot]
-            out[j] = c
-            expected = {i: c * a for i, a in vec_ref.items()}
-        else:
-            expected = {}
-        if vec != expected:
+        c = ratio(vec_ref, vec)
+        if c is None:
             raise ExtractionInconsistent("vector is not proportional")
+        if not c.is_zero():
+            out[j] = c
     return out
 
 
@@ -658,16 +655,10 @@ def pairing_table(H: FinHopf) -> PairingReport:
 
 
 def commutative_quotient_check(mult, M: int) -> bool:
-    """True iff A/Rad A is commutative (then all simple modules are 1-dim)."""
+    """True iff A/Rad A is commutative (then all simple modules are 1-dim):
+    its commutator ideal is zero exactly when every basis commutator is."""
     q = quotient_by_radical(mult, algebra_radical(mult, M))
-    rows, n = q.rows_ij(), q.dims[0]
-    one = CycloNum.one(M)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mult_vectors(rows, {i: one}, {j: one}) != \
-               mult_vectors(rows, {j: one}, {i: one}):
-                return False
-    return True
+    return commutative_quotient_dim(q, M) == q.dims[0]
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,16 @@ def sparse_dot(u: dict, v: dict, M: int) -> CycloNum:
     return sum((c * v[i] for i, c in u.items() if i in v), CycloNum.zero(M))
 
 
+def ratio(v: dict, w: dict) -> CycloNum | None:
+    """c with w = c v, for a nonzero sparse vector v, or None if w is not a
+    multiple of v."""
+    k = next(iter(v))
+    if k not in w:
+        return None if w else CycloNum.zero(v[k].M)
+    c = w[k] / v[k]
+    return c if w == {i: c * a for i, a in v.items()} else None
+
+
 def outer(u: dict, v: dict) -> dict:
     """u (x) v for sparse vectors: {(a, b): u_a v_b}."""
     return {(a, b): ca * cb for a, ca in u.items() for b, cb in v.items()}
@@ -438,16 +448,19 @@ def algebra_radical(mult: SparseTensor3, M: int) -> Subspace:
     return kernel(gram, n, M)
 
 
-def ideal_closure(rows, n: int, M: int, generators) -> Subspace:
-    """Smallest subspace containing generators, closed under left/right mult."""
+def ideal_closure(rows, n: int, M: int, generators, multipliers=None) -> Subspace:
+    """Smallest subspace containing generators, closed under left and right
+    multiplication by each multiplier (by default the basis, which gives
+    the two-sided ideal the generators span)."""
+    if multipliers is None:
+        one = CycloNum.one(M)
+        multipliers = [{j: one} for j in range(n)]
     eb = EchelonBasis(n, M)
     work = [g for g in generators if eb.insert(g)]
-    one = CycloNum.one(M)
     while work:
         v = work.pop()
-        for j in range(n):
-            ej = {j: one}
-            for prod in (mult_vectors(rows, v, ej), mult_vectors(rows, ej, v)):
+        for g in multipliers:
+            for prod in (mult_vectors(rows, v, g), mult_vectors(rows, g, v)):
                 if eb.insert(prod):
                     work.append(prod)
     return eb.to_subspace()

@@ -26,7 +26,7 @@ from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
                      NonMonomialConstraint, NonTerminatingRewrite)
 from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
                    verify_hopf, verify_morphism)
-from .linalg import SparseTensor3, intersect_kernels, sparse_add_into
+from .linalg import SparseTensor3, intersect_kernels, ratio, sparse_add_into
 
 
 class GroupGen:
@@ -428,6 +428,14 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
                 acc = target.mul(acc, power(val, e))
             return acc
 
+        def ev_element(P: dict) -> dict:
+            t: dict = {}
+            for w, cc in P.items():
+                if not cc.is_zero():
+                    for k, ck in ev_group(spec.gmod(w)).items():
+                        sparse_add_into(t, k, cc * ck)
+            return t
+
         images_x = []
         feasible = True
         for i, x in enumerate(spec.skew_gens):
@@ -459,11 +467,7 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
         # = phi(corr); rescale c_j (keeping s_i = 1) when proportional
         ok_scale = True
         for (j, i), cor in spec.corr.items():
-            t: dict = {}
-            for w, cc in cor.items():
-                if not cc.is_zero():
-                    for k, ck in ev_group(spec.gmod(w)).items():
-                        sparse_add_into(t, k, cc * ck)
+            t = ev_element(cor)
             th = spec.theta_x.get((j, i), one)
             w1 = target.mul(images_x[j], images_x[i])
             w2 = target.mul(images_x[i], images_x[j])
@@ -472,15 +476,8 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
                 sparse_add_into(diff, k, -(th * ck))
             if not diff and not t:
                 continue
-            if not diff or not t:
-                ok_scale = False
-                break
-            k0 = next(iter(diff))
-            if k0 not in t:
-                ok_scale = False
-                break
-            rho = t[k0] / diff[k0]
-            if {k: rho * v for k, v in diff.items()} != t:
+            rho = ratio(diff, t) if diff and t else None
+            if rho is None:
                 ok_scale = False
                 break
             images_x[j] = {k: rho * v for k, v in images_x[j].items()}
@@ -488,25 +485,14 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
             continue
         # inhomogeneous power values: s^e c^e = phi(P) with s a root of unity
         for i, x in enumerate(spec.skew_gens):
-            t = {}
-            for w, cc in x.power_value.items():
-                if not cc.is_zero():
-                    for k, ck in ev_group(spec.gmod(w)).items():
-                        sparse_add_into(t, k, cc * ck)
+            t = ev_element(x.power_value)
             ce = target.unit
             for _ in range(x.power_exp):
                 ce = target.mul(ce, images_x[i])
             if not t and not ce:
                 continue
-            if bool(t) != bool(ce):
-                ok_scale = False
-                break
-            k0 = next(iter(ce))
-            if k0 not in t:
-                ok_scale = False
-                break
-            rho = t[k0] / ce[k0]
-            if {k: rho * v for k, v in ce.items()} != t:
+            rho = ratio(ce, t) if ce and t else None
+            if rho is None:
                 ok_scale = False
                 break
             if not rho.is_one():

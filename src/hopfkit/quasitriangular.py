@@ -16,12 +16,11 @@ from itertools import product
 
 from .cyclo import CycloNum
 from .errors import FieldTooSmall, FixtureRejected, IdentityFails
-from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
-                   op_cop, verify_morphism)
+from .hopf import CheckResult, FinHopf, HopfMorphism, VerificationReport
 from .invariants import grouplike_census, grouplike_inverse
-from .linalg import (EchelonBasis, Subspace, apply_tensor_columns,
-                     compose_columns, identity_columns, image, outer,
-                     sparse_add_into, transpose_columns)
+from .linalg import (Subspace, apply_tensor_columns, compose_columns,
+                     identity_columns, ideal_closure, image, outer,
+                     sparse_add_into)
 
 
 @dataclass
@@ -58,16 +57,31 @@ def f_matrices(H: FinHopf, R: dict):
     return fR, fRt
 
 
-def f_maps(rm: RMatrixData):
-    """(f_R, f_R~) for a verified R; asserts the transpose-dual relation."""
-    fR, fRt = f_matrices(rm.host, rm.r_dict())
-    assert fRt == transpose_columns(fR, rm.host.dim), "f_R~ != (f_R)*"
-    return fR, fRt
-
-
 def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | None]:
-    """Exact QT.1-QT.5, the bialgebra-map formulation, rank and minimality."""
+    """Exact QT.1-QT.5, the bialgebra-map formulation, rank and minimality.
+
+    The `f_R_bialgebra_map` entry is QT.2 and QT.3 and QT.4 and QT.5, for
+    every R.  Take f_R : H*^cop -> H, f_R(beta) = sum beta(R1) R2, with the
+    structure of `dual`: (beta gamma)(h) = sum beta(h1) gamma(h2), unit eps,
+    (Delta beta)(x (x) y) = beta(xy) (read swapped in H*^cop) and counit
+    beta -> beta(1).  Since the beta (x) gamma (x) id separate the tensors:
+    - f_R(beta gamma) = (beta (x) gamma (x) id)((Delta (x) id)(R)) and
+      f_R(beta) f_R(gamma) = (beta (x) gamma (x) id)(R13 R23), so f_R is
+      multiplicative iff QT.2 holds;
+    - f_R(eps) = (eps (x) id)(R), so f_R is unital iff QT.3 holds;
+    - Delta(f_R(beta)) = (beta (x) id (x) id)((id (x) Delta)(R)) and
+      (f_R (x) f_R)(Delta^cop beta) = (beta (x) id (x) id)(R13 R12), so f_R
+      is comultiplicative iff QT.4 holds;
+    - eps(f_R(beta)) = beta((id (x) eps)(R)), so f_R is counital iff QT.5
+      holds;
+    - a bialgebra map f between Hopf algebras (H*^cop is one, H is
+      verified) commutes with the antipodes, since f S and S f are both
+      convolution inverses of f.
+    So the entry, with its failure index ("f_R",), is the verdict of
+    verify_morphism on f_R, read off the QT checks without building H*^cop.
+    """
     n, M = H.dim, H.conductor
+    mrows, crows = H.mrows, H.crows
     checks = []
 
     # QT.1: {h : Delta^cop(h) R = R Delta(h)} is a subalgebra of the verified
@@ -75,7 +89,7 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     # on the generators; a failure there is located by the sweep over all h
     def qt1_failure(hs):
         for h in hs:
-            d = {p: c for p, c in H.crows[h]}
+            d = {p: c for p, c in crows[h]}
             if H.tensor_mul(_tensor_swap(d), R) != H.tensor_mul(R, d):
                 return (h,)
         return None
@@ -85,15 +99,16 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     # QT.2: (Delta (x) id)(R) = R13 R23
     lhs: dict = {}
     for (a, b), c in R.items():
-        for (j, k), d in H.crows[a]:
+        for (j, k), d in crows[a]:
             sparse_add_into(lhs, (j, k, b), c * d)
     rhs: dict = {}
     for (a, b), c in R.items():
         for (a2, b2), c2 in R.items():
             cc = c * c2
-            for k, ck in H.mrows[b][b2]:
+            for k, ck in mrows[b][b2]:
                 sparse_add_into(rhs, (a, a2, k), cc * ck)
-    checks.append(CheckResult("QT.2", lhs == rhs, None if lhs == rhs else ("QT.2",)))
+    ok2 = lhs == rhs
+    checks.append(CheckResult("QT.2", ok2, None if ok2 else ("QT.2",)))
 
     # QT.3: (eps (x) id)(R) = 1
     acc: dict = {}
@@ -106,15 +121,16 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     # QT.4: (id (x) Delta)(R) = R13 R12
     lhs = {}
     for (a, b), c in R.items():
-        for (j, k), d in H.crows[b]:
+        for (j, k), d in crows[b]:
             sparse_add_into(lhs, (a, j, k), c * d)
     rhs = {}
     for (a, b), c in R.items():
         for (a2, b2), c2 in R.items():
             cc = c * c2
-            for k, ck in H.mrows[a][a2]:
+            for k, ck in mrows[a][a2]:
                 sparse_add_into(rhs, (k, b2, b), cc * ck)
-    checks.append(CheckResult("QT.4", lhs == rhs, None if lhs == rhs else ("QT.4",)))
+    ok4 = lhs == rhs
+    checks.append(CheckResult("QT.4", ok4, None if ok4 else ("QT.4",)))
 
     # QT.5: (id (x) eps)(R) = 1
     acc = {}
@@ -134,17 +150,15 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     checks.append(CheckResult("S_tensor_S_fixes_R", ss_ok,
                               None if ss_ok else ("S(x)S",)))
 
-    # equivalent formulation: f_R : H*^{cop} -> H is a bialgebra map
-    fR, fRt = f_matrices(H, R)
-    Hsc = op_cop(H.dual_cached(), "cop")
-    frep = verify_morphism(HopfMorphism(Hsc, H, fR))
-    checks.append(CheckResult("f_R_bialgebra_map", frep.ok,
-                              None if frep.ok else ("f_R",)))
-
+    # f_R : H*^{cop} -> H is a bialgebra map iff QT.2-QT.5 hold (docstring)
+    f_ok = ok2 and ok3 and ok4 and ok5
+    checks.append(CheckResult("f_R_bialgebra_map", f_ok,
+                              None if f_ok else ("f_R",)))
     report = VerificationReport(checks)
     if not report.ok:
         return report, None
 
+    fR, fRt = f_matrices(H, R)
     K = image(fR, n, M)
     L = image(fRt, n, M)
     rank = K.dim
@@ -188,17 +202,9 @@ def _is_sub_hopf(H: FinHopf, V: Subspace) -> bool:
 
 def _generates(H: FinHopf, K: Subspace, L: Subspace) -> bool:
     """Does the subalgebra generated by K and L equal H?  (H_R = KL = LK.)"""
-    n = H.dim
-    eb = EchelonBasis(n, H.conductor)
     gens = K.basis + L.basis
-    work = [v for v in gens + (H.unit,) if eb.insert(v)]
-    while work:
-        v = work.pop()
-        for g in gens:
-            for prod in (H.mul(v, g), H.mul(g, v)):
-                if eb.insert(prod):
-                    work.append(prod)
-    return len(eb) == n
+    closure = ideal_closure(H.mrows, H.dim, H.conductor, gens + (H.unit,), gens)
+    return closure.dim == H.dim
 
 
 def _drinfeld_u(H: FinHopf, R: dict) -> dict:
@@ -422,14 +428,15 @@ def uq_standard_rmatrix(p: int, e: int = 1, conductor: int | None = None):
     return H, rm
 
 
-def double_surjection_check(H: FinHopf, rm: RMatrixData, max_dim: int = 9):
+def double_surjection_check(H: FinHopf, rm: RMatrixData):
     """F : D(H) -> H, F(beta # h) = <beta, R1> R2 h: a Hopf surjection.
 
     Also re-checks that the double's claimed central group-likes are
     genuinely central.
     """
     from .constructors import drinfeld_double
-    D = drinfeld_double(H, max_dim=max_dim)
+    from .hopf import verify_morphism
+    D = drinfeld_double(H)
     n, M = H.dim, H.conductor
     one = CycloNum.one(M)
     R = rm.r_dict()

@@ -91,6 +91,20 @@ def test_dual_tensor_double(tmp_path, capsys):
     assert code == 0 and "dim=81" in out and "semisimple=no" in out
 
 
+def test_double_gate_is_fixed(tmp_path, capsys):
+    # D(u_q(sl2)) would have dimension 729; the gate is not a user option
+    f = str(tmp_path / "uq.hopf")
+    run(["construct", "uq_sl2", "--out", f], capsys)
+    code = main(["double", f])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == ""
+    assert cap.err == ("verification error: dim 27 exceeds the double's "
+                       "dimension gate 9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["double", f, "--max-dim", "27"])
+    assert exc.value.code == 2 and "--max-dim" in capsys.readouterr().err
+
+
 def test_tensor_above_file_limit_exit_2(tmp_path, capsys, double_taft):
     from hopfkit.hopffile import export_hopf
     f = str(tmp_path / "dt.hopf")

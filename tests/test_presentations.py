@@ -169,3 +169,38 @@ def test_taft_op_cop_isomorphism_chain(taft3):
         f = find_embedding(T2, target)
         r = verify_morphism(f)
         assert r.ok and r.bijective
+
+
+def test_find_embedding_among_presented_members_and_duals():
+    """All 100 same-dimension pairs of the presented p = 3 members against
+    the members and their duals: the 17 known embeddings (h(q,m)* = h(q,-m),
+    T~(q) independent of the root and dual to T^(q)) are found and verify,
+    every other pair raises NoEmbeddingFound.  This runs the rescaling of
+    the skew images both where it succeeds and where it fails."""
+    from hopfkit.errors import NoEmbeddingFound
+    from hopfkit.hopf import verify_morphism
+    members = {"taft": ("taft", {}), "ttilde0": ("ttilde", {"root": 0}),
+               "ttilde1": ("ttilde", {"root": 1}), "that": ("that", {}),
+               "r": ("r", {}), "uq": ("uq_sl2", {}),
+               "book1": ("book", {"m": 1}), "book2": ("book", {"m": 2})}
+    sources = {k: standard_constructors(name, 3, 1, **kw)
+               for k, (name, kw) in members.items()}
+    targets = dict(sources)
+    targets.update({k + "*": H.dual_cached() for k, H in sources.items()})
+    found, pairs = set(), 0
+    for ks, S in sources.items():
+        for kt, T in targets.items():
+            if S.dim != T.dim:
+                continue
+            pairs += 1
+            try:
+                f = find_embedding(S, T)
+            except NoEmbeddingFound:
+                continue
+            assert verify_morphism(f).ok, (ks, kt)
+            found.add((ks, kt))
+    assert pairs == 100
+    assert found == {(k, k) for k in members} | {
+        ("taft", "taft*"), ("ttilde0", "ttilde1"), ("ttilde1", "ttilde0"),
+        ("ttilde0", "that*"), ("ttilde1", "that*"), ("that", "ttilde0*"),
+        ("that", "ttilde1*"), ("book1", "book2*"), ("book2", "book1*")}

@@ -1,3 +1,7 @@
+import random
+import sys
+from itertools import product
+
 import pytest
 
 from hopfkit.cyclo import CycloNum
@@ -6,7 +10,8 @@ from hopfkit.errors import FieldTooSmall
 from hopfkit.groups import cyclic
 from hopfkit.hopf import op_cop
 from hopfkit.invariants import semisimplicity
-from hopfkit.linalg import dense_rows, dense_to_sparse, sparse_to_dense
+from hopfkit.linalg import (dense_rows, dense_to_sparse, sparse_add_into,
+                            sparse_to_dense)
 from hopfkit.quasitriangular import (bicharacter_rmatrices, double_surjection_check,
                                      drinfeld_element, f_matrices, ribbon_search,
                                      uq_standard_rmatrix, verify_qt)
@@ -151,11 +156,11 @@ def test_double_surjection_bicharacters(z3_bichar):
 
 
 def test_f_maps_wrapper(uq_rmatrix):
-    from hopfkit.quasitriangular import f_maps
+    from hopfkit.linalg import image, transpose_columns
     Hu, rm = uq_rmatrix
-    fR, fRt = f_maps(rm)
+    fR, fRt = f_matrices(Hu, rm.r_dict())
+    assert fRt == transpose_columns(fR, 27)  # f_R~ = (f_R)*
     # rank of f_R as a matrix equals the cached rank
-    from hopfkit.linalg import image
     assert image(fR, 27, M).dim == rm.rank
 
 
@@ -239,3 +244,86 @@ def test_uq_is_central_quotient_of_taft_double(double_taft, taft3, uq3):
     f = find_embedding(uq3, Q)
     r = verify_morphism(f)
     assert r.ok and r.bijective
+
+
+def _wrap_everywhere(monkeypatch, orig, wrapper):
+    for mod in list(sys.modules.values()):
+        if mod.__name__ == "hopfkit" or mod.__name__.startswith("hopfkit."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def test_f_r_entry_is_qt2_to_qt5(monkeypatch, z3_bichar, z3z3_bichar,
+                                 uq_rmatrix, corpus3):
+    """The f_R_bialgebra_map entry against the map check it replaces:
+    verify_morphism of f_R : H*^cop -> H, on valid R-matrices, seeded
+    bumps of the u_q one, R = 1 (x) 1 on the corpus, and R = 0, the
+    one-entry R and R failing QT.2 alone or QT.4 alone on k[Z/3]; verify_qt
+    builds no H*^cop and checks no map.  No R fails QT.3 or QT.5 alone:
+    given QT.2 and QT.4, (eps (x) id)(R) and (id (x) eps)(R) are each 0 or 1,
+    and both have the counit eps (x) eps (R)."""
+    from hopfkit.hopf import HopfMorphism, verify_morphism
+    from hopfkit.linalg import outer
+
+    def oracle(H, R):
+        fR, _ = f_matrices(H, R)
+        return verify_morphism(HopfMorphism(op_cop(H.dual_cached(), "cop"), H, fR)).ok
+
+    calls = []
+    for orig in (verify_morphism, op_cop):
+        def recording(*args, _orig=orig, **kw):
+            calls.append(_orig.__name__)
+            return _orig(*args, **kw)
+        _wrap_everywhere(monkeypatch, orig, recording)
+
+    inputs = [(H, rm.r_dict()) for H, rms in (z3_bichar, z3z3_bichar) for rm in rms]
+    Hu, rm = uq_rmatrix
+    inputs.append((Hu, rm.r_dict()))
+    for seed in range(6):
+        rng = random.Random(seed)
+        R = rm.r_dict()
+        k = (rng.randrange(27), rng.randrange(27))
+        R[k] = R.get(k, CycloNum.zero(M)) + CycloNum.one(M)
+        inputs.append((Hu, {p: c for p, c in R.items() if not c.is_zero()}))
+    inputs += [(H, outer(H.unit, H.unit)) for H in corpus3.values()]
+    H3 = group_algebra(cyclic(3), M)
+    z3_inputs = [(H3, {(a, b): CycloNum.from_rational(M, c)})
+                 for a in range(3) for b in range(3) for c in (1, 2)]
+    z3_inputs.append((H3, {}))
+    # R = sum_chi E_chi (x) g^lam(chi), E_chi the idempotents of k[Z/3] and
+    # lam(0) = 0: QT.3-QT.5 hold, and QT.2 holds iff lam is additive; the
+    # flipped R fails QT.4 alone in the same way
+    w = CycloNum.zeta(M, 3)
+    third = CycloNum.one(M) / CycloNum.from_rational(M, 3)
+    idem = [{i: third * w ** ((-chi * i) % 3) for i in range(3)} for chi in range(3)]
+    one_sided = []
+    for lam in product(range(3), repeat=2):
+        R = {}
+        for chi, l in enumerate((0,) + lam):
+            for i, c in idem[chi].items():
+                sparse_add_into(R, (i, l), c)
+        one_sided += [(H3, R), (H3, {(b, a): c for (a, b), c in R.items()})]
+
+    def checked(H, R):
+        """The QT.1-f_R verdicts, after comparing the entry with the oracle."""
+        rep, _ = verify_qt(H, R)
+        assert calls == []
+        entry = rep.checks[7]
+        assert entry.name == "f_R_bialgebra_map"
+        expected = oracle(H, R)
+        calls.clear()
+        assert entry.ok == expected
+        assert entry.first_failure == (None if expected else ("f_R",))
+        return tuple(c.ok for c in rep.checks[:8])
+
+    for H, R in inputs:
+        checked(H, R)
+    # QT.2 and QT.3 passing with QT.4 failing, and the reverse, both occur
+    z3_patterns = {checked(H, R) for H, R in z3_inputs}
+    assert len(z3_patterns) == 6
+    assert any(p[1] and p[2] and not p[3] for p in z3_patterns)
+    assert any(p[3] and p[4] and not p[1] for p in z3_patterns)
+    # each of QT.2 and QT.4 fails with the other three passing
+    qt2_to_5 = {checked(H, R)[1:5] for H, R in one_sided}
+    assert {(False, True, True, True), (True, True, False, True)} <= qt2_to_5

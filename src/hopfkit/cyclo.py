@@ -5,9 +5,13 @@ Z[X]/Phi_M(X) with a common positive integer denominator.  All operations
 are exact; equality is coordinate equality (representations are canonical:
 gcd(content, den) = 1, den > 0).
 
-The base rational type is `fractions.Fraction` (arbitrary precision,
-normalized, positive denominator); CycloNum keeps integer numerators plus
-one shared denominator so that hot loops stay in plain int arithmetic.
+CycloNum keeps integer numerators plus one shared denominator, so every
+operation stays in plain int arithmetic; `fractions.Fraction` is used only
+to read rationals in `parse` and `from_rational`.  Inversion and `embed`
+share one zeta-substitution (`_substitute`: replace zeta_M by a power of a
+root of unity and reduce through the `xpow` rows): `embed` substitutes
+zeta_{M'}^(M'/M), and the inverse is the product of the Galois conjugates
+sigma_k(a) (zeta -> zeta^k) divided by the rational norm.
 """
 
 from __future__ import annotations
@@ -72,17 +76,16 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
 class _Context:
     """Per-conductor tables: Phi_M and reduction rows for powers of z."""
 
-    __slots__ = ("M", "phi", "poly", "red", "_xpow", "zero", "one")
+    __slots__ = ("M", "phi", "red", "_xpow")
 
     def __init__(self, M: int):
         self.M = M
-        self.poly = cyclotomic_polynomial(M)
-        self.phi = len(self.poly) - 1
-        phi = self.phi
+        poly = cyclotomic_polynomial(M)
+        self.phi = phi = len(poly) - 1
         # red[k - phi] = coordinates of X^k, for k in [phi, 2*phi - 2]
         rows: list[tuple[int, ...]] = []
         if phi > 0:
-            cur = [-c for c in self.poly[:phi]]
+            cur = [-c for c in poly[:phi]]
             rows.append(tuple(cur))
             for _ in range(phi + 1, 2 * phi - 1):
                 top = cur[phi - 1]
@@ -94,8 +97,6 @@ class _Context:
                 rows.append(tuple(cur))
         self.red = rows
         self._xpow: dict[int, tuple[int, ...]] = {}
-        self.zero = None  # filled by module init
-        self.one = None
 
     def xpow(self, e: int) -> tuple[int, ...]:
         """Coordinates of z^e (any integer e)."""
@@ -200,8 +201,6 @@ class CycloNum:
         q = Fraction(q)
         ctx = _context(M)
         nums = [0] * ctx.phi
-        if ctx.phi == 0:
-            raise ValueError("conductor 1 has trivial basis")  # unreachable: phi(1)=1
         nums[0] = q.numerator
         return CycloNum.make(M, nums, q.denominator)
 
@@ -242,13 +241,7 @@ class CycloNum:
         return CycloNum.make(self.M, nums, da * db)
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
-        self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            nums = [x - y for x, y in zip(self.num, other.num)]
-            return CycloNum.make(self.M, nums, da)
-        nums = [x * db - y * da for x, y in zip(self.num, other.num)]
-        return CycloNum.make(self.M, nums, da * db)
+        return self + (-other)
 
     def __neg__(self) -> "CycloNum":
         return CycloNum(self.M, tuple(-x for x in self.num), self.den)
@@ -283,37 +276,27 @@ class CycloNum:
         return out
 
     def inverse(self) -> "CycloNum":
+        """a^-1 = c / N(a), where c is the product of the conjugates sigma_k(a).
+
+        sigma_k (zeta -> zeta^k, 1 < k < M, gcd(k, M) = 1) runs over the
+        Galois group of Q(zeta_M) / Q minus the identity, so the norm
+        N(a) = a * c is the product of all Galois conjugates of a.  Since
+        sigma_j sigma_k = sigma_jk, each sigma_j permutes the conjugates and
+        fixes N(a), which is therefore rational; it is nonzero because a is.
+        """
         inv = _INV_CACHE.get(self)
         if inv is not None:
             return inv
         if self.is_zero():
             raise DivisionByZero("division by zero in Q(zeta)")
-        ctx = _context(self.M)
-        # Extended Euclid over Q[X]: s*self_poly + t*Phi = 1.
-        a = [Fraction(x, self.den) for x in self.num]
-        b = [Fraction(c) for c in ctx.poly]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        r0, r1 = a, b
-        while any(r1):
-            q, r = _polydivmod_q(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub_q(s0, _polymul_q(q, s1))
-        # r0 is a nonzero constant (self invertible in the field)
-        c = next(x for x in r0 if x)
-        s = [x / c for x in s0]
-        # reduce s mod Phi (deg may reach phi during euclid bookkeeping)
-        nums = [Fraction(0)] * ctx.phi
-        for e, coef in enumerate(s):
-            if coef:
-                row = ctx.xpow(e)
-                for i in range(ctx.phi):
-                    if row[i]:
-                        nums[i] += coef * row[i]
-        den = 1
-        for f in nums:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in nums]
-        inv = CycloNum.make(self.M, ints, den)
+        M = self.M
+        c = CycloNum.one(M)
+        for k in range(2, M):
+            if gcd(k, M) == 1:
+                c = c * _substitute(self, M, k)
+        norm = self * c
+        # norm = n / d, so a^-1 = c * d / n
+        inv = CycloNum.make(M, [x * norm.den for x in c.num], c.den * norm.num[0])
         if len(_INV_CACHE) < _CACHE_CAP:
             _INV_CACHE[self] = inv
         return inv
@@ -355,32 +338,36 @@ class CycloNum:
         return render(self)
 
 
-def embed(a: CycloNum, M_new: int) -> CycloNum:
-    """Image of a under zeta_M -> zeta_{M_new}^(M_new/M)."""
-    if M_new == a.M:
-        return a
-    if M_new % a.M != 0:
-        raise NotASubfield(f"Q(zeta_{a.M}) is not a subfield of Q(zeta_{M_new})")
+def _substitute(a: CycloNum, M_new: int, r: int) -> CycloNum:
+    """a with zeta_M replaced by zeta_{M_new}^r, reduced in Q(zeta_{M_new})."""
     ctx = _context(M_new)
-    ratio = M_new // a.M
     nums = [0] * ctx.phi
     for e, c in enumerate(a.num):
         if c:
-            row = ctx.xpow(e * ratio)
+            row = ctx.xpow(e * r)
             for i in range(ctx.phi):
                 if row[i]:
                     nums[i] += c * row[i]
     return CycloNum.make(M_new, nums, a.den)
 
 
-def root_of_unity_order(a: CycloNum, bound: int | None = None) -> int | None:
+def embed(a: CycloNum, M_new: int) -> CycloNum:
+    """Image of a under zeta_M -> zeta_{M_new}^(M_new/M)."""
+    if M_new == a.M:
+        return a
+    if M_new % a.M != 0:
+        raise NotASubfield(f"Q(zeta_{a.M}) is not a subfield of Q(zeta_{M_new})")
+    return _substitute(a, M_new, M_new // a.M)
+
+
+def root_of_unity_order(a: CycloNum) -> int | None:
     """Least k >= 1 with a^k = 1, or None if a is not a root of unity.
 
     Roots of unity in Q(zeta_M) have order dividing lcm(2, M), so the
     search is finite.
     """
     M = a.M
-    limit = bound if bound is not None else (M if M % 2 == 0 else 2 * M)
+    limit = M if M % 2 == 0 else 2 * M
     one = CycloNum.one(M)
     acc = a
     for k in range(1, limit + 1):
@@ -448,45 +435,3 @@ def parse(M: int, text: str) -> CycloNum:
         den = den * f.denominator // gcd(den, f.denominator)
     return CycloNum.make(M, [int(f * den) for f in nums], den)
 
-
-# -- Fraction polynomial helpers (used by inverse) ----------------------------
-
-def _polydivmod_q(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    bb = list(b)
-    while bb and not bb[-1]:
-        bb.pop()
-    if not bb:
-        raise DivisionByZero("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(bb) + 1)
-    while len(a) >= len(bb) and any(a):
-        k = len(a) - len(bb)
-        c = a[-1] / bb[-1]
-        q[k] = c
-        for i, bc in enumerate(bb):
-            a[k + i] -= c * bc
-        while a and not a[-1]:
-            a.pop()
-    return q, a if a else [Fraction(0)]
-
-
-def _polymul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _polysub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out

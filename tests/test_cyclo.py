@@ -85,6 +85,10 @@ def test_embed():
         a, b = rnd(rng, 3), rnd(rng, 3)
         assert embed(a * b, 27) == embed(a, 27) * embed(b, 27)
         assert embed(a + b, 27) == embed(a, 27) + embed(b, 27)
+    for _ in range(10):
+        a = rnd(rng, 9)
+        if not a.is_zero():
+            assert embed(a.inverse(), 27) == embed(a, 27).inverse()
 
 
 def test_render_parse_roundtrip():
@@ -106,6 +110,18 @@ def test_root_of_unity_order():
     assert root_of_unity_order(CycloNum.zeta(9)) == 9
     assert root_of_unity_order(-CycloNum.one(9)) == 2
     assert root_of_unity_order(CycloNum.from_rational(9, "1/2")) is None
+    # order dividing lcm(2, M) = 2 * 9: -zeta_9 has order 18
+    assert root_of_unity_order(-CycloNum.zeta(9)) == 18
+
+
+def test_inverse_at_conductor_125():
+    # Q(zeta_125), phi = 100: the field of k[Z/125] at p = 5
+    rng = random.Random(125)
+    for _ in range(4):
+        a = rnd(rng, 125)
+        inv = a.inverse()
+        assert (a * inv).is_one()
+        assert inv.inverse() == a
 
 
 def test_embed_transitive():

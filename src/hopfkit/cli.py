@@ -18,7 +18,7 @@ import sys
 from .cyclo import MAX_CONDUCTOR, CycloNum, render
 from .errors import BadParameter, HopfkitError, ParseError
 from .hopf import FinHopf, dual, op_cop, tensor
-from .hopffile import MAX_DIM, export_hopf, import_hopf
+from .hopffile import MAX_DIM, export_hopf, from_obj, import_hopf, read_obj
 from .linalg import dense_to_sparse, outer, sparse_columns, sparse_to_dense
 
 CONSTRUCTOR_NAMES = (
@@ -176,11 +176,15 @@ def _unary(args, op: str) -> int:
 
 
 def cmd_tensor(args) -> int:
-    H, _ = import_hopf(args.file1, conductor=args.conductor)
-    K, _ = import_hopf(args.file2, conductor=H.conductor)
-    if H.dim * K.dim > MAX_DIM:
-        raise BadParameter(f"tensor product dim {H.dim} x {K.dim} exceeds "
+    # the size gate reads the files' dims before either is verified
+    objs = [read_obj(args.file1), read_obj(args.file2)]
+    dims = [obj.get("dim") if type(obj) is dict else None for obj in objs]
+    if (all(type(d) is int and 0 < d <= MAX_DIM for d in dims)
+            and dims[0] * dims[1] > MAX_DIM):
+        raise BadParameter(f"tensor product dim {dims[0]} x {dims[1]} exceeds "
                            f"the .hopf file limit {MAX_DIM}")
+    H, _ = from_obj(objs[0], conductor=args.conductor)
+    K, _ = from_obj(objs[1], conductor=H.conductor)
     T = tensor(H, K)
     print(f"label={T.label}")
     print(f"dim={T.dim}")

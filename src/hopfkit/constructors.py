@@ -6,6 +6,11 @@ as a floating approximation.  Every constructor output is verified at build
 time: by verify_hopf for a presentation, a group algebra and the Drinfeld
 double, and by the certificate of `hopf.dual` or `hopf.tensor` for a dual
 member and taft_tensor.  Self-validation is mandatory, not optional.
+
+The double's product is read from one table X[b][c] = (1 # e_b)(beta_c # 1)
+formed by products in H, and its character claims pass the group-like test
+of `hopf.is_grouplike` on D(H)*; a crossed product's action maps pass the
+algebra-map sweep of `hopf.algebra_map_failure`.
 """
 
 from __future__ import annotations
@@ -17,11 +22,10 @@ from .cyclo import CycloNum
 from .errors import (BadParameter, CocycleConditionFails,
                      DimensionGateExceeded, WeakActionAxiomFails)
 from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
-from .hopf import (ClaimSet, FinHopf, associativity_failure, tensor,
-                   verify_hopf)
+from .hopf import (ClaimSet, FinHopf, algebra_map_failure,
+                   associativity_failure, is_grouplike, tensor, verify_hopf)
 from .linalg import (SparseTensor3, apply_columns, identity_columns,
-                     mult_vectors, outer, sparse_add_into, sparse_dot,
-                     transpose_columns)
+                     mult_vectors, sparse_add_into, transpose_columns)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
@@ -320,15 +324,14 @@ class CrossedProductData:
         if self.action[0] != identity_columns(nA, self.M):
             raise WeakActionAxiomFails("identity must act trivially")
         for j, cols in enumerate(self.action):
-            if apply_columns(cols, unit) != unit:
+            # an algebra map: b.1 = 1 and b.(aa') = (b.a)(b.a')
+            fail = algebra_map_failure(
+                rows, cols, lambda u, v: mult_vectors(rows, u, v), unit, unit)
+            if fail == ("unit",):
                 raise WeakActionAxiomFails(f"action of element {j} does not fix 1")
-            # multiplicative on basis pairs: b.(aa') = (b.a)(b.a')
-            for a in range(nA):
-                for b in range(nA):
-                    if (apply_columns(cols, dict(rows[a][b]))
-                            != mult_vectors(rows, cols[a], cols[b])):
-                        raise WeakActionAxiomFails(
-                            f"action of element {j} is not an algebra map at ({a},{b})")
+            if fail is not None:
+                raise WeakActionAxiomFails(
+                    f"action of element {j} is not an algebra map at ({fail[0]},{fail[1]})")
         sigma = self.sigma
         if any(sigma[(i, 0)] != unit or sigma[(0, i)] != unit for i in range(mg)):
             raise CocycleConditionFails("sigma is not normalized")
@@ -401,64 +404,29 @@ def drinfeld_double(H: FinHopf) -> FinHopf:
     def ix(a, b):
         return a * n + b
 
-    # dual-algebra rows: (beta_a . beta_c) = sum_m d_m^{ac} beta_m
+    # X[b][c] = (1 # e_b)(beta_c # 1) = sum (e_b1 -> beta_c <- S^{-1} e_b3) # e_b2
+    # as {(m, b2): coeff} for beta_m # e_b2, where (h -> beta_c <- s)(e_m) is
+    # beta_c(s e_m h), the coefficient of e_c in s e_m h
+    X = [[{} for _ in range(n)] for _ in range(n)]
+    for b in range(n):
+        for (b1, b2, b3), t in H.delta2(b):
+            for m in range(n):
+                for c, w in H.mul(H.mul(sinv_cols[b3], {m: one}), {b1: one}).items():
+                    sparse_add_into(X[b][c], (m, b2), t * w)
+    # (beta_a # e_b)(beta_c # e_d) = (beta_a # 1) X[b][c] (1 # e_d), with the
+    # product beta_a beta_m of H* read from its rows
     drows = H.dual_cached().mrows
-
-    # right translate: (e_j -> beta_c)_m = coeff of e_c in e_m e_j
-    rt = [[{} for _ in range(n)] for _ in range(n)]  # rt[j][c] covector dict
-    # left translate: (beta_c <- e_j)_m = coeff of e_c in e_j e_m
-    lt = [[{} for _ in range(n)] for _ in range(n)]
-    for mm in range(n):
-        for j in range(n):
-            for k, c in mrows[mm][j]:
-                rt[j][k][mm] = c
-            for k, c in mrows[j][mm]:
-                lt[j][k][mm] = c
-
-    def translate(cov: dict, h1: dict, h3s: dict) -> dict:
-        """h1 -> cov <- h3s  (h3s already antipode-inverted), as a covector."""
-        out: dict = {}
-        for c0, w in cov.items():
-            # first <- h3s
-            mid: dict = {}
-            for j, cj in h3s.items():
-                for mm, cm in lt[j][c0].items():
-                    sparse_add_into(mid, mm, w * cj * cm)
-            # then h1 ->
-            for c1, w1 in mid.items():
-                for j, cj in h1.items():
-                    for mm, cm in rt[j][c1].items():
-                        sparse_add_into(out, mm, w1 * cj * cm)
-        return out
-
     mult: dict = {}
-    for a in range(n):
-        for b in range(n):
-            d2 = H.delta2(b)
-            for c in range(n):
-                # beta-part depends only on (a, b, c); h-part couples b2 with d
-                parts: dict = {}
-                for (b1, b2, b3), t in d2:
-                    cov = translate({c: one}, {b1: one}, sinv_cols[b3])
-                    if not cov:
-                        continue
-                    # multiply beta_a * cov in the dual algebra
-                    acc: dict = {}
-                    for c1, w in cov.items():
-                        for mm, cm in drows[a][c1]:
-                            sparse_add_into(acc, mm, w * cm)
-                    for mm, w in acc.items():
-                        sparse_add_into(parts, (mm, b2), t * w)
-                if not parts:
-                    continue
-                for d in range(n):
-                    acc2: dict = {}
-                    for (mm, b2), w in parts.items():
-                        for k, ck in mrows[b2][d]:
-                            sparse_add_into(acc2, (mm, k), w * ck)
-                    for (mm, k), w in acc2.items():
-                        key = (ix(a, b), ix(c, d), ix(mm, k))
-                        sparse_add_into(mult, key, w)
+    for b in range(n):
+        for c in range(n):
+            for (m, k), w in X[b][c].items():
+                for a in range(n):
+                    for mm, cm in drows[a][m]:
+                        wc = w * cm
+                        for d in range(n):
+                            for kk, ck in mrows[k][d]:
+                                sparse_add_into(mult, (ix(a, b), ix(c, d), ix(mm, kk)),
+                                                wc * ck)
 
     # Delta_D(beta_a # e_b) = sum c_{jk}^a d_b^{pq} (beta_k # e_p) (x) (beta_j # e_q)
     comult: dict = {}
@@ -486,31 +454,20 @@ def drinfeld_double(H: FinHopf) -> FinHopf:
 
     # claims: group-likes beta # x for characters beta, group-likes x;
     # character candidates x # beta, kept when they are algebra characters
-    # of D(H), i.e. group-likes of D(H)*; for each kept one, beta # x is
-    # claimed central as well
+    # of D(H), i.e. group-likes of D(H)*, whose comultiplication is the
+    # product of D(H) read backwards, e_k -> sum c_ij^k e_i (x) e_j; for each
+    # kept one, beta # x is claimed central as well
     gls = [smash(beta, x) for beta in H.claims.characters
            for x in H.claims.grouplikes]
-    # e_i e_j = sum_k c_ij^k e_k, grouped by k: the comultiplication of D(H)*
-    by_out: dict = {}
+    dual_crows: list[list] = [[] for _ in range(nD)]
     for (i, j, k), c in mult_t.entries:
-        by_out.setdefault(k, []).append(((i, j), c))
-
-    def is_character(v: dict) -> bool:
-        """v(1) = 1 and v(e_i e_j) = v(e_i) v(e_j): v is group-like in D(H)*."""
-        if sparse_dot(v, unit, M) != one:
-            return False
-        img: dict = {}
-        for k, ck in v.items():
-            for ij, c in by_out.get(k, ()):
-                sparse_add_into(img, ij, ck * c)
-        return img == outer(v, v)
-
+        dual_crows[k].append(((i, j), c))
     chars = []
     central = []
     for x in H.claims.grouplikes:
         for beta in H.claims.characters:
             v = smash(x, beta)
-            if is_character(v):
+            if is_grouplike(v, unit, dual_crows, M):
                 chars.append(v)
                 central.append(smash(beta, x))
 

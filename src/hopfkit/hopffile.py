@@ -171,13 +171,23 @@ def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | N
     return H, rmat
 
 
-def loads(text: str, conductor: int | None = None) -> tuple[FinHopf, dict | None]:
+def _json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"JSON error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return from_obj(obj, conductor)
+
+
+def loads(text: str, conductor: int | None = None) -> tuple[FinHopf, dict | None]:
+    return from_obj(_json(text), conductor)
+
+
+def read_obj(path: str):
+    """The JSON value of a .hopf file, neither checked nor verified: that is
+    `from_obj`'s work."""
+    with open(path, encoding="utf-8") as fh:
+        return _json(fh.read())
 
 
 def import_hopf(path: str, conductor: int | None = None) -> tuple[FinHopf, dict | None]:

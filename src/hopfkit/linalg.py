@@ -253,14 +253,19 @@ def intersect_kernels(conditions, n: int, M: int) -> Subspace:
 # -- sparse order-3 tensors ----------------------------------------------------
 
 class SparseTensor3:
-    """Structure-constant tensor with strictly sorted nonzero entries."""
+    """Structure-constant tensor with strictly sorted nonzero entries.
 
-    __slots__ = ("dims", "entries")
+    Its row views are tuples, built on first use and kept, so every reader
+    of one tensor shares one build.
+    """
+
+    __slots__ = ("dims", "entries", "_ij", "_i")
 
     def __init__(self, dims: tuple[int, int, int],
                  entries: tuple[tuple[tuple[int, int, int], CycloNum], ...]):
         self.dims = dims
         self.entries = entries
+        self._ij = self._i = None
 
     @staticmethod
     def from_dict(dims, d: dict) -> "SparseTensor3":
@@ -278,21 +283,24 @@ class SparseTensor3:
     def __len__(self):
         return len(self.entries)
 
-    def rows_ij(self) -> list[list[tuple[tuple[int, CycloNum], ...]]]:
+    def rows_ij(self) -> tuple[tuple[tuple[tuple[int, CycloNum], ...], ...], ...]:
         """rows[i][j] = ((k, c), ...): the vector e_i * e_j for a mult tensor."""
-        n0, n1, _ = self.dims
-        rows = [[[] for _ in range(n1)] for _ in range(n0)]
-        for (i, j, k), c in self.entries:
-            rows[i][j].append((k, c))
-        return [[tuple(cell) for cell in row] for row in rows]
+        if self._ij is None:
+            n0, n1, _ = self.dims
+            rows = [[[] for _ in range(n1)] for _ in range(n0)]
+            for (i, j, k), c in self.entries:
+                rows[i][j].append((k, c))
+            self._ij = tuple(tuple(tuple(cell) for cell in row) for row in rows)
+        return self._ij
 
-    def rows_i(self) -> list[tuple[tuple[tuple[int, int], CycloNum], ...]]:
+    def rows_i(self) -> tuple[tuple[tuple[tuple[int, int], CycloNum], ...], ...]:
         """rows[i] = (((j, k), c), ...): Delta(e_i) for a comult tensor."""
-        n0 = self.dims[0]
-        rows = [[] for _ in range(n0)]
-        for (i, j, k), c in self.entries:
-            rows[i].append(((j, k), c))
-        return [tuple(r) for r in rows]
+        if self._i is None:
+            rows = [[] for _ in range(self.dims[0])]
+            for (i, j, k), c in self.entries:
+                rows[i].append(((j, k), c))
+            self._i = tuple(tuple(r) for r in rows)
+        return self._i
 
 
 # -- associative algebra helpers ------------------------------------------------
@@ -323,6 +331,31 @@ def mult_vectors(rows, u: dict, v: dict) -> dict:
             for k, ck in ri[j]:
                 sparse_add_into(acc, k, c * ck)
     return acc
+
+
+def tensor_mul(rows, X: dict, Y: dict) -> dict:
+    """Product of sparse elements {(a, b): coef} of A (x) A, A given by mult
+    rows."""
+    out: dict = {}
+    for (a, b), c in X.items():
+        ra = rows[a]
+        rb = rows[b]
+        for (al, be), d in Y.items():
+            cd = c * d
+            for k1, c1 in ra[al]:
+                cc = cd * c1
+                for k2, c2 in rb[be]:
+                    sparse_add_into(out, (k1, k2), cc * c2)
+    return out
+
+
+def coproduct(crows, v: dict) -> dict:
+    """Delta v for a sparse v, Delta given by comult rows."""
+    out: dict = {}
+    for i, c in v.items():
+        for jk, d in crows[i]:
+            sparse_add_into(out, jk, c * d)
+    return out
 
 
 def sparse_dot(u: dict, v: dict, M: int) -> CycloNum:

@@ -11,10 +11,13 @@ orders) and skew-primitive generators x_1..x_s with
 Normal monomials are x_1^{a_1} ... x_s^{a_s} g_1^{c_1} ... g_r^{c_r}; the
 rewriting moves group-likes right and reorders skew generators by
 declaration order, strictly reducing (x-degree, inversions), so it
-terminates.  Comultiplication of a monomial is computed by multiplying the
-generators' coproducts inside H (x) H, never from closed-form q-binomial
-formulas.  The antipode is S(g) = g^{-1}, S(x_i) = -g^{-v_i} x_i g^{-u_i},
-extended anti-multiplicatively; verify_hopf is the final arbiter.
+terminates.  The engine fills the product table only.  Comultiplication
+of a monomial is computed by multiplying the generators' coproducts inside
+H (x) H, never from closed-form q-binomial formulas.  The antipode is
+S(g) = g^{-1}, S(x_i) = -g^{-v_i} x_i g^{-u_i}, extended
+anti-multiplicatively.  Both are read from the just-built product rows
+(`linalg.tensor_mul`, `linalg.mult_vectors`); verify_hopf is the final
+arbiter.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
                      NonMonomialConstraint, NonTerminatingRewrite)
 from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
                    verify_hopf, verify_morphism)
-from .linalg import SparseTensor3, intersect_kernels, ratio, sparse_add_into
+from .linalg import (SparseTensor3, intersect_kernels, mult_vectors, outer,
+                     ratio, sparse_add_into, tensor_mul)
 
 
 class GroupGen:
@@ -223,29 +227,6 @@ class _Engine:
             sparse_add_into(out, (e, self.spec.gadd(f, cd)), scal * coef)
         return out
 
-    def elem_mul(self, E1: dict, E2: dict) -> dict:
-        out: dict = {}
-        for m1, c1 in E1.items():
-            for m2, c2 in E2.items():
-                c = c1 * c2
-                for m, d in self.mono_mul(m1, m2).items():
-                    sparse_add_into(out, m, c * d)
-        return out
-
-    def tensor_elem_mul(self, T1: dict, T2: dict) -> dict:
-        """Product in H (x) H of dicts {(mono, mono): coeff}."""
-        out: dict = {}
-        for (l1, r1), c1 in T1.items():
-            for (l2, r2), c2 in T2.items():
-                c = c1 * c2
-                left = self.mono_mul(l1, l2)
-                right = self.mono_mul(r1, r2)
-                for ml, cl in left.items():
-                    ccl = c * cl
-                    for mr, cr in right.items():
-                        sparse_add_into(out, (ml, mr), ccl * cr)
-        return out
-
 
 def _unit_exp(n: int, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(n))
@@ -272,50 +253,42 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
             for m, c in eng.mono_mul(m1, m2).items():
                 if not c.is_zero():
                     mult_d[(i, j, index[m])] = c
+    mult = SparseTensor3.from_dict((n, n, n), mult_d)
+    mrows = mult.rows_ij()
 
-    # comultiplication by multiplying generator coproducts in H (x) H
+    def e(xexp, gexp) -> dict:
+        """The basis vector of the monomial x^xexp g^gexp."""
+        return {index[(xexp, spec.gmod(gexp))]: one}
+
+    # Delta and S on the generators: Delta x_k = x_k (x) g^{u_k} + g^{v_k} (x) x_k
+    # and S(x_k) = -g^{-v_k} x_k g^{-u_k}
+    xs = [e(_unit_exp(eng.s, k), eng.zero_g) for k in range(eng.s)]
+    dx = [{**outer(x, e(eng.zero_x, sk.u)), **outer(e(eng.zero_x, sk.v), x)}
+          for x, sk in zip(xs, spec.skew_gens)]
+    s_gen = [mult_vectors(mrows, e(eng.zero_x, spec.gneg(sk.v)),
+                          mult_vectors(mrows, {i: -c for i, c in x.items()},
+                                       e(eng.zero_x, spec.gneg(sk.u))))
+             for x, sk in zip(xs, spec.skew_gens)]
+    # Delta(x1^a1 ... xs^as g^c) = Delta(x1)^a1 ... Delta(xs)^as (g^c (x) g^c)
+    # and S(x1^a1 ... xs^as g^c) = S(g^c) S(xs)^as ... S(x1)^a1
     comult_d = {}
-    dx = []
-    for x in spec.skew_gens:
-        i = spec.skew_gens.index(x)
-        xm = (_unit_exp(eng.s, i), eng.zero_g)
-        um = (eng.zero_x, spec.gmod(x.u))
-        vm = (eng.zero_x, spec.gmod(x.v))
-        dx.append({(xm, um): one, (vm, xm): one})
-    for i, (a, c) in enumerate(monos):
-        t: dict = {((eng.zero_x, c), (eng.zero_x, c)): one}
-        for k in range(eng.s - 1, -1, -1):
-            for _ in range(a[k]):
-                t = eng.tensor_elem_mul(dx[k], t)
-        for (ml, mr), coef in t.items():
-            if not coef.is_zero():
-                comult_d[(i, index[ml], index[mr])] = coef
-
-    unit = {index[(eng.zero_x, eng.zero_g)]: one}
-    counit = {i: one for i, (a, c) in enumerate(monos) if not any(a)}
-
-    # antipode: anti-multiplicative extension of the generator values
-    s_gen = []
-    for i, x in enumerate(spec.skew_gens):
-        xm = (_unit_exp(eng.s, i), eng.zero_g)
-        gm_v = (eng.zero_x, spec.gneg(spec.gmod(x.v)))
-        gm_u = (eng.zero_x, spec.gneg(spec.gmod(x.u)))
-        val = eng.elem_mul({gm_v: -one}, eng.elem_mul({xm: one}, {gm_u: one}))
-        s_gen.append(val)
-    # S(x1^a1 ... xs^as g^c) = S(g^c) S(xs)^as ... S(x1)^a1
     S = []
-    for a, c in monos:
-        acc = {(eng.zero_x, spec.gneg(c)): one}
+    for i, (a, c) in enumerate(monos):
+        t = outer(e(eng.zero_x, c), e(eng.zero_x, c))
+        acc = e(eng.zero_x, spec.gneg(c))
         for k in range(eng.s - 1, -1, -1):
             for _ in range(a[k]):
-                acc = eng.elem_mul(acc, s_gen[k])
-        S.append({index[m]: coef for m, coef in acc.items()})
+                t = tensor_mul(mrows, dx[k], t)
+                acc = mult_vectors(mrows, acc, s_gen[k])
+        comult_d.update(((i, j, l), coef) for (j, l), coef in t.items())
+        S.append(acc)
 
-    gls = [{i: one} for i, (a, c) in enumerate(monos) if not any(a)]
-
-    H = FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult_d), unit,
-                SparseTensor3.from_dict((n, n, n), comult_d), counit, S,
-                ClaimSet(gls, solve_characters(spec)), spec.label, spec, fixtures)
+    glike = [i for i, (a, c) in enumerate(monos) if not any(a)]
+    H = FinHopf(n, M, mult, e(eng.zero_x, eng.zero_g),
+                SparseTensor3.from_dict((n, n, n), comult_d),
+                dict.fromkeys(glike, one), S,
+                ClaimSet([{i: one} for i in glike], solve_characters(spec)),
+                spec.label, spec, fixtures)
     rep = verify_hopf(H)
     if not rep.ok:
         raise AxiomFailure(
@@ -349,6 +322,8 @@ def solve_characters(spec: PresentationSpec):
         step = M // g.order
         cands.append([CycloNum.zeta(M, step * k) for k in range(g.order)])
     monos = spec.monomials()
+    # the relations' values in k[G]: each must vanish under the character
+    relations = [x.power_value for x in spec.skew_gens] + list(spec.corr.values())
     out = []
     for phi_g in product(*cands):
         def ev_group(w):
@@ -358,25 +333,8 @@ def solve_characters(spec: PresentationSpec):
                     acc = acc * val ** e
             return acc
 
-        ok = True
-        for x in spec.skew_gens:
-            acc = zero
-            for w, c in x.power_value.items():
-                if not c.is_zero():
-                    acc = acc + c * ev_group(spec.gmod(w))
-            if not acc.is_zero():
-                ok = False
-                break
-        if ok:
-            for (j, i), cor in spec.corr.items():
-                acc = zero
-                for w, c in cor.items():
-                    if not c.is_zero():
-                        acc = acc + c * ev_group(spec.gmod(w))
-                if not acc.is_zero():
-                    ok = False
-                    break
-        if ok:
+        if all(sum((c * ev_group(spec.gmod(w)) for w, c in rel.items()
+                    if not c.is_zero()), zero).is_zero() for rel in relations):
             out.append({i: ev_group(c) for i, (a, c) in enumerate(monos)
                         if not any(a)})
     return out

@@ -16,7 +16,8 @@ from itertools import product
 
 from .cyclo import CycloNum
 from .errors import FieldTooSmall, FixtureRejected, IdentityFails
-from .hopf import CheckResult, FinHopf, HopfMorphism, VerificationReport
+from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
+                   _certified)
 from .invariants import grouplike_census, grouplike_inverse
 from .linalg import (Subspace, apply_tensor_columns, compose_columns,
                      identity_columns, ideal_closure, image, outer,
@@ -88,12 +89,12 @@ def verify_qt(H: FinHopf, R: dict) -> tuple[VerificationReport, RMatrixData | No
     # H (Delta and Delta^cop are algebra maps), so it is H as soon as it holds
     # on the generators; a failure there is located by the sweep over all h
     def qt1_failure(hs):
-        for h in hs:
-            d = {p: c for p, c in crows[h]}
+        for h in range(n) if hs is None else hs:
+            d = dict(crows[h])
             if H.tensor_mul(_tensor_swap(d), R) != H.tensor_mul(R, d):
                 return (h,)
         return None
-    fail = qt1_failure(H.generators) and qt1_failure(range(n))
+    fail = _certified(qt1_failure, H.generators)
     checks.append(CheckResult("QT.1", fail is None, fail))
 
     # QT.2: (Delta (x) id)(R) = R13 R23

@@ -2,8 +2,8 @@
 
 The constructor cache is keyed on the canonical conductor, a dual member is
 the `dual_cached()` of its base and is certified by transposition instead of
-a second `verify_hopf`, and integrals, modular elements and censuses are
-memoised on the algebra.  The certificates of `op_cop`, `tensor` and
+a second `verify_hopf`, integrals, modular elements and censuses are
+memoised on the algebra, and each structure tensor builds its row view once.  The certificates of `op_cop`, `tensor` and
 `quotient_by_hopf_ideal` are checked here against `verify_hopf` too.
 """
 
@@ -12,6 +12,7 @@ import sys
 from functools import lru_cache
 
 from hopfkit import constructors, hopf, presentations
+from hopfkit.cli import main
 from hopfkit.constructors import corpus, group_algebra, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.groups import cyclic
@@ -155,6 +156,25 @@ def test_corpus_builds_and_verifies_each_algebra_once(monkeypatch):
     assert len(members) == 17
     assert calls["verify_hopf"] <= 13
     assert calls["build_from_presentation"] <= 7
+
+
+def test_construct_builds_each_row_view_once(monkeypatch, capsys):
+    # a fresh constructor cache, so that the job builds everything
+    monkeypatch.setattr(constructors, "_build", lru_cache(maxsize=None)(
+        constructors._build.__wrapped__))
+    orig = SparseTensor3.rows_ij
+    built = []
+
+    def counting(t):
+        if t._ij is None:
+            built.append(t.dims[0])
+        return orig(t)
+    monkeypatch.setattr(SparseTensor3, "rows_ij", counting)
+    assert main(["construct", "that", "--p", "5", "--q", "2"]) == 0
+    assert "type=(25;25)" in capsys.readouterr().out
+    # the products of H and H* (dim 125) and of their semisimple quotients
+    # (dim 25), each read by several analyses
+    assert sorted(built) == [25, 25, 125, 125]
 
 
 def test_default_conductor_is_the_same_object():

@@ -105,16 +105,22 @@ def test_double_gate_is_fixed(tmp_path, capsys):
     assert exc.value.code == 2 and "--max-dim" in capsys.readouterr().err
 
 
-def test_tensor_above_file_limit_exit_2(tmp_path, capsys, double_taft):
+def test_tensor_above_file_limit_exit_2(tmp_path, capsys, double_taft,
+                                       monkeypatch):
+    from hopfkit import hopffile
     from hopfkit.hopffile import export_hopf
     f = str(tmp_path / "dt.hopf")
     export_hopf(double_taft, f)
+    # the gate reads the dims before either file is verified
+    verified = []
+    monkeypatch.setattr(hopffile, "verify_hopf", verified.append)
     code = main(["tensor", f, f, "--out", str(tmp_path / "big.hopf")])
     cap = capsys.readouterr()
     assert code == 2 and cap.out == ""
     assert cap.err == ("error: tensor product dim 81 x 81 exceeds "
                        "the .hopf file limit 4096\n")
     assert not (tmp_path / "big.hopf").exists()
+    assert verified == []
 
 
 def test_quotient_command(tmp_path, capsys):

@@ -145,12 +145,21 @@ def test_crossed_product_rejects_broken_action():
     A = group_algebra(cyclic(3), M)
     unit = A.unit
     sigma = {(i, j): unit for i in range(3) for j in range(3)}
-    # g -> 2g: not an algebra map
+    # g -> 2g: not an algebra map; e_1 e_1 = e_2 is the first pair it breaks
     bad = [{0: CycloNum.one(M)}, {1: CycloNum.from_rational(M, 2)},
            {2: CycloNum.one(M)}]
-    with pytest.raises(WeakActionAxiomFails):
+    with pytest.raises(WeakActionAxiomFails) as exc:
         CrossedProductData(A.mult, unit, M, 3,
                            [identity_columns(3, M), bad, bad], sigma)
+    assert str(exc.value) == "action of element 1 is not an algebra map at (1,1)"
+    # 1 -> 2: the unit is not fixed
+    unfixed = [{0: CycloNum.from_rational(M, 2)}, {1: CycloNum.one(M)},
+               {2: CycloNum.one(M)}]
+    with pytest.raises(WeakActionAxiomFails) as exc:
+        CrossedProductData(A.mult, unit, M, 3,
+                           [identity_columns(3, M), unfixed,
+                            identity_columns(3, M)], sigma)
+    assert str(exc.value) == "action of element 1 does not fix 1"
 
 
 def test_double_of_group_algebra():

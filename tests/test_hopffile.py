@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hopfkit.constructors import standard_constructors
+from hopfkit.constructors import drinfeld_double, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import ParseError, VerificationFailed
 from hopfkit.hopf import embed_hopf, op_cop, quotient_by_hopf_ideal
@@ -142,6 +142,12 @@ EXPORT_SHA256 = {
         "42d73c3b2d89245ac62d51383342efb338c55a5105a71b2ef536bcbe98c15ecb",
     'embed(book,18)':
         "89316b86c892a9fa085f6d1e32bb7cbb1add3630b5e78a8fd210cbd1e2d2b241",
+    'D(dual(taft))':
+        "15f2aa7b6aa577683241622900a103d810b3b099c0ae5d11538f209d16c3a347",
+    'D(k[Z/9])':
+        "3a2ca9ba257fd3b2cd1546307f86cfa699deacc4f323032e58b198514c18e151",
+    'that(p=5,e=1)':
+        "98b9a5428950a9f330175335740c864f889e4b31d06c610a7692ff5f2f7b8c44",
 }
 
 
@@ -154,6 +160,13 @@ def _export_subject(name, corpus3, book1, double_taft):
         return op_cop(book1, name[:-len("(book)")])
     if name == "D(taft)":
         return double_taft
+    if name == "D(dual(taft))":
+        return drinfeld_double(corpus3["taft(p=3,e=1)"].dual_cached())
+    if name == "D(k[Z/9])":
+        return drinfeld_double(
+            standard_constructors("group_algebra", 3, group="z9"))
+    if name == "that(p=5,e=1)":
+        return standard_constructors("that", 5, 1)
     if name == "embed(book,18)":
         return embed_hopf(book1, 18)
     # k[Z/9 x Z/3] modulo g^3 - 1 for the generator g of Z/9

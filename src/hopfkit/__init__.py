@@ -7,7 +7,7 @@ linalg          exact linear algebra: subspaces, kernels, radicals, tensors
 hopf            structure-constant Hopf algebras and categorical operations
 invariants      integrals, antipode order, coradical filtration, censuses
 groups          small finite groups used by the constructors
-presentations   normal-form engine for presented pointed Hopf algebras
+presentations   presented pointed Hopf algebras, built along one recursion
 constructors    the standard corpus, crossed products, Drinfeld double
 quasitriangular R-matrix verification, Drinfeld and ribbon elements
 hopffile        the .hopf text file format

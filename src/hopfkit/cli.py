@@ -219,6 +219,11 @@ def cmd_quotient(args) -> int:
             gens_raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad generator file: {exc}") from exc
+    if not (type(gens_raw) is list and all(
+            type(row) is list and all(type(s) is str for s in row)
+            for row in gens_raw)):
+        raise ParseError("bad generator file: expected a list of generators, "
+                         "each a list of coefficient strings")
     gens = [[cparse(H.conductor, s) for s in row] for row in gens_raw]
     if any(len(g) != H.dim for g in gens):
         raise ParseError(
@@ -272,7 +277,11 @@ def cmd_ribbon(args) -> int:
 
 def cmd_papercheck(args) -> int:
     if args.suite == "spectra":
+        from .constructors import _check_odd_prime
         from .papercheck import spectra_lemma_check
+        _check_odd_prime(args.p)
+        if args.n < 1:
+            raise BadParameter(f"n must be at least 1, got {args.n}")
         r = spectra_lemma_check(args.p, args.n)
         print(f"p={r.p} n={r.n} omega_conductor={r.omega_conductor}")
         print(f"multisets_scanned={r.total_multisets}")

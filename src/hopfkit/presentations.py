@@ -1,4 +1,4 @@
-"""Normal-form engine for presented pointed Hopf algebras.
+"""Presented pointed Hopf algebras, built along one recursion.
 
 A presentation has commuting group-like generators g_1..g_r (finite
 orders) and skew-primitive generators x_1..x_s with
@@ -8,16 +8,41 @@ orders) and skew-primitive generators x_1..x_s with
     x_j x_i = theta_x[(j,i)] * x_i x_j + corr[(j,i)]   (j > i, corr in k[G]),
     x_i^{e_i} = power value in k[G].
 
-Normal monomials are x_1^{a_1} ... x_s^{a_s} g_1^{c_1} ... g_r^{c_r}; the
-rewriting moves group-likes right and reorders skew generators by
-declaration order, strictly reducing (x-degree, inversions), so it
-terminates.  The engine fills the product table only.  Comultiplication
-of a monomial is computed by multiplying the generators' coproducts inside
-H (x) H, never from closed-form q-binomial formulas.  The antipode is
-S(g) = g^{-1}, S(x_i) = -g^{-v_i} x_i g^{-u_i}, extended
-anti-multiplicatively.  Both are read from the just-built product rows
-(`linalg.tensor_mul`, `linalg.mult_vectors`); verify_hopf is the final
-arbiter.
+Normal monomials e_a = x_1^{a_1} ... x_s^{a_s} g_1^{c_1} ... g_r^{c_r} are
+listed in lexicographic order of their exponents.  A monomial that
+contains an x is e_a = x_k e_a', with k its first skew index and e_a' the
+earlier monomial with one x_k fewer; this is its word (`_words`).  A group
+monomial g^c has none.  Every structure map is read along the word:
+
+    product rows    e_a e_m = x_k (e_a' e_m),  g^c x^b g^d = theta(c, b) x^b g^{c+d},
+    coproduct       Delta(e_a) = Delta(x_k) Delta(e_a'),  Delta(g^c) = g^c (x) g^c,
+    antipode        S(e_a) = S(e_a') S(x_k),  S(g^c) = g^{-c},
+    find_embedding  f(e_a) = f(x_k) f(e_a'),
+
+with theta(c, b) = prod theta[t][i]^{c_t b_i} and S(x_i) = -g^{-v_i} x_i g^{-u_i}.
+Delta and S are formed in H (x) H and H from the just-built product rows
+(`linalg.tensor_mul`, `linalg.mult_vectors`), never from closed-form
+q-binomial formulas.
+
+The left action of x_i on e_m = x^b g^d comes from the relations:
+
+  * if b_j > 0 for some j < i, take the first such j, so that e_m = x_j y
+    is the word of e_m; then x_i x_j y = theta_x[(i,j)] x_j (x_i y) + corr[(i,j)] y;
+  * otherwise x_i e_m = x^{b + 1_i} g^d is the next normal monomial, unless
+    b_i + 1 = e_i: then x_i^{e_i} collapses to its power value P in k[G] and
+    x_i e_m = P x^{b'} g^d, b' = b with b_i = 0, moved into normal form by theta.
+
+The recursion terminates by induction on (i, deg e_m) in lexicographic
+order, deg the x-degree: the second case makes no call, and in the first,
+x_i y keeps i and has degree deg e_m - 1, while each x_j (...) has j < i.
+Both coordinates are bounded, so no descending chain is infinite.  Results
+are memoised per (i, m).
+
+The table cannot depend on this evaluation order: when the normal monomials
+are a basis of the presented algebra, its product in that basis is unique,
+and every step above is a relation of that algebra.  `verify_hopf` stays
+the final arbiter: build_from_presentation raises AxiomFailure for a
+presentation whose table is not a Hopf algebra with these structure maps.
 """
 
 from __future__ import annotations
@@ -122,114 +147,17 @@ class PresentationSpec:
                      for ci, di, g in zip(c, d, self.group_gens))
 
 
-class _Engine:
-    """Rewriting engine; elements are dicts {(xexp, gexp): CycloNum}."""
-
-    def __init__(self, spec: PresentationSpec):
-        self.spec = spec
-        self.M = spec.conductor
-        self.one = CycloNum.one(self.M)
-        self._rmul_memo: dict = {}
-        self._xmul_memo: dict = {}
-        self._theta_memo: dict = {}
-        self.s = len(spec.skew_gens)
-        self.r = len(spec.group_gens)
-        self.zero_g = tuple(0 for _ in range(self.r))
-        self.zero_x = tuple(0 for _ in range(self.s))
-
-    def theta_pass(self, gexp, xexp) -> CycloNum:
-        """Scalar from moving g^gexp right past x^xexp."""
-        key = (gexp, xexp)
-        acc = self._theta_memo.get(key)
-        if acc is None:
-            acc = self.one
-            th = self.spec.theta
-            for t, ct in enumerate(gexp):
-                if ct:
-                    for i, bi in enumerate(xexp):
-                        if bi:
-                            acc = acc * th[t][i] ** (ct * bi)
-            self._theta_memo[key] = acc
-        return acc
-
-    def rmul_x(self, a: tuple, i: int) -> dict:
-        """x^a * x_i as a normal-form element."""
-        key = (a, i)
-        out = self._rmul_memo.get(key)
-        if out is not None:
-            return out
-        spec = self.spec
-        jstar = None
-        for j in range(self.s - 1, i, -1):
-            if a[j]:
-                jstar = j
-                break
-        if jstar is None:
-            ai = a[i] + 1
-            if ai < spec.skew_gens[i].power_exp:
-                na = a[:i] + (ai,) + a[i + 1:]
-                out = {(na, self.zero_g): self.one}
-            else:
-                # trailing x_i^{e_i} collapses to its power value in k[G]
-                na = a[:i] + (0,) + a[i + 1:]
-                out = {}
-                for w, c in spec.skew_gens[i].power_value.items():
-                    if not c.is_zero():
-                        sparse_add_into(out, (na, spec.gmod(w)), c)
-        else:
-            aprime = a[:jstar] + (a[jstar] - 1,) + a[jstar + 1:]
-            th = spec.theta_x.get((jstar, i), self.one)
-            corr = spec.corr.get((jstar, i), {})
-            out = {}
-            # theta * (x^{a'} x_i) x_{j*}
-            inner = self.rmul_x(aprime, i)
-            for (e, f), c in inner.items():
-                # (x^e g^f) x_{j*} = theta_pass(f, e_{j*}) x^e x_{j*} g^f
-                step = self.rmul_x(e, jstar)
-                scal = c * th * self.theta_pass(f, _unit_exp(self.s, jstar))
-                for (e2, f2), c2 in step.items():
-                    sparse_add_into(out, (e2, spec.gadd(f2, f)), scal * c2)
-            # x^{a'} * corr
-            for w, c in corr.items():
-                if not c.is_zero():
-                    sparse_add_into(out, (aprime, spec.gmod(w)), c)
-        self._rmul_memo[key] = out
-        return out
-
-    def xmul(self, a: tuple, b: tuple) -> dict:
-        """x^a * x^b as a normal-form element."""
-        if not any(b):
-            return {(a, self.zero_g): self.one}
-        key = (a, b)
-        out = self._xmul_memo.get(key)
-        if out is not None:
-            return out
-        i = next(k for k, bk in enumerate(b) if bk)
-        brest = b[:i] + (b[i] - 1,) + b[i + 1:]
-        first = self.rmul_x(a, i)
-        out = {}
-        for (e, f), c in first.items():
-            # (x^e g^f) x^{brest} = theta_pass(f, brest) (x^e x^{brest}) g^f
-            scal = c * self.theta_pass(f, brest)
-            rest = self.xmul(e, brest)
-            for (e2, f2), c2 in rest.items():
-                sparse_add_into(out, (e2, self.spec.gadd(f2, f)), scal * c2)
-        self._xmul_memo[key] = out
-        return out
-
-    def mono_mul(self, m1, m2) -> dict:
-        """Product of two normal monomials."""
-        (a, c), (b, d) = m1, m2
-        scal = self.theta_pass(c, b)
-        cd = self.spec.gadd(c, d)
-        out = {}
-        for (e, f), coef in self.xmul(a, b).items():
-            sparse_add_into(out, (e, self.spec.gadd(f, cd)), scal * coef)
-        return out
-
-
-def _unit_exp(n: int, i: int) -> tuple:
-    return tuple(1 if k == i else 0 for k in range(n))
+def _words(monos) -> list:
+    """The word of each normal monomial: (k, a') with e_a = x_k e_a', k the
+    first skew index of e_a and a' < a the index of the monomial with one
+    x_k fewer; None for a group monomial g^c."""
+    index = {m: i for i, m in enumerate(monos)}
+    words = []
+    for a, c in monos:
+        k = next((k for k, ak in enumerate(a) if ak), None)
+        words.append(None if k is None else
+                     (k, index[(a[:k] + (a[k] - 1,) + a[k + 1:], c)]))
+    return words
 
 
 def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
@@ -240,54 +168,113 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
     `fixtures` is passed on to `FinHopf` (isomorphism fixtures, computed on
     first read).
     """
-    eng = _Engine(spec)
     M = spec.conductor
     monos = spec.monomials()
     index = {m: i for i, m in enumerate(monos)}
     n = len(monos)
     one = CycloNum.one(M)
+    words = _words(monos)
+    up = {w: a for a, w in enumerate(words) if w is not None}  # x_k e_a' = e_a
+    theta_memo: dict = {}
+    act_memo: dict = {}
 
-    mult_d = {}
-    for i, m1 in enumerate(monos):
-        for j, m2 in enumerate(monos):
-            for m, c in eng.mono_mul(m1, m2).items():
-                if not c.is_zero():
-                    mult_d[(i, j, index[m])] = c
-    mult = SparseTensor3.from_dict((n, n, n), mult_d)
+    def theta(w, b) -> CycloNum:
+        """The scalar of g^w x^b = theta(w, b) x^b g^w."""
+        acc = theta_memo.get((w, b))
+        if acc is None:
+            acc = one
+            for t, ct in enumerate(w):
+                if ct:
+                    for i, bi in enumerate(b):
+                        if bi:
+                            acc = acc * spec.theta[t][i] ** (ct * bi)
+            theta_memo[(w, b)] = acc
+        return acc
+
+    def group_mul(P: dict, m: int, out: dict):
+        """out += P e_m, for P = {w: c} in k[G]."""
+        b, d = monos[m]
+        for w, c in P.items():
+            if not c.is_zero():
+                w = spec.gmod(w)
+                sparse_add_into(out, index[(b, spec.gadd(w, d))], c * theta(w, b))
+
+    def act_on(i: int, v) -> dict:
+        """x_i v for a sparse vector v, given as its (m, c) items."""
+        out: dict = {}
+        for m, c in v:
+            for m2, c2 in act(i, m).items():
+                sparse_add_into(out, m2, c * c2)
+        return out
+
+    def act(i: int, m: int) -> dict:
+        """x_i e_m, by the case split and induction of the module docstring."""
+        out = act_memo.get((i, m))
+        if out is None:
+            if words[m] is not None and words[m][0] < i:
+                j, y = words[m]
+                th = spec.theta_x.get((i, j), one)
+                xy = act_on(j, act(i, y).items())
+                out = {k: th * c for k, c in xy.items()}
+                group_mul(spec.corr.get((i, j), {}), y, out)
+            elif (i, m) in up:
+                out = {up[(i, m)]: one}
+            else:
+                b, d = monos[m]
+                out = {}
+                group_mul(spec.skew_gens[i].power_value,
+                          index[(b[:i] + (0,) + b[i + 1:], d)], out)
+            act_memo[(i, m)] = out
+        return out
+
+    rows = []  # rows[a][m] = e_a e_m, as its sorted (k, c) items
+    for (_, c), word in zip(monos, words):
+        if word is None:
+            rows.append([((index[(b, spec.gadd(c, d))], theta(c, b)),)
+                         for b, d in monos])
+        else:
+            rows.append([tuple(sorted(act_on(word[0], v).items()))
+                         for v in rows[word[1]]])
+    # (a, m) ascending and each row sorted by k: the entries are sorted and
+    # zero-free, as SparseTensor3 requires
+    mult = SparseTensor3((n, n, n), tuple(
+        ((a, m, k), c) for a, row in enumerate(rows)
+        for m, v in enumerate(row) for k, c in v))
+    del rows
     mrows = mult.rows_ij()
 
-    def e(xexp, gexp) -> dict:
-        """The basis vector of the monomial x^xexp g^gexp."""
-        return {index[(xexp, spec.gmod(gexp))]: one}
+    zero_x = (0,) * len(spec.skew_gens)
 
-    # Delta and S on the generators: Delta x_k = x_k (x) g^{u_k} + g^{v_k} (x) x_k
-    # and S(x_k) = -g^{-v_k} x_k g^{-u_k}
-    xs = [e(_unit_exp(eng.s, k), eng.zero_g) for k in range(eng.s)]
-    dx = [{**outer(x, e(eng.zero_x, sk.u)), **outer(e(eng.zero_x, sk.v), x)}
+    def e(c) -> dict:
+        """The basis vector of the group monomial g^c."""
+        return {index[(zero_x, spec.gmod(c))]: one}
+
+    # x_k = x_k e_0, Delta x_k = x_k (x) g^{u_k} + g^{v_k} (x) x_k and
+    # S(x_k) = -g^{-v_k} x_k g^{-u_k}
+    xs = [{up[(k, 0)]: one} for k in range(len(spec.skew_gens))]
+    dx = [{**outer(x, e(sk.u)), **outer(e(sk.v), x)}
           for x, sk in zip(xs, spec.skew_gens)]
-    s_gen = [mult_vectors(mrows, e(eng.zero_x, spec.gneg(sk.v)),
+    s_gen = [mult_vectors(mrows, e(spec.gneg(sk.v)),
                           mult_vectors(mrows, {i: -c for i, c in x.items()},
-                                       e(eng.zero_x, spec.gneg(sk.u))))
+                                       e(spec.gneg(sk.u))))
              for x, sk in zip(xs, spec.skew_gens)]
-    # Delta(x1^a1 ... xs^as g^c) = Delta(x1)^a1 ... Delta(xs)^as (g^c (x) g^c)
-    # and S(x1^a1 ... xs^as g^c) = S(g^c) S(xs)^as ... S(x1)^a1
-    comult_d = {}
-    S = []
-    for i, (a, c) in enumerate(monos):
-        t = outer(e(eng.zero_x, c), e(eng.zero_x, c))
-        acc = e(eng.zero_x, spec.gneg(c))
-        for k in range(eng.s - 1, -1, -1):
-            for _ in range(a[k]):
-                t = tensor_mul(mrows, dx[k], t)
-                acc = mult_vectors(mrows, acc, s_gen[k])
-        comult_d.update(((i, j, l), coef) for (j, l), coef in t.items())
-        S.append(acc)
+    delta, S = [], []
+    for (_, c), word in zip(monos, words):
+        if word is None:
+            delta.append(outer(e(c), e(c)))
+            S.append(e(spec.gneg(c)))
+        else:
+            k, a1 = word
+            delta.append(tensor_mul(mrows, dx[k], delta[a1]))
+            S.append(mult_vectors(mrows, S[a1], s_gen[k]))
 
-    glike = [i for i, (a, c) in enumerate(monos) if not any(a)]
-    H = FinHopf(n, M, mult, e(eng.zero_x, eng.zero_g),
-                SparseTensor3.from_dict((n, n, n), comult_d),
+    glike = [a for a, word in enumerate(words) if word is None]
+    H = FinHopf(n, M, mult, e((0,) * len(spec.group_gens)),
+                SparseTensor3.from_dict((n, n, n), {
+                    (a, j, l): c for a, t in enumerate(delta)
+                    for (j, l), c in t.items()}),
                 dict.fromkeys(glike, one), S,
-                ClaimSet([{i: one} for i in glike], solve_characters(spec)),
+                ClaimSet([{a: one} for a in glike], solve_characters(spec)),
                 spec.label, spec, fixtures)
     rep = verify_hopf(H)
     if not rep.ok:
@@ -356,6 +343,7 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
     monos = source.monomials
     if spec is None:
         raise NoEmbeddingFound("source was not built from a presentation")
+    words = _words(monos)
     M = target.conductor
     if source.conductor != M:
         raise NoEmbeddingFound("conductor mismatch")
@@ -467,14 +455,10 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
         if not ok_scale:
             continue
 
-        cols = []
-        okmat = True
-        for (a, c) in monos:
-            img = ev_group(c)
-            for k in range(len(spec.skew_gens) - 1, -1, -1):
-                for _ in range(a[k]):
-                    img = target.mul(images_x[k], img)
-            cols.append(img)
+        cols = []  # f(e_a) = f(x_k) f(e_a'), f(g^c) = phi(g)^c
+        for (_, c), word in zip(monos, words):
+            cols.append(ev_group(c) if word is None else
+                        target.mul(images_x[word[0]], cols[word[1]]))
         f = HopfMorphism(source, target, cols)
         if f.rank != source.dim:
             continue

@@ -142,6 +142,14 @@ def test_quotient_command(tmp_path, capsys):
             json.dump([row], fh)
         assert main(["quotient", f, gf]) == 2
         assert "each generator needs 27 coefficients" in capsys.readouterr().err
+    # anything but a list of lists of strings is a named parse error
+    for raw in ([1, 2], 7, [[1] * 27], {"a": 1}, "a", [gens[0], "1"]):
+        with open(gf, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        assert main(["quotient", f, gf]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad generator file: expected a list of generators, "
+            "each a list of coefficient strings\n")
 
 
 def test_papercheck_commands(capsys):
@@ -153,6 +161,19 @@ def test_papercheck_commands(capsys):
     assert "bound=30" in out and "bound=27" in out
     assert "bound=39" in out and "bound=36" in out
     assert "all_eliminated=yes" in out
+
+
+def test_papercheck_spectra_rejects_bad_parameters(capsys):
+    # p must be an odd prime (the check `construct` uses) and n at least 1
+    for args, msg in ((["--p", "0"], "p must be an odd prime, got 0"),
+                      (["--p", "1"], "p must be an odd prime, got 1"),
+                      (["--p", "2"], "p must be an odd prime, got 2"),
+                      (["--p", "9"], "p must be an odd prime, got 9"),
+                      (["--n", "0"], "n must be at least 1, got 0"),
+                      (["--n", "-1"], "n must be at least 1, got -1")):
+        assert main(["papercheck", "spectra", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {msg}\n"
 
 
 def test_import_corrupted_exit_code(tmp_path, capsys):

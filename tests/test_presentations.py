@@ -1,14 +1,20 @@
 import random
+import re
 
 import pytest
 
 from hopfkit.cyclo import CycloNum
-from hopfkit.constructors import standard_constructors
-from hopfkit.errors import NonMonomialConstraint, NonTerminatingRewrite
+from hopfkit.constructors import (book_spec, r_spec, standard_constructors,
+                                  taft_spec, that_spec, ttilde_spec,
+                                  uq_sl2_spec)
+from hopfkit.errors import (AxiomFailure, NonMonomialConstraint,
+                            NonTerminatingRewrite)
 from hopfkit.hopf import verify_hopf
 from hopfkit.presentations import (GroupGen, PresentationSpec, SkewGen,
                                    build_from_presentation, find_embedding,
                                    solve_characters)
+
+from rewrite_oracle import oracle_mult
 
 M = 9
 
@@ -67,10 +73,11 @@ def test_rewrite_associativity_smoke(uq3):
         assert a == b
 
 
-def test_theta_pass_is_computed_once_per_exponent_pair(monkeypatch, uq3):
-    """The scalar for moving g^c past x^b depends only on (c, b): building
-    u_q(sl2) at p = 3 takes 32 `CycloNum.__pow__` calls (854 when every
-    monomial product recomputed it)."""
+def test_theta_is_memoised_per_group_and_x_exponent(monkeypatch, uq3):
+    """The scalar theta(w, b) of g^w x^b = theta(w, b) x^b g^w depends only
+    on (w, b) and is memoised per pair: building u_q(sl2) at p = 3 takes 32
+    `CycloNum.__pow__` calls (854 when every monomial product recomputed
+    it)."""
     from hopfkit.constructors import uq_sl2_spec
     spec = uq_sl2_spec(3, 1, M)
     pow_, calls = CycloNum.__pow__, []
@@ -204,3 +211,81 @@ def test_find_embedding_among_presented_members_and_duals():
         ("taft", "taft*"), ("ttilde0", "ttilde1"), ("ttilde1", "ttilde0"),
         ("ttilde0", "that*"), ("ttilde1", "that*"), ("that", "ttilde0*"),
         ("that", "ttilde1*"), ("book1", "book2*"), ("book2", "book1*")}
+
+
+def _specs(p, M):
+    """Every presented family at (p, M), for e = 1 and 2: taft, that, r,
+    u_q(sl2), ttilde for each root and book for each m."""
+    for e in (1, 2):
+        yield from (taft_spec(p, e, M), that_spec(p, e, M), r_spec(p, e, M),
+                    uq_sl2_spec(p, e, M))
+        yield from (ttilde_spec(p, e, root, M) for root in range(p))
+        yield from (book_spec(p, e, m, M) for m in range(1, p))
+
+
+@pytest.mark.parametrize("conductor", [9, 27])
+def test_product_table_matches_rewrite_oracle(conductor):
+    """The table built along the monomials' words equals the rewriting
+    engine's n^2 monomial products on the 18 presentations at p = 3."""
+    specs = list(_specs(3, conductor))
+    assert len(specs) == 18
+    for spec in specs:
+        assert build_from_presentation(spec).mult == oracle_mult(spec), spec.label
+
+
+@pytest.mark.slow
+def test_product_table_matches_rewrite_oracle_p5():
+    specs = list(_specs(5, 25))
+    assert len(specs) == 26
+    for spec in specs:
+        assert build_from_presentation(spec).mult == oracle_mult(spec), spec.label
+
+
+def _respec(spec, label, skew_gens=None, corr=None):
+    return PresentationSpec(spec.conductor, spec.group_gens,
+                            skew_gens or spec.skew_gens, spec.theta,
+                            spec.theta_x, corr or spec.corr, label)
+
+
+def test_inconsistent_power_value_fails_self_validation():
+    # x^3 = 1 + g^3 in r(q): Delta(x)^3 is not Delta(1 + g^3)
+    one = CycloNum.one(M)
+    spec = r_spec(3, 1, M)
+    x = spec.skew_gens[0]
+    bad = _respec(spec, "r-bad-power", skew_gens=[
+        SkewGen("x", 3, {(0,): one, (3,): one}, x.u, x.v)])
+    with pytest.raises(AxiomFailure) as exc:
+        build_from_presentation(bad)
+    assert str(exc.value) == (
+        "presentation 'r-bad-power' failed verification: "
+        "[comult_algebra_map: FAIL at (9, 18), "
+        "counit_algebra_map: FAIL at (9, 18)]")
+
+
+def test_inconsistent_correction_fails_self_validation():
+    # yx = xy + g + g^-1 in u_q(sl2): the correction is not skew-primitive
+    one = CycloNum.one(M)
+    bad = _respec(uq_sl2_spec(3, 1, M), "uq-bad-corr",
+                  corr={(1, 0): {(1,): one, (2,): one}})
+    with pytest.raises(AxiomFailure) as exc:
+        build_from_presentation(bad)
+    assert str(exc.value) == (
+        "presentation 'uq-bad-corr' failed verification: "
+        "[comult_algebra_map: FAIL at (3, 9), "
+        "counit_algebra_map: FAIL at (3, 9)]")
+
+
+def test_non_associative_presentation_fails_self_validation():
+    """x^3 = g in a Taft-like algebra with gx = q xg: g x^3 = q^3 x^3 g
+    holds, but (x x^2) x = g x and x (x^2 x) = x g = q^-1 g x differ, so
+    the table is not associative.  Its first failing index depends on the
+    order the table is filled in, so only the axiom names are pinned."""
+    one = CycloNum.one(M)
+    spec = taft_spec(3, 1, M)
+    x = spec.skew_gens[0]
+    bad = _respec(spec, "taft-bad-power",
+                  skew_gens=[SkewGen("x", 3, {(1,): one}, x.u, x.v)])
+    with pytest.raises(AxiomFailure) as exc:
+        build_from_presentation(bad)
+    assert re.findall(r"(\w+): FAIL", str(exc.value)) == [
+        "associativity", "comult_algebra_map", "counit_algebra_map"]

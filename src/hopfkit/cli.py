@@ -145,7 +145,7 @@ def _report_lines(H: FinHopf, which: str, seed: int, rmat: dict | None):
 def cmd_report(args) -> int:
     H, rmat = import_hopf(args.file, conductor=args.conductor)
     if args.qt:
-        _, rmat2 = import_hopf(args.qt, conductor=H.conductor)
+        rmat2 = _rmatrix_file(H, args.qt)
         if rmat2 is not None:
             rmat = rmat2
         which = "qt"
@@ -237,10 +237,19 @@ def cmd_quotient(args) -> int:
     return 0
 
 
+def _rmatrix_file(H: FinHopf, path: str) -> dict | None:
+    """The R-matrix block of the .hopf file at `path`, for the host H."""
+    K, rmat = import_hopf(path, conductor=H.conductor)
+    if rmat is not None and K.dim != H.dim:
+        raise ParseError(f"R-matrix file {path} has dim {K.dim}, "
+                         f"but the host has dim {H.dim}")
+    return rmat
+
+
 def _host_and_rmatrix(args):
     H, rmat = import_hopf(args.host, conductor=args.conductor)
     if args.rfile:
-        _, rmat = import_hopf(args.rfile, conductor=H.conductor)
+        rmat = _rmatrix_file(H, args.rfile)
     if rmat is None:
         raise ParseError("no R-matrix block in the given files")
     return H, rmat

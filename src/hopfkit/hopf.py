@@ -37,6 +37,9 @@ The law f(ab) = f(a)f(b), f(1) = 1 has one sweep, `algebra_map_failure`,
 for Delta and eps here, for `verify_morphism` and for crossed-product
 actions; the group-like test has one, `is_grouplike`.  Products in H and
 H (x) H are `linalg.mult_vectors` and `linalg.tensor_mul` on the row view.
+The skew-primitives P_{a,b} and the coinvariants H^{co pi} are kernels of
+maps built as sparse columns (`skew_primitive_map`, and (id (x) pi)Delta
+minus h -> h (x) 1_B), taken by `linalg.intersect_kernels`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
                      commutative_quotient_dim, coproduct, identity_columns,
                      ideal_closure, image, intersect_kernels, mat_inverse,
                      mult_vectors, outer, quotient_by_radical, quotient_mult,
-                     sparse_add_into, sparse_dot, tensor_mul,
+                     sparse_add_into, sparse_dot, sparse_sub, tensor_mul,
                      transpose_columns, zero_free, zero_free_columns)
 
 
@@ -682,20 +685,11 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
     return MorphismReport(checks, rank, rank == Hs.dim, rank == Ht.dim)
 
 
-def skew_primitive_conditions(H: FinHopf, a: dict, b: dict):
-    """Rows of Delta(c) = a (x) c + c (x) b in the coordinates of c, one per (j, k)."""
-    n = H.dim
-    eq: dict = {}
-    for m in range(n):
-        for (j, k), c in H.crows[m]:
-            sparse_add_into(eq.setdefault((j, k), {}), m, c)
-    for j, aj in a.items():
-        for k in range(n):
-            sparse_add_into(eq.setdefault((j, k), {}), k, -aj)
-    for k, bk in b.items():
-        for j in range(n):
-            sparse_add_into(eq.setdefault((j, k), {}), j, -bk)
-    return eq.values()
+def skew_primitive_map(H: FinHopf, a: dict, b: dict) -> list[dict]:
+    """Columns of c -> Delta(c) - a (x) c - c (x) b, whose kernel is P_{a,b}."""
+    one = CycloNum.one(H.conductor)
+    return [sparse_sub(sparse_sub(dict(H.crows[m]), outer(a, {m: one})),
+                       outer({m: one}, b)) for m in range(H.dim)]
 
 
 def coinvariants(pi: HopfMorphism) -> Subspace:
@@ -704,15 +698,11 @@ def coinvariants(pi: HopfMorphism) -> Subspace:
     n, m, M = H.dim, B.dim, H.conductor
     if pi.rank != m:
         raise NotSurjective("projection is not surjective")
-    # (id (x) pi) Delta(h) - h (x) 1_B = 0, one row per (j, b)
-    eq: dict = {}
-    for t in range(n):
-        for (j, k), c in H.crows[t]:
-            for b, a in pi.cols[k].items():
-                sparse_add_into(eq.setdefault((j, b), {}), t, c * a)
-        for b, u in B.unit.items():
-            sparse_add_into(eq.setdefault((t, b), {}), t, -u)
-    return intersect_kernels(eq.values(), n, M)
+    ident = identity_columns(n, M)
+    one = CycloNum.one(M)
+    cols = [sparse_sub(apply_tensor_columns(ident, pi.cols, dict(H.crows[t])),
+                       outer({t: one}, B.unit)) for t in range(n)]
+    return intersect_kernels([cols], n, M)
 
 
 def quotient_by_hopf_ideal(H: FinHopf, generators) -> tuple[FinHopf, HopfMorphism]:

@@ -10,6 +10,11 @@ field, where characters biject with one-dimensional Wedderburn blocks).
 FieldTooSmall is raised instead of silently under-reporting when the
 certificate cannot be met.
 
+The integrals, the coradical filtration H_{i+1} = ker (p_0 (x) p_i)Delta,
+the skew-primitives and the block count (the centre of H*/J(H*)) are
+kernels of linear maps, each given by its sparse columns f(e_b) to
+`linalg.intersect_kernels`; no condition rows are built here.
+
 The group-like census needs no closure table.  Let S be the distinct
 verified claims and m = `H.dual_cached().character_count`.  S lies in G(H),
 each claim being verified.  A group-like of H is a character of H*, and
@@ -34,13 +39,13 @@ from .errors import (BoundExceeded, ClaimIncomplete, ClaimNotGrouplike,
                      ClaimOvercomplete, ExtractionInconsistent, FieldTooSmall,
                      IntegralSpaceNotOneDim, NotGrouplike, NotNormalizable,
                      SectionFails)
-from .hopf import (FinHopf, HopfMorphism, coinvariants,
-                   skew_primitive_conditions, verify_morphism)
+from .hopf import (FinHopf, HopfMorphism, coinvariants, skew_primitive_map,
+                   verify_morphism)
 from .linalg import (Subspace, algebra_radical, apply_columns,
-                     apply_tensor_columns, center_dim,
-                     commutative_quotient_dim, compose_columns,
-                     identity_columns, intersect_kernels, quotient_by_radical,
-                     ratio, sparse_add_into, sparse_dot)
+                     apply_tensor_columns, center, commutative_quotient_dim,
+                     compose_columns, identity_columns, intersect_kernels,
+                     quotient_by_radical, ratio, sparse_add_into, sparse_dot,
+                     sparse_sub)
 
 # -- integrals and modular elements ---------------------------------------------
 
@@ -58,27 +63,22 @@ class IntegralData:
         self.right_integral_dual = right_integral_dual
 
 
-def _integral_conditions(A: FinHopf, left: bool):
-    """Rows of e_i x = eps(e_i) x (left) or x e_i = eps(e_i) x, one block per
-    i in `A.generators`.
+def _integral_maps(A: FinHopf, left: bool):
+    """The maps x -> e_i x - eps(e_i) x (left) or x -> x e_i - eps(e_i) x,
+    one per i in `A.generators`.
 
     That suffices: for a fixed x, {h : hx = eps(h)x} (likewise
     {h : xh = eps(h)x}) is a subalgebra of the verified Hopf algebra A, since
     it contains 1 (eps(1) = 1) and (ab)x = a(bx) = eps(b)ax = eps(ab)x; a
     subalgebra that contains the generators contains every word in them, and
-    these words span A.  The kernel is the same `Subspace` as for all n
-    blocks, because RREF is canonical.
+    these words span A.  The common kernel is the same `Subspace` as for all
+    n maps, because RREF is canonical.
     """
     n, rows = A.dim, A.mrows
     for i in A.generators:
-        eq: dict = {}
-        for b in range(n):
-            for k, c in (rows[i][b] if left else rows[b][i]):
-                sparse_add_into(eq.setdefault(k, {}), b, c)
-        if i in A.counit:
-            for b in range(n):
-                sparse_add_into(eq.setdefault(b, {}), b, -A.counit[i])
-        yield from eq.values()
+        eps = A.counit.get(i)
+        yield [sparse_sub(dict(rows[i][b] if left else rows[b][i]),
+                          {} if eps is None else {b: eps}) for b in range(n)]
 
 
 def integrals(H: FinHopf) -> IntegralData:
@@ -89,13 +89,13 @@ def integrals(H: FinHopf) -> IntegralData:
 
 def _integrals(H: FinHopf) -> IntegralData:
     n, M = H.dim, H.conductor
-    space = intersect_kernels(_integral_conditions(H, True), n, M)
+    space = intersect_kernels(_integral_maps(H, True), n, M)
     if space.dim != 1:
         raise IntegralSpaceNotOneDim(
             f"left integral space has dimension {space.dim}")
     Lam = space.basis[0]
 
-    space2 = intersect_kernels(_integral_conditions(H.dual_cached(), False), n, M)
+    space2 = intersect_kernels(_integral_maps(H.dual_cached(), False), n, M)
     if space2.dim != 1:
         raise IntegralSpaceNotOneDim(
             f"right integral space of the dual has dimension {space2.dim}")
@@ -157,21 +157,6 @@ def is_unimodular(H: FinHopf) -> bool:
     return modular_elements(H).alpha == H.counit
 
 
-def grouplike_inverse(H: FinHopf, g: dict) -> dict:
-    """g^{-1} = g^{ord g - 1}; NotGrouplike past 4 dim^2 powers."""
-    unit = H.unit
-    if g == unit:
-        return unit
-    prev, acc = g, H.mul(g, g)
-    guard = 0
-    while acc != unit:
-        prev, acc = acc, H.mul(acc, g)
-        guard += 1
-        if guard > 4 * H.dim * H.dim:
-            raise NotGrouplike("element has unbounded order")
-    return prev
-
-
 def radford_s4_check(H: FinHopf) -> bool:
     """S^4(h) = g (alpha -> h <- alpha^{-1}) g^{-1} on every basis element."""
     mod = modular_elements(H)
@@ -179,7 +164,7 @@ def radford_s4_check(H: FinHopf) -> bool:
     # alpha^{-1} = alpha o S (convolution inverse of a character)
     alpha_inv = [sparse_dot(col, alpha, H.conductor) for col in H.antipode]
     g = mod.g
-    g_inv = grouplike_inverse(H, g)
+    g_inv = H.antipode_of(g)  # S(g) g = eps(g) 1 = 1
     S2 = compose_columns(H.antipode, H.antipode)
     for i, lhs in enumerate(compose_columns(S2, S2)):
         mid: dict = {}
@@ -279,13 +264,11 @@ def coradical_spaces(H: FinHopf) -> list[Subspace]:
     spaces = [H0]
     p0 = H0.projection_columns()
     while spaces[-1].dim < n:
-        # H_{i+1} = ker (p0 (x) p_i) Delta, one row per (a, b)
+        # H_{i+1} = ker (p0 (x) p_i) Delta
         p1 = spaces[-1].projection_columns()
-        eq: dict = {}
-        for m in range(n):
-            for ab, c in apply_tensor_columns(p0, p1, dict(H.crows[m])).items():
-                sparse_add_into(eq.setdefault(ab, {}), m, c)
-        nxt = intersect_kernels(eq.values(), n, M)
+        nxt = intersect_kernels(
+            [[apply_tensor_columns(p0, p1, dict(H.crows[m])) for m in range(n)]],
+            n, M)
         if nxt.dim <= spaces[-1].dim:
             raise ExtractionInconsistent("coradical filtration failed to grow")
         spaces.append(nxt)
@@ -305,7 +288,7 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     H0 = spaces[0]
 
     D = H.dual_cached()
-    blocks = center_dim(D.semisimple_quotient, M)
+    blocks = center(D.semisimple_quotient, M).dim
     ones = D.character_count
 
     verified = H.verified_grouplikes
@@ -566,7 +549,7 @@ def skew_primitives(H: FinHopf, a: dict, b: dict) -> tuple[Subspace, bool]:
     n, M = H.dim, H.conductor
     if not H.is_grouplike(a) or not H.is_grouplike(b):
         raise NotGrouplike("skew-primitive anchors must be group-like")
-    space = intersect_kernels(skew_primitive_conditions(H, a, b), n, M)
+    space = intersect_kernels([skew_primitive_map(H, a, b)], n, M)
     gl_span = Subspace.from_vectors(n, M, H.verified_grouplikes)
     trivial = gl_span.contains_subspace(space)
     return space, trivial

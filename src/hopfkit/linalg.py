@@ -240,14 +240,24 @@ def image(cols: list[dict], m: int, M: int) -> Subspace:
     return Subspace.from_vectors(m, M, cols)
 
 
-def intersect_kernels(conditions, n: int, M: int) -> Subspace:
-    """Common kernel of linear conditions given as sparse rows {col: coef}.
+def intersect_kernels(maps, n: int, M: int) -> Subspace:
+    """Common kernel of linear maps on k^n, each given by its n sparse columns.
 
-    The rows are streamed into one echelon basis, so the stack of conditions
-    is never materialised.  Since ker A cap ker B = ker [A; B], this is the
-    canonical kernel of the stack.
+    Column b of a map f is f(e_b), a zero-free dict keyed by any hashable
+    index r.  Row r of f is the functional (f(e_b)_r)_b, so each map in turn
+    is transposed into its rows and they are streamed into one echelon basis;
+    the stack of maps is never materialised.  Since ker f cap ker g =
+    ker [f; g], this is the canonical kernel of the stack.  This is the one
+    place where a map becomes condition rows.
     """
-    return kernel((cond for cond in conditions if cond), n, M)
+    def rows():
+        for cols in maps:
+            by_row: dict = {}
+            for b, col in enumerate(cols):
+                for r, c in col.items():
+                    by_row.setdefault(r, {})[b] = c
+            yield from by_row.values()
+    return kernel(rows(), n, M)
 
 
 # -- sparse order-3 tensors ----------------------------------------------------
@@ -355,6 +365,15 @@ def coproduct(crows, v: dict) -> dict:
     for i, c in v.items():
         for jk, d in crows[i]:
             sparse_add_into(out, jk, c * d)
+    return out
+
+
+def sparse_sub(u: dict, v: dict, c: CycloNum | None = None) -> dict:
+    """u - c v for sparse vectors (c = 1 when omitted); zero sums are dropped
+    and u is left unchanged."""
+    out = dict(u)
+    for k, a in v.items():
+        sparse_add_into(out, k, -a if c is None else -(c * a))
     return out
 
 
@@ -522,11 +541,8 @@ def commutator_generators(rows, n: int, M: int):
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            a = mult_vectors(rows, {i: one}, {j: one})
-            b = mult_vectors(rows, {j: one}, {i: one})
-            acc = dict(a)
-            for k, c in b.items():
-                sparse_add_into(acc, k, -c)
+            acc = sparse_sub(mult_vectors(rows, {i: one}, {j: one}),
+                             mult_vectors(rows, {j: one}, {i: one}))
             if acc:
                 out.append(acc)
     return out
@@ -549,18 +565,14 @@ def commutative_quotient_dim(mult: SparseTensor3, M: int) -> int:
     return n - ideal_closure(rows, n, M, commutator_generators(rows, n, M)).dim
 
 
-def center_dim(mult: SparseTensor3, M: int) -> int:
-    """dim Z(A); for semisimple A over a splitting field, its block count."""
+def center(mult: SparseTensor3, M: int) -> Subspace:
+    """Z(A): the common kernel of z -> e_j z - z e_j over the basis e_j.
+
+    Its dimension is the block count of A when A is semisimple over a
+    splitting field.
+    """
     n = mult.dims[0]
     rows = mult.rows_ij()
-
-    def conditions():
-        for j in range(n):  # e_j z - z e_j = 0, one block of rows per j
-            eq: dict = {}
-            for b in range(n):
-                for k, c in rows[j][b]:
-                    sparse_add_into(eq.setdefault(k, {}), b, c)
-                for k, c in rows[b][j]:
-                    sparse_add_into(eq.setdefault(k, {}), b, -c)
-            yield from eq.values()
-    return intersect_kernels(conditions(), n, M).dim
+    return intersect_kernels(
+        ([sparse_sub(dict(rows[j][b]), dict(rows[b][j])) for b in range(n)]
+         for j in range(n)), n, M)

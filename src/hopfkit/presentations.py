@@ -52,10 +52,10 @@ from itertools import product
 from .cyclo import CycloNum, root_of_unity_order
 from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
                      NonMonomialConstraint, NonTerminatingRewrite)
-from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_conditions,
+from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_map,
                    verify_hopf, verify_morphism)
 from .linalg import (SparseTensor3, intersect_kernels, mult_vectors, outer,
-                     ratio, sparse_add_into, tensor_mul)
+                     ratio, sparse_add_into, sparse_sub, tensor_mul)
 
 
 class GroupGen:
@@ -387,20 +387,16 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
         for i, x in enumerate(spec.skew_gens):
             U = ev_group(spec.gmod(x.u))
             V = ev_group(spec.gmod(x.v))
-            # Delta c = V (x) c + c (x) U, then the eigenvalue conditions
-            # phi(g_t) c = theta[t][i] c phi(g_t), linear in the coords c_m
-            def conditions():
-                yield from skew_primitive_conditions(target, V, U)
+            # c in the kernels of c -> Delta c - V (x) c - c (x) U and of
+            # c -> phi(g_t) c - theta[t][i] c phi(g_t), one map per t
+            def maps():
+                yield skew_primitive_map(target, V, U)
                 for t, gv in enumerate(phi_g):
                     th = spec.theta[t][i]
-                    eq: dict = {}
-                    for b in range(n):
-                        for a, c in target.mul(gv, {b: one}).items():
-                            sparse_add_into(eq.setdefault(a, {}), b, c)
-                        for a, c in target.mul({b: one}, gv).items():
-                            sparse_add_into(eq.setdefault(a, {}), b, -(th * c))
-                    yield from eq.values()
-            sol = intersect_kernels(conditions(), n, M)
+                    yield [sparse_sub(target.mul(gv, {b: one}),
+                                      target.mul({b: one}, gv), th)
+                           for b in range(n)]
+            sol = intersect_kernels(maps(), n, M)
             if sol.dim == 0:
                 feasible = False
                 break
@@ -415,11 +411,8 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
         for (j, i), cor in spec.corr.items():
             t = ev_element(cor)
             th = spec.theta_x.get((j, i), one)
-            w1 = target.mul(images_x[j], images_x[i])
-            w2 = target.mul(images_x[i], images_x[j])
-            diff: dict = dict(w1)
-            for k, ck in w2.items():
-                sparse_add_into(diff, k, -(th * ck))
+            diff = sparse_sub(target.mul(images_x[j], images_x[i]),
+                              target.mul(images_x[i], images_x[j]), th)
             if not diff and not t:
                 continue
             rho = ratio(diff, t) if diff and t else None

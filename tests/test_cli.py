@@ -79,6 +79,47 @@ def test_qt_pipeline(tmp_path, capsys):
     assert "ribbon_count=1" in out and "drinfeld_identities=clean" in out
 
 
+def _uq_with_rmatrix(tmp_path, capsys):
+    f = str(tmp_path / "uq.hopf")
+    code, _ = run(["construct", "uq_sl2", "--rmatrix", "uq_standard",
+                   "--out", f], capsys)
+    assert code == 0
+    return f
+
+
+def test_rmatrix_zero_coefficients_change_no_verdict(tmp_path, capsys):
+    f = _uq_with_rmatrix(tmp_path, capsys)
+    obj = json.loads(open(f, encoding="utf-8").read())
+    listed = {(i, j) for i, j, _ in obj["rmatrix"]}
+    absent = [(i, j) for i in range(obj["dim"]) for j in range(obj["dim"])
+              if (i, j) not in listed][:3]
+    obj["rmatrix"] += [[i, j, "0"] for i, j in absent]
+    fz = str(tmp_path / "uq_zeros.hopf")
+    with open(fz, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    for argv in (["qt-verify", "{}"], ["ribbon", "{}"], ["report", "{}", "--qt", "{}"]):
+        plain = run([a.format(f) for a in argv], capsys)
+        assert plain[0] == 0, argv
+        assert run([a.format(fz) for a in argv], capsys) == plain, argv
+
+
+def test_rmatrix_file_of_another_dimension_exit_2(tmp_path, capsys):
+    fuq = _uq_with_rmatrix(tmp_path, capsys)
+    ftaft, fz3 = str(tmp_path / "taft.hopf"), str(tmp_path / "z3.hopf")
+    assert run(["construct", "taft", "--out", ftaft], capsys)[0] == 0
+    assert run(["construct", "group_algebra", "--group", "z3", "--rmatrix",
+                "bicharacter:1", "--out", fz3], capsys)[0] == 0
+    for argv, dims in ((["qt-verify", ftaft, fuq], (27, 9)),
+                       (["ribbon", ftaft, fuq], (27, 9)),
+                       (["report", ftaft, "--qt", fuq], (27, 9)),
+                       (["qt-verify", fuq, fz3], (3, 27))):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "internal" not in err, argv
+        assert f"has dim {dims[0]}, but the host has dim {dims[1]}" in err, argv
+
+
 def test_dual_tensor_double(tmp_path, capsys):
     f = str(tmp_path / "t.hopf")
     f2 = str(tmp_path / "d.hopf")

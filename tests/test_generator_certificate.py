@@ -18,8 +18,8 @@ from hopfkit import hopf
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import FinHopf, HopfMorphism, op_cop, verify_hopf, verify_morphism
-from hopfkit.invariants import _integral_conditions, integrals
-from hopfkit.linalg import (SparseTensor3, intersect_kernels, outer,
+from hopfkit.invariants import _integral_maps, integrals
+from hopfkit.linalg import (SparseTensor3, intersect_kernels, kernel, outer,
                             sparse_add_into, sparse_to_dense)
 from hopfkit.quasitriangular import _tensor_swap, f_matrices, verify_qt
 
@@ -310,8 +310,8 @@ def test_integrals_match_all_conditions(corpus3, double_taft):
     for H in (*corpus3.values(), double_taft):
         n, M = H.dim, H.conductor
         for A, left in ((H, True), (H.dual_cached(), False)):
-            assert (intersect_kernels(_integral_conditions(A, left), n, M)
-                    == intersect_kernels(full_conditions(A, left), n, M)), H.label
+            assert (intersect_kernels(_integral_maps(A, left), n, M)
+                    == kernel(full_conditions(A, left), n, M)), H.label
         assert integrals(H) is integrals(H)
 
 

@@ -1,4 +1,4 @@
-"""The sparse "conditions -> kernel" path against the dense step-by-step
+"""The sparse "maps -> kernel" path against the dense step-by-step
 intersection of kernels it replaced, and the per-algebra memos."""
 
 import random
@@ -11,8 +11,8 @@ from hopfkit.constructors import taft_spec
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import dual
 from hopfkit.invariants import fingerprint, integrals
-from hopfkit.linalg import (Subspace, center_dim, dense_to_sparse,
-                            intersect_kernels, sparse_to_dense)
+from hopfkit.linalg import (Subspace, center, intersect_kernels,
+                            sparse_columns, sparse_to_dense)
 from hopfkit.presentations import build_from_presentation
 
 M = 9
@@ -41,8 +41,8 @@ def dense_intersect_kernels(matrices, n, M):
     return Subspace(n, M, rows, pivots)
 
 
-def sparse_rows(matrices):
-    return [dense_to_sparse(row) for A in matrices for row in A]
+def sparse_maps(matrices):
+    return [sparse_columns(A) for A in matrices]
 
 
 def _random_matrices(rng, n):
@@ -65,7 +65,7 @@ def test_random_sparse_systems_match_dense_oracle():
     for _ in range(60):
         n = rng.randint(1, 8)
         mats = _random_matrices(rng, n)
-        new = intersect_kernels(sparse_rows(mats), n, M)
+        new = intersect_kernels(sparse_maps(mats), n, M)
         old = dense_intersect_kernels(mats, n, M)
         assert new == old
         assert new.basis == old.basis and new.pivots == old.pivots
@@ -77,9 +77,9 @@ def test_empty_and_full_kernels():
     one, zero = CycloNum.one(M), CycloNum.zero(M)
     for n in (1, 4, 7):
         assert intersect_kernels([], n, M) == Subspace.full(n, M)
-        assert intersect_kernels([{}, {}], n, M) == Subspace.full(n, M)
+        assert intersect_kernels([[{}] * n, [{}] * n], n, M) == Subspace.full(n, M)
         ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        assert intersect_kernels(sparse_rows([ident]), n, M) == Subspace.zero(n, M)
+        assert intersect_kernels(sparse_maps([ident]), n, M) == Subspace.zero(n, M)
         assert dense_intersect_kernels([ident], n, M) == Subspace.zero(n, M)
 
 
@@ -87,10 +87,12 @@ def test_streamed_rows_are_consumed_once():
     one = CycloNum.one(M)
     seen = []
 
-    def gen():
+    def gen():  # the maps x -> x_i - x_{i+1}, as columns on k^5
         for i in range(3):
             seen.append(i)
-            yield {i: one, i + 1: -one}
+            cols = [{} for _ in range(5)]
+            cols[i], cols[i + 1] = {0: one}, {0: -one}
+            yield cols
     K = intersect_kernels(gen(), 5, M)
     assert seen == [0, 1, 2]
     assert K.dim == 2
@@ -138,8 +140,8 @@ def test_integrals_and_centre_match_dense_oracle(corpus3):
         comm = [[[L[j][a][b] - R[j][a][b] for b in range(n)] for a in range(n)]
                 for j in range(n)]
         centre = dense_intersect_kernels(comm, n, Mc)
-        assert intersect_kernels(sparse_rows(comm), n, Mc) == centre, label
-        assert center_dim(H.mult, Mc) == centre.dim, label
+        assert intersect_kernels(sparse_maps(comm), n, Mc) == centre, label
+        assert center(H.mult, Mc) == centre, label
 
 
 def test_double_dual_is_the_algebra(corpus3):

@@ -7,7 +7,7 @@ from dense_oracle import (identity_matrix, mat_eq, mat_vec, sparse_rows,
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import AmbientMismatch
 from hopfkit.linalg import (SparseTensor3, Subspace, algebra_radical,
-                            center_dim, commutative_quotient_dim,
+                            center, commutative_quotient_dim,
                             dense_rows, dense_to_sparse, image, kernel,
                             mat_inverse, mat_mul, mult_vectors,
                             quotient_by_radical, quotient_mult, sparse_columns,
@@ -140,7 +140,7 @@ def _upper_triangular_fixture():
 
 def _block_count(mult, M):
     """Wedderburn blocks of A/Rad A: the centre dimension of that quotient."""
-    return center_dim(quotient_by_radical(mult, algebra_radical(mult, M)), M)
+    return center(quotient_by_radical(mult, algebra_radical(mult, M)), M).dim
 
 
 def _group_algebra_z3():

@@ -17,9 +17,8 @@ from hopfkit.hopf import (FinHopf, HopfMorphism, embed_hopf, identity_morphism,
                           op_cop, quotient_by_hopf_ideal, tensor, verify_hopf,
                           verify_morphism)
 from hopfkit.hopffile import dumps, loads
-from hopfkit.invariants import (antipode_order, grouplike_inverse,
-                                modular_elements, radford_s4_check,
-                                semisimplicity)
+from hopfkit.invariants import (antipode_order, modular_elements,
+                                radford_s4_check, semisimplicity)
 from hopfkit.linalg import (SparseTensor3, apply_columns, compose_columns,
                             dense_rows, dense_to_sparse, ideal_closure,
                             mat_mul, outer, quotient_mult,
@@ -61,7 +60,9 @@ def dense_radford(H, S4):
                 acc = acc + alpha[a] * S[a][j]
         alpha_inv.append(acc)
     g = mod.g
-    g_inv = grouplike_inverse(H, g)
+    g_inv, power = g, H.mul(g, g)  # g^{-1} = g^{ord g - 1}, by powering
+    while power != H.unit:
+        g_inv, power = power, H.mul(power, g)
     for i in range(n):
         mid: dict = {}
         for (a, b, c), coef in H.delta2(i):

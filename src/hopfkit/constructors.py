@@ -456,7 +456,8 @@ def drinfeld_double(H: FinHopf) -> FinHopf:
     # character candidates x # beta, kept when they are algebra characters
     # of D(H), i.e. group-likes of D(H)*, whose comultiplication is the
     # product of D(H) read backwards, e_k -> sum c_ij^k e_i (x) e_j; for each
-    # kept one, beta # x is claimed central as well
+    # kept one, beta # x is claimed central as well.  D(H) is not verified
+    # yet, so they are tested on every row (no generators of D(H))
     gls = [smash(beta, x) for beta in H.claims.characters
            for x in H.claims.grouplikes]
     dual_crows: list[list] = [[] for _ in range(nD)]

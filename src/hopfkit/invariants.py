@@ -15,6 +15,21 @@ the skew-primitives and the block count (the centre of H*/J(H*)) are
 kernels of linear maps, each given by its sparse columns f(e_b) to
 `linalg.intersect_kernels`; no condition rows are built here.
 
+Three laws are checked on the Krylov generators X = `FinHopf.generators`
+only, each by the same induction on words in X, which span the algebra:
+  the group-like test Delta v = v (x) v, on the coordinates (a, b) with a
+    in X(H*): {f in H* : v(fg) = v(f)v(g) for all g} is a subspace that
+    contains eps (as eps(v) = 1) and is closed under f -> xf for x in X(H*);
+  the commutator ideal of A = H/J(H), from the images G of X in A
+    (`FinHopf.semisimple_generators`): A/I is generated by the pairwise
+    commuting images of G, so the ideal I spanned by the [a, b], a, b in G,
+    and closed under multiplication by G is the commutator ideal, because
+    {a : aI in I, Ia in I} is a unital subalgebra containing G;
+  the centre of A, as the common kernel of z -> gz - zg for g in G: the
+    centraliser of z is a unital subalgebra.
+So `character_count` and the block count of `coradical_filtration` are
+those the whole basis gives; `linalg` and `hopf` hold the proofs in full.
+
 The group-like census needs no closure table.  Let S be the distinct
 verified claims and m = `H.dual_cached().character_count`.  S lies in G(H),
 each claim being verified.  A group-like of H is a character of H*, and
@@ -288,7 +303,7 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     H0 = spaces[0]
 
     D = H.dual_cached()
-    blocks = center(D.semisimple_quotient, M).dim
+    blocks = center(D.semisimple_quotient, M, D.semisimple_generators).dim
     ones = D.character_count
 
     verified = H.verified_grouplikes
@@ -639,7 +654,9 @@ def pairing_table(H: FinHopf) -> PairingReport:
 
 def commutative_quotient_check(mult, M: int) -> bool:
     """True iff A/Rad A is commutative (then all simple modules are 1-dim):
-    its commutator ideal is zero exactly when every basis commutator is."""
+    exactly when its commutator ideal is zero, which
+    `linalg.commutative_quotient_dim` computes with the basis as the
+    generating set."""
     q = quotient_by_radical(mult, algebra_radical(mult, M))
     return commutative_quotient_dim(q, M) == q.dims[0]
 

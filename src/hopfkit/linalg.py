@@ -505,8 +505,7 @@ def ideal_closure(rows, n: int, M: int, generators, multipliers=None) -> Subspac
     multiplication by each multiplier (by default the basis, which gives
     the two-sided ideal the generators span)."""
     if multipliers is None:
-        one = CycloNum.one(M)
-        multipliers = [{j: one} for j in range(n)]
+        multipliers = identity_columns(n, M)
     eb = EchelonBasis(n, M)
     work = [g for g in generators if eb.insert(g)]
     while work:
@@ -535,14 +534,13 @@ def quotient_mult(rows, I: Subspace, proj: list[dict]) -> SparseTensor3:
     return SparseTensor3.from_dict((q, q, q), d)
 
 
-def commutator_generators(rows, n: int, M: int):
-    """All nonzero [e_i, e_j], i < j (commutator-ideal generators)."""
-    one = CycloNum.one(M)
+def commutator_generators(rows, gens) -> list[dict]:
+    """The nonzero commutators [a, b] = ab - ba of pairs a before b in the
+    sparse vectors `gens`."""
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = sparse_sub(mult_vectors(rows, {i: one}, {j: one}),
-                             mult_vectors(rows, {j: one}, {i: one}))
+    for i, a in enumerate(gens):
+        for b in gens[i + 1:]:
+            acc = sparse_sub(mult_vectors(rows, a, b), mult_vectors(rows, b, a))
             if acc:
                 out.append(acc)
     return out
@@ -558,21 +556,38 @@ def quotient_by_radical(mult: SparseTensor3, rad: Subspace) -> SparseTensor3:
     return quotient_mult(mult.rows_ij(), rad, rad.projection_columns())
 
 
-def commutative_quotient_dim(mult: SparseTensor3, M: int) -> int:
-    """dim of A modulo the two-sided ideal generated by its commutators."""
-    n = mult.dims[0]
-    rows = mult.rows_ij()
-    return n - ideal_closure(rows, n, M, commutator_generators(rows, n, M)).dim
+def commutative_quotient_dim(mult: SparseTensor3, M: int, gens=None) -> int:
+    """dim of A modulo the two-sided ideal I generated by its commutators.
 
-
-def center(mult: SparseTensor3, M: int) -> Subspace:
-    """Z(A): the common kernel of z -> e_j z - z e_j over the basis e_j.
-
-    Its dimension is the block count of A when A is semisimple over a
-    splitting field.
+    `gens` are sparse vectors that generate A as a unital algebra (default:
+    the basis).  I is taken as the closure of the [a, b], a, b in gens,
+    under left and right multiplication by gens.  It is a two-sided ideal:
+    {a : aI in I, Ia in I} is a subalgebra that contains 1 and gens, hence
+    every word in them, and these words span A.  A/I is generated by the
+    pairwise commuting images of gens, so it is commutative, and each
+    [a, b] lies in [A, A]; so I is the commutator ideal.
     """
     n = mult.dims[0]
     rows = mult.rows_ij()
+    gens = identity_columns(n, M) if gens is None else gens
+    return n - ideal_closure(rows, n, M, commutator_generators(rows, gens),
+                             gens).dim
+
+
+def center(mult: SparseTensor3, M: int, gens=None) -> Subspace:
+    """Z(A): the common kernel of z -> gz - zg over the sparse vectors
+    `gens`, which generate A as a unital algebra (default: the basis).
+
+    That suffices: the centraliser {a : az = za} of any z is a subalgebra
+    that contains 1, since (ab)z = a(zb) = (az)b = z(ab) for a, b in it, so
+    once it contains gens it contains every word in them, and these words
+    span A.  Its dimension is the block count of A when A is semisimple
+    over a splitting field.
+    """
+    n = mult.dims[0]
+    rows = mult.rows_ij()
+    basis = identity_columns(n, M)
+    gens = basis if gens is None else gens
     return intersect_kernels(
-        ([sparse_sub(dict(rows[j][b]), dict(rows[b][j])) for b in range(n)]
-         for j in range(n)), n, M)
+        ([sparse_sub(mult_vectors(rows, g, e), mult_vectors(rows, e, g))
+          for e in basis] for g in gens), n, M)

@@ -45,7 +45,8 @@ because H* is associative.  So F = H*.  The Drinfeld double's character
 claims are tested before D(H) is verified, so that prerequisite does not
 hold there, and they are compared on every row (left=None).  Products in
 H and H (x) H are `linalg.mult_vectors` and `linalg.tensor_mul` on the row
-view.
+view.  They, `linalg.apply_tensor_columns` and `associativity_failure` form
+a coefficient product only for a nonzero structure cell.
 The skew-primitives P_{a,b} and the coinvariants H^{co pi} are kernels of
 maps built as sparse columns (`skew_primitive_map`, and (id (x) pi)Delta
 minus h -> h (x) 1_B), taken by `linalg.intersect_kernels`.
@@ -353,14 +354,30 @@ class VerificationReport:
 
 def associativity_failure(mrows, left=None) -> tuple[int, int, int] | None:
     """First (i, j, k), in lexicographic order, with (e_i e_j) e_k != e_i (e_j e_k);
-    i runs over `left` (default: every index)."""
+    i runs over `left` (default: every index).
+
+    For each (i, j), k runs in increasing order over the set bits of
+    nonempty[j] | OR_{m in supp(e_i e_j)} nonempty[m], nonempty[m] having
+    bit k set when the cell e_m e_k is nonzero.  Any other k is skipped
+    exactly: e_j e_k is then 0, so e_i (e_j e_k) = 0, and e_m e_k = 0 for
+    every m in supp(e_i e_j), so (e_i e_j) e_k = 0 as well; lhs = rhs = 0
+    there, and the first failing (i, j, k) is the one the sweep over every k
+    gives.
+    """
     n = len(mrows)
+    nonempty = [sum(1 << k for k, cell in enumerate(row) if cell) for row in mrows]
     for i in range(n) if left is None else left:
         ri = mrows[i]
         for j in range(n):
             v = ri[j]
             rj = mrows[j]
-            for k in range(n):
+            ks = nonempty[j]
+            for m, _ in v:
+                ks |= nonempty[m]
+            while ks:
+                low = ks & -ks
+                ks ^= low
+                k = low.bit_length() - 1
                 lhs: dict = {}
                 for m, c in v:
                     for l, d in mrows[m][k]:

@@ -335,10 +335,11 @@ def mult_vectors(rows, u: dict, v: dict) -> dict:
             continue
         ri = rows[i]
         for j, cj in v.items():
-            if cj.is_zero():
+            cell = ri[j]
+            if not cell or cj.is_zero():
                 continue
             c = ci * cj
-            for k, ck in ri[j]:
+            for k, ck in cell:
                 sparse_add_into(acc, k, c * ck)
     return acc
 
@@ -351,10 +352,14 @@ def tensor_mul(rows, X: dict, Y: dict) -> dict:
         ra = rows[a]
         rb = rows[b]
         for (al, be), d in Y.items():
+            cell1 = ra[al]
+            cell2 = rb[be]
+            if not (cell1 and cell2):
+                continue
             cd = c * d
-            for k1, c1 in ra[al]:
+            for k1, c1 in cell1:
                 cc = cd * c1
-                for k2, c2 in rb[be]:
+                for k2, c2 in cell2:
                     sparse_add_into(out, (k1, k2), cc * c2)
     return out
 
@@ -440,9 +445,12 @@ def apply_tensor_columns(A: list[dict], B: list[dict], X: dict) -> dict:
     """(A (x) B) X for a sparse tensor X {(j, k): coef}."""
     out: dict = {}
     for (j, k), c in X.items():
+        Bk = B[k]
+        if not Bk:
+            continue
         for a, ca in A[j].items():
             cca = c * ca
-            for b, cb in B[k].items():
+            for b, cb in Bk.items():
                 sparse_add_into(out, (a, b), cca * cb)
     return out
 

@@ -34,9 +34,11 @@ def vec_is_zero(a):
 
 
 def dense_dot(a, b, M):
+    """sum_i a_i b_i; terms with a zero factor are skipped (exactly zero)."""
     acc = CycloNum.zero(M)
     for x, y in zip(a, b):
-        acc = acc + x * y
+        if not (x.is_zero() or y.is_zero()):
+            acc = acc + x * y
     return acc
 
 

@@ -125,7 +125,8 @@ def _minus_counit(A, mats):
 def test_integrals_and_centre_match_dense_oracle(corpus3):
     for label, H in corpus3.items():
         n, Mc = H.dim, H.conductor
-        left = dense_intersect_kernels(_minus_counit(H, _mult_matrices(H, True)), n, Mc)
+        L = _mult_matrices(H, True)
+        left = dense_intersect_kernels(_minus_counit(H, L), n, Mc)
         D = H.dual_cached()
         right = dense_intersect_kernels(_minus_counit(D, _mult_matrices(D, False)), n, Mc)
         assert left.dim == 1 and right.dim == 1, label
@@ -136,7 +137,7 @@ def test_integrals_and_centre_match_dense_oracle(corpus3):
         inv = pairing.inverse()
         assert sparse_to_dense(integ.right_integral_dual, n, Mc) == [
             inv * a for a in right0], label
-        L, R = _mult_matrices(H, True), _mult_matrices(H, False)
+        R = _mult_matrices(H, False)
         comm = [[[L[j][a][b] - R[j][a][b] for b in range(n)] for a in range(n)]
                 for j in range(n)]
         centre = dense_intersect_kernels(comm, n, Mc)

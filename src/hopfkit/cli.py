@@ -12,6 +12,8 @@ process importing or verifying a file does not pay for loading them.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import random
 import sys
 
@@ -451,5 +453,36 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point: `python -m hopfkit.cli` and the `hopfkit`
+    console script.  It runs `main` with the cyclic collector off, flushes
+    stdout and stderr under main's error mapping, and ends the process with
+    `os._exit`, skipping interpreter teardown.
+
+    The collector is off because a CLI process makes no cycles worth
+    reclaiming: field values and structure tensors are acyclic, and what
+    cycles there are (argparse, closures) die with the process.  Nothing is
+    left to close at the exit: `export_hopf` closes its file inside `with`
+    before `os.replace`, and the flushes below write what stdout and stderr
+    still buffer.  `main` itself disables nothing, so tests and tracers can
+    call it in-process.
+    """
+    gc.disable()
+    try:
+        rc = main()
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        rc = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        rc = 2
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 
 from .cyclo import parse as cparse, render
 from .errors import ParseError, VerificationFailed
@@ -67,8 +68,68 @@ def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
     return obj
 
 
+class _ScalarTexts(dict):
+    """JSON text of each str and int met, encoded once (by C functions)."""
+
+    def __missing__(self, x):
+        t = type(x)
+        if t is str:
+            s = json.encoder.encode_basestring_ascii(x)
+        elif t is int:
+            s = str(x)
+        else:
+            raise TypeError(f"{t.__name__} is not a .hopf scalar")
+        self[x] = s
+        return s
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=1, sort_keys=True) for a value built of str,
+    int, list and dict with str keys.  The standard encoder runs in pure
+    Python once `indent` is set.  Here each scalar is encoded once, and a
+    list of scalars, or a table of equal-length lists of scalars (a .hopf
+    file is mostly tables: triples, matrices, vectors), is joined by C code
+    with no Python call per row or per cell."""
+    cell = _ScalarTexts().__getitem__
+
+    def table(rows, pad):
+        # rows: equal-length lists of scalars; TypeError if a cell is not one
+        inner, cell_pad = pad + " ", pad + "  "
+        cells = map(cell, chain.from_iterable(rows))
+        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell_pad
+        return (row_sep.join(map((",\n" + cell_pad).join,
+                                 zip(*[cells] * len(rows[0]))))
+                .join(("[\n" + inner + "[\n" + cell_pad,
+                       "\n" + inner + "]\n" + pad + "]")))
+
+    def text(v, pad):
+        if type(v) is not list and type(v) is not dict:
+            return cell(v)
+        if not v:
+            return "[]" if type(v) is list else "{}"
+        inner = pad + " "
+        if type(v) is dict:
+            items = [cell(k) + ": " + text(v[k], inner) for k in sorted(v)]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        try:
+            items = list(map(cell, v))
+        except TypeError:  # v holds a list or a dict
+            if (set(map(type, v)) == {list} and len(set(map(len, v))) == 1
+                    and v[0]):
+                try:
+                    return table(v, pad)
+                except TypeError:  # a cell is a list or a dict
+                    pass
+            items = [text(x, inner) for x in v]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+    return text(obj, "")
+
+
 def dumps(H: FinHopf, rmatrix: dict | None = None) -> str:
-    return json.dumps(to_obj(H, rmatrix), indent=1, sort_keys=True) + "\n"
+    """The .hopf text of H: the bytes of json.dumps(to_obj(H, rmatrix),
+    indent=1, sort_keys=True) + "\\n"."""
+    return _json_text(to_obj(H, rmatrix)) + "\n"
 
 
 def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:

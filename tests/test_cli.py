@@ -433,3 +433,49 @@ def test_export_conductor_embeds_fixtures(tmp_path, capsys):
         target = resolve_fixture_target(key, conductor=18)
         rep = verify_morphism(HopfMorphism(H, target, mat))
         assert rep.ok and rep.bijective, key
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_write_failure_exit_2(unbuffered):
+    # a write error surfaces when the output is written, or, for buffered
+    # stdout, only at run()'s flush: either way the error mapping holds
+    import os
+    import subprocess
+    import sys
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-m", "hopfkit.cli", "construct",
+                            "taft"], stdout=full, stderr=subprocess.PIPE,
+                           text=True, env=env)
+    assert r.returncode == 2
+    assert r.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_cli_work_leaves_no_field_values_in_cycles(double_taft):
+    # run() turns the cyclic collector off: the work of a CLI process must
+    # not strand field values in reference cycles, and what cycles it makes
+    # must stay few
+    import gc
+    import random
+    from fractions import Fraction
+    from hopfkit.cyclo import CycloNum
+    from hopfkit.hopffile import dumps, loads
+    from hopfkit.papercheck import type_table_sweep
+    from test_generator_certificate import relabel
+    rescaled = dumps(relabel(double_taft, random.Random(2), True))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert type_table_sweep(3, 1)[1]
+        loads(rescaled)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not any(type(o) in (CycloNum, Fraction) for o in garbage)
+    assert len(garbage) < 2000, len(garbage)

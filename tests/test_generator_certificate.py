@@ -111,10 +111,13 @@ def oracle_verify(H):
                     ra = mrows[a]
                     rb = mrows[b]
                     for (al, be), d in dj:
+                        cell_a, cell_b = ra[al], rb[be]
+                        if not (cell_a and cell_b):
+                            continue
                         cd = c * d
-                        for k1, c1 in ra[al]:
+                        for k1, c1 in cell_a:
                             cc = cd * c1
-                            for k2, c2 in rb[be]:
+                            for k2, c2 in cell_b:
                                 sparse_add_into(rhs, (k1, k2), cc * c2)
                 if lhs != rhs:
                     fail = (i, j)

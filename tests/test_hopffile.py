@@ -2,13 +2,16 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfkit.constructors import drinfeld_double, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import ParseError, VerificationFailed
-from hopfkit.hopf import embed_hopf, op_cop, quotient_by_hopf_ideal
-from hopfkit.hopffile import dumps, export_hopf, import_hopf, loads
+from hopfkit.hopf import ClaimSet, FinHopf, embed_hopf, op_cop, quotient_by_hopf_ideal
+from hopfkit.hopffile import dumps, export_hopf, import_hopf, loads, to_obj
 from hopfkit.invariants import fingerprint
+from hopfkit.linalg import outer
 
 
 def same_structure(A, B):
@@ -258,3 +261,41 @@ def test_list_coefficient_is_a_parse_error(taft3):
         with pytest.raises(ParseError) as exc:
             loads(json.dumps(bad))
         assert str(exc.value) == "coefficient of type list, expected a string"
+
+
+# -- the writer against the standard JSON encoder ------------------------------
+
+
+def json_dumps(H, rmatrix=None):
+    """The .hopf text as the standard (pure-Python, indenting) encoder
+    writes it: the reference for `dumps`."""
+    return json.dumps(to_obj(H, rmatrix), indent=1, sort_keys=True) + "\n"
+
+
+def test_writer_matches_json_dumps(corpus3, book1, taft3, double_taft):
+    from test_quasitriangular import _canonical_double_r
+    subjects = [(H, None) for H in corpus3.values()]
+    subjects += [(H.dual_cached(), None) for H in corpus3.values()]
+    subjects += [(book1, None), (standard_constructors("that", 5, 1), None),
+                 (double_taft, _canonical_double_r(taft3, double_taft))]
+    assert book1.iso_fixtures
+    for H, rmatrix in subjects:
+        assert dumps(H, rmatrix) == json_dumps(H, rmatrix), H.label
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(label=st.text() | st.text('"\\/\x00\x01\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+       keep=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       rmatrix=st.sampled_from([None, "empty", "unit"]))
+def test_writer_matches_json_dumps_on_labels_and_claims(book1, label, keep, rmatrix):
+    # any label text (quotes, backslashes, control characters, non-ASCII,
+    # lone surrogates) and empty claim lists
+    H = book1
+    fixtures = H.iso_fixtures if keep[2] else ()
+    K = FinHopf(H.dim, H.conductor, H.mult, H.unit, H.comult, H.counit,
+                H.antipode,
+                ClaimSet(H.claims.grouplikes if keep[0] else (),
+                         H.claims.characters if keep[1] else ()),
+                label, fixtures=lambda: fixtures)
+    rmat = {"empty": {}, "unit": outer(H.unit, H.unit)}.get(rmatrix)
+    assert dumps(K, rmat) == json_dumps(K, rmat)

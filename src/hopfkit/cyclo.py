@@ -1,17 +1,40 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(M)-1) of
-Z[X]/Phi_M(X) with a common positive integer denominator.  All operations
-are exact; equality is coordinate equality (representations are canonical:
-gcd(content, den) = 1, den > 0).
+Coordinates are taken in the power basis 1, z, ..., z^(phi(M)-1) of
+Z[X]/Phi_M(X).  A value is stored as (k / den) * prim: `prim` is its
+primitive part, an integer coordinate tuple with content 1 (the gcd of its
+entries) and first nonzero entry positive, and k / den is a rational scale
+with den > 0 and gcd(k, den) = 1.  Zero is k = 0 with the zero tuple.  All
+operations are exact, and equality is coordinate equality:
 
-CycloNum keeps integer numerators plus one shared denominator, so every
-operation stays in plain int arithmetic; `fractions.Fraction` is used only
-to read rationals in `parse` and `from_rational`.  Inversion and `embed`
+  The form is one-to-one with the canonical coordinates num / den, where
+  num is an integer tuple, den > 0 and gcd(content(num), den) = 1.  Those
+  are unique: den must clear every coordinate's denominator, and any
+  multiple t > 1 of the least such den would divide content(num).  From
+  (num, den), put s = the sign of the first nonzero entry of num,
+  k = s * content(num) and prim = num / k; then prim is primitive with a
+  positive first entry, and gcd(k, den) = gcd(content(num), den) = 1.
+  Conversely, num = k * prim has content |k| * content(prim) = |k| and the
+  sign of k in front, so (prim, k) is read back from num.  Hence two values
+  are equal if and only if their (M, prim, k, den) are.
+
+The arithmetic works on the interned primitive parts, of which a
+computation meets few (a file in a rescaled basis multiplies many rational
+multiples of the same few parts):
+- a product (k_a / d_a) u * (k_b / d_b) v is (k_a k_b g / d_a d_b) w, where
+  u v = g w with w primitive is convolved and reduced mod Phi_M once per
+  pair of parts, and the scale is put in lowest terms by one gcd;
+- a sum of multiples of one part adds the scales; other sums add
+  coordinates and take the content of the result;
+- the inverse of (k / den) u is (den / k) u^-1, with u^-1 computed once per
+  part.
+
+All of it is plain int arithmetic; `fractions.Fraction` is used only to read
+rationals in `parse` and `from_rational`.  The inverse of a part and `embed`
 share one zeta-substitution (`_substitute`: replace zeta_M by a power of a
 root of unity and reduce through the `xpow` rows): `embed` substitutes
 zeta_{M'}^(M'/M), and the inverse is the product of the Galois conjugates
-sigma_k(a) (zeta -> zeta^k) divided by the rational norm.
+sigma_r(u) (zeta -> zeta^r) divided by the rational norm.
 """
 
 from __future__ import annotations
@@ -76,7 +99,7 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
 class _Context:
     """Per-conductor tables: Phi_M and reduction rows for powers of z."""
 
-    __slots__ = ("M", "phi", "red", "_xpow")
+    __slots__ = ("M", "phi", "red", "zero", "one", "_xpow")
 
     def __init__(self, M: int):
         self.M = M
@@ -96,6 +119,9 @@ class _Context:
                         cur[i] += top * base[i]
                 rows.append(tuple(cur))
         self.red = rows
+        # the primitive parts of 0 and 1
+        self.zero = _part((0,) * phi)
+        self.one = _part((1,) + (0,) * (phi - 1))
         self._xpow: dict[int, tuple[int, ...]] = {}
 
     def xpow(self, e: int) -> tuple[int, ...]:
@@ -140,43 +166,137 @@ def _context(M: int) -> _Context:
     return ctx
 
 
-def _gcd_list(nums, den: int) -> int:
-    g = den
-    for x in nums:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
-    return g
-
-
-# Values are interned and products and inverses memoised, each table up to
-# _CACHE_CAP entries; past it new results are computed but not stored, which
-# is safe because equality and hashing compare fields, not identity.
-_INTERN: dict[tuple, "CycloNum"] = {}
-_MUL_CACHE: dict[tuple, "CycloNum"] = {}
-_INV_CACHE: dict["CycloNum", "CycloNum"] = {}
+# Values are interned, and products, primitive parts, products of parts and
+# inverses of parts memoised, each table up to _CACHE_CAP entries; past it new
+# results are computed but not stored, which is safe because equality and
+# hashing compare fields, not identity.
+_INTERN: dict[tuple, "CycloNum"] = {}   # (M, prim, k, den) -> the value
+_MUL_CACHE: dict[tuple, "CycloNum"] = {}  # (a, b) -> a * b
+_PARTS: dict[tuple, tuple] = {}  # primitive part -> its one stored copy
+_PART_MUL: dict[tuple, tuple] = {}  # (M, u, v), (M, v, u) -> (g, w): u v = g w
+_PART_INV: dict[tuple, tuple] = {}  # (M, u) -> (n, d, w) with u^-1 = (n/d) w
 _CACHE_CAP = 1 << 20
 
 
-class CycloNum:
-    """An element of Q(zeta_M), immutable and interned."""
+def _part(t: tuple) -> tuple:
+    """The stored copy of the primitive part t."""
+    p = _PARTS.get(t)
+    if p is None:
+        p = t
+        if len(_PARTS) < _CACHE_CAP:
+            _PARTS[t] = t
+    return p
 
-    __slots__ = ("M", "num", "den", "_hash")
+
+def _primitive(nums) -> tuple[int, tuple]:
+    """(g, w) with nums = g * w, w primitive (or zero, with g = 0)."""
+    g = gcd(*nums)
+    if g:
+        for x in nums:
+            if x:
+                if x < 0:
+                    g = -g
+                break
+        if g != 1:
+            return g, _part(tuple(x // g for x in nums))
+    return g, _part(tuple(nums))
+
+
+def _value(M: int, prim: tuple, k: int, den: int) -> "CycloNum":
+    """The value (k / den) * prim, all in canonical form."""
+    key = (M, prim, k, den)
+    obj = _INTERN.get(key)
+    if obj is None:
+        obj = object.__new__(CycloNum)
+        obj.M = M
+        obj.prim = prim
+        obj.k = k
+        obj.den = den
+        obj._hash = hash(key)
+        if len(_INTERN) < _CACHE_CAP:
+            _INTERN[key] = obj
+    return obj
+
+
+def _scaled(M: int, prim: tuple, n: int, d: int) -> "CycloNum":
+    """(n / d) * prim for a primitive part prim, d != 0 and n = 0 only if
+    prim is zero: one gcd puts the scale in lowest terms."""
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return _value(M, prim, n, d)
+
+
+def _part_product(M: int, u: tuple, v: tuple) -> tuple[int, tuple]:
+    """(g, w) with u * v = g * w in Z[zeta_M], w primitive: the one
+    convolution and reduction mod Phi_M for the pair of parts."""
+    ctx = _context(M)
+    phi = ctx.phi
+    conv = [0] * (2 * phi - 1) if phi > 1 else [0]
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                if vj:
+                    conv[i + j] += ui * vj
+    res = conv[:phi]
+    red = ctx.red
+    for k in range(phi, 2 * phi - 1):
+        c = conv[k]
+        if c:
+            row = red[k - phi]
+            for i in range(phi):
+                if row[i]:
+                    res[i] += c * row[i]
+    part = _primitive(res)
+    if len(_PART_MUL) < _CACHE_CAP:
+        _PART_MUL[(M, u, v)] = _PART_MUL[(M, v, u)] = part
+    return part
+
+
+def _part_inverse(M: int, u: tuple) -> tuple[int, int, tuple]:
+    """(n, d, w) with u^-1 = (n / d) * w, w primitive, for a nonzero part u.
+
+    u^-1 = c / N(u), where c is the product of the conjugates sigma_r(u).
+    sigma_r (zeta -> zeta^r, 1 < r < M, gcd(r, M) = 1) runs over the
+    Galois group of Q(zeta_M) / Q minus the identity, so the norm
+    N(u) = u * c is the product of all Galois conjugates of u.  Since
+    sigma_j sigma_r = sigma_jr, each sigma_j permutes the conjugates and
+    fixes N(u), which is therefore rational; it is nonzero because u is.
+    """
+    x = _value(M, u, 1, 1)
+    c = CycloNum.one(M)
+    for r in range(2, M):
+        if gcd(r, M) == 1:
+            c = c * _substitute(x, M, r)
+    norm = x * c
+    # norm = norm.k / norm.den, so u^-1 = (c.k * norm.den) / (c.den * norm.k) * c.prim
+    part = (c.k * norm.den, c.den * norm.k, c.prim)
+    if len(_PART_INV) < _CACHE_CAP:
+        _PART_INV[(M, u)] = part
+    return part
+
+
+class CycloNum:
+    """An element (k / den) * prim of Q(zeta_M), immutable and interned.
+
+    `prim` is the primitive part (content 1, first nonzero entry positive)
+    and k / den a reduced scale with den > 0; zero is k = 0 with the zero
+    tuple.  `num` = k * prim are the integer coordinates over den.
+    """
+
+    __slots__ = ("M", "prim", "k", "den", "_hash")
 
     def __new__(cls, M: int, num: tuple[int, ...], den: int = 1):
-        # num must already be reduced mod Phi_M and normalized with den.
-        key = (M, num, den)
-        obj = _INTERN.get(key)
-        if obj is None:
-            obj = object.__new__(cls)
-            obj.M = M
-            obj.num = num
-            obj.den = den
-            obj._hash = hash(key)
-            if len(_INTERN) < _CACHE_CAP:
-                _INTERN[key] = obj
-        return obj
+        # num / den in canonical coordinates (gcd(content, den) = 1, den > 0)
+        return CycloNum.make(M, num, den)
+
+    @property
+    def num(self) -> tuple[int, ...]:
+        k = self.k
+        return self.prim if k == 1 else tuple(k * x for x in self.prim)
 
     # -- constructors ---------------------------------------------------------
 
@@ -185,16 +305,8 @@ class CycloNum:
         """Normalize arbitrary integer coordinates / denominator."""
         if den == 0:
             raise DivisionByZero("zero denominator")
-        if den < 0:
-            den = -den
-            nums = [-x for x in nums]
-        g = _gcd_list(nums, den)
-        if g > 1:
-            nums = [x // g for x in nums]
-            den //= g
-        if not any(nums):
-            return CycloNum(M, (0,) * _context(M).phi, 1)
-        return CycloNum(M, tuple(nums), den)
+        g, prim = _primitive(nums)
+        return _scaled(M, prim, g, den)
 
     @staticmethod
     def from_rational(M: int, q) -> "CycloNum":
@@ -207,23 +319,24 @@ class CycloNum:
     @staticmethod
     def zeta(M: int, e: int = 1) -> "CycloNum":
         ctx = _context(M)
-        return CycloNum.make(M, list(ctx.xpow(e)), 1)
+        return CycloNum.make(M, ctx.xpow(e), 1)
 
     @staticmethod
     def zero(M: int) -> "CycloNum":
-        return CycloNum(M, (0,) * _context(M).phi, 1)
+        return _value(M, _context(M).zero, 0, 1)
 
     @staticmethod
     def one(M: int) -> "CycloNum":
-        return CycloNum.from_rational(M, 1)
+        return _value(M, _context(M).one, 1, 1)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.k
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
+        return (self.k == 1 and self.den == 1 and self.prim[0] == 1
+                and not any(self.prim[1:]))
 
     # -- ring operations ------------------------------------------------------
 
@@ -233,18 +346,26 @@ class CycloNum:
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            nums = [x + y for x, y in zip(self.num, other.num)]
-            return CycloNum.make(self.M, nums, da)
-        nums = [x * db + y * da for x, y in zip(self.num, other.num)]
-        return CycloNum.make(self.M, nums, da * db)
+        if not self.k:
+            return other
+        if not other.k:
+            return self
+        ka, kb, da, db = self.k, other.k, self.den, other.den
+        if da != db:
+            ka, kb, da = ka * db, kb * da, da * db
+        if self.prim is other.prim:
+            n = ka + kb
+            if not n:
+                return CycloNum.zero(self.M)
+            return _scaled(self.M, self.prim, n, da)
+        return CycloNum.make(
+            self.M, [ka * x + kb * y for x, y in zip(self.prim, other.prim)], da)
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         return self + (-other)
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.M, tuple(-x for x in self.num), self.den)
+        return _value(self.M, self.prim, -self.k, self.den)
 
     def __mul__(self, other: "CycloNum") -> "CycloNum":
         key = (self, other)
@@ -252,54 +373,26 @@ class CycloNum:
         if out is not None:
             return out
         self._check(other)
-        ctx = _context(self.M)
-        phi = ctx.phi
-        conv = [0] * (2 * phi - 1) if phi > 1 else [0]
-        a, b = self.num, other.num
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        res = conv[:phi]
-        red = ctx.red
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = red[k - phi]
-                for i in range(phi):
-                    if row[i]:
-                        res[i] += c * row[i]
-        out = CycloNum.make(self.M, res, self.den * other.den)
+        M, u, v = self.M, self.prim, other.prim
+        part = _PART_MUL.get((M, u, v))
+        if part is None:
+            part = _part_product(M, u, v)
+        out = _scaled(M, part[1], self.k * other.k * part[0], self.den * other.den)
         if len(_MUL_CACHE) < _CACHE_CAP:
             _MUL_CACHE[key] = out
         return out
 
     def inverse(self) -> "CycloNum":
-        """a^-1 = c / N(a), where c is the product of the conjugates sigma_k(a).
-
-        sigma_k (zeta -> zeta^k, 1 < k < M, gcd(k, M) = 1) runs over the
-        Galois group of Q(zeta_M) / Q minus the identity, so the norm
-        N(a) = a * c is the product of all Galois conjugates of a.  Since
-        sigma_j sigma_k = sigma_jk, each sigma_j permutes the conjugates and
-        fixes N(a), which is therefore rational; it is nonzero because a is.
-        """
-        inv = _INV_CACHE.get(self)
-        if inv is not None:
-            return inv
-        if self.is_zero():
+        """((k / den) prim)^-1 = (den / k) prim^-1, with one norm per part
+        (`_part_inverse`)."""
+        if not self.k:
             raise DivisionByZero("division by zero in Q(zeta)")
-        M = self.M
-        c = CycloNum.one(M)
-        for k in range(2, M):
-            if gcd(k, M) == 1:
-                c = c * _substitute(self, M, k)
-        norm = self * c
-        # norm = n / d, so a^-1 = c * d / n
-        inv = CycloNum.make(M, [x * norm.den for x in c.num], c.den * norm.num[0])
-        if len(_INV_CACHE) < _CACHE_CAP:
-            _INV_CACHE[self] = inv
-        return inv
+        M, u = self.M, self.prim
+        part = _PART_INV.get((M, u))
+        if part is None:
+            part = _part_inverse(M, u)
+        n, d, w = part
+        return _scaled(M, w, self.den * n, self.k * d)
 
     def __truediv__(self, other: "CycloNum") -> "CycloNum":
         self._check(other)
@@ -324,7 +417,8 @@ class CycloNum:
             return True
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.M == other.M and self.den == other.den and self.num == other.num
+        return (self.k == other.k and self.den == other.den
+                and self.M == other.M and self.prim == other.prim)
 
     def __hash__(self) -> int:
         return self._hash

@@ -13,36 +13,47 @@ import json
 import os
 import tempfile
 from itertools import chain
+from operator import itemgetter
 
-from .cyclo import parse as cparse, render
+from .cyclo import CycloNum, parse as cparse, render
 from .errors import ParseError, VerificationFailed
 from .hopf import ClaimSet, FinHopf, embed_hopf, verify_hopf
-from .linalg import (SparseTensor3, dense_rows, dense_to_sparse,
-                     sparse_columns, sparse_to_dense)
+from .linalg import SparseTensor3, dense_to_sparse, sparse_columns
 
 FORMAT_VERSION = "hopf-v1"
 # The file holds the antipode and each fixture as dense n x n matrices.
 MAX_DIM = 4096
 
 
-def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
-    texts: dict = {}
+class _Texts(dict):
+    """Canonical text of each field value met, rendered once."""
 
-    def text(c):
-        s = texts.get(c)
-        if s is None:
-            s = texts[c] = render(c)
+    def __missing__(self, c):
+        s = self[c] = render(c)
         return s
 
+
+def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
+    n = H.dim
+    text = _Texts().__getitem__
+    zero = text(CycloNum.zero(H.conductor))
+
     def triples(t: SparseTensor3):
-        return [[i, j, k, text(c)] for (i, j, k), c in t.entries]
+        texts = map(text, map(itemgetter(1), t.entries))
+        return [[i, j, k, s] for ((i, j, k), _), s in zip(t.entries, texts)]
 
     def vector(v):
-        return [text(c) for c in sparse_to_dense(v, H.dim, H.conductor)]
+        row = [zero] * n
+        for i, s in zip(v, map(text, v.values())):
+            row[i] = s
+        return row
 
     def matrix(cols):
-        return [[text(c) for c in row]
-                for row in dense_rows(cols, H.dim, H.conductor)]
+        rows = [[zero] * n for _ in range(n)]
+        for j, col in enumerate(cols):
+            for i, s in zip(col, map(text, col.values())):
+                rows[i][j] = s
+        return rows
 
     obj = {
         "format_version": FORMAT_VERSION,

@@ -482,12 +482,6 @@ def sparse_to_dense(d: dict, n: int, M: int) -> list[CycloNum]:
     return v
 
 
-def dense_rows(cols: list[dict], m: int, M: int) -> list[list[CycloNum]]:
-    """The m dense rows of the map with sparse columns `cols`."""
-    zero = CycloNum.zero(M)
-    return [[col.get(i, zero) for col in cols] for i in range(m)]
-
-
 # -- associative algebra invariants ----------------------------------------------
 
 def algebra_radical(mult: SparseTensor3, M: int) -> Subspace:

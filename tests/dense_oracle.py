@@ -59,6 +59,12 @@ def mat_trace(A):
     return acc
 
 
+def dense_rows(cols, m, M):
+    """The m dense rows of the map with sparse columns `cols`."""
+    zero = CycloNum.zero(M)
+    return [[col.get(i, zero) for col in cols] for i in range(m)]
+
+
 def mat_eq(A, B):
     return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 

@@ -138,7 +138,8 @@ def test_tables_stop_growing_at_the_cap_and_stay_exact(monkeypatch):
     a = CycloNum.make(M, [1001, -7, 3, 0, 5, 2], 13)
     b = CycloNum.make(M, [-999, 4, 0, 11, 1, 0], 17)
     c = CycloNum.make(M, [2, 0, 0, 1003, 0, -1], 19)
-    tables = (cyclo._INTERN, cyclo._MUL_CACHE, cyclo._INV_CACHE)
+    tables = (cyclo._INTERN, cyclo._MUL_CACHE, cyclo._PARTS, cyclo._PART_MUL,
+              cyclo._PART_INV)
     sizes = [len(t) for t in tables]
     monkeypatch.setattr(cyclo, "_CACHE_CAP", min(sizes))
     ab, inv_a = a * b, a.inverse()
@@ -155,4 +156,4 @@ def test_tables_stop_growing_at_the_cap_and_stay_exact(monkeypatch):
     monkeypatch.undo()
     # the same values once the tables accept them again
     assert a * b == ab and a.inverse() == inv_a
-    assert len(cyclo._MUL_CACHE) > sizes[1] and len(cyclo._INV_CACHE) > sizes[2]
+    assert all(len(t) > size for t, size in zip(tables, sizes))

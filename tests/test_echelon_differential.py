@@ -10,12 +10,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import (dense_inverse, dense_kernel, dense_span, mat_eq,
-                          sparse_rows)
+from dense_oracle import (dense_inverse, dense_kernel, dense_rows, dense_span,
+                          mat_eq, sparse_rows)
 from hopfkit.cyclo import CycloNum
-from hopfkit.linalg import (Subspace, compose_columns, dense_rows,
-                            dense_to_sparse, identity_columns, kernel,
-                            mat_inverse, sparse_columns)
+from hopfkit.linalg import (Subspace, compose_columns, dense_to_sparse,
+                            identity_columns, kernel, mat_inverse,
+                            sparse_columns)
 
 FIELDS = (1, 9)  # Q and Q(zeta_9)
 

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from dense_oracle import (identity_matrix, mat_eq, mat_vec, sparse_rows,
-                          transpose, vec_add, vec_is_zero, vec_sub)
+from dense_oracle import (dense_rows, identity_matrix, mat_eq, mat_vec,
+                          sparse_rows, transpose, vec_add, vec_is_zero, vec_sub)
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import AmbientMismatch
 from hopfkit.linalg import (SparseTensor3, Subspace, algebra_radical,
                             center, commutative_quotient_dim,
-                            dense_rows, dense_to_sparse, image, kernel,
+                            dense_to_sparse, image, kernel,
                             mat_inverse, mat_mul, mult_vectors,
                             quotient_by_radical, quotient_mult, sparse_columns,
                             sparse_to_dense)

@@ -10,8 +10,8 @@ from hopfkit.errors import FieldTooSmall
 from hopfkit.groups import cyclic
 from hopfkit.hopf import op_cop
 from hopfkit.invariants import semisimplicity
-from hopfkit.linalg import (dense_rows, dense_to_sparse, sparse_add_into,
-                            sparse_to_dense)
+from dense_oracle import dense_rows
+from hopfkit.linalg import dense_to_sparse, sparse_add_into, sparse_to_dense
 from hopfkit.quasitriangular import (bicharacter_rmatrices, double_surjection_check,
                                      drinfeld_element, f_matrices, ribbon_search,
                                      uq_standard_rmatrix, verify_qt)

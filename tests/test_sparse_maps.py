@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from dense_oracle import identity_matrix, mat_eq, mat_trace, mat_vec
+from dense_oracle import dense_rows, identity_matrix, mat_eq, mat_trace, mat_vec
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import BoundExceeded
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
@@ -20,7 +20,7 @@ from hopfkit.hopffile import dumps, loads
 from hopfkit.invariants import (antipode_order, modular_elements,
                                 radford_s4_check, semisimplicity)
 from hopfkit.linalg import (SparseTensor3, apply_columns, compose_columns,
-                            dense_rows, dense_to_sparse, ideal_closure,
+                            dense_to_sparse, ideal_closure,
                             mat_mul, outer, quotient_mult,
                             sparse_add_into, sparse_columns, sparse_to_dense)
 from hopfkit.presentations import find_embedding

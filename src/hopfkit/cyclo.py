@@ -18,6 +18,19 @@ operations are exact, and equality is coordinate equality:
   sign of k in front, so (prim, k) is read back from num.  Hence two values
   are equal if and only if their (M, prim, k, den) are.
 
+Each value is one object, so equality is identity and hashing is the
+default one, both in C:
+
+  Every value is made by `_value`, which returns the live object of its
+  key (M, prim, k, den) when there is one and makes a new object only when
+  there is none, so two live objects never share a key.  By the lemma
+  above, equal values have equal keys.  Hence a == b exactly when a is b.
+
+`_INTERN` holds a weak reference to each live value and forgets it when
+the value dies, so it needs no cap: every value it lists is kept alive by
+the program or by one of the capped caches below.  Values cannot be
+assigned to, since one stray write would change every equal value.
+
 The arithmetic works on the interned primitive parts, of which a
 computation meets few (a file in a rescaled basis multiplies many rational
 multiples of the same few parts):
@@ -25,7 +38,8 @@ multiples of the same few parts):
   u v = g w with w primitive is convolved and reduced mod Phi_M once per
   pair of parts, and the scale is put in lowest terms by one gcd;
 - a sum of multiples of one part adds the scales; other sums add
-  coordinates and take the content of the result;
+  coordinates and take the content of the result, and each sum of two
+  values is stored like a product, since most sums repeat a pair;
 - the inverse of (k / den) u is (den / k) u^-1, with u^-1 computed once per
   part.
 
@@ -39,6 +53,7 @@ sigma_r(u) (zeta -> zeta^r) divided by the rational norm.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -166,12 +181,12 @@ def _context(M: int) -> _Context:
     return ctx
 
 
-# Values are interned, and products, primitive parts, products of parts and
-# inverses of parts memoised, each table up to _CACHE_CAP entries; past it new
-# results are computed but not stored, which is safe because equality and
-# hashing compare fields, not identity.
-_INTERN: dict[tuple, "CycloNum"] = {}   # (M, prim, k, den) -> the value
+# Products, sums, primitive parts, products of parts and inverses of parts
+# are memoised, each table up to _CACHE_CAP entries; past it new results are
+# computed but not stored.  _INTERN is not capped: it lists only live values.
+_INTERN: dict[tuple, "_Ref"] = {}  # (M, prim, k, den) -> the live value
 _MUL_CACHE: dict[tuple, "CycloNum"] = {}  # (a, b) -> a * b
+_ADD_CACHE: dict[tuple, "CycloNum"] = {}  # (a, b) -> a + b
 _PARTS: dict[tuple, tuple] = {}  # primitive part -> its one stored copy
 _PART_MUL: dict[tuple, tuple] = {}  # (M, u, v), (M, v, u) -> (g, w): u v = g w
 _PART_INV: dict[tuple, tuple] = {}  # (M, u) -> (n, d, w) with u^-1 = (n/d) w
@@ -202,19 +217,36 @@ def _primitive(nums) -> tuple[int, tuple]:
     return g, _part(tuple(nums))
 
 
+class _Ref(weakref.ref):
+    """A weak reference to an interned value, carrying its `_INTERN` key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, intern=_INTERN) -> None:
+    # a value died; a newer value of the same key may already hold the entry
+    if intern.get(ref.key) is ref:
+        del intern[ref.key]
+
+
 def _value(M: int, prim: tuple, k: int, den: int) -> "CycloNum":
-    """The value (k / den) * prim, all in canonical form."""
+    """The value (k / den) * prim, all in canonical form: the live object of
+    that key if there is one, else a new one."""
     key = (M, prim, k, den)
-    obj = _INTERN.get(key)
-    if obj is None:
-        obj = object.__new__(CycloNum)
-        obj.M = M
-        obj.prim = prim
-        obj.k = k
-        obj.den = den
-        obj._hash = hash(key)
-        if len(_INTERN) < _CACHE_CAP:
-            _INTERN[key] = obj
+    ref = _INTERN.get(key)
+    if ref is not None:
+        obj = ref()
+        if obj is not None:
+            return obj
+    obj = object.__new__(CycloNum)
+    _set = object.__setattr__
+    _set(obj, "M", M)
+    _set(obj, "prim", prim)
+    _set(obj, "k", k)
+    _set(obj, "den", den)
+    ref = _Ref(obj, _forget)
+    ref.key = key
+    _INTERN[key] = ref
     return obj
 
 
@@ -279,15 +311,22 @@ def _part_inverse(M: int, u: tuple) -> tuple[int, int, tuple]:
     return part
 
 
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+
 class CycloNum:
-    """An element (k / den) * prim of Q(zeta_M), immutable and interned.
+    """An element (k / den) * prim of Q(zeta_M), immutable and the only
+    live object of its value, so == and hash are those of `object`.
 
     `prim` is the primitive part (content 1, first nonzero entry positive)
     and k / den a reduced scale with den > 0; zero is k = 0 with the zero
     tuple.  `num` = k * prim are the integer coordinates over den.
     """
 
-    __slots__ = ("M", "prim", "k", "den", "_hash")
+    __slots__ = ("M", "prim", "k", "den", "__weakref__")
+
+    __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, M: int, num: tuple[int, ...], den: int = 1):
         # num / den in canonical coordinates (gcd(content, den) = 1, den > 0)
@@ -345,6 +384,10 @@ class CycloNum:
             raise ConductorMismatch(f"conductors {self.M} and {other.M} differ")
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
+        key = (self, other)
+        out = _ADD_CACHE.get(key)
+        if out is not None:
+            return out
         self._check(other)
         if not self.k:
             return other
@@ -355,11 +398,13 @@ class CycloNum:
             ka, kb, da = ka * db, kb * da, da * db
         if self.prim is other.prim:
             n = ka + kb
-            if not n:
-                return CycloNum.zero(self.M)
-            return _scaled(self.M, self.prim, n, da)
-        return CycloNum.make(
-            self.M, [ka * x + kb * y for x, y in zip(self.prim, other.prim)], da)
+            out = _scaled(self.M, self.prim, n, da) if n else CycloNum.zero(self.M)
+        else:
+            out = CycloNum.make(
+                self.M, [ka * x + kb * y for x, y in zip(self.prim, other.prim)], da)
+        if len(_ADD_CACHE) < _CACHE_CAP:
+            _ADD_CACHE[key] = out
+        return out
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         return self + (-other)
@@ -409,19 +454,6 @@ class CycloNum:
             base = base * base
             e >>= 1
         return result
-
-    # -- comparisons ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        return (self.k == other.k and self.den == other.den
-                and self.M == other.M and self.prim == other.prim)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- rendering ------------------------------------------------------------
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, _frozen
 from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
 from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
@@ -66,10 +66,6 @@ from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
                      mult_vectors, outer, quotient_by_radical, quotient_mult,
                      sparse_add_into, sparse_dot, sparse_sub, tensor_mul,
                      transpose_columns, zero_free, zero_free_columns)
-
-
-def _frozen(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
 
 class ClaimSet:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from itertools import chain
 from operator import itemgetter
 
@@ -145,6 +144,7 @@ def dumps(H: FinHopf, rmatrix: dict | None = None) -> str:
 
 def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
     """Atomic write: temp file in the target directory, then rename."""
+    import tempfile  # imported here, so that a process that writes no file skips it
     text = dumps(H, rmatrix)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".hopf.tmp")

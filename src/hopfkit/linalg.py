@@ -10,7 +10,7 @@ format and the command line (the dense-boundary helpers).
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .cyclo import CycloNum
 from .errors import AmbientMismatch

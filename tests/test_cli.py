@@ -390,15 +390,26 @@ def test_import_non_integer_dim_or_conductor_exit_2(tmp_path, capsys):
 def test_cli_import_leaves_the_analysis_modules_unloaded():
     # `import` and the other file commands load only what they use; the
     # analysis modules are imported inside the commands that need them
+    import os
     import subprocess
     import sys
-    code = "import sys, hopfkit.cli\nprint(*sys.modules, sep='\\n')\n"
-    r = subprocess.run([sys.executable, "-c", code],
-                       capture_output=True, text=True, check=True)
-    loaded = set(r.stdout.split())
+    import hopfkit
+    code = ("import sys\nbefore = set(sys.modules)\nimport hopfkit.cli\n"
+            "print(*sys.modules, sep='\\n')\nprint('--', *before, sep='\\n')\n")
+    # without `site`, whose .pth files may import anything; hopfkit is
+    # found where this process found it
+    src = os.path.dirname(os.path.dirname(hopfkit.__file__))
+    r = subprocess.run([sys.executable, "-S", "-c", code],
+                       capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    after, before = (set(part.split()) for part in r.stdout.split("--"))
+    loaded = after - before
     assert "hopfkit.hopffile" in loaded
     for name in ("invariants", "constructors", "quasitriangular", "papercheck"):
         assert f"hopfkit.{name}" not in loaded, name
+    # nor the standard-library modules only some commands need
+    for name in ("tempfile", "typing"):
+        assert name not in loaded, name
 
 
 def test_internal_error_exit_2_without_traceback():
@@ -481,27 +492,48 @@ def test_cli_work_leaves_no_field_values_in_cycles(double_taft):
     assert len(garbage) < 2000, len(garbage)
 
 
-def test_reports_do_not_depend_on_field_value_hashes(tmp_path):
-    # under another deterministic CycloNum hash every set and dict of field
-    # values iterates in another order; no report or file may change
+def test_reports_do_not_depend_on_field_value_hashes(tmp_path, capsys,
+                                                   double_taft):
+    # field values hash by identity, so every set of them iterates in an
+    # order that depends on where they were allocated; under a deterministic
+    # content hash instead, no report, exit code or written file may change
+    import pathlib
+    import random
     import subprocess
     import sys
+    from hopfkit.hopffile import export_hopf
+    from test_generator_certificate import corrupt, relabel
     script = ("import sys\n"
               "from hopfkit import cli, cyclo\n"
               "if sys.argv[1] == 'rehash':\n"
-              "    cyclo.CycloNum.__hash__ = lambda a: hash((a._hash, 0x9E3779B9))\n"
+              "    cyclo.CycloNum.__hash__ = lambda a: hash(\n"
+              "        (a.M, a.prim, a.k, a.den, 0x9E3779B9))\n"
               "    one = cyclo.CycloNum.one(3)\n"
-              "    assert hash(one) != one._hash\n"
+              "    assert hash(one) != object.__hash__(one)\n"
               "sys.exit(cli.main(sys.argv[2:]))\n")
-    f = str(tmp_path / "that.hopf")
+    taft, uq = str(tmp_path / "taft.hopf"), _uq_with_rmatrix(tmp_path, capsys)
+    assert main(["construct", "taft", "--out", taft]) == 0
+    rescaled, broken = str(tmp_path / "rescaled.hopf"), str(tmp_path / "broken.hopf")
+    export_hopf(relabel(double_taft, random.Random(2), True), rescaled)
+    export_hopf(corrupt(double_taft, "comult", random.Random(3)), broken)
+    that, dtaft = str(tmp_path / "that.hopf"), str(tmp_path / "dtaft.hopf")
+    jobs = (["papercheck", "typetable", "--p", "3"],
+            ["construct", "that", "--p", "5", "--out", that],
+            ["double", taft, "--out", dtaft],
+            ["import", rescaled], ["import", broken],
+            ["qt-verify", uq], ["ribbon", uq])
     outputs = {}
     for mode in ("plain", "rehash"):
-        for args in (["papercheck", "typetable", "--p", "3"],
-                     ["construct", "that", "--p", "5", "--out", f]):
+        for f in (that, dtaft):
+            pathlib.Path(f).unlink(missing_ok=True)
+        for args in jobs:
             r = subprocess.run([sys.executable, "-c", script, mode, *args],
-                               capture_output=True, check=True)
-            outputs.setdefault(mode, []).append(r.stdout)
-        with open(f, "rb") as fh:
-            outputs[mode].append(fh.read())
+                               capture_output=True)
+            outputs.setdefault(mode, []).append((r.returncode, r.stdout, r.stderr))
+        for f in (that, dtaft):
+            with open(f, "rb") as fh:
+                outputs[mode].append(fh.read())
     assert outputs["plain"] == outputs["rehash"]
-    assert b"typetable=pass" in outputs["plain"][0]
+    codes = [out[0] for out in outputs["plain"][:len(jobs)]]
+    assert codes == [0, 0, 0, 0, 1, 0, 0], outputs["plain"]
+    assert b"typetable=pass" in outputs["plain"][0][1]

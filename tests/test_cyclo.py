@@ -138,9 +138,10 @@ def test_tables_stop_growing_at_the_cap_and_stay_exact(monkeypatch):
     a = CycloNum.make(M, [1001, -7, 3, 0, 5, 2], 13)
     b = CycloNum.make(M, [-999, 4, 0, 11, 1, 0], 17)
     c = CycloNum.make(M, [2, 0, 0, 1003, 0, -1], 19)
-    tables = (cyclo._INTERN, cyclo._MUL_CACHE, cyclo._PARTS, cyclo._PART_MUL,
-              cyclo._PART_INV)
+    tables = (cyclo._MUL_CACHE, cyclo._ADD_CACHE, cyclo._PARTS,
+              cyclo._PART_MUL, cyclo._PART_INV)
     sizes = [len(t) for t in tables]
+    live = len(cyclo._INTERN)
     monkeypatch.setattr(cyclo, "_CACHE_CAP", min(sizes))
     ab, inv_a = a * b, a.inverse()
     assert ab == b * a
@@ -148,12 +149,35 @@ def test_tables_stop_growing_at_the_cap_and_stay_exact(monkeypatch):
     assert a * (b + c) == a * b + a * c
     assert (a * inv_a).is_one() and inv_a.inverse() == a
     assert (a / b) * b == a
-    # past the cap a value is not interned: equal objects need not be identical
+    # _INTERN has no cap: past the caps a value is still the only one of
+    # its value
     twin = CycloNum(M, ab.num, ab.den)
-    assert twin is not ab
-    assert twin == ab and hash(twin) == hash(ab) and {ab: 1}[twin] == 1
+    assert twin is ab and {ab: 1}[twin] == 1
     assert [len(t) for t in tables] == sizes
+    # and it lists only live values: the ones built past the caps go
+    assert len(cyclo._INTERN) > live
+    coords = [(x.num, x.den) for x in (ab, inv_a, b + c)]
+    del ab, inv_a, twin
+    assert len(cyclo._INTERN) == live
     monkeypatch.undo()
     # the same values once the tables accept them again
-    assert a * b == ab and a.inverse() == inv_a
+    assert [(x.num, x.den) for x in (a * b, a.inverse(), b + c)] == coords
     assert all(len(t) > size for t, size in zip(tables, sizes))
+
+
+def test_values_cannot_be_assigned_to():
+    # a value is shared by everything equal to it, so a write to one would
+    # change them all: every field refuses assignment and deletion
+    one = CycloNum.one(3)
+    for name in ("M", "prim", "k", "den"):
+        before = getattr(one, name)
+        with pytest.raises(AttributeError):
+            setattr(one, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(one, name)
+        assert getattr(one, name) is before
+    with pytest.raises(AttributeError):
+        one.num = (2, 0)
+    assert render(CycloNum.one(3)) == "1"
+    assert render(CycloNum.from_rational(3, 1)) == "1"
+    assert CycloNum.one(3) is one and one.is_one()

@@ -12,7 +12,7 @@ import pytest
 from cyclo_oracle import OracleNum, parse as oracle_parse, render as oracle_render
 from hopfkit import cyclo
 from hopfkit.cyclo import CycloNum, _context, parse, render
-from hopfkit.errors import DivisionByZero
+from hopfkit.errors import ConductorMismatch, DivisionByZero
 from hopfkit.hopf import verify_hopf
 from test_generator_certificate import relabel
 
@@ -75,9 +75,33 @@ def test_equal_values_have_equal_hashes(M):
     for a, b in product(vals, repeat=2):
         for x in (a * b, b * a, a + b, b + a, (a + b) - b, CycloNum(M, a.num, a.den)):
             twin = CycloNum.make(M, x.num, x.den)
-            assert twin == x and hash(twin) == hash(x)
+            assert twin is x and hash(twin) == hash(x)
             seen.setdefault(x, x)
             assert seen[x] == x and hash(seen[x]) == hash(x)
+
+
+@pytest.mark.parametrize("M", [3, 4, 9, 25, 27])
+def test_cached_sums_match_the_coordinate_oracle(M, monkeypatch):
+    # each sum formed twice: computed and stored, then read from _ADD_CACHE
+    monkeypatch.setattr(cyclo, "_ADD_CACHE", {})
+    vals = pool(random.Random(200 + M), M)
+    for (a, oa), (b, ob) in product(vals, repeat=2):
+        first = a + b
+        agree(first, oa + ob)
+        if not (a.is_zero() or b.is_zero()):
+            assert cyclo._ADD_CACHE[(a, b)] is first
+        second = a + b
+        assert second is first
+        agree(second, oa + ob)
+        agree(a - b, oa - ob)
+    # a stored sum is of one conductor; a sum across two still raises
+    other = CycloNum.one(9 if M != 9 else 3)
+    for a, _ in vals:
+        for x, y in ((a, other), (other, a)):
+            for _ in range(2):
+                with pytest.raises(ConductorMismatch):
+                    x + y
+    assert all(a.M == b.M == s.M for (a, b), s in cyclo._ADD_CACHE.items())
 
 
 def test_rescaled_double_forms_few_part_products(double_taft, monkeypatch):

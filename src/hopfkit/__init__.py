@@ -15,7 +15,17 @@ papercheck      enumeration/reproduction suites driven by the CLI
 cli             command-line interface
 """
 
-from .cyclo import CycloNum, Rational, cyclotomic_polynomial, embed
+from .cyclo import CycloNum, cyclotomic_polynomial, embed
+
+
+def __getattr__(name):
+    # `Rational` (fractions.Fraction) is imported on first use (PEP 562), so
+    # importing the package does not load `fractions`
+    if name == "Rational":
+        from . import cyclo
+        return cyclo.Rational
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["CycloNum", "Rational", "cyclotomic_polynomial", "embed"]
 __version__ = "0.1.0"

@@ -5,8 +5,12 @@ Exit codes: 0 = all checks pass, 1 = a mathematical verification failed,
 key=value lines, no timestamps, so reports are golden-file testable.
 
 The analysis modules (invariants, constructors, quasitriangular,
-papercheck) are imported inside the commands that use them, so that a
-process importing or verifying a file does not pay for loading them.
+papercheck) are imported inside the commands that use them, and so are the
+standard-library modules that only some commands run (`random` here, `json`
+in `hopffile`, `fractions` in `cyclo`), so that a process loads only what
+its command runs.  `hopffile` itself stays a module-level import: the
+benchmark's tracer reads its bindings from `sys.modules` after importing
+this module.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import gc
 import os
-import random
 import sys
 
 from .cyclo import MAX_CONDUCTOR, CycloNum, render
@@ -95,6 +98,7 @@ def _report_lines(H: FinHopf, which: str, seed: int, rmat: dict | None):
         lines.append(f"cosemisimple={'yes' if ss.cosemisimple else 'no'}")
         lines.append(f"unimodular={'yes' if is_unimodular(H) else 'no'}")
         lines.append(f"radford_s4={'pass' if radford_s4_check(H) else 'FAIL'}")
+        import random  # only this section draws random matrices
         rng = random.Random(seed)
         trials = 20
         ok = True

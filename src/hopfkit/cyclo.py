@@ -44,9 +44,12 @@ multiples of the same few parts):
   part.
 
 All of it is plain int arithmetic; `fractions.Fraction` is used only to read
-rationals in `parse` and `from_rational`.  The inverse of a part and `embed`
-share one zeta-substitution (`_substitute`: replace zeta_M by a power of a
-root of unity and reduce through the `xpow` rows): `embed` substitutes
+rationals in `parse` and `from_rational`, which import it on first use, so a
+process that reads no rational loads neither `fractions` nor the `decimal`
+it imports (`Rational`, the same class, is served by the module
+`__getattr__`).  The inverse of a part and `embed` share one
+zeta-substitution (`_substitute`: replace zeta_M by a power of a root of
+unity and reduce through the `xpow` rows): `embed` substitutes
 zeta_{M'}^(M'/M), and the inverse is the product of the Galois conjugates
 sigma_r(u) (zeta -> zeta^r) divided by the rational norm.
 """
@@ -54,12 +57,17 @@ sigma_r(u) (zeta -> zeta^r) divided by the rational norm.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from math import gcd
 
 from .errors import ConductorMismatch, DivisionByZero, NotASubfield, ParseError
 
-Rational = Fraction
+
+def __getattr__(name):
+    # `Rational`, imported on first use (PEP 562)
+    if name == "Rational":
+        from fractions import Fraction
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cyclotomic_polynomial(M: int) -> tuple[int, ...]:
@@ -315,6 +323,56 @@ def _frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
 
+class Record:
+    """Base of an immutable record whose fields are its `__slots__`.
+
+    A subclass lists its fields, in order, as `__slots__`.  Every field is
+    set once, by position or by keyword; == and hash compare the field
+    tuples of two records of the same class, and the repr is
+    Name(field=value, ...).
+    """
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, "
+                            f"got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{type(self).__name__}: unexpected or repeated "
+                                f"field {name!r}")
+            values[name] = value
+        if len(values) < len(names):
+            missing = [name for name in names if name not in values]
+            raise TypeError(f"{type(self).__name__}: missing fields {missing}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__) + ")")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as fields cannot be set
+        return type(self), self._fields()
+
+
 class CycloNum:
     """An element (k / den) * prim of Q(zeta_M), immutable and the only
     live object of its value, so == and hash are those of `object`.
@@ -349,7 +407,9 @@ class CycloNum:
 
     @staticmethod
     def from_rational(M: int, q) -> "CycloNum":
-        q = Fraction(q)
+        if type(q) is not int:
+            from fractions import Fraction
+            q = Fraction(q)
         ctx = _context(M)
         nums = [0] * ctx.phi
         nums[0] = q.numerator
@@ -528,6 +588,7 @@ def parse(M: int, text: str) -> CycloNum:
     text = text.strip()
     if text == "0":
         return CycloNum.zero(M)
+    from fractions import Fraction
     ctx = _context(M)
     nums = [Fraction(0)] * ctx.phi
     for raw in text.split(" + "):

@@ -140,6 +140,12 @@ class FinHopf:
         return self.comult.rows_i()
 
     @property
+    def mmasks(self) -> tuple[int, ...]:
+        """`nonempty_masks` of `mrows`, shared by `generators` and the
+        associativity check."""
+        return self.memo("mmasks", lambda: nonempty_masks(self.mrows))
+
+    @property
     def antipode_inv(self) -> list[dict]:
         """S^{-1} as sparse columns."""
         def make():
@@ -194,12 +200,15 @@ class FinHopf:
         Found by a greedy Krylov closure: start from span{u}, take each basis
         element not yet in the span (busiest `mrows` row first) into X, and
         close the span under left multiplication by X, until it is all of H.
+        A product e_x v is skipped when no nonempty cell e_x e_m has m in
+        supp(v) (one bit-and of `mmasks[x]` with the support of v): it is
+        then 0 and would not grow the span, so X is the same.
         None when the span stays short of H, which the unit law excludes
         (x 1 = x puts every x in X into the span); a claimed unit that fails
         the unit law may still give an X.
         """
         return self.memo("generators", lambda: _krylov_generators(
-            self.mrows, self.unit, self.conductor))
+            self.mrows, self.mmasks, self.unit, self.conductor))
 
     @property
     def iso_fixtures(self) -> tuple:
@@ -289,28 +298,35 @@ def is_grouplike(v: dict, counit: dict, crows, M: int, left=None) -> bool:
                    if keep is None or a in keep for b, cb in v.items()}
 
 
-def _krylov_generators(mrows, unit: dict, M: int) -> tuple[int, ...] | None:
+def _support_mask(v: dict) -> int:
+    return sum(1 << m for m in v)
+
+
+def _krylov_generators(mrows, masks, unit: dict, M: int) -> tuple[int, ...] | None:
     """See `FinHopf.generators`."""
     n = len(mrows)
     one = CycloNum.one(M)
     span = EchelonBasis(n, M)
     span.insert(unit)
-    found = [unit]
+    found = [(unit, _support_mask(unit))]
     X: list[int] = []
-    busiest = sorted(range(n), key=lambda i: -sum(1 for cell in mrows[i] if cell))
+    busiest = sorted(range(n), key=lambda i: -masks[i].bit_count())
     for i in busiest:
         if len(span) == n:
             break
         if span.contains({i: one}):
             continue
         X.append(i)
-        work = [(i, v) for v in found]
+        work = [(i, v, vmask) for v, vmask in found]
         while work:
-            x, v = work.pop()
+            x, v, vmask = work.pop()
+            if not masks[x] & vmask:
+                continue  # e_x v = 0
             w = mult_vectors(mrows, {x: one}, v)
             if span.insert(w):
-                found.append(w)
-                work.extend((y, w) for y in X)
+                wmask = _support_mask(w)
+                found.append((w, wmask))
+                work.extend((y, w, wmask) for y in X)
     return tuple(sorted(X)) if len(span) == n else None
 
 
@@ -348,9 +364,17 @@ class VerificationReport:
         return "; ".join(self.lines())
 
 
-def associativity_failure(mrows, left=None) -> tuple[int, int, int] | None:
+def nonempty_masks(mrows) -> tuple[int, ...]:
+    """masks[i] has bit j set when the cell e_i e_j of `mrows` is nonzero."""
+    return tuple(sum(1 << j for j, cell in enumerate(row) if cell)
+                 for row in mrows)
+
+
+def associativity_failure(mrows, left=None,
+                          masks=None) -> tuple[int, int, int] | None:
     """First (i, j, k), in lexicographic order, with (e_i e_j) e_k != e_i (e_j e_k);
-    i runs over `left` (default: every index).
+    i runs over `left` (default: every index); `masks` is
+    `nonempty_masks(mrows)`, computed here when not given.
 
     For each (i, j), k runs in increasing order over the set bits of
     nonempty[j] | OR_{m in supp(e_i e_j)} nonempty[m], nonempty[m] having
@@ -361,7 +385,7 @@ def associativity_failure(mrows, left=None) -> tuple[int, int, int] | None:
     gives.
     """
     n = len(mrows)
-    nonempty = [sum(1 << k for k, cell in enumerate(row) if cell) for row in mrows]
+    nonempty = nonempty_masks(mrows) if masks is None else masks
     for i in range(n) if left is None else left:
         ri = mrows[i]
         for j in range(n):
@@ -449,7 +473,8 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     if L is not None and unit_fail is not None:
         L = tuple(sorted({*L, *su}))
 
-    fail = _certified(lambda left: associativity_failure(H.mrows, left), L)
+    fail = _certified(
+        lambda left: associativity_failure(H.mrows, left, H.mmasks), L)
     if fail is not None:
         L = None
     checks = [CheckResult("associativity", fail is None, fail),

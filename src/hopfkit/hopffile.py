@@ -5,11 +5,12 @@ import(export(H)) reproduces H bit-exactly; import runs verify_hopf before
 returning, as a file is one of the sources of an algebra.  A file repeats few
 distinct coefficients many times, so an import parses each distinct
 coefficient string once and an export renders each distinct value once.
+`json` is imported by the reader and the writer, not by this module, so a
+process that reads and writes no file does not load it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from itertools import chain
 from operator import itemgetter
@@ -81,10 +82,14 @@ def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
 class _ScalarTexts(dict):
     """JSON text of each str and int met, encoded once (by C functions)."""
 
+    def __init__(self):
+        from json.encoder import encode_basestring_ascii
+        self.encode_str = encode_basestring_ascii
+
     def __missing__(self, x):
         t = type(x)
         if t is str:
-            s = json.encoder.encode_basestring_ascii(x)
+            s = self.encode_str(x)
         elif t is int:
             s = str(x)
         else:
@@ -244,6 +249,7 @@ def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | N
 
 
 def _json(text: str):
+    import json
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

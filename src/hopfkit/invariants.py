@@ -47,9 +47,7 @@ abelian iff the elements of X commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cyclo import CycloNum, render
+from .cyclo import CycloNum, Record, render
 from .errors import (BoundExceeded, ClaimIncomplete, ClaimNotGrouplike,
                      ClaimOvercomplete, ExtractionInconsistent, FieldTooSmall,
                      IntegralSpaceNotOneDim, NotGrouplike, NotNormalizable,
@@ -254,8 +252,7 @@ def semisimplicity(H: FinHopf) -> SemisimplicityReport:
 # -- coradical filtration ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoradicalReport:
+class CoradicalReport(Record):
     """Coradical filtration of the algebra H passed in, and the shape of H0.
 
     Every field describes H itself, not H*: `H0_dim` is dim H*/J(H*),
@@ -264,12 +261,14 @@ class CoradicalReport:
     14 and one_dim_blocks is 1; G(u_q) = Z/p spans the coradical of u_q.
     """
 
-    filtration_dims: tuple[int, ...]
-    H0_dim: int
-    grouplike_span_dim: int
-    blocks: int
-    one_dim_blocks: int
-    candidate_multisets: tuple[tuple[int, ...], ...]
+    __slots__ = (
+        "filtration_dims",      # tuple[int, ...]
+        "H0_dim",
+        "grouplike_span_dim",
+        "blocks",
+        "one_dim_blocks",
+        "candidate_multisets",  # tuple[tuple[int, ...], ...]
+    )
 
 
 def coradical_spaces(H: FinHopf) -> list[Subspace]:
@@ -333,13 +332,14 @@ def _square_partitions(total: int, parts: int, lo: int = 2):
 # -- group-like census -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    elements: tuple                 # sparse vectors, in claim order
-    certificate: int
-    abelian: bool
-    invariant_factors: tuple[int, ...] | None
-    orders: tuple[int, ...]
+class CensusResult(Record):
+    __slots__ = (
+        "elements",           # sparse vectors, in claim order
+        "certificate",        # int
+        "abelian",            # bool
+        "invariant_factors",  # tuple[int, ...] | None
+        "orders",             # tuple[int, ...]
+    )
 
     @property
     def size(self) -> int:
@@ -573,19 +573,10 @@ def skew_primitives(H: FinHopf, a: dict, b: dict) -> tuple[Subspace, bool]:
 # -- fingerprint ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    dim: int
-    g_order: int
-    g_dual_order: int
-    g_type: str
-    g_dual_type: str
-    antipode_order: int
-    trace_s2: str
-    coradical_dims: tuple[int, ...]
-    pointed: bool
-    dual_pointed: bool
-    unimodular: bool
+class Fingerprint(Record):
+    __slots__ = ("dim", "g_order", "g_dual_order", "g_type", "g_dual_type",
+                 "antipode_order", "trace_s2", "coradical_dims", "pointed",
+                 "dual_pointed", "unimodular")
 
     def type_pair(self) -> str:
         return f"({self.g_type};{self.g_dual_type})"
@@ -627,11 +618,12 @@ def fingerprint(H: FinHopf) -> Fingerprint:
 # -- pairing table and bosonization criteria ------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingReport:
-    table: tuple[tuple[CycloNum, ...], ...]  # rows: beta in G(H*); cols: x in G(H)
-    has_nontrivial_entry: bool               # bosonization criterion (|G|=p case)
-    all_entries_one: bool                    # the order-4p consistency flag
+class PairingReport(Record):
+    __slots__ = (
+        "table",                 # rows: beta in G(H*); cols: x in G(H)
+        "has_nontrivial_entry",  # bosonization criterion (|G|=p case)
+        "all_entries_one",       # the order-4p consistency flag
+    )
 
 
 def pairing_table(H: FinHopf) -> PairingReport:
@@ -661,11 +653,8 @@ def commutative_quotient_check(mult, M: int) -> bool:
     return commutative_quotient_dim(q, M) == q.dims[0]
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    section_ok: bool
-    coinvariant_dim: int
-    dims_multiply: bool
+class SplittingReport(Record):
+    __slots__ = ("section_ok", "coinvariant_dim", "dims_multiply")
 
     @property
     def success(self) -> bool:

@@ -5,26 +5,23 @@ elimination, and the full type-table sweep over the constructor corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, Record
 from .errors import ScaleGateExceeded
-from .invariants import Fingerprint, fingerprint
+from .invariants import fingerprint
 
 # -- spectra enumeration ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectraCheckResult:
-    p: int
-    n: int
-    omega_conductor: int
-    total_multisets: int
-    trace_zero: tuple            # canonical multisets ((sign, exp), ...)
-    witnesses: tuple             # (multiset, sign, m) per trace-zero multiset
-    all_conform: bool
+class SpectraCheckResult(Record):
+    __slots__ = (
+        "p", "n", "omega_conductor", "total_multisets",
+        "trace_zero",   # canonical multisets ((sign, exp), ...)
+        "witnesses",    # (multiset, sign, m) per trace-zero multiset
+        "all_conform",
+    )
 
 
 def spectra_lemma_check(p: int, n: int, gate: int = 200_000) -> SpectraCheckResult:
@@ -83,14 +80,9 @@ def spectra_lemma_check(p: int, n: int, gate: int = 200_000) -> SpectraCheckResu
 # -- dimension-27 case elimination ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dim27Case:
-    name: str
-    grouplikes: int
-    matrix_blocks: tuple[int, ...]
-    h0_dim: int
-    bound: int
-    eliminated: bool
+class Dim27Case(Record):
+    __slots__ = ("name", "grouplikes", "matrix_blocks", "h0_dim", "bound",
+                 "eliminated")
 
 
 def dim27_case_elimination() -> tuple[tuple[Dim27Case, ...], bool]:
@@ -119,13 +111,14 @@ def dim27_case_elimination() -> tuple[tuple[Dim27Case, ...], bool]:
 # -- type table sweep ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    label: str
-    fp: Fingerprint
-    expected_type: str | None
-    ok: bool
-    note: str
+class SweepRow(Record):
+    __slots__ = (
+        "label",
+        "fp",             # Fingerprint
+        "expected_type",  # str | None
+        "ok",
+        "note",
+    )
 
 
 def _forbidden_types(p: int):

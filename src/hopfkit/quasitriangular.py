@@ -11,10 +11,9 @@ group-like and every ribbon element has the tested form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, Record
 from .errors import FieldTooSmall, FixtureRejected, IdentityFails
 from .hopf import (CheckResult, FinHopf, HopfMorphism, VerificationReport,
                    _certified)
@@ -24,15 +23,16 @@ from .linalg import (Subspace, apply_tensor_columns, compose_columns,
                      sparse_add_into, zero_free)
 
 
-@dataclass
-class RMatrixData:
-    host: FinHopf
-    R: tuple                      # sorted ((i, j), coeff)
-    rank: int
-    K: Subspace                   # image of f_R
-    L: Subspace                   # image of f_R~
-    u: dict                       # Drinfeld element (cached at construction)
-    minimal: bool
+class RMatrixData(Record):
+    __slots__ = (
+        "host",     # FinHopf
+        "R",        # sorted ((i, j), coeff)
+        "rank",
+        "K",        # Subspace, the image of f_R
+        "L",        # Subspace, the image of f_R~
+        "u",        # Drinfeld element (cached at construction)
+        "minimal",
+    )
 
     def r_dict(self) -> dict:
         return dict(self.R)
@@ -276,11 +276,12 @@ def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:
 # -- ribbon ---------------------------------------------------------------------------
 
 
-@dataclass
-class RibbonCertificate:
-    ribbon_elements: tuple        # sparse vectors
-    candidate_grouplikes: tuple   # the l in G(H) tried (exhaustive)
-    failures: tuple               # (candidate index, first failing axiom)
+class RibbonCertificate(Record):
+    __slots__ = (
+        "ribbon_elements",       # sparse vectors
+        "candidate_grouplikes",  # the l in G(H) tried (exhaustive)
+        "failures",              # (candidate index, first failing axiom)
+    )
 
 
 def ribbon_search(rm: RMatrixData) -> RibbonCertificate:

@@ -408,7 +408,33 @@ def test_cli_import_leaves_the_analysis_modules_unloaded():
     for name in ("invariants", "constructors", "quasitriangular", "papercheck"):
         assert f"hopfkit.{name}" not in loaded, name
     # nor the standard-library modules only some commands need
-    for name in ("tempfile", "typing"):
+    for name in ("tempfile", "typing", "dataclasses", "fractions", "decimal",
+                 "json", "random"):
+        assert name not in loaded, name
+
+
+def test_typetable_process_loads_no_unused_standard_library():
+    # the type table reads no file and no rational: its process loads
+    # neither `json` nor `fractions`, and no module pulls in `dataclasses`
+    # (nor the `inspect` it imports); `hopffile` stays loaded, since the
+    # benchmark's tracer reads its bindings from sys.modules
+    import os
+    import subprocess
+    import sys
+    import hopfkit
+    code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+            "import hopfkit.cli as cli\n"
+            "with redirect_stdout(io.StringIO()) as out:\n"
+            "    rc = cli.main(['papercheck', 'typetable', '--p', '3'])\n"
+            "assert rc == 0 and 'typetable=pass' in out.getvalue()\n"
+            "print(*sys.modules, sep='\\n')\n")
+    src = os.path.dirname(os.path.dirname(hopfkit.__file__))
+    r = subprocess.run([sys.executable, "-S", "-c", code],
+                       capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    loaded = set(r.stdout.split())
+    assert "hopfkit.hopffile" in loaded
+    for name in ("dataclasses", "inspect", "fractions", "decimal", "json"):
         assert name not in loaded, name
 
 

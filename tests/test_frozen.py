@@ -1,6 +1,11 @@
 """A FinHopf is frozen after construction, its isomorphism fixtures are
-computed on first read, and only the hopf module touches its memo cache."""
+computed on first read, and only the hopf module touches its memo cache.
+The result records share one frozen, slotted base with field-wise ==, hash
+and repr."""
 
+import copy
+import fractions
+import importlib
 import pathlib
 import re
 from functools import lru_cache
@@ -9,6 +14,7 @@ import pytest
 
 import hopfkit
 from hopfkit import constructors, presentations
+from hopfkit.cyclo import CycloNum, parse
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
 from hopfkit.errors import NoEmbeddingFound
 from hopfkit.hopf import (ClaimSet, HopfMorphism, dual, op_cop,
@@ -90,3 +96,70 @@ def test_presentation_is_set_at_construction(taft3):
     assert D.presentation is None and D.monomials is None
     with pytest.raises(NoEmbeddingFound, match="not built from a presentation"):
         find_embedding(D, taft3)
+
+
+# every record, by module, with its fields in order
+RECORDS = {
+    ("invariants", "CoradicalReport"): (
+        "filtration_dims", "H0_dim", "grouplike_span_dim", "blocks",
+        "one_dim_blocks", "candidate_multisets"),
+    ("invariants", "CensusResult"): (
+        "elements", "certificate", "abelian", "invariant_factors", "orders"),
+    ("invariants", "Fingerprint"): (
+        "dim", "g_order", "g_dual_order", "g_type", "g_dual_type",
+        "antipode_order", "trace_s2", "coradical_dims", "pointed",
+        "dual_pointed", "unimodular"),
+    ("invariants", "PairingReport"): (
+        "table", "has_nontrivial_entry", "all_entries_one"),
+    ("invariants", "SplittingReport"): (
+        "section_ok", "coinvariant_dim", "dims_multiply"),
+    ("papercheck", "SpectraCheckResult"): (
+        "p", "n", "omega_conductor", "total_multisets", "trace_zero",
+        "witnesses", "all_conform"),
+    ("papercheck", "Dim27Case"): (
+        "name", "grouplikes", "matrix_blocks", "h0_dim", "bound", "eliminated"),
+    ("papercheck", "SweepRow"): ("label", "fp", "expected_type", "ok", "note"),
+    ("quasitriangular", "RMatrixData"): (
+        "host", "R", "rank", "K", "L", "u", "minimal"),
+    ("quasitriangular", "RibbonCertificate"): (
+        "ribbon_elements", "candidate_grouplikes", "failures"),
+}
+
+
+@pytest.mark.parametrize("module, name", sorted(RECORDS))
+def test_record_contract(module, name):
+    cls = getattr(importlib.import_module(f"hopfkit.{module}"), name)
+    fields = RECORDS[module, name]
+    values = tuple((i, f"v{i}") for i in range(len(fields)))
+    rec = cls(*values)
+    assert tuple(getattr(rec, f) for f in fields) == values
+    # positional and keyword construction give equal records, equal hashes
+    kw = cls(**dict(zip(fields, values)))
+    mixed = cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+    assert rec == kw == mixed and hash(rec) == hash(kw) == hash(mixed)
+    for i in range(len(fields)):
+        other = cls(*values[:i], None, *values[i + 1:])
+        assert rec != other and not rec == other, fields[i]
+    assert rec != values and copy.copy(rec) == rec
+    assert repr(rec) == f"{name}(" + ", ".join(
+        f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+    for bad in (values + (0,), values[:-1]):
+        with pytest.raises(TypeError):
+            cls(*bad)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: 0})
+    with pytest.raises(TypeError):
+        cls(*values[:-1], nonfield=0)
+    # frozen and slotted: no field can be set, deleted or added
+    for f in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(rec, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+    assert tuple(getattr(rec, f) for f in fields) == values
+    assert not hasattr(rec, "__dict__")
+    # rationals are read by fractions.Fraction, imported on first use
+    assert hopfkit.Rational is fractions.Fraction
+    half = CycloNum.from_rational(9, fractions.Fraction(1, 2))
+    assert parse(9, "1/2") is half
+    assert parse(9, "1/2*z^2") is half * CycloNum.zeta(9, 2)

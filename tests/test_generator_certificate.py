@@ -19,8 +19,9 @@ from hopfkit.constructors import resolve_fixture_target, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import FinHopf, HopfMorphism, op_cop, verify_hopf, verify_morphism
 from hopfkit.invariants import _integral_maps, integrals
-from hopfkit.linalg import (SparseTensor3, intersect_kernels, kernel, outer,
-                            sparse_add_into, sparse_to_dense)
+from hopfkit.linalg import (EchelonBasis, SparseTensor3, intersect_kernels,
+                            kernel, mult_vectors, outer, sparse_add_into,
+                            sparse_to_dense)
 from hopfkit.quasitriangular import _tensor_swap, f_matrices, verify_qt
 
 PARTS = ("mult", "comult", "unit", "counit", "antipode")
@@ -267,9 +268,9 @@ def test_unit_corruptions_keep_the_generator_certificate(double_taft, monkeypatc
     orig = hopf.associativity_failure
     calls = []
 
-    def recording(mrows, left=None):
+    def recording(mrows, left=None, masks=None):
         calls.append(left)
-        return orig(mrows, left)
+        return orig(mrows, left, masks)
     for mod in list(sys.modules.values()):
         if mod.__name__ == "hopfkit" or mod.__name__.startswith("hopfkit."):
             for attr, val in list(vars(mod).items()):
@@ -285,6 +286,43 @@ def test_unit_corruptions_keep_the_generator_certificate(double_taft, monkeypatc
             assert rep == oracle_verify(Hc), (H.label, seed)
             assert rep[1][:2] == ("unit", False), (H.label, seed)
             assert calls and None not in calls, (H.label, seed)
+
+
+def oracle_generators(H):
+    """The greedy Krylov closure of `FinHopf.generators`, forming every
+    product e_x v, zero or not."""
+    n, M = H.dim, H.conductor
+    one = CycloNum.one(M)
+    span = EchelonBasis(n, M)
+    span.insert(H.unit)
+    found = [H.unit]
+    X = []
+    busiest = sorted(range(n), key=lambda i: -sum(1 for cell in H.mrows[i] if cell))
+    for i in busiest:
+        if len(span) == n:
+            break
+        if span.contains({i: one}):
+            continue
+        X.append(i)
+        work = [(i, v) for v in found]
+        while work:
+            x, v = work.pop()
+            w = mult_vectors(H.mrows, {x: one}, v)
+            if span.insert(w):
+                found.append(w)
+                work.extend((y, w) for y in X)
+    return tuple(sorted(X)) if len(span) == n else None
+
+
+def test_generators_skip_only_zero_products(corpus3, double_taft):
+    # the closure skips e_x v when no nonempty cell of row x meets supp(v);
+    # X must be the one the closure forming every product finds
+    algebras = [fresh(A) for A in corpus3.values()]
+    algebras += [fresh(A.dual_cached()) for A in corpus3.values()]
+    algebras.append(fresh(double_taft))
+    for A in algebras:
+        assert A.generators == oracle_generators(A), A.label
+        assert A.generators is not None, A.label
 
 
 def test_generating_sets_stay_small(double_taft):

@@ -87,7 +87,7 @@ def _report_lines(H: FinHopf, which: str, seed: int, rmat: dict | None):
                              is_unimodular, pairing_table, radford_s4_check,
                              semisimplicity, trace_formula_check)
     lines = [f"label={H.label}", f"dim={H.dim}", f"conductor={H.conductor}"]
-    if which in ("all", "fingerprint"):
+    if which == "all":
         lines.append("fingerprint: " + fingerprint(H).line())
     if which in ("all", "integrals"):
         eps_lam = H.counit_of(integrals(H).left_integral)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .cyclo import CycloNum, _frozen
+from .cyclo import CycloNum, Record, _frozen
 from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
 from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
@@ -333,13 +333,21 @@ def _krylov_generators(mrows, masks, unit: dict, M: int) -> tuple[int, ...] | No
 # -- verification ---------------------------------------------------------------
 
 
-class CheckResult:
-    __slots__ = ("name", "ok", "first_failure")
+class CheckResult(Record):
+    """One law's verdict: `first_failure` is its first failing index in
+    sweep order, None when the law holds."""
 
-    def __init__(self, name, ok, first_failure=None):
-        self.name = name
-        self.ok = ok
-        self.first_failure = first_failure
+    __slots__ = ("name", "first_failure")
+
+    @classmethod
+    def first(cls, name, failures) -> "CheckResult":
+        """The verdict of a law whose failing indices, in sweep order, are
+        the iterable `failures`; only its first item is read."""
+        return cls(name, next(iter(failures), None))
+
+    @property
+    def ok(self) -> bool:
+        return self.first_failure is None
 
     def __repr__(self):
         return f"{self.name}: {'pass' if self.ok else f'FAIL at {self.first_failure}'}"
@@ -357,11 +365,8 @@ class VerificationReport:
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
-    def lines(self):
-        return [repr(c) for c in self.checks]
-
     def __repr__(self):
-        return "; ".join(self.lines())
+        return "; ".join(map(repr, self.checks))
 
 
 def nonempty_masks(mrows) -> tuple[int, ...]:
@@ -452,8 +457,9 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     closed under a -> xa, because (xa)b = x(ab) (module docstring).
     Delta(u) = u (x) u and eps(u) = 1 are checked first and reported at
     ("unit",).  A law whose prerequisites fail is swept over all basis
-    pairs or triples, and so is a law that fails on L, so each entry
-    (name, verdict, first failing index) is the one the full sweeps give.
+    pairs or triples, and so is a law that fails on L, so each entry, the
+    first of the law's failing indices in sweep order, is the one the full
+    sweeps give.
     The other laws are linear in one argument and are checked on every
     basis element.
     """
@@ -461,55 +467,50 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     crows, su, counit = H.crows, H.unit, H.counit
     one = CycloNum.one(M)
 
-    # unit laws
-    unit_fail = None
-    for j in range(n):
-        ej = {j: one}
-        if H.mul(su, ej) != ej or H.mul(ej, su) != ej:
-            unit_fail = (j,)
-            break
+    def unit_failures():
+        for j in range(n):
+            ej = {j: one}
+            if H.mul(su, ej) != ej or H.mul(ej, su) != ej:
+                yield (j,)
+    unit = CheckResult.first("unit", unit_failures())
     # L, the left factors of the checks on generators (verify_hopf docstring)
     L = H.generators
-    if L is not None and unit_fail is not None:
+    if L is not None and not unit.ok:
         L = tuple(sorted({*L, *su}))
 
-    fail = _certified(
-        lambda left: associativity_failure(H.mrows, left, H.mmasks), L)
-    if fail is not None:
+    assoc = CheckResult("associativity", _certified(
+        lambda left: associativity_failure(H.mrows, left, H.mmasks), L))
+    if not assoc.ok:
         L = None
-    checks = [CheckResult("associativity", fail is None, fail),
-              CheckResult("unit", unit_fail is None, unit_fail)]
 
-    # coassociativity
-    fail = None
-    for i in range(n):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (j, k), c in crows[i]:
-            for (a, b), d in crows[j]:
-                sparse_add_into(lhs, (a, b, k), c * d)
-            for (a, b), d in crows[k]:
-                sparse_add_into(rhs, (j, a, b), c * d)
-        if lhs != rhs:
-            fail = (i,)
-            break
-    checks.append(CheckResult("coassociativity", fail is None, fail))
+    def coassociativity_failures():
+        for i in range(n):
+            lhs: dict = {}
+            rhs: dict = {}
+            for (j, k), c in crows[i]:
+                for (a, b), d in crows[j]:
+                    sparse_add_into(lhs, (a, b, k), c * d)
+                for (a, b), d in crows[k]:
+                    sparse_add_into(rhs, (j, a, b), c * d)
+            if lhs != rhs:
+                yield (i,)
 
-    # counit laws
-    fail = None
-    for i in range(n):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), c in crows[i]:
-            if j in counit:
-                sparse_add_into(left, k, c * counit[j])
-            if k in counit:
-                sparse_add_into(right, j, c * counit[k])
-        ei = {i: one}
-        if left != ei or right != ei:
-            fail = (i,)
-            break
-    checks.append(CheckResult("counit", fail is None, fail))
+    def counit_failures():
+        for i in range(n):
+            left: dict = {}
+            right: dict = {}
+            for (j, k), c in crows[i]:
+                if j in counit:
+                    sparse_add_into(left, k, c * counit[j])
+                if k in counit:
+                    sparse_add_into(right, j, c * counit[k])
+            ei = {i: one}
+            if left != ei or right != ei:
+                yield (i,)
+
+    checks = [assoc, unit,
+              CheckResult.first("coassociativity", coassociativity_failures()),
+              CheckResult.first("counit", counit_failures())]
 
     # Delta : H -> H (x) H and eps : H -> k are algebra maps (so Delta(1) =
     # 1 (x) 1 and eps(1) = 1), k being the algebra k e_0 with e_0 e_0 = e_0
@@ -520,31 +521,27 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
             ("counit_algebra_map", [{0: counit[i]} if i in counit else {}
                                     for i in range(n)],
              lambda x, y: mult_vectors(k_rows, x, y), {0: one})):
-        fail = _certified(lambda left: algebra_map_failure(
-            H.mrows, cols, mul, su, unit_image, left), L)
-        checks.append(CheckResult(name, fail is None, fail))
+        checks.append(CheckResult(name, _certified(
+            lambda left: algebra_map_failure(H.mrows, cols, mul, su,
+                                             unit_image, left), L)))
 
-    # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta
-    fail_l = None
-    fail_r = None
+    # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta,
+    # one sweep per side, each side's products given by `side(j, k)`
     S = H.antipode
-    for i in range(n):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), c in crows[i]:
-            for l, d in H.mul(S[j], {k: one}).items():
-                sparse_add_into(left, l, c * d)
-            for l, d in H.mul({j: one}, S[k]).items():
-                sparse_add_into(right, l, c * d)
-        target = {a: counit[i] * cu for a, cu in su.items()} if i in counit else {}
-        if fail_l is None and left != target:
-            fail_l = (i,)
-        if fail_r is None and right != target:
-            fail_r = (i,)
-        if fail_l is not None and fail_r is not None:
-            break
-    checks.append(CheckResult("antipode_left", fail_l is None, fail_l))
-    checks.append(CheckResult("antipode_right", fail_r is None, fail_r))
+
+    def antipode_failures(side):
+        for i in range(n):
+            acc: dict = {}
+            for (j, k), c in crows[i]:
+                for l, d in side(j, k).items():
+                    sparse_add_into(acc, l, c * d)
+            target = {a: counit[i] * cu for a, cu in su.items()} if i in counit else {}
+            if acc != target:
+                yield (i,)
+    checks.append(CheckResult.first("antipode_left", antipode_failures(
+        lambda j, k: H.mul(S[j], {k: one}))))
+    checks.append(CheckResult.first("antipode_right", antipode_failures(
+        lambda j, k: H.mul({j: one}, S[k]))))
 
     return VerificationReport(checks)
 
@@ -725,37 +722,20 @@ def verify_morphism(f: HopfMorphism) -> MorphismReport:
     Hs, Ht = f.source, f.target
     if Hs.conductor != Ht.conductor:
         raise ConductorMismatch("morphism endpoints live over different conductors")
-    n = Hs.dim
-    checks = []
-
-    imgs = f.cols
-
-    fail = algebra_map_failure(Hs.mrows, imgs, Ht.mul, Hs.unit, Ht.unit)
-    checks.append(CheckResult("algebra_map", fail is None, fail))
-
-    fail = None
-    for i in range(n):
-        rhs = apply_tensor_columns(imgs, imgs, dict(Hs.crows[i]))
-        if Ht.comult_of(imgs[i]) != rhs:
-            fail = (i,)
-            break
-    checks.append(CheckResult("coalgebra_map", fail is None, fail))
-
-    fail = None
+    n, imgs = Hs.dim, f.cols
     zero = CycloNum.zero(Hs.conductor)
-    for i in range(n):
-        if Ht.counit_of(imgs[i]) != Hs.counit.get(i, zero):
-            fail = (i,)
-            break
-    checks.append(CheckResult("counit", fail is None, fail))
-
-    fail = None
-    for i in range(n):
-        if f.apply(Hs.antipode[i]) != Ht.antipode_of(imgs[i]):
-            fail = (i,)
-            break
-    checks.append(CheckResult("antipode", fail is None, fail))
-
+    checks = [
+        CheckResult("algebra_map", algebra_map_failure(
+            Hs.mrows, imgs, Ht.mul, Hs.unit, Ht.unit)),
+        CheckResult.first("coalgebra_map", (
+            (i,) for i in range(n) if Ht.comult_of(imgs[i])
+            != apply_tensor_columns(imgs, imgs, dict(Hs.crows[i])))),
+        CheckResult.first("counit", (
+            (i,) for i in range(n)
+            if Ht.counit_of(imgs[i]) != Hs.counit.get(i, zero))),
+        CheckResult.first("antipode", (
+            (i,) for i in range(n)
+            if f.apply(Hs.antipode[i]) != Ht.antipode_of(imgs[i])))]
     rank = f.rank
     return MorphismReport(checks, rank, rank == Hs.dim, rank == Ht.dim)
 

@@ -148,11 +148,14 @@ def dumps(H: FinHopf, rmatrix: dict | None = None) -> str:
 
 
 def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    import tempfile  # imported here, so that a process that writes no file skips it
+    """Atomic write: temp file in the target directory, then rename.  The
+    temp file is opened as `tempfile.mkstemp` opens one, without importing
+    `tempfile` (and the `random` it loads)."""
     text = dumps(H, rmatrix)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".hopf.tmp")
+    tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.hopf.tmp")
+    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_NOFOLLOW", 0), 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -63,17 +63,13 @@ from .linalg import (Subspace, algebra_radical, apply_columns,
 # -- integrals and modular elements ---------------------------------------------
 
 
-class IntegralData:
+class IntegralData(Record):
     """Left integral Lambda of H, right integral lambda of H*; <lambda, Lambda> = 1.
 
     Both are sparse vectors.
     """
 
     __slots__ = ("left_integral", "right_integral_dual")
-
-    def __init__(self, left_integral: dict, right_integral_dual: dict):
-        self.left_integral = left_integral
-        self.right_integral_dual = right_integral_dual
 
 
 def _integral_maps(A: FinHopf, left: bool):
@@ -120,14 +116,10 @@ def _integrals(H: FinHopf) -> IntegralData:
     return IntegralData(Lam, {k: inv * a for k, a in lam.items()})
 
 
-class ModularData:
+class ModularData(Record):
     """The modular character alpha of H and group-like g, as sparse vectors."""
 
     __slots__ = ("alpha", "g")
-
-    def __init__(self, alpha: dict, g: dict):
-        self.alpha = alpha
-        self.g = g
 
 
 def _proportionalities(vec_ref: dict, vecs) -> dict:
@@ -231,13 +223,8 @@ def antipode_order(H: FinHopf) -> int:
     raise BoundExceeded(f"antipode order exceeds {bound}")
 
 
-class SemisimplicityReport:
+class SemisimplicityReport(Record):
     __slots__ = ("semisimple", "cosemisimple", "trace_s2")
-
-    def __init__(self, semisimple, cosemisimple, trace_s2):
-        self.semisimple = semisimple
-        self.cosemisimple = cosemisimple
-        self.trace_s2 = trace_s2
 
 
 def semisimplicity(H: FinHopf) -> SemisimplicityReport:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclo import CycloNum, root_of_unity_order
+from .cyclo import CycloNum, Record, root_of_unity_order
 from .errors import (AxiomFailure, FieldTooSmall, NoEmbeddingFound,
                      NonMonomialConstraint, NonTerminatingRewrite)
 from .hopf import (ClaimSet, FinHopf, HopfMorphism, skew_primitive_map,
@@ -58,26 +58,15 @@ from .linalg import (SparseTensor3, intersect_kernels, mult_vectors, outer,
                      ratio, sparse_add_into, sparse_sub, tensor_mul)
 
 
-class GroupGen:
+class GroupGen(Record):
     __slots__ = ("name", "order")
 
-    def __init__(self, name: str, order: int):
-        self.name = name
-        self.order = order
 
-
-class SkewGen:
-    """Skew-primitive generator: Delta x = x (x) g^u + g^v (x) x, x^e = power."""
+class SkewGen(Record):
+    """Skew-primitive generator: Delta x = x (x) g^u + g^v (x) x, x^e = power;
+    `power_value` is {group exponent tuple: CycloNum}."""
 
     __slots__ = ("name", "power_exp", "power_value", "u", "v")
-
-    def __init__(self, name: str, power_exp: int, power_value: dict,
-                 u: tuple[int, ...], v: tuple[int, ...]):
-        self.name = name
-        self.power_exp = power_exp
-        self.power_value = power_value  # {group exponent tuple: CycloNum}
-        self.u = u
-        self.v = v
 
 
 class PresentationSpec:
@@ -127,14 +116,6 @@ class PresentationSpec:
             for c in product(*gr):
                 out.append((a, c))
         return out
-
-    def dim(self) -> int:
-        d = 1
-        for x in self.skew_gens:
-            d *= x.power_exp
-        for g in self.group_gens:
-            d *= g.order
-        return d
 
     def gmod(self, c):
         return tuple(ci % g.order for ci, g in zip(c, self.group_gens))

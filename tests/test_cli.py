@@ -236,6 +236,105 @@ def test_import_corrupted_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def _bumped(text, M):
+    from hopfkit.cyclo import CycloNum, parse, render
+    return render(parse(M, text) + CycloNum.one(M))
+
+
+def _corrupted_file(obj, kind, rng):
+    """The .hopf object `obj` with one seeded entry of `kind` increased by 1."""
+    import copy
+    obj = copy.deepcopy(obj)
+    n, M = obj["dim"], obj["conductor"]
+    if kind == "antipode":
+        row = obj["antipode"][rng.randrange(n)]
+        j = rng.randrange(n)
+        row[j] = _bumped(row[j], M)
+    elif kind in ("unit", "counit"):
+        i = rng.randrange(n)
+        obj[kind][i] = _bumped(obj[kind][i], M)
+    else:
+        entry = obj[kind][rng.randrange(len(obj[kind]))]
+        entry[3] = _bumped(entry[3], M)
+    return obj
+
+
+# `hopfkit import` of taft's .hopf with one entry of one structure map
+# increased by 1 (`_corrupted_file` with random.Random(seed)): every line
+# names each failing law with its first failing index in sweep order
+_FAILS = "verification error: imported algebra fails axioms: "
+IMPORT_FAILURES = {
+    ("unit", 1): "unit at (0,), comult_algebra_map at ('unit',), "
+                 "counit_algebra_map at ('unit',), antipode_left at (0,), "
+                 "antipode_right at (0,)",
+    ("unit", 3): "unit at (0,), comult_algebra_map at ('unit',), "
+                 "antipode_left at (0,), antipode_right at (0,)",
+    ("counit", 1): "counit at (2,), counit_algebra_map at (1, 1), "
+                   "antipode_left at (2,), antipode_right at (2,)",
+    ("counit", 2): "counit at (0,), counit_algebra_map at ('unit',), "
+                   "antipode_left at (0,), antipode_right at (0,)",
+    ("mult", 1): "associativity at (0, 0, 8), unit at (8,), "
+                 "comult_algebra_map at (0, 8)",
+    ("mult", 2): "associativity at (0, 0, 3), unit at (3,), "
+                 "comult_algebra_map at (0, 6), antipode_right at (5,)",
+    ("mult", 3): "associativity at (1, 1, 6), comult_algebra_map at (1, 6), "
+                 "antipode_left at (6,)",
+    ("comult", 1): "coassociativity at (3,), counit at (3,), "
+                   "comult_algebra_map at (1, 3), antipode_left at (3,), "
+                   "antipode_right at (3,)",
+    ("comult", 2): "coassociativity at (3,), counit at (1,), "
+                   "comult_algebra_map at (1, 1), antipode_left at (1,), "
+                   "antipode_right at (1,)",
+    ("antipode", 1): "antipode_left at (1,), antipode_right at (1,)",
+    ("antipode", 3): "antipode_left at (8,), antipode_right at (8,)",
+}
+
+# `hopfkit qt-verify` of the u_q(sl2) R-matrix with the entry at (i, j)
+# increased by 1, and of the R-matrix itself (None)
+QT_VERIFY_STDOUT = {
+    (10, 5): "QT.1=FAIL\nQT.2=FAIL\nQT.3=pass\nQT.4=FAIL\nQT.5=pass\n"
+             "R_inverse_formula=FAIL\nS_tensor_S_fixes_R=pass\n"
+             "f_R_bialgebra_map=FAIL\n",
+    (9, 3): "QT.1=FAIL\nQT.2=FAIL\nQT.3=pass\nQT.4=FAIL\nQT.5=pass\n"
+            "R_inverse_formula=FAIL\nS_tensor_S_fixes_R=FAIL\n"
+            "f_R_bialgebra_map=FAIL\n",
+    (0, 0): "QT.1=FAIL\nQT.2=FAIL\nQT.3=FAIL\nQT.4=FAIL\nQT.5=FAIL\n"
+            "R_inverse_formula=FAIL\nS_tensor_S_fixes_R=pass\n"
+            "f_R_bialgebra_map=FAIL\n",
+    None: "QT.1=pass\nQT.2=pass\nQT.3=pass\nQT.4=pass\nQT.5=pass\n"
+          "R_inverse_formula=pass\nS_tensor_S_fixes_R=pass\n"
+          "f_R_bialgebra_map=pass\nrank_K_equals_L=pass\nK_sub_hopf=pass\n"
+          "L_sub_hopf=pass\nrank=9\nminimal=yes\n",
+}
+
+
+def test_failure_reports_are_pinned(tmp_path, capsys):
+    import random
+    f = str(tmp_path / "taft.hopf")
+    assert run(["construct", "taft", "--out", f], capsys)[0] == 0
+    taft = json.loads(open(f, encoding="utf-8").read())
+    bad = str(tmp_path / "bad.hopf")
+    for (kind, seed), laws in IMPORT_FAILURES.items():
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(_corrupted_file(taft, kind, random.Random(seed)), fh)
+        code = main(["import", bad])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", _FAILS + laws + "\n"), (kind, seed)
+    uq = _uq_with_rmatrix(tmp_path, capsys)
+    for key, stdout in QT_VERIFY_STDOUT.items():
+        obj = json.loads(open(uq, encoding="utf-8").read())
+        for entry in obj["rmatrix"]:
+            if (entry[0], entry[1]) == key:
+                entry[2] = _bumped(entry[2], obj["conductor"])
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code = main(["qt-verify", bad])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1 if key else 0, stdout, ""), key
+
+
 def test_export_canonicalizes(tmp_path, capsys):
     f = str(tmp_path / "t.hopf")
     run(["construct", "taft", "--out", f], capsys)
@@ -421,6 +520,7 @@ def test_typetable_process_loads_no_unused_standard_library():
     import os
     import subprocess
     import sys
+    import tempfile
     import hopfkit
     code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
             "import hopfkit.cli as cli\n"
@@ -435,6 +535,24 @@ def test_typetable_process_loads_no_unused_standard_library():
     loaded = set(r.stdout.split())
     assert "hopfkit.hopffile" in loaded
     for name in ("dataclasses", "inspect", "fractions", "decimal", "json"):
+        assert name not in loaded, name
+    # a job that writes a file opens its temp file without `tempfile`, and
+    # so without the `random` that `tempfile` loads
+    code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+            "import hopfkit.cli as cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['construct', 'taft', '--out', sys.argv[1]])\n"
+            "assert rc == 0\n"
+            "print(*sys.modules, sep='\\n')\n")
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "taft.hopf")
+        r = subprocess.run([sys.executable, "-S", "-c", code, out],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src})
+        assert os.listdir(d) == ["taft.hopf"]
+    loaded = set(r.stdout.split())
+    assert "json" in loaded
+    for name in ("tempfile", "random"):
         assert name not in loaded, name
 
 

@@ -1,7 +1,7 @@
 """A FinHopf is frozen after construction, its isomorphism fixtures are
 computed on first read, and only the hopf module touches its memo cache.
-The result records share one frozen, slotted base with field-wise ==, hash
-and repr."""
+The result records, check results included, share one frozen, slotted base
+with field-wise ==, hash and repr."""
 
 import copy
 import fractions
@@ -17,9 +17,10 @@ from hopfkit import constructors, presentations
 from hopfkit.cyclo import CycloNum, parse
 from hopfkit.constructors import resolve_fixture_target, standard_constructors
 from hopfkit.errors import NoEmbeddingFound
-from hopfkit.hopf import (ClaimSet, HopfMorphism, dual, op_cop,
+from hopfkit.hopf import (CheckResult, ClaimSet, HopfMorphism, dual, op_cop,
                           quotient_by_hopf_ideal, tensor, verify_morphism)
 from hopfkit.hopffile import export_hopf, import_hopf
+from hopfkit.invariants import integrals, modular_elements
 from hopfkit.linalg import dense_to_sparse, sparse_to_dense
 from hopfkit.presentations import find_embedding
 
@@ -47,6 +48,13 @@ def test_assignment_raises(tmp_path, taft3, double_taft):
         taft3.claims.grouplikes = ()
     with pytest.raises(AttributeError):
         ClaimSet().characters = ()
+    # the memoised per-algebra results are shared by every later reader
+    for rec, name in ((integrals(taft3), "left_integral"),
+                      (modular_elements(taft3), "g")):
+        before = getattr(rec, name)
+        with pytest.raises(AttributeError):
+            setattr(rec, name, {})
+        assert getattr(rec, name) is before
 
 
 def test_fixtures_are_built_on_first_read(monkeypatch):
@@ -100,6 +108,12 @@ def test_presentation_is_set_at_construction(taft3):
 
 # every record, by module, with its fields in order
 RECORDS = {
+    ("invariants", "IntegralData"): ("left_integral", "right_integral_dual"),
+    ("invariants", "ModularData"): ("alpha", "g"),
+    ("invariants", "SemisimplicityReport"): (
+        "semisimple", "cosemisimple", "trace_s2"),
+    ("presentations", "GroupGen"): ("name", "order"),
+    ("presentations", "SkewGen"): ("name", "power_exp", "power_value", "u", "v"),
     ("invariants", "CoradicalReport"): (
         "filtration_dims", "H0_dim", "grouplike_span_dim", "blocks",
         "one_dim_blocks", "candidate_multisets"),
@@ -163,3 +177,30 @@ def test_record_contract(module, name):
     half = CycloNum.from_rational(9, fractions.Fraction(1, 2))
     assert parse(9, "1/2") is half
     assert parse(9, "1/2*z^2") is half * CycloNum.zeta(9, 2)
+
+
+def test_check_result_stores_its_verdict_once():
+    assert CheckResult.__slots__ == ("name", "first_failure")
+    passed = CheckResult("unit", None)
+    failed = CheckResult.first("counit", iter([(3,), (5,)]))
+    assert passed.ok and not failed.ok and failed.first_failure == (3,)
+    assert CheckResult.first("unit", ()) == passed
+    assert CheckResult.first("counit", [(3,)]) == failed != passed
+    # the repr is what failure messages print
+    assert repr(passed) == "unit: pass"
+    assert repr(failed) == "counit: FAIL at (3,)"
+    assert repr(CheckResult("QT.2", ("QT.2",))) == "QT.2: FAIL at ('QT.2',)"
+    # only the first failing index is read from the sweep
+    read = []
+
+    def sweep():
+        for i in range(10):
+            read.append(i)
+            if i % 4 == 3:
+                yield (i,)
+    assert CheckResult.first("antipode", sweep()).first_failure == (3,)
+    assert read == [0, 1, 2, 3]
+    for name in ("name", "first_failure", "ok", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(failed, name, None)
+    assert repr(failed) == "counit: FAIL at (3,)"

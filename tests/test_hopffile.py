@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,30 @@ def test_roundtrip_bit_exact(tmp_path, taft3):
     p2 = tmp_path / "taft2.hopf"
     export_hopf(H, str(p2))
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_export_writes_as_mkstemp_does_and_cleans_up(tmp_path, taft3, monkeypatch):
+    # the temp file gets the mode `tempfile.mkstemp` gives its files
+    fd, probe = tempfile.mkstemp(dir=tmp_path)
+    os.close(fd)
+    mode = os.stat(probe).st_mode
+    os.unlink(probe)
+    p = tmp_path / "taft.hopf"
+    export_hopf(taft3, str(p))
+    assert p.stat().st_mode == mode
+    assert p.read_bytes() == dumps(taft3).encode("utf-8")
+    assert os.listdir(tmp_path) == ["taft.hopf"]
+
+    # a failed rename removes the temp file and leaves the target as it was
+    def refuse(src, dst):
+        assert os.path.dirname(src) == str(tmp_path)
+        assert src.endswith(".hopf.tmp") and os.path.exists(src)
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        export_hopf(standard_constructors("uq_sl2", 3, 1), str(p))
+    assert os.listdir(tmp_path) == ["taft.hopf"]
+    assert p.read_bytes() == dumps(taft3).encode("utf-8")
 
 
 def test_roundtrip_with_rmatrix(tmp_path, uq_rmatrix):

@@ -28,10 +28,19 @@ H by induction on such words, given the law listed before it:
     because H is), so V = H;
   eps(ab) = eps(a)eps(b), given associativity: the same induction with
     eps for Delta.
+Coassociativity is associativity of H*: the (a, b, c) coordinate of
+(Delta (x) id)Delta(e_i) is ((e^a e^b) e^c)(e_i), and that of
+(id (x) Delta)Delta(e_i) is (e^a (e^b e^c))(e_i).  It is compared only for a
+in X(H*) = `H.dual_cached().generators`, given the counit law, which makes
+eps, the claimed unit of H*, its unit: W* = {f : (fg)h = f(gh) for all g, h}
+is a subspace that contains eps, since (eps g)h = gh = eps(gh), and for f in
+W* and x in X(H*), ((xf)g)h = (x(fg))h = x((fg)h) = x(f(gh)) = (xf)(gh), so
+W* = H*.  When the counit law fails, or X(H*) is None, coassociativity is
+swept on every coordinate.
 Fallback rule: a law whose prerequisites fail is swept over all basis pairs
-or triples, and a law that fails on L is swept again in full, so every
-report entry, first failing index included, is the one the full sweeps
-give.
+or triples, and a law that fails on L (or on X(H*)) is swept again in full,
+so every report entry, first failing index included, is the one the full
+sweeps give.
 
 The law f(ab) = f(a)f(b), f(1) = 1 has one sweep, `algebra_map_failure`,
 for Delta and eps here, for `verify_morphism` and for crossed-product
@@ -54,6 +63,7 @@ minus h -> h (x) 1_B), taken by `linalg.intersect_kernels`.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 from .cyclo import CycloNum, Record, _frozen
@@ -185,10 +195,18 @@ class FinHopf:
             self.semisimple_quotient, self.conductor, self.semisimple_generators))
 
     def dual_cached(self) -> "FinHopf":
-        """H*, built once; its own dual_cached() is H again (H** = H)."""
+        """H*, built once; while H lives, its own dual_cached() is H again
+        (H** = H).  H* holds H only by a weak reference, so the pair is no
+        reference cycle and a dropped algebra is freed by reference
+        counting alone."""
+        back = self._cache.get("dual_of")
+        H = back() if back is not None else None
+        if H is not None:
+            return H
+
         def make():
             D = dual(self)
-            D.memo("dual", lambda: self)
+            D.memo("dual_of", lambda: weakref.ref(self))
             return D
         return self.memo("dual", make)
 
@@ -198,8 +216,15 @@ class FinHopf:
         u = `unit`.
 
         Found by a greedy Krylov closure: start from span{u}, take each basis
-        element not yet in the span (busiest `mrows` row first) into X, and
-        close the span under left multiplication by X, until it is all of H.
+        element not yet in the span into X, and close the span under left
+        multiplication by X, until it is all of H.  Candidates are taken in
+        increasing order of cost per reach, |Delta(e_i)| / |{m : e_i e_m !=
+        0}| (`crows` terms over `mmasks` bits; ties busiest row first, then
+        by index): a left factor x costs the Delta-multiplicativity sweep
+        |Delta(e_x)| |Delta(e_b)| products of cell pairs for each b, and the
+        nonzero products e_x e_m are what the closure can reach through x.
+        Any generating X serves the inductions of the module docstring, so
+        the order changes only which X, never a verdict.
         A product e_x v is skipped when no nonempty cell e_x e_m has m in
         supp(v) (one bit-and of `mmasks[x]` with the support of v): it is
         then 0 and would not grow the span, so X is the same.
@@ -208,7 +233,7 @@ class FinHopf:
         the unit law may still give an X.
         """
         return self.memo("generators", lambda: _krylov_generators(
-            self.mrows, self.mmasks, self.unit, self.conductor))
+            self.mrows, self.mmasks, self.crows, self.unit, self.conductor))
 
     @property
     def iso_fixtures(self) -> tuple:
@@ -302,7 +327,8 @@ def _support_mask(v: dict) -> int:
     return sum(1 << m for m in v)
 
 
-def _krylov_generators(mrows, masks, unit: dict, M: int) -> tuple[int, ...] | None:
+def _krylov_generators(mrows, masks, crows, unit: dict,
+                       M: int) -> tuple[int, ...] | None:
     """See `FinHopf.generators`."""
     n = len(mrows)
     one = CycloNum.one(M)
@@ -310,8 +336,13 @@ def _krylov_generators(mrows, masks, unit: dict, M: int) -> tuple[int, ...] | No
     span.insert(unit)
     found = [(unit, _support_mask(unit))]
     X: list[int] = []
-    busiest = sorted(range(n), key=lambda i: -masks[i].bit_count())
-    for i in busiest:
+    # cost per reach, then busiest first; the sort is stable, so then by
+    # index.  The float ratios order exactly while n^4 < 2^53 (two ratios
+    # with terms <= n^2 over counts <= n differ by at least 1/n^4 relative);
+    # past that only the choice of X could change, never a verdict
+    order = sorted(range(n), key=lambda i: (
+        len(crows[i]) / max(1, masks[i].bit_count()), -masks[i].bit_count()))
+    for i in order:
         if len(span) == n:
             break
         if span.contains({i: one}):
@@ -354,8 +385,14 @@ class CheckResult(Record):
 
 
 class VerificationReport:
+    """The `CheckResult`s of one verification, in report order, as a tuple.
+    Assigning to a field after construction raises AttributeError."""
+
+    __slots__ = ("checks",)
+    __setattr__ = __delattr__ = _frozen
+
     def __init__(self, checks):
-        self.checks = list(checks)
+        object.__setattr__(self, "checks", tuple(checks))
 
     @property
     def ok(self) -> bool:
@@ -416,6 +453,34 @@ def associativity_failure(mrows, left=None,
     return None
 
 
+def coassociativity_failure(crows, left=None) -> tuple[int] | None:
+    """First (i,) with (Delta (x) id)Delta(e_i) != (id (x) Delta)Delta(e_i),
+    for the comult rows `crows`; only the coordinates (a, b, c) with a in
+    `left` are compared (default: every coordinate).
+
+    The (a, b, c) coordinate of (Delta (x) id)Delta(e_i) is ((e^a e^b) e^c)(e_i)
+    in H*, so with `left` this is associativity of H* with its left factor
+    in `left`.  A product c * d is formed only for a compared coordinate.
+    """
+    n = len(crows)
+    keep = [left is None] * n
+    for a in left or ():
+        keep[a] = True
+    for i in range(n):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (j, k), c in crows[i]:
+            for (a, b), d in crows[j]:
+                if keep[a]:
+                    sparse_add_into(lhs, (a, b, k), c * d)
+            if keep[j]:
+                for (a, b), d in crows[k]:
+                    sparse_add_into(rhs, (j, a, b), c * d)
+        if lhs != rhs:
+            return (i,)
+    return None
+
+
 def algebra_map_failure(mrows, cols, mul, unit, unit_image, left=None):
     """Where the linear map f with sparse columns `cols` (f(e_i) = cols[i])
     fails to be an algebra map from the algebra with mult rows `mrows` and
@@ -433,10 +498,11 @@ def algebra_map_failure(mrows, cols, mul, unit, unit_image, left=None):
 
 
 def _certified(sweep, L):
-    """sweep(L) certifies the law when L holds generators of H (and supp(u)
-    when the unit law fails) and its prerequisites hold; a failure there, or
-    no L, is settled by the full sweep(None), so the reported index is always
-    the lexicographically first."""
+    """sweep(L) certifies the law when L holds generators of the algebra its
+    induction runs in (H, with supp(u) when the unit law fails, or H*) and
+    its prerequisites hold; a failure there, or no L, is settled by the full
+    sweep(None), so the reported index is always the lexicographically
+    first."""
     if L is not None and sweep(L) is None:
         return None
     return sweep(None)
@@ -455,11 +521,15 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     Each suffices by induction on words in X: the set of a for which the
     law holds for all other arguments is a subspace, contains u and is
     closed under a -> xa, because (xa)b = x(ab) (module docstring).
+    The counit law is checked before coassociativity (the report keeps
+    coassociativity first); when it holds, coassociativity compares the
+    coordinates (a, b, c) with a in X(H*) = `H.dual_cached().generators`
+    only, by the same induction in H* with eps its unit.
     Delta(u) = u (x) u and eps(u) = 1 are checked first and reported at
     ("unit",).  A law whose prerequisites fail is swept over all basis
-    pairs or triples, and so is a law that fails on L, so each entry, the
-    first of the law's failing indices in sweep order, is the one the full
-    sweeps give.
+    pairs or triples, and so is a law that fails on its left factors, so
+    each entry, the first of the law's failing indices in sweep order, is
+    the one the full sweeps give.
     The other laws are linear in one argument and are checked on every
     basis element.
     """
@@ -483,18 +553,6 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     if not assoc.ok:
         L = None
 
-    def coassociativity_failures():
-        for i in range(n):
-            lhs: dict = {}
-            rhs: dict = {}
-            for (j, k), c in crows[i]:
-                for (a, b), d in crows[j]:
-                    sparse_add_into(lhs, (a, b, k), c * d)
-                for (a, b), d in crows[k]:
-                    sparse_add_into(rhs, (j, a, b), c * d)
-            if lhs != rhs:
-                yield (i,)
-
     def counit_failures():
         for i in range(n):
             left: dict = {}
@@ -507,10 +565,13 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
             ei = {i: one}
             if left != ei or right != ei:
                 yield (i,)
-
-    checks = [assoc, unit,
-              CheckResult.first("coassociativity", coassociativity_failures()),
-              CheckResult.first("counit", counit_failures())]
+    counit_law = CheckResult.first("counit", counit_failures())
+    # coassociativity is associativity of H*, certified on its left factors
+    # in X(H*) when eps, the claimed unit of H*, is its unit
+    coassoc = CheckResult("coassociativity", _certified(
+        lambda left: coassociativity_failure(crows, left),
+        H.dual_cached().generators if counit_law.ok else None))
+    checks = [assoc, unit, coassoc, counit_law]
 
     # Delta : H -> H (x) H and eps : H -> k are algebra maps (so Delta(1) =
     # 1 (x) 1 and eps(1) = 1), k being the algebra k e_0 with e_0 e_0 = e_0
@@ -683,12 +744,15 @@ def embed_hopf(H: FinHopf, M_new: int) -> FinHopf:
 class HopfMorphism:
     """A linear map source -> target claimed to be a Hopf algebra map, held
     as sparse columns: cols[j] is the image of e_j, zero coefficients dropped
-    (verify_morphism compares images as dicts)."""
+    (verify_morphism compares images as dicts).  Assigning to a field after
+    construction raises AttributeError, so the cached `rank` stays that of
+    `cols`."""
+
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, source: FinHopf, target: FinHopf, cols):
-        self.source = source
-        self.target = target
-        self.cols = zero_free_columns(cols)
+        vars(self).update(source=source, target=target,
+                          cols=zero_free_columns(cols))
 
     def apply(self, v: dict) -> dict:
         return apply_columns(self.cols, v)
@@ -706,11 +770,12 @@ def identity_morphism(H: FinHopf) -> HopfMorphism:
 
 
 class MorphismReport(VerificationReport):
+    __slots__ = ("rank", "injective", "surjective")
+
     def __init__(self, checks, rank, injective, surjective):
         super().__init__(checks)
-        self.rank = rank
-        self.injective = injective
-        self.surjective = surjective
+        for name, value in zip(self.__slots__, (rank, injective, surjective)):
+            object.__setattr__(self, name, value)
 
     @property
     def bijective(self):

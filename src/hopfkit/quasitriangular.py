@@ -216,10 +216,12 @@ def _drinfeld_u(H: FinHopf, R: dict) -> dict:
 class DrinfeldReport(VerificationReport):
     """The checks, with u and u^{-1} as sparse vectors."""
 
+    __slots__ = ("u", "u_inv")
+
     def __init__(self, checks, u: dict, u_inv: dict):
         super().__init__(checks)
-        self.u = u
-        self.u_inv = u_inv
+        for name, value in zip(self.__slots__, (u, u_inv)):
+            object.__setattr__(self, name, value)
 
 
 def drinfeld_element(rm: RMatrixData) -> DrinfeldReport:

@@ -321,6 +321,19 @@ def test_failure_reports_are_pinned(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (
             1, "", _FAILS + laws + "\n"), (kind, seed)
+    # D(taft) with a comult coefficient set to 2: the counit law holds, so
+    # coassociativity fails on X(H*) first and is then swept in full
+    d = str(tmp_path / "d.hopf")
+    assert run(["double", f, "--out", d], capsys)[0] == 0
+    obj = json.loads(open(d, encoding="utf-8").read())
+    obj["comult"][5][3] = "2"
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    code = main(["import", bad])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", _FAILS + (
+        "coassociativity at (1,), comult_algebra_map at (1, 1), "
+        "antipode_left at (1,), antipode_right at (1,)\n"))
     uq = _uq_with_rmatrix(tmp_path, capsys)
     for key, stdout in QT_VERIFY_STDOUT.items():
         obj = json.loads(open(uq, encoding="utf-8").read())

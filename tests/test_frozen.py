@@ -204,3 +204,32 @@ def test_check_result_stores_its_verdict_once():
         with pytest.raises(AttributeError):
             setattr(failed, name, None)
     assert repr(failed) == "counit: FAIL at (3,)"
+
+
+def test_reports_and_morphisms_are_frozen(taft3, uq_rmatrix):
+    from hopfkit.hopf import identity_morphism, verify_hopf
+    from hopfkit.quasitriangular import drinfeld_element
+    r = verify_hopf(taft3)
+    assert type(r.checks) is tuple and r.ok
+    with pytest.raises(AttributeError):
+        r.checks.clear()
+    with pytest.raises(AttributeError):
+        r.checks = ()
+    assert r.ok and len(r.checks) == 8
+    # the cached rank stays that of the columns it was computed from
+    f = identity_morphism(taft3)
+    assert f.rank == 9
+    with pytest.raises(AttributeError):
+        f.cols = [{}] * 9
+    for name in ("source", "target", "rank"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    rep = verify_morphism(f)
+    assert (rep.rank, rep.injective, rep.bijective) == (9, True, True)
+    for name in ("checks", "rank", "injective", "surjective"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, False)
+    dr = drinfeld_element(uq_rmatrix[1])
+    for name in ("checks", "u", "u_inv"):
+        with pytest.raises(AttributeError):
+            setattr(dr, name, {})

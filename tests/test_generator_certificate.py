@@ -8,14 +8,21 @@ rescaled copies of D(taft), on seeded one-entry corruptions of every
 structure map of taft, u_q(sl2) and D(taft), and on unit corruptions of
 D(taft) and its relabelled and rescaled copies, where associativity is
 checked on X and the support of the claimed unit instead of in full.
+Coassociativity, checked on the generators X(H*) of the dual when the
+counit law holds, is compared with the full sweep on comult and counit
+corruptions; X itself with the closure forming every product, and its
+size with the closure taking candidates busiest row first.
 """
 
 import random
 import sys
 from fractions import Fraction
 
+import pytest
+
 from hopfkit import hopf
-from hopfkit.constructors import resolve_fixture_target, standard_constructors
+from hopfkit.constructors import (corpus, resolve_fixture_target,
+                                  standard_constructors)
 from hopfkit.cyclo import CycloNum
 from hopfkit.hopf import FinHopf, HopfMorphism, op_cop, verify_hopf, verify_morphism
 from hopfkit.invariants import _integral_maps, integrals
@@ -25,6 +32,22 @@ from hopfkit.linalg import (EchelonBasis, SparseTensor3, intersect_kernels,
 from hopfkit.quasitriangular import _tensor_swap, f_matrices, verify_qt
 
 PARTS = ("mult", "comult", "unit", "counit", "antipode")
+
+
+def oracle_coassociativity(crows):
+    """The first (i,) where (Delta (x) id)Delta(e_i) and (id (x) Delta)Delta(e_i)
+    differ in any coordinate."""
+    for i in range(len(crows)):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (j, k), c in crows[i]:
+            for (a, b), d in crows[j]:
+                sparse_add_into(lhs, (a, b, k), c * d)
+            for (a, b), d in crows[k]:
+                sparse_add_into(rhs, (j, a, b), c * d)
+        if lhs != rhs:
+            return (i,)
+    return None
 
 
 def oracle_verify(H):
@@ -66,18 +89,7 @@ def oracle_verify(H):
             break
     checks.append(("unit", fail is None, fail))
 
-    fail = None
-    for i in range(n):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (j, k), c in crows[i]:
-            for (a, b), d in crows[j]:
-                sparse_add_into(lhs, (a, b, k), c * d)
-            for (a, b), d in crows[k]:
-                sparse_add_into(rhs, (j, a, b), c * d)
-        if lhs != rhs:
-            fail = (i,)
-            break
+    fail = oracle_coassociativity(crows)
     checks.append(("coassociativity", fail is None, fail))
 
     fail = None
@@ -288,17 +300,66 @@ def test_unit_corruptions_keep_the_generator_certificate(double_taft, monkeypatc
             assert calls and None not in calls, (H.label, seed)
 
 
-def oracle_generators(H):
+def test_coassociativity_on_dual_generators_matches_the_full_sweep(
+        taft3, uq3, double_taft, monkeypatch):
+    # with the counit law holding, coassociativity is compared on X(H*) and
+    # swept in full only after a failure there; with it failing, in full
+    orig = hopf.coassociativity_failure
+    calls = []
+
+    def recording(crows, left=None):
+        calls.append(left)
+        return orig(crows, left)
+    monkeypatch.setattr(hopf, "coassociativity_failure", recording)
+    book = standard_constructors("book", 3, 1, 1)
+    paths = set()
+    for H, seeds in ((taft3, range(8)), (uq3, range(6)), (book, range(6)),
+                     (double_taft, range(3))):
+        H0 = fresh(H)
+        calls.clear()
+        assert all(ok for _, ok, _ in report(H0)), H.label
+        assert calls == [H0.dual_cached().generators], H.label
+        for part in ("comult", "counit"):
+            for seed in seeds:
+                Hc = corrupt(H, part, random.Random(seed))
+                calls.clear()
+                rep = report(Hc)
+                want = oracle_coassociativity(Hc.crows)
+                assert rep[2] == ("coassociativity", want is None, want), (
+                    H.label, part, seed)
+                restricted = rep[3][1]  # the counit law holds
+                assert calls[0] == (Hc.dual_cached().generators if restricted
+                                    else None), (H.label, part, seed)
+                assert calls[-1] is None or want is None, (H.label, part, seed)
+                paths.add((restricted, want is None))
+    # corruptions take both paths, and the restricted sweep finds failures
+    assert {(True, False), (False, False)} <= paths, paths
+
+
+def cost_per_reach(H):
+    """The candidate order of `FinHopf.generators`, in exact fractions:
+    |Delta(e_i)| / |{m : e_i e_m != 0}|, then busiest row first, then index."""
+    def key(i):
+        reach = sum(1 for cell in H.mrows[i] if cell)
+        return (Fraction(len(H.crows[i]), max(1, reach)), -reach)
+    return key
+
+
+def busiest_first(H):
+    """The earlier candidate order: busiest row first, then index."""
+    return lambda i: -sum(1 for cell in H.mrows[i] if cell)
+
+
+def oracle_generators(H, order=cost_per_reach):
     """The greedy Krylov closure of `FinHopf.generators`, forming every
-    product e_x v, zero or not."""
+    product e_x v, zero or not, with candidates in the order `order(H)`."""
     n, M = H.dim, H.conductor
     one = CycloNum.one(M)
     span = EchelonBasis(n, M)
     span.insert(H.unit)
     found = [H.unit]
     X = []
-    busiest = sorted(range(n), key=lambda i: -sum(1 for cell in H.mrows[i] if cell))
-    for i in busiest:
+    for i in sorted(range(n), key=order(H)):
         if len(span) == n:
             break
         if span.contains({i: one}):
@@ -325,11 +386,29 @@ def test_generators_skip_only_zero_products(corpus3, double_taft):
         assert A.generators is not None, A.label
 
 
+def test_cost_order_needs_no_more_generators(corpus3, double_taft):
+    # cost per reach against busiest first, on every corpus member, its
+    # dual and D(taft)
+    algebras = [*corpus3.values(), *(A.dual_cached() for A in corpus3.values()),
+                double_taft]
+    for A in algebras:
+        A = fresh(A)
+        assert len(A.generators) <= len(oracle_generators(A, busiest_first)), A.label
+
+
+@pytest.mark.slow
+def test_cost_order_needs_no_more_generators_p5():
+    for A in corpus(5, 1).values():
+        for B in (A, A.dual_cached()):
+            B = fresh(B)
+            assert len(B.generators) <= len(oracle_generators(B, busiest_first)), B.label
+
+
 def test_generating_sets_stay_small(double_taft):
-    assert len(fresh(double_taft).generators) <= 16
+    assert len(fresh(double_taft).generators) <= 11
     for seed in range(10):
         R = relabel(double_taft, random.Random(100 + seed), seed % 2 == 1)
-        assert len(R.generators) <= 16, seed
+        assert len(R.generators) <= 10, seed
     kz27 = standard_constructors("group_algebra", 3, group="z27")
     assert len(kz27.generators) == 1
 

@@ -211,9 +211,11 @@ def test_random_tables_match_the_oracle():
 
 def test_verify_work_budget(double_taft, monkeypatch):
     # D(taft) and a rescaled relabelling: Delta multiplicativity's tensor
-    # products on 13 left factors dominate.  Multiplying each pair of
+    # products on 9-11 left factors dominate.  Multiplying each pair of
     # coproduct terms before looking at its cells took about 199k field
-    # multiplications on each.
+    # multiplications on each.  The count includes the closure for X(H*),
+    # built inside verify_hopf: 59,881 on D(taft) and 55,827 on the
+    # relabelling; the bound is 5 % above the larger.
     algebras = [fresh(double_taft), relabel(double_taft, random.Random(2), True)]
     for H in algebras:
         H.generators
@@ -229,4 +231,4 @@ def test_verify_work_budget(double_taft, monkeypatch):
     for H in algebras:
         n[0] = 0
         assert verify_hopf(H).ok, H.label
-        assert n[0] <= 110_000, (H.label, n[0])
+        assert n[0] <= 62_875, (H.label, n[0])

@@ -7,10 +7,10 @@ key=value lines, no timestamps, so reports are golden-file testable.
 The analysis modules (invariants, constructors, quasitriangular,
 papercheck) are imported inside the commands that use them, and so are the
 standard-library modules that only some commands run (`random` here, `json`
-in `hopffile`, `fractions` in `cyclo`), so that a process loads only what
-its command runs.  `hopffile` itself stays a module-level import: the
-benchmark's tracer reads its bindings from `sys.modules` after importing
-this module.
+in `hopffile`, `fractions` in `cyclo` for a rational not written in
+`render`'s grammar), so that a process loads only what its command runs.
+`hopffile` itself stays a module-level import: the benchmark's tracer reads
+its bindings from `sys.modules` after importing this module.
 """
 
 from __future__ import annotations

@@ -23,8 +23,10 @@ default one, both in C:
 
   Every value is made by `_value`, which returns the live object of its
   key (M, prim, k, den) when there is one and makes a new object only when
-  there is none, so two live objects never share a key.  By the lemma
-  above, equal values have equal keys.  Hence a == b exactly when a is b.
+  there is none, so two live objects never share a key.  (A product that
+  misses `_MUL_CACHE` reads `_INTERN` itself and calls `_value` only when
+  no live object holds its key.)  By the lemma above, equal values have
+  equal keys.  Hence a == b exactly when a is b.
 
 `_INTERN` holds a weak reference to each live value and forgets it when
 the value dies, so it needs no cap: every value it lists is kept alive by
@@ -43,19 +45,25 @@ multiples of the same few parts):
 - the inverse of (k / den) u is (den / k) u^-1, with u^-1 computed once per
   part.
 
-All of it is plain int arithmetic; `fractions.Fraction` is used only to read
-rationals in `parse` and `from_rational`, which import it on first use, so a
-process that reads no rational loads neither `fractions` nor the `decimal`
-it imports (`Rational`, the same class, is served by the module
-`__getattr__`).  The inverse of a part and `embed` share one
-zeta-substitution (`_substitute`: replace zeta_M by a power of a root of
-unity and reduce through the `xpow` rows): `embed` substitutes
-zeta_{M'}^(M'/M), and the inverse is the product of the Galois conjugates
-sigma_r(u) (zeta -> zeta^r) divided by the rational norm.
+All of it is plain int arithmetic.  `parse` reads render's grammar with
+`int` too; `fractions.Fraction` reads only the other spellings of a rational
+in `parse` (`1.5`, `+3`, `1e5`) and a non-integer in `from_rational`, which
+import it on first use, so a process that reads only render's grammar loads
+neither `fractions` nor the `decimal` it imports (`Rational`, the same class,
+is served by the module `__getattr__`).  A decimal exponent of more than
+`sys.get_int_max_str_digits()` in magnitude is refused before `Fraction`
+builds 10^|exponent|, as `int` refuses a digit string past that limit.
+
+The inverse of a part and `embed` share one zeta-substitution
+(`_substitute`: replace zeta_M by a power of a root of unity and reduce
+through the `xpow` rows): `embed` substitutes zeta_{M'}^(M'/M), and the
+inverse is the product of the Galois conjugates sigma_r(u) (zeta -> zeta^r)
+divided by the rational norm.
 """
 
 from __future__ import annotations
 
+import sys
 import weakref
 from math import gcd
 
@@ -477,12 +485,25 @@ class CycloNum:
         out = _MUL_CACHE.get(key)
         if out is not None:
             return out
-        self._check(other)
-        M, u, v = self.M, self.prim, other.prim
+        # a miss, handled in this frame: a stored pair has passed this check
+        M = self.M
+        if M != other.M:
+            raise ConductorMismatch(f"conductors {M} and {other.M} differ")
+        u, v = self.prim, other.prim
         part = _PART_MUL.get((M, u, v))
         if part is None:
             part = _part_product(M, u, v)
-        out = _scaled(M, part[1], self.k * other.k * part[0], self.den * other.den)
+        g, w = part
+        # the scale in lowest terms, as `_scaled` puts it (both den > 0)
+        n, d = self.k * other.k * g, self.den * other.den
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        ref = _INTERN.get((M, w, n, d))
+        out = ref() if ref is not None else None
+        if out is None:
+            out = _value(M, w, n, d)
         if len(_MUL_CACHE) < _CACHE_CAP:
             _MUL_CACHE[key] = out
         return out
@@ -584,13 +605,20 @@ def render(a: CycloNum) -> str:
 
 
 def parse(M: int, text: str) -> CycloNum:
-    """Inverse of render for conductor M."""
+    """Inverse of render for conductor M.
+
+    A coefficient in render's grammar (-?digits or -?digits/digits, ASCII
+    digits) is read with `int`; any other spelling goes through `_rational`,
+    so it reads as `fractions.Fraction` reads it or is refused as Fraction
+    refuses it.  A duplicate power is refused only when the earlier
+    coefficient is nonzero.
+    """
     text = text.strip()
     if text == "0":
         return CycloNum.zero(M)
-    from fractions import Fraction
-    ctx = _context(M)
-    nums = [Fraction(0)] * ctx.phi
+    phi = _context(M).phi
+    nums = [0] * phi
+    dens = [1] * phi
     for raw in text.split(" + "):
         term = raw.strip()
         if not term:
@@ -608,17 +636,38 @@ def parse(M: int, text: str) -> CycloNum:
                 raise ParseError(f"bad term {term!r}")
         else:
             coeff_s, e = term, 0
-        if not (0 <= e < ctx.phi):
+        if not (0 <= e < phi):
             raise ParseError(f"power out of range in term {term!r}")
+        n_s, slash, d_s = coeff_s.partition("/")
         try:
-            coeff = Fraction(coeff_s)
+            if (coeff_s.isascii() and (n_s[1:] if n_s[:1] == "-" else n_s).isdigit()
+                    and (not slash or d_s.isdigit())):
+                n, d = int(n_s), int(d_s) if slash else 1
+                if not d:
+                    raise ZeroDivisionError(f"zero denominator in {coeff_s!r}")
+            else:
+                n, d = _rational(coeff_s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient in term {term!r}") from exc
         if nums[e]:
             raise ParseError(f"duplicate power {e} in {text!r}")
-        nums[e] = coeff
+        nums[e], dens[e] = n, d
     den = 1
-    for f in nums:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return CycloNum.make(M, [int(f * den) for f in nums], den)
+    for d in dens:
+        den = den * d // gcd(den, d)
+    return CycloNum.make(M, [n * (den // d) for n, d in zip(nums, dens)], den)
 
+
+def _rational(s: str) -> tuple[int, int]:
+    """(numerator, denominator) of s in any spelling `fractions.Fraction`
+    reads.  An exponent of more than `sys.get_int_max_str_digits()` in
+    magnitude is refused first, since Fraction would build 10^|exponent|:
+    the interpreter's digit limit already refuses a longer digit string."""
+    exp = s.replace("E", "e").partition("e")[2]
+    if exp:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(int(exp)) > limit:
+            raise ValueError(f"exponent of {s!r} exceeds {limit} in magnitude")
+    from fractions import Fraction
+    q = Fraction(s)
+    return q.numerator, q.denominator

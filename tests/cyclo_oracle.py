@@ -7,12 +7,16 @@ with gcd(content(num), den) = 1.  Every product is a full convolution and
 reduction mod Phi_M, every sum adds coordinates, and every inverse computes
 its own norm.  It is kept in substance as a slow oracle, with no interning
 and no caches; it borrows only the reduction tables of `hopfkit.cyclo`.
+
+`fraction_parse` is `hopfkit.cyclo.parse` as it was before it read render's
+grammar with `int`: every coefficient goes through `Fraction`, and the
+result is built by `CycloNum.make`.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from hopfkit.cyclo import _context
+from hopfkit.cyclo import CycloNum, _context
 from hopfkit.errors import DivisionByZero, ParseError
 
 
@@ -143,3 +147,43 @@ def parse(M, text):
     for f in nums:
         den = den * f.denominator // gcd(den, f.denominator)
     return OracleNum.make(M, [int(f * den) for f in nums], den)
+
+
+def fraction_parse(M, text):
+    """`hopfkit.cyclo.parse` read through `Fraction` alone."""
+    text = text.strip()
+    if text == "0":
+        return CycloNum.zero(M)
+    ctx = _context(M)
+    nums = [Fraction(0)] * ctx.phi
+    for raw in text.split(" + "):
+        term = raw.strip()
+        if not term:
+            raise ParseError(f"empty term in {text!r}")
+        if "*" in term:
+            coeff_s, _, zpart = term.partition("*")
+            if zpart == "z":
+                e = 1
+            elif zpart.startswith("z^"):
+                try:
+                    e = int(zpart[2:])
+                except ValueError as exc:
+                    raise ParseError(f"bad power in term {term!r}") from exc
+            else:
+                raise ParseError(f"bad term {term!r}")
+        else:
+            coeff_s, e = term, 0
+        if not (0 <= e < ctx.phi):
+            raise ParseError(f"power out of range in term {term!r}")
+        try:
+            coeff = Fraction(coeff_s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad coefficient in term {term!r}") from exc
+        if nums[e]:
+            raise ParseError(f"duplicate power {e} in {text!r}")
+        nums[e] = coeff
+    den = 1
+    for f in nums:
+        den = den * f.denominator // gcd(den, f.denominator)
+    return CycloNum.make(M, [int(f * den) for f in nums], den)
+

@@ -569,6 +569,37 @@ def test_typetable_process_loads_no_unused_standard_library():
         assert name not in loaded, name
 
 
+def test_file_jobs_load_no_fractions(tmp_path, double_taft, taft3):
+    # `cyclo.parse` reads render's grammar with int, so importing a
+    # rescaled D(taft) (coefficients such as 2/7) and doubling taft load
+    # neither `fractions` nor the `decimal` it imports
+    import os
+    import random
+    import subprocess
+    import sys
+    import hopfkit
+    from hopfkit.hopffile import export_hopf
+    from test_generator_certificate import relabel
+    rescaled, taft = str(tmp_path / "rescaled.hopf"), str(tmp_path / "taft.hopf")
+    export_hopf(relabel(double_taft, random.Random(2), True), rescaled)
+    export_hopf(taft3, taft)
+    code = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+            "import hopfkit.cli as cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(sys.argv[1:])\n"
+            "assert rc == 0\n"
+            "print(*sys.modules, sep='\\n')\n")
+    src = os.path.dirname(os.path.dirname(hopfkit.__file__))
+    for argv in (["import", rescaled], ["double", taft]):
+        r = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src})
+        loaded = set(r.stdout.split())
+        assert "json" in loaded, argv
+        for name in ("fractions", "decimal"):
+            assert name not in loaded, (argv, name)
+
+
 def test_internal_error_exit_2_without_traceback():
     # no exception escapes main as a traceback, whatever a command raises
     import subprocess

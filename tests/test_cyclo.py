@@ -181,3 +181,58 @@ def test_values_cannot_be_assigned_to():
     assert render(CycloNum.one(3)) == "1"
     assert render(CycloNum.from_rational(3, 1)) == "1"
     assert CycloNum.one(3) is one and one.is_one()
+
+
+@pytest.mark.parametrize("M", [9, 25])
+def test_a_product_is_stored_on_a_miss_and_read_on_a_hit(M, monkeypatch):
+    from cyclo_oracle import OracleNum
+    from hopfkit import cyclo
+    rng = random.Random(M)
+    parts = [rnd(rng, M) for _ in range(2)]
+    # rescaled values: rational multiples of a few primitive parts, as in a
+    # file written in a rescaled basis
+    vals = []
+    for u in parts:
+        for _ in range(4):
+            s = rng.choice((-1, 1)) * rng.randint(1, 40)
+            vals.append(CycloNum.make(M, [s * x for x in u.num],
+                                      rng.randint(1, 40) * u.den))
+    assert {a.prim for a in vals} == {u.prim for u in parts}
+    monkeypatch.setattr(cyclo, "_MUL_CACHE", {})
+    for a in vals:
+        for b in vals:
+            assert (a, b) not in cyclo._MUL_CACHE
+            first = a * b
+            assert cyclo._MUL_CACHE[(a, b)] is first
+            assert a * b is first
+            o = OracleNum.make(M, a.num, a.den) * OracleNum.make(M, b.num, b.den)
+            assert (first.num, first.den) == (o.num, o.den)
+            assert CycloNum(M, o.num, o.den) is first
+
+
+def test_a_mixed_conductor_product_raises_on_every_call(monkeypatch):
+    from hopfkit import cyclo
+    monkeypatch.setattr(cyclo, "_MUL_CACHE", {})
+    a, b = CycloNum.from_rational(9, "2/3"), CycloNum.zeta(25)
+    for x, y in ((a, b), (b, a)):
+        for _ in range(2):
+            with pytest.raises(ConductorMismatch):
+                x * y
+    assert cyclo._MUL_CACHE == {}
+
+
+def test_a_product_past_the_cap_is_the_interned_value(monkeypatch):
+    from hopfkit import cyclo
+    M = 25
+    a = CycloNum.make(M, [3, 0, -1] + [0] * 16 + [7], 11)
+    b = CycloNum.make(M, [0, 5, 0, 2] + [0] * 15 + [-1], 13)
+    monkeypatch.setattr(cyclo, "_CACHE_CAP", 0)
+    monkeypatch.setattr(cyclo, "_MUL_CACHE", {})
+    ab = a * b
+    # a new value, then the live one of its key, read by each later call
+    assert a * b is ab and b * a is ab
+    assert CycloNum(M, ab.num, ab.den) is ab
+    # a product whose value is already live is that object
+    twice = CycloNum.make(M, [2 * x for x in ab.num], ab.den)
+    assert CycloNum.from_rational(M, 2) * ab is twice
+    assert cyclo._MUL_CACHE == {}

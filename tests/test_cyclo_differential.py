@@ -1,7 +1,8 @@
 """The scale-times-primitive-part arithmetic of `hopfkit.cyclo` against the
 coordinate-tuple oracle in `cyclo_oracle.py`, on seeded values, and the
 work it saves: one convolution per pair of primitive parts and one norm per
-part."""
+part; and `parse`, which reads render's grammar with `int`, against the
+`Fraction` reader it replaced."""
 
 import random
 from fractions import Fraction
@@ -9,10 +10,11 @@ from itertools import product
 
 import pytest
 
-from cyclo_oracle import OracleNum, parse as oracle_parse, render as oracle_render
+from cyclo_oracle import (OracleNum, fraction_parse, parse as oracle_parse,
+                          render as oracle_render)
 from hopfkit import cyclo
 from hopfkit.cyclo import CycloNum, _context, parse, render
-from hopfkit.errors import ConductorMismatch, DivisionByZero
+from hopfkit.errors import ConductorMismatch, DivisionByZero, ParseError
 from hopfkit.hopf import verify_hopf
 from test_generator_certificate import relabel
 
@@ -142,3 +144,42 @@ def test_inverting_rational_multiples_computes_no_new_norm(monkeypatch):
         assert ra.inverse() == CycloNum.from_rational(M, 1 / q) * inv
         assert (ra.inverse() * ra).is_one()
     assert calls == []
+
+
+# spellings outside render's grammar, which the `Fraction` fallback reads
+# or refuses, and malformed terms refused before a coefficient is read
+HOSTILE = ["1.5", "+3", " 3 ", "3/-4", "3/0", "--3", "1_000", "\u0663", "1e5",
+           "0*z + 1*z", "1*z + 2*z", "", "z", "1*z^99", "1*z^-1", "1/2*z^1",
+           "-", "-/2", "3/", "/3", "0/0", "0/5 + 1/3", "007/014*z", "1E2 + 2*z",
+           "1 +  2*z", "2/4 + 1/6*z^2", "1/2*z + 1/3*z", "0/5*z + -1/3*z"]
+
+
+def parsed(read, M, text):
+    """The value `read` gives, or the message of its ParseError."""
+    try:
+        return read(M, text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("M", [3, 4, 9, 25, 27])
+def test_parse_matches_the_fraction_reader(M):
+    rng = random.Random(300 + M)
+    texts = [render(a) for a, _ in pool(rng, M)]
+    for a, o in pool(rng, M):
+        for b, ob in pool(rng, M)[:6]:
+            texts.append(render(a * b + b))
+    texts += HOSTILE
+    for text in texts:
+        got = parsed(parse, M, text)
+        want = parsed(fraction_parse, M, text)
+        if isinstance(want, str):
+            assert got == want, text
+        else:
+            assert got is want, text
+            if text in HOSTILE:
+                continue
+            # render's own texts also match the coordinate oracle
+            o = oracle_parse(M, text)
+            assert (got.num, got.den) == (o.num, o.den), text
+            assert render(got) == text

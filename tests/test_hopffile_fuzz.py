@@ -4,7 +4,8 @@ Each example starts from taft's JSON and applies a few mutations: a key is
 dropped, a list is truncated, or a value is replaced by one of another type,
 including out-of-range and non-integer indices.  The CLI contract must hold:
 exit code 0, 1 or 2, no exception escapes, and exit code 1 comes with a
-`fails axioms: <name> at <index>` line.
+`fails axioms: <name> at <index>` line.  A coefficient with a huge
+decimal exponent is a parse error, refused before 10^|exponent| is built.
 """
 
 import contextlib
@@ -13,8 +14,12 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +87,22 @@ def test_mutated_taft_import_keeps_the_exit_code_contract(obj):
     assert code in (0, 1, 2)
     if code == 1:
         assert AXIOM_LINE.search(err.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "1e-10000000"])
+def test_a_huge_exponent_is_a_parse_error_at_once(coeff, tmp_path):
+    # ten bytes that `Fraction` would turn into 10^10000000 (about 15 s)
+    # before the import could fail its axioms; refused, the import exits 2
+    obj = copy.deepcopy(TAFT)
+    obj["mult"][0][3] = coeff
+    path = tmp_path / "huge.hopf"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(sys.modules["hopfkit"].__file__))
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "hopfkit.cli", "import", str(path)],
+                       capture_output=True, text=True, timeout=30,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 2
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert f"bad coefficient in term {coeff!r}" in r.stderr

@@ -11,11 +11,12 @@ a presentation, a group algebra, the Drinfeld double and a .hopf file.
 `dual`, `op_cop`, `tensor` and `quotient_by_hopf_ideal` derive algebras
 from verified ones and carry a certificate in their docstrings instead.
 
-Associativity and the algebra-map laws of Delta and eps are checked with
-their left factor in a set L of basis indices: L = X = `FinHopf.generators`,
-joined by supp(u) when the unit law fails, u being the claimed unit.  The
-words x_1 (x_2 ( ... (x_k u))) in X span H.  Each law then holds on all of
-H by induction on such words, given the law listed before it:
+Associativity, the algebra-map laws of Delta and eps and coassociativity
+are checked with their left factor (or row) in a set L of basis indices:
+L = X = `FinHopf.generators`, joined by supp(u) when the unit law fails, u
+being the claimed unit.  The words x_1 (x_2 ( ... (x_k u))) in X span H.
+Each law then holds on all of H by induction on such words, given the law
+listed before it:
   associativity, given only that X exists: W = {a : (ab)c = a(bc) for all
     b, c} is a subspace that contains u (it contains 1 by the unit law, or
     supp(u) is in L), and for a in W and x in X (in W, being in L),
@@ -27,20 +28,21 @@ H by induction on such words, given the law listed before it:
     = Delta(x)Delta(a)Delta(b) = Delta(xa)Delta(b) (H (x) H is associative
     because H is), so V = H;
   eps(ab) = eps(a)eps(b), given associativity: the same induction with
-    eps for Delta.
-Coassociativity is associativity of H*: the (a, b, c) coordinate of
-(Delta (x) id)Delta(e_i) is ((e^a e^b) e^c)(e_i), and that of
-(id (x) Delta)Delta(e_i) is (e^a (e^b e^c))(e_i).  It is compared only for a
-in X(H*) = `H.dual_cached().generators`, given the counit law, which makes
-eps, the claimed unit of H*, its unit: W* = {f : (fg)h = f(gh) for all g, h}
-is a subspace that contains eps, since (eps g)h = gh = eps(gh), and for f in
-W* and x in X(H*), ((xf)g)h = (x(fg))h = x((fg)h) = x(f(gh)) = (xf)(gh), so
-W* = H*.  When the counit law fails, or X(H*) is None, coassociativity is
-swept on every coordinate.
+    eps for Delta;
+  (Delta (x) id)Delta(a) = (id (x) Delta)Delta(a), given that Delta is an
+    algebra map (Delta(ab) = Delta(a)Delta(b) and Delta(u) = u (x) u, the
+    Delta law above): Delta (x) id and id (x) Delta are then multiplicative
+    maps H (x) H -> H (x) H (x) H, so C = {a : (Delta (x) id)Delta(a) =
+    (id (x) Delta)Delta(a)} is a subspace that contains u, both sides
+    giving u (x) u (x) u, and for a in C and x in X (in C, being in L),
+    (Delta (x) id)Delta(xa)
+    = [(Delta (x) id)Delta(x)] [(Delta (x) id)Delta(a)]
+    = [(id (x) Delta)Delta(x)] [(id (x) Delta)Delta(a)]
+    = (id (x) Delta)Delta(xa), so C = H.
 Fallback rule: a law whose prerequisites fail is swept over all basis pairs
-or triples, and a law that fails on L (or on X(H*)) is swept again in full,
-so every report entry, first failing index included, is the one the full
-sweeps give.
+or triples, and a law that fails on L is swept again in full, so every
+report entry, first failing index included, is the one the full sweeps
+give.
 
 The law f(ab) = f(a)f(b), f(1) = 1 has one sweep, `algebra_map_failure`,
 for Delta and eps here, for `verify_morphism` and for crossed-product
@@ -455,27 +457,15 @@ def associativity_failure(mrows, left=None,
 
 def coassociativity_failure(crows, left=None) -> tuple[int] | None:
     """First (i,) with (Delta (x) id)Delta(e_i) != (id (x) Delta)Delta(e_i),
-    for the comult rows `crows`; only the coordinates (a, b, c) with a in
-    `left` are compared (default: every coordinate).
-
-    The (a, b, c) coordinate of (Delta (x) id)Delta(e_i) is ((e^a e^b) e^c)(e_i)
-    in H*, so with `left` this is associativity of H* with its left factor
-    in `left`.  A product c * d is formed only for a compared coordinate.
-    """
-    n = len(crows)
-    keep = [left is None] * n
-    for a in left or ():
-        keep[a] = True
-    for i in range(n):
+    for the comult rows `crows`; i runs over `left` (default: every index)."""
+    for i in range(len(crows)) if left is None else left:
         lhs: dict = {}
         rhs: dict = {}
         for (j, k), c in crows[i]:
             for (a, b), d in crows[j]:
-                if keep[a]:
-                    sparse_add_into(lhs, (a, b, k), c * d)
-            if keep[j]:
-                for (a, b), d in crows[k]:
-                    sparse_add_into(rhs, (j, a, b), c * d)
+                sparse_add_into(lhs, (a, b, k), c * d)
+            for (a, b), d in crows[k]:
+                sparse_add_into(rhs, (j, a, b), c * d)
         if lhs != rhs:
             return (i,)
     return None
@@ -498,11 +488,10 @@ def algebra_map_failure(mrows, cols, mul, unit, unit_image, left=None):
 
 
 def _certified(sweep, L):
-    """sweep(L) certifies the law when L holds generators of the algebra its
-    induction runs in (H, with supp(u) when the unit law fails, or H*) and
-    its prerequisites hold; a failure there, or no L, is settled by the full
-    sweep(None), so the reported index is always the lexicographically
-    first."""
+    """sweep(L) certifies the law when L holds the generators X of H (with
+    supp(u) when the unit law fails) and its prerequisites hold; a failure
+    there, or no L, is settled by the full sweep(None), so the reported
+    index is always the lexicographically first."""
     if L is not None and sweep(L) is None:
         return None
     return sweep(None)
@@ -512,19 +501,19 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     """Exact decision of every Hopf axiom; failures are report entries.
 
     The unit law is checked first (the report keeps associativity first).
-    Where X = `H.generators` exists, three laws are checked with their left
+    Where X = `H.generators` exists, four laws are checked with their left
     factor in L = X, joined by supp(u) for the claimed unit u when the unit
     law fails:
       associativity on L x basis x basis, given only that X exists;
       Delta(ab) = Delta(a)Delta(b) on L x basis, given associativity;
-      eps(ab) = eps(a)eps(b) on L x basis, given associativity.
+      eps(ab) = eps(a)eps(b) on L x basis, given associativity;
+      coassociativity on e_i for i in L, given that Delta is an algebra map.
     Each suffices by induction on words in X: the set of a for which the
     law holds for all other arguments is a subspace, contains u and is
-    closed under a -> xa, because (xa)b = x(ab) (module docstring).
-    The counit law is checked before coassociativity (the report keeps
-    coassociativity first); when it holds, coassociativity compares the
-    coordinates (a, b, c) with a in X(H*) = `H.dual_cached().generators`
-    only, by the same induction in H* with eps its unit.
+    closed under a -> xa, because (xa)b = x(ab), or Delta(xa) =
+    Delta(x)Delta(a) for coassociativity (module docstring).  The algebra
+    map laws are checked before coassociativity (the report keeps
+    coassociativity third).
     Delta(u) = u (x) u and eps(u) = 1 are checked first and reported at
     ("unit",).  A law whose prerequisites fail is swept over all basis
     pairs or triples, and so is a law that fails on its left factors, so
@@ -566,25 +555,25 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
             if left != ei or right != ei:
                 yield (i,)
     counit_law = CheckResult.first("counit", counit_failures())
-    # coassociativity is associativity of H*, certified on its left factors
-    # in X(H*) when eps, the claimed unit of H*, is its unit
-    coassoc = CheckResult("coassociativity", _certified(
-        lambda left: coassociativity_failure(crows, left),
-        H.dual_cached().generators if counit_law.ok else None))
-    checks = [assoc, unit, coassoc, counit_law]
 
     # Delta : H -> H (x) H and eps : H -> k are algebra maps (so Delta(1) =
     # 1 (x) 1 and eps(1) = 1), k being the algebra k e_0 with e_0 e_0 = e_0
     k_rows = [[((0, one),)]]
+    maps = []
     for name, cols, mul, unit_image in (
             ("comult_algebra_map", [dict(row) for row in crows],
              H.tensor_mul, outer(su, su)),
             ("counit_algebra_map", [{0: counit[i]} if i in counit else {}
                                     for i in range(n)],
              lambda x, y: mult_vectors(k_rows, x, y), {0: one})):
-        checks.append(CheckResult(name, _certified(
+        maps.append(CheckResult(name, _certified(
             lambda left: algebra_map_failure(H.mrows, cols, mul, su,
                                              unit_image, left), L)))
+    # coassociativity, certified on L once Delta is an algebra map
+    coassoc = CheckResult("coassociativity", _certified(
+        lambda left: coassociativity_failure(crows, left),
+        L if maps[0].ok else None))
+    checks = [assoc, unit, coassoc, counit_law, *maps]
 
     # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta,
     # one sweep per side, each side's products given by `side(j, k)`

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .cyclo import CycloNum, parse as cparse, render
-from .errors import ParseError, VerificationFailed
+from .errors import BadParameter, ParseError, VerificationFailed
 from .hopf import ClaimSet, FinHopf, embed_hopf, verify_hopf
 from .linalg import SparseTensor3, dense_to_sparse, sparse_columns
 
@@ -176,6 +176,11 @@ def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | N
             raise ParseError("dim and conductor must be integers")
         if n > MAX_DIM:
             raise ParseError(f"dim {n} exceeds {MAX_DIM}")
+        # Q(zeta_M) embeds in Q(zeta_conductor) only when M divides it; a
+        # file conductor below 1 is refused by the coefficient parser
+        if conductor is not None and M > 0 and conductor % M:
+            raise BadParameter(f"conductor {conductor} is not a multiple of "
+                               f"the file's conductor {M}")
 
         values: dict = {}
 

@@ -441,6 +441,30 @@ def test_conductor_above_gate_exit_2(capsys):
     assert exc.value.code == 2 and "--conductor" in capsys.readouterr().err
 
 
+def test_conductor_not_a_multiple_of_the_file_conductor_exit_2(tmp_path, capsys):
+    # Q(zeta_9) is no subfield of Q(zeta_7): a usage error, refused before
+    # any coefficient is read, for an import and for tensor's second file
+    f = str(tmp_path / "t.hopf")
+    g = str(tmp_path / "g3.hopf")
+    run(["construct", "taft", "--out", f], capsys)
+    run(["--conductor", "3", "construct", "group_algebra", "--group", "z3",
+         "--out", g], capsys)
+    for argv, err in (
+            (["--conductor", "7", "import", f], "conductor 7 is not a "
+             "multiple of the file's conductor 9"),
+            (["tensor", g, f], "conductor 3 is not a multiple of the file's "
+             "conductor 9")):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {err}\n", argv
+    code, out = run(["--conductor", "18", "import", f], capsys)
+    assert code == 0 and "conductor=18" in out and "verify=pass" in out
+    # a file conductor of 0 is still refused by the coefficient parser
+    bad = _edited_taft(tmp_path, capsys,
+                       lambda obj: obj.__setitem__("conductor", 0))
+    assert main(["--conductor", "7", "import", bad]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_bicharacter_index_not_an_integer_exit_2():
     code, err = _cli_proc("construct", "group_algebra", "--group", "z3",
                           "--rmatrix", "bicharacter:abc")

@@ -8,10 +8,11 @@ rescaled copies of D(taft), on seeded one-entry corruptions of every
 structure map of taft, u_q(sl2) and D(taft), and on unit corruptions of
 D(taft) and its relabelled and rescaled copies, where associativity is
 checked on X and the support of the claimed unit instead of in full.
-Coassociativity, checked on the generators X(H*) of the dual when the
-counit law holds, is compared with the full sweep on comult and counit
-corruptions; X itself with the closure forming every product, and its
-size with the closure taking candidates busiest row first.
+Coassociativity, checked on the rows in X when Delta is an algebra map, is
+compared with the full sweep on comult and counit corruptions and on
+comultiplications twisted by an algebra automorphism; X itself with the
+closure forming every product, and its size with the closure taking
+candidates busiest row first.
 """
 
 import random
@@ -300,10 +301,8 @@ def test_unit_corruptions_keep_the_generator_certificate(double_taft, monkeypatc
             assert calls and None not in calls, (H.label, seed)
 
 
-def test_coassociativity_on_dual_generators_matches_the_full_sweep(
-        taft3, uq3, double_taft, monkeypatch):
-    # with the counit law holding, coassociativity is compared on X(H*) and
-    # swept in full only after a failure there; with it failing, in full
+def record_coassociativity_sweeps(monkeypatch):
+    """The `left` of every `coassociativity_failure` call, in call order."""
     orig = hopf.coassociativity_failure
     calls = []
 
@@ -311,6 +310,29 @@ def test_coassociativity_on_dual_generators_matches_the_full_sweep(
         calls.append(left)
         return orig(crows, left)
     monkeypatch.setattr(hopf, "coassociativity_failure", recording)
+    return calls
+
+
+def twisted(H, sigma):
+    """H with Delta' = (id (x) sigma)Delta, sigma given by sparse columns:
+    multiplicative when sigma is an algebra automorphism, and in general
+    not coassociative."""
+    n = H.dim
+    comult: dict = {}
+    for (i, j, k), c in H.comult.entries:
+        for l, d in sigma[k].items():
+            sparse_add_into(comult, (i, j, l), c * d)
+    return FinHopf(n, H.conductor, H.mult, H.unit,
+                   SparseTensor3.from_dict((n, n, n), comult), H.counit,
+                   H.antipode, label=f"{H.label}:twisted")
+
+
+def test_coassociativity_on_generators_matches_the_full_sweep(
+        taft3, uq3, double_taft, monkeypatch):
+    # with Delta an algebra map, coassociativity is compared on the rows in
+    # L = X and swept in full only after a failure there; with Delta not
+    # multiplicative, in full
+    calls = record_coassociativity_sweeps(monkeypatch)
     book = standard_constructors("book", 3, 1, 1)
     paths = set()
     for H, seeds in ((taft3, range(8)), (uq3, range(6)), (book, range(6)),
@@ -318,22 +340,49 @@ def test_coassociativity_on_dual_generators_matches_the_full_sweep(
         H0 = fresh(H)
         calls.clear()
         assert all(ok for _, ok, _ in report(H0)), H.label
-        assert calls == [H0.dual_cached().generators], H.label
+        assert calls == [H0.generators], H.label
         for part in ("comult", "counit"):
             for seed in seeds:
                 Hc = corrupt(H, part, random.Random(seed))
                 calls.clear()
                 rep = report(Hc)
+                assert rep == oracle_verify(Hc), (H.label, part, seed)
                 want = oracle_coassociativity(Hc.crows)
                 assert rep[2] == ("coassociativity", want is None, want), (
                     H.label, part, seed)
-                restricted = rep[3][1]  # the counit law holds
-                assert calls[0] == (Hc.dual_cached().generators if restricted
-                                    else None), (H.label, part, seed)
+                restricted = rep[4][:2] == ("comult_algebra_map", True)
+                assert calls[0] == (Hc.generators if restricted else None), (
+                    H.label, part, seed)
                 assert calls[-1] is None or want is None, (H.label, part, seed)
                 paths.add((restricted, want is None))
-    # corruptions take both paths, and the restricted sweep finds failures
-    assert {(True, False), (False, False)} <= paths, paths
+    # comult corruptions break Delta's multiplicativity, counit corruptions
+    # keep coassociativity; a failure on L needs a multiplicative Delta
+    assert {(True, True), (False, False)} <= paths, paths
+
+
+def test_a_multiplicative_non_coassociative_comult_is_found_on_generators(
+        taft3, monkeypatch):
+    # Delta' = (id (x) sigma)Delta is an algebra map for an automorphism
+    # sigma, so coassociativity is swept on L first; it fails there and
+    # is swept again in full
+    calls = record_coassociativity_sweeps(monkeypatch)
+    kz3 = standard_constructors("group_algebra", 3, group="z3")
+    M = taft3.conductor
+    one = CycloNum.one(M)
+    sigmas = (
+        # sigma(g) = g^2 on k[Z/3]: e_i = g^i goes to g^{2i} = e_i e_i
+        (kz3, [kz3.mul({i: one}, {i: one}) for i in range(kz3.dim)], (1,)),
+        # sigma(x) = 2x, sigma(g) = g on taft: x^a g^b is scaled by 2^a
+        (taft3, [{i: CycloNum.from_rational(M, 2 ** mono[0][0])}
+                 for i, mono in enumerate(taft3.monomials)], (3,)))
+    for H, sigma, want in sigmas:
+        Ht = twisted(H, sigma)
+        calls.clear()
+        rep = report(Ht)
+        assert rep == oracle_verify(Ht), H.label
+        assert rep[4] == ("comult_algebra_map", True, None), H.label
+        assert rep[2] == ("coassociativity", False, want), H.label
+        assert calls == [Ht.generators, None], H.label
 
 
 def cost_per_reach(H):

@@ -258,6 +258,28 @@ def test_import_parses_each_distinct_coefficient_once(double_taft, monkeypatch):
     assert sorted(calls) == sorted(set(strings))
 
 
+def test_import_builds_no_dual(double_taft, monkeypatch):
+    # verify_hopf reads only H, so neither a verified import nor a failing
+    # one builds H*
+    from hopfkit import hopf
+    dual = hopf.dual
+    calls = []
+
+    def counting(H):
+        calls.append(H.label)
+        return dual(H)
+    monkeypatch.setattr(hopf, "dual", counting)
+    text = dumps(double_taft)
+    H, _ = loads(text)
+    assert same_structure(H, double_taft)
+    obj = json.loads(text)
+    obj["comult"][5][3] = "2"
+    with pytest.raises(VerificationFailed) as exc:
+        loads(json.dumps(obj))
+    assert "coassociativity at (1,)" in str(exc.value)
+    assert calls == []
+
+
 def test_export_renders_each_distinct_coefficient_once(double_taft, monkeypatch):
     from hopfkit import hopffile
     text = dumps(double_taft)

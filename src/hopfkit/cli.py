@@ -32,32 +32,36 @@ CONSTRUCTOR_NAMES = (
 )
 
 
-def _build(args) -> FinHopf:
-    from .constructors import standard_constructors
-    return standard_constructors(
-        args.name, p=args.p, e=args.q, m=args.m, root=args.root,
-        group=args.group, conductor=args.conductor)
-
-
-def cmd_construct(args) -> int:
-    from .invariants import fingerprint
-    H = _build(args)
-    rmat = None
-    if args.rmatrix:
-        rmat = _make_rmatrix(H, args)
-    print(f"label={H.label}")
-    print(fingerprint(H).line())
+def _written(H: FinHopf, args, rmat: dict | None = None) -> int:
+    """Write H, with the R-matrix block `rmat`, to `--out` when it is given."""
     if args.out:
         export_hopf(H, args.out, rmat)
         print(f"wrote {args.out}")
     return 0
 
 
+def cmd_construct(args) -> int:
+    from .constructors import standard_constructors
+    from .invariants import fingerprint
+    H = standard_constructors(
+        args.name, p=args.p, e=args.q, m=args.m, root=args.root,
+        group=args.group, conductor=args.conductor)
+    rmat = _make_rmatrix(H, args) if args.rmatrix else None
+    print(f"label={H.label}")
+    print(fingerprint(H).line())
+    return _written(H, args, rmat)
+
+
 def _make_rmatrix(H: FinHopf, args) -> dict:
-    from .quasitriangular import bicharacter_rmatrices, uq_standard_rmatrix
+    from .quasitriangular import (bicharacter_rmatrices, uq_standard_rmatrix,
+                                  verify_qt)
     kind = args.rmatrix
     if kind == "trivial":
-        return outer(H.unit, H.unit)
+        # 1 (x) 1 satisfies QT.1 exactly when Delta^cop = Delta
+        rmat = outer(H.unit, H.unit)
+        if verify_qt(H, rmat)[1] is None:
+            raise BadParameter("--rmatrix trivial requires a cocommutative host")
+        return rmat
     if kind == "uq_standard":
         if args.name != "uq_sl2":
             raise BadParameter("--rmatrix uq_standard requires the uq_sl2 host")
@@ -141,8 +145,8 @@ def _report_lines(H: FinHopf, which: str, seed: int, rmat: dict | None):
             return lines, False
         lines.append(f"rank={rm.rank}")
         lines.append(f"minimal={'yes' if rm.minimal else 'no'}")
-        dr = drinfeld_element(rm)
-        lines.append(f"drinfeld_identities={'clean' if dr.ok else 'FAIL'}")
+        drinfeld_element(rm)  # raises IdentityFails on the first failure
+        lines.append("drinfeld_identities=clean")
         rc = ribbon_search(rm)
         lines.append(f"ribbon_count={len(rc.ribbon_elements)}")
     return lines, True
@@ -151,34 +155,24 @@ def _report_lines(H: FinHopf, which: str, seed: int, rmat: dict | None):
 def cmd_report(args) -> int:
     H, rmat = import_hopf(args.file, conductor=args.conductor)
     if args.qt:
-        rmat2 = _rmatrix_file(H, args.qt)
-        if rmat2 is not None:
-            rmat = rmat2
-        which = "qt"
-    elif args.integrals:
-        which = "integrals"
-    elif args.coradical:
-        which = "coradical"
-    elif args.census:
-        which = "census"
-    else:
-        which = "all"
+        rfile = _rmatrix_file(H, args.qt)
+        if rfile is not None:
+            rmat = rfile
+    which = next((flag for flag in ("qt", "integrals", "coradical", "census")
+                  if getattr(args, flag)), "all")
     lines, ok = _report_lines(H, which, args.seed, rmat)
     for ln in lines:
         print(ln)
     return 0 if ok else 1
 
 
-def _unary(args, op: str) -> int:
+def cmd_unary(args) -> int:
     from .invariants import fingerprint
     H, _ = import_hopf(args.file, conductor=args.conductor)
-    K = dual(H) if op == "dual" else op_cop(H, op)
+    K = dual(H) if args.cmd == "dual" else op_cop(H, args.cmd)
     print(f"label={K.label}")
     print(fingerprint(K).line())
-    if args.out:
-        export_hopf(K, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return _written(K, args)
 
 
 def cmd_tensor(args) -> int:
@@ -194,10 +188,7 @@ def cmd_tensor(args) -> int:
     T = tensor(H, K)
     print(f"label={T.label}")
     print(f"dim={T.dim}")
-    if args.out:
-        export_hopf(T, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return _written(T, args)
 
 
 def cmd_double(args) -> int:
@@ -209,10 +200,7 @@ def cmd_double(args) -> int:
     print(f"dim={D.dim}")
     ss = semisimplicity(D)
     print(f"semisimple={'yes' if ss.semisimple else 'no'}")
-    if args.out:
-        export_hopf(D, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return _written(D, args)
 
 
 def cmd_quotient(args) -> int:
@@ -237,10 +225,7 @@ def cmd_quotient(args) -> int:
     Q, _ = quotient_by_hopf_ideal(H, [dense_to_sparse(g) for g in gens])
     print(f"label={Q.label}")
     print(f"dim={Q.dim}")
-    if args.out:
-        export_hopf(Q, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return _written(Q, args)
 
 
 def _rmatrix_file(H: FinHopf, path: str) -> dict | None:
@@ -290,47 +275,47 @@ def cmd_ribbon(args) -> int:
     return 0
 
 
-def cmd_papercheck(args) -> int:
-    if args.suite == "spectra":
-        from .constructors import _check_odd_prime
-        from .papercheck import spectra_lemma_check
-        _check_odd_prime(args.p)
-        if args.n < 1:
-            raise BadParameter(f"n must be at least 1, got {args.n}")
-        r = spectra_lemma_check(args.p, args.n)
-        print(f"p={r.p} n={r.n} omega_conductor={r.omega_conductor}")
-        print(f"multisets_scanned={r.total_multisets}")
-        print(f"trace_zero={len(r.trace_zero)}")
-        for ms, sign, m in r.witnesses:
-            body = " ".join(f"{'+' if s > 0 else '-'}w^{i}" for s, i in ms)
-            print(f"witness: {{{body}}} sign={'+' if sign > 0 else '-'} m={m}")
-        print(f"all_conform={'yes' if r.all_conform else 'no'}")
-        return 0 if r.all_conform else 1
-    if args.suite == "dim27":
-        from .papercheck import dim27_case_elimination
-        cases, ok = dim27_case_elimination()
-        for c in cases:
-            print(f"case: {c.name} dimH0={c.h0_dim} bound={c.bound} "
-                  f"eliminated={'yes' if c.eliminated else 'no'}")
-        print(f"all_eliminated={'yes' if ok else 'no'}")
-        return 0 if ok else 1
-    if args.suite == "typetable":
-        from .papercheck import type_table_sweep
-        rows, ok = type_table_sweep(args.p, args.e)
-        for row in rows:
-            status = "ok " if row.ok else "BAD"
-            print(f"{status} {row.label}: {row.fp.line()}"
-                  + (f" [{row.note}]" if row.note else ""))
-        print(f"typetable={'pass' if ok else 'FAIL'}")
-        return 0 if ok else 1
-    raise BadParameter(f"unknown papercheck suite {args.suite!r}")
+def cmd_spectra(args) -> int:
+    from .constructors import _check_odd_prime
+    from .papercheck import spectra_lemma_check
+    _check_odd_prime(args.p)
+    if args.n < 1:
+        raise BadParameter(f"n must be at least 1, got {args.n}")
+    r = spectra_lemma_check(args.p, args.n)
+    print(f"p={r.p} n={r.n} omega_conductor={r.omega_conductor}")
+    print(f"multisets_scanned={r.total_multisets}")
+    print(f"trace_zero={len(r.trace_zero)}")
+    for ms, sign, m in r.witnesses:
+        body = " ".join(f"{'+' if s > 0 else '-'}w^{i}" for s, i in ms)
+        print(f"witness: {{{body}}} sign={'+' if sign > 0 else '-'} m={m}")
+    print(f"all_conform={'yes' if r.all_conform else 'no'}")
+    return 0 if r.all_conform else 1
+
+
+def cmd_dim27(args) -> int:
+    from .papercheck import dim27_case_elimination
+    cases, ok = dim27_case_elimination()
+    for c in cases:
+        print(f"case: {c.name} dimH0={c.h0_dim} bound={c.bound} "
+              f"eliminated={'yes' if c.eliminated else 'no'}")
+    print(f"all_eliminated={'yes' if ok else 'no'}")
+    return 0 if ok else 1
+
+
+def cmd_typetable(args) -> int:
+    from .papercheck import type_table_sweep
+    rows, ok = type_table_sweep(args.p, args.e)
+    for row in rows:
+        status = "ok " if row.ok else "BAD"
+        print(f"{status} {row.label}: {row.fp.line()}"
+              + (f" [{row.note}]" if row.note else ""))
+    print(f"typetable={'pass' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def cmd_export(args) -> int:
     H, rmat = import_hopf(args.file, conductor=args.conductor)
-    export_hopf(H, args.out, rmat)
-    print(f"wrote {args.out}")
-    return 0
+    return _written(H, args, rmat)
 
 
 def cmd_import(args) -> int:
@@ -388,7 +373,7 @@ def make_parser() -> argparse.ArgumentParser:
         d = sub.add_parser(op, help=f"{op} of a .hopf file")
         d.add_argument("file")
         d.add_argument("--out", default=None)
-        d.set_defaults(func=lambda a, _op=op: _unary(a, _op))
+        d.set_defaults(func=cmd_unary)
 
     t = sub.add_parser("tensor", help="tensor product of two .hopf files")
     t.add_argument("file1")
@@ -422,13 +407,13 @@ def make_parser() -> argparse.ArgumentParser:
     s = pcs.add_parser("spectra")
     s.add_argument("--p", type=int, default=3)
     s.add_argument("--n", type=int, default=1)
-    s.set_defaults(func=cmd_papercheck)
+    s.set_defaults(func=cmd_spectra)
     s2 = pcs.add_parser("dim27")
-    s2.set_defaults(func=cmd_papercheck)
+    s2.set_defaults(func=cmd_dim27)
     s3 = pcs.add_parser("typetable")
     s3.add_argument("--p", type=int, default=3)
     s3.add_argument("--e", type=int, default=1)
-    s3.set_defaults(func=cmd_papercheck)
+    s3.set_defaults(func=cmd_typetable)
 
     e = sub.add_parser("export", help="re-export a .hopf file canonically")
     e.add_argument("file")

@@ -481,60 +481,27 @@ def characters_census(H: FinHopf) -> CensusResult:
 def _abelian_invariants(orders: tuple[int, ...]) -> tuple[int, ...]:
     """Invariant factors (descending) of an abelian group from element orders.
 
-    Uses the counting identity |{x : x^(p^j) = 1}| = p^(sum_i min(lambda_i, j))
-    for the p-part of type lambda; the exponents are recovered as the
-    conjugate partition.
+    If the p-part has type lambda, |{x : x^(p^j) = 1}| = p^(s_j) with s_j =
+    sum_i min(lambda_i, j), so s_j - s_(j-1) parts of lambda are at least
+    j.  Each j therefore gives one more factor p to that many leading
+    invariant factors, and the i-th factor is the product of the p^(lambda_i).
     """
-    size = len(orders)
-    if size == 1:
-        return ()
-    primes = set()
-    for o in orders:
-        d, f = o, 2
-        while d > 1:
-            while d % f == 0:
-                primes.add(f)
-                d //= f
-            f += 1
-    parts_by_prime: dict[int, list[int]] = {}
-    for p in sorted(primes):
-        maxj = 0
-        for o in orders:
-            e = 0
-            while o % p == 0:
-                o //= p
-                e += 1
-            maxj = max(maxj, e)
-        logs = [0]
-        for j in range(1, maxj + 1):
-            cj = sum(1 for o in orders if (p ** j) % o == 0)
-            lj = 0
-            t = cj
-            while t > 1:
-                assert t % p == 0, "element-order counts are not a p-power"
-                t //= p
-                lj += 1
-            logs.append(lj)
-        m = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-        lam = []
-        k = 1
-        while True:
-            cnt = sum(1 for e in m if e >= k)
-            if cnt == 0:
-                break
-            lam.append(cnt)
-            k += 1
-        # lam is the conjugate of m; m itself is the conjugate of the type,
-        # so the type exponents are lam
-        parts_by_prime[p] = sorted((p ** e for e in lam if e), reverse=True)
-    width = max((len(v) for v in parts_by_prime.values()), default=0)
-    factors = []
-    for i in range(width):
-        f = 1
-        for lst in parts_by_prime.values():
-            if i < len(lst):
-                f *= lst[i]
-        factors.append(f)
+    factors: list[int] = []
+    rest, p = len(orders), 2
+    while rest > 1:
+        q, below = p, 1  # below = |{x : x^(q/p) = 1}|
+        while rest % p == 0:
+            rest //= p
+            at = sum(1 for o in orders if q % o == 0)
+            i = 0
+            while below < at:  # at / below = p^(s_j - s_(j-1))
+                if i == len(factors):
+                    factors.append(1)
+                factors[i] *= p
+                below *= p
+                i += 1
+            q *= p
+        p += 1
     return tuple(factors)
 
 

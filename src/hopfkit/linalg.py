@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, _frozen
 from .errors import AmbientMismatch
 
 
@@ -85,17 +85,18 @@ class EchelonBasis:
 class Subspace:
     """An exact subspace of k^n in canonical reduced-row-echelon form.
 
-    `basis` holds the echelon rows as sparse vectors in pivot order.
+    `basis` holds the echelon rows as sparse vectors in pivot order.  The
+    fields are set once, so a memoised subspace is shared safely.
     """
 
     __slots__ = ("ambient_dim", "conductor", "basis", "pivots")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, ambient_dim: int, conductor: int,
                  basis: tuple[dict, ...], pivots: tuple[int, ...]):
-        self.ambient_dim = ambient_dim
-        self.conductor = conductor
-        self.basis = basis
-        self.pivots = pivots
+        for name, value in zip(self.__slots__,
+                               (ambient_dim, conductor, basis, pivots)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_vectors(ambient: int, M: int, vectors: Iterable[dict]) -> "Subspace":
@@ -266,16 +267,16 @@ class SparseTensor3:
     """Structure-constant tensor with strictly sorted nonzero entries.
 
     Its row views are tuples, built on first use and kept, so every reader
-    of one tensor shares one build.
+    of one tensor shares one build.  Nothing else is set after `__init__`.
     """
 
     __slots__ = ("dims", "entries", "_ij", "_i")
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, dims: tuple[int, int, int],
                  entries: tuple[tuple[tuple[int, int, int], CycloNum], ...]):
-        self.dims = dims
-        self.entries = entries
-        self._ij = self._i = None
+        for name, value in zip(self.__slots__, (dims, entries, None, None)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_dict(dims, d: dict) -> "SparseTensor3":
@@ -300,7 +301,8 @@ class SparseTensor3:
             rows = [[[] for _ in range(n1)] for _ in range(n0)]
             for (i, j, k), c in self.entries:
                 rows[i][j].append((k, c))
-            self._ij = tuple(tuple(tuple(cell) for cell in row) for row in rows)
+            object.__setattr__(self, "_ij", tuple(
+                tuple(tuple(cell) for cell in row) for row in rows))
         return self._ij
 
     def rows_i(self) -> tuple[tuple[tuple[tuple[int, int], CycloNum], ...], ...]:
@@ -309,7 +311,7 @@ class SparseTensor3:
             rows = [[] for _ in range(self.dims[0])]
             for (i, j, k), c in self.entries:
                 rows[i].append(((j, k), c))
-            self._i = tuple(tuple(r) for r in rows)
+            object.__setattr__(self, "_i", tuple(tuple(r) for r in rows))
         return self._i
 
 

@@ -25,6 +25,60 @@ from hopfkit.invariants import (CensusResult, _abelian_invariants,
                                 characters_census, grouplike_census)
 from hopfkit.linalg import SparseTensor3
 
+def oracle_abelian_invariants(orders):
+    """The invariant factors through trial division of every element order
+    and the conjugate of the conjugate partition."""
+    size = len(orders)
+    if size == 1:
+        return ()
+    primes = set()
+    for o in orders:
+        d, f = o, 2
+        while d > 1:
+            while d % f == 0:
+                primes.add(f)
+                d //= f
+            f += 1
+    parts_by_prime = {}
+    for p in sorted(primes):
+        maxj = 0
+        for o in orders:
+            e = 0
+            while o % p == 0:
+                o //= p
+                e += 1
+            maxj = max(maxj, e)
+        logs = [0]
+        for j in range(1, maxj + 1):
+            cj = sum(1 for o in orders if (p ** j) % o == 0)
+            lj = 0
+            t = cj
+            while t > 1:
+                assert t % p == 0, "element-order counts are not a p-power"
+                t //= p
+                lj += 1
+            logs.append(lj)
+        m = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
+        lam = []
+        k = 1
+        while True:
+            cnt = sum(1 for e in m if e >= k)
+            if cnt == 0:
+                break
+            lam.append(cnt)
+            k += 1
+        parts_by_prime[p] = sorted((p ** e for e in lam if e), reverse=True)
+    width = max((len(v) for v in parts_by_prime.values()), default=0)
+    factors = []
+    for i in range(width):
+        f = 1
+        for lst in parts_by_prime.values():
+            if i < len(lst):
+                f *= lst[i]
+        factors.append(f)
+    return tuple(factors)
+
+
 COUNT_MESSAGE = r"verified group-likes but certificate is \d+"
 
 
@@ -172,3 +226,31 @@ def test_census_work_budget(monkeypatch):
     c = grouplike_census(H)
     assert c.size == 27 and c.invariant_factors == (27,)
     assert n[0] <= 1500, n[0]
+
+
+def _factor_tuples(bound, least=2):
+    """Every non-increasing tuple of integers >= least with product <= bound."""
+    yield ()
+    for first in range(least, bound + 1):
+        for rest in _factor_tuples(bound // first, first):
+            yield (*rest, first)
+
+
+def test_abelian_invariants_match_the_oracle():
+    # Z/n1 x ... x Z/nk for every factor tuple of order <= 200: the element
+    # (a_i) has order lcm(n_i / gcd(a_i, n_i))
+    from itertools import product
+    from math import gcd, lcm, prod
+    groups = 0
+    for factors in _factor_tuples(200):
+        orders = tuple(lcm(*(n // gcd(a, n) for a, n in zip(elt, factors)))
+                       for elt in product(*(range(n) for n in factors)))
+        invf = _abelian_invariants(orders)
+        assert invf == oracle_abelian_invariants(orders), factors
+        assert prod(invf) == len(orders), factors
+        assert all(a % b == 0 for a, b in zip(invf, invf[1:])), factors
+        groups += 1
+    assert groups == 898  # the trivial group included
+    assert _abelian_invariants(tuple(
+        lcm(*(n // gcd(a, n) for a, n in zip(elt, (36, 6))))
+        for elt in product(range(36), range(6)))) == (36, 6)

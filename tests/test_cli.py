@@ -749,3 +749,112 @@ def test_reports_do_not_depend_on_field_value_hashes(tmp_path, capsys,
     codes = [out[0] for out in outputs["plain"][:len(jobs)]]
     assert codes == [0, 0, 0, 0, 1, 0, 0], outputs["plain"]
     assert b"typetable=pass" in outputs["plain"][0][1]
+
+
+# -- R-matrix blocks, report sections and the other refusal paths --------------
+
+
+def test_construct_rmatrix_refusals_exit_2(tmp_path, capsys):
+    # every kind of --rmatrix refuses a host it does not fit, before any
+    # output, and writes no file; 1 (x) 1 is an R-matrix only when Delta is
+    # cocommutative
+    out = tmp_path / "r.hopf"
+    for argv, msg in (
+            (["taft", "--rmatrix", "trivial"],
+             "--rmatrix trivial requires a cocommutative host"),
+            (["uq_sl2", "--rmatrix", "trivial"],
+             "--rmatrix trivial requires a cocommutative host"),
+            (["taft", "--rmatrix", "uq_standard"],
+             "--rmatrix uq_standard requires the uq_sl2 host"),
+            (["group_algebra", "--group", "z27", "--rmatrix", "bicharacter:0"],
+             "--rmatrix bicharacter:<k> works with abelian group hosts z3 or z3xz3"),
+            (["group_algebra", "--group", "z3", "--rmatrix", "bicharacter:99"],
+             "bicharacter index out of range 0..2"),
+            (["taft", "--rmatrix", "nope"], "unknown rmatrix kind 'nope'")):
+        assert main(["construct", *argv, "--out", str(out)]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {msg}\n"), argv
+        assert not out.exists(), argv
+
+
+def test_construct_trivial_rmatrix_on_a_group_algebra(tmp_path, capsys):
+    import hashlib
+    f = str(tmp_path / "g.hopf")
+    code, out = run(["construct", "group_algebra", "--group", "z27",
+                     "--rmatrix", "trivial", "--out", f], capsys)
+    assert (code, out) == (0, (
+        "label=k[Z/27]\n"
+        "dim=27 type=(27;27) ordS=2 TrS2=27 corad=[27] pointed=yes "
+        f"dualpointed=yes unimodular=yes\nwrote {f}\n"))
+    with open(f, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "33a9e71b0f25192d3dc316655983bc2c52ee031ef6b2c1bf02d53a9c178c6783")
+    code, out = run(["qt-verify", f], capsys)
+    assert code == 0 and "QT.1=pass" in out and "minimal=no" in out
+
+
+def test_commands_without_an_rmatrix_block_exit_2(tmp_path, capsys):
+    f = str(tmp_path / "t.hopf")
+    assert run(["construct", "taft", "--out", f], capsys)[0] == 0
+    for argv, msg in ((["report", f, "--qt", f],
+                       "no R-matrix block available for --qt"),
+                      (["qt-verify", f], "no R-matrix block in the given files"),
+                      (["ribbon", f], "no R-matrix block in the given files")):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {msg}\n"), argv
+
+
+def test_failed_rmatrix_in_ribbon_and_report_exit_1(tmp_path, capsys):
+    uq = _uq_with_rmatrix(tmp_path, capsys)
+    obj = json.loads(open(uq, encoding="utf-8").read())
+    obj["rmatrix"][0][2] = "5"
+    bad = str(tmp_path / "bad.hopf")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    assert main(["ribbon", bad]) == 1
+    assert capsys.readouterr() == ("qt=FAIL\n", "")
+    assert main(["report", bad, "--qt", bad]) == 1
+    assert capsys.readouterr() == (
+        "label=uq_sl2(p=3,e=1)\ndim=27\nconductor=9\n"
+        + "".join(f"QT.{i}=FAIL\n" for i in range(1, 6)) + "qt=FAIL\n", "")
+
+
+def test_quotient_generator_file_not_json_exit_2(tmp_path, capsys):
+    f, gf = str(tmp_path / "t.hopf"), tmp_path / "gens.json"
+    assert run(["construct", "taft", "--out", f], capsys)[0] == 0
+    gf.write_text("[[", encoding="utf-8")
+    assert main(["quotient", f, str(gf), "--out", str(tmp_path / "q.hopf")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad generator file: ")
+    assert not (tmp_path / "q.hopf").exists()
+
+
+def test_report_section_precedence(tmp_path, capsys):
+    # one section is printed: the first flag set among --qt, --integrals,
+    # --coradical and --census, else all of them
+    f = str(tmp_path / "t.hopf")
+    assert run(["construct", "taft", "--out", f], capsys)[0] == 0
+    uq = _uq_with_rmatrix(tmp_path, capsys)
+    section = {flag: run(["report", f, flag], capsys)
+               for flag in ("--all", "--integrals", "--coradical", "--census")}
+    assert all(code == 0 for code, _ in section.values())
+    assert "epsLambda=0" in section["--integrals"][1]
+    assert "corad=" not in section["--integrals"][1]
+    for flags, first in ((["--census", "--integrals", "--coradical"], "--integrals"),
+                         (["--census", "--coradical"], "--coradical"),
+                         (["--all", "--census"], "--census"),
+                         ([], "--all")):
+        assert run(["report", f, *flags], capsys) == section[first], flags
+    qt = run(["report", uq, "--qt", uq], capsys)
+    assert qt[0] == 0 and "ribbon_count=1" in qt[1]
+    assert run(["report", uq, "--census", "--qt", uq, "--integrals"], capsys) == qt
+
+
+def test_papercheck_suite_is_chosen_by_the_parser(capsys):
+    for argv, msg in ((["papercheck", "nope"],
+                       "argument suite: invalid choice: 'nope'"),
+                      (["papercheck"],
+                       "the following arguments are required: suite")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and msg in capsys.readouterr().err, argv

@@ -233,3 +233,25 @@ def test_reports_and_morphisms_are_frozen(taft3, uq_rmatrix):
     for name in ("checks", "u", "u_inv"):
         with pytest.raises(AttributeError):
             setattr(dr, name, {})
+
+
+def test_structure_tensors_and_subspaces_are_frozen():
+    # the tensors and the memoised radical are shared by every reader of
+    # the algebra: no field, row view included, can be set or deleted
+    from hopfkit.hopf import verify_hopf
+    from hopfkit.linalg import SparseTensor3, Subspace
+    H = standard_constructors("taft", 3)
+    rows, radical = H.mrows, H.radical
+    assert type(H.mult) is SparseTensor3 and type(radical) is Subspace
+    for obj in (H.mult, H.comult, radical):
+        before = {name: getattr(obj, name) for name in obj.__slots__}
+        for name in obj.__slots__ + ("extra",):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(obj, name, ())
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(obj, name)
+        assert {name: getattr(obj, name) for name in obj.__slots__} == before
+        assert not hasattr(obj, "__dict__")
+    assert H.mult._ij is rows and H.mult.rows_ij() is rows
+    assert H.radical is radical and radical.dim == 6
+    assert verify_hopf(H).ok

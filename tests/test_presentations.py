@@ -161,6 +161,45 @@ def test_find_embedding_inhomogeneous_power():
     assert verify_morphism(f).bijective
 
 
+def _rescaled(H, lam):
+    """H in the basis e'_i = lam[i] e_i, for nonzero field values lam[i]."""
+    from hopfkit.hopf import ClaimSet, FinHopf
+    from hopfkit.linalg import SparseTensor3
+    n, M = H.dim, H.conductor
+    inv = [c.inverse() for c in lam]
+    mult = {(i, j, k): c * lam[i] * lam[j] * inv[k]
+            for (i, j, k), c in H.mult.entries}
+    comult = {(i, j, k): c * lam[i] * inv[j] * inv[k]
+              for (i, j, k), c in H.comult.entries}
+    S = [{a: c * lam[j] * inv[a] for a, c in col.items()}
+         for j, col in enumerate(H.antipode)]
+    claims = ClaimSet([{i: c * inv[i] for i, c in g.items()}
+                       for g in H.claims.grouplikes])
+    return FinHopf(n, M, SparseTensor3.from_dict((n, n, n), mult),
+                   {i: c * inv[i] for i, c in H.unit.items()},
+                   SparseTensor3.from_dict((n, n, n), comult),
+                   {i: c * lam[i] for i, c in H.counit.items()}, S, claims,
+                   label=f"{H.label}:rescaled")
+
+
+def test_find_embedding_rescales_by_a_root_of_unity():
+    # r(p=3) into its copy in the basis e'(x^a g^c) = zeta_9^a x^a g^c: the
+    # solved image of x is e'(x) = zeta_9 x, whose cube is zeta_3 (1 - g^3),
+    # so x^3 = 1 - g^3 holds only after the image is rescaled by a root of
+    # unity s with s^3 = zeta_3^-1
+    from hopfkit.hopf import verify_morphism
+    R = standard_constructors("r", 3, 1)
+    target = _rescaled(R, [CycloNum.zeta(M, a) for (a,), _ in R.monomials])
+    assert verify_hopf(target).ok
+    f = find_embedding(R, target)
+    rep = verify_morphism(f)
+    assert rep.ok and rep.bijective and f.rank == 27
+    x = R.monomials.index(((1,), (0,)))
+    (i, s), = f.cols[x].items()
+    assert R.monomials[i] == ((1,), (0,))
+    assert s ** 3 == CycloNum.zeta(M, 6) and not (s ** 3).is_one()
+
+
 def test_taft_self_duality_explicit_iso(taft3):
     from hopfkit.hopf import dual, verify_morphism
     f = find_embedding(taft3, dual(taft3))

@@ -149,21 +149,29 @@ def dumps(H: FinHopf, rmatrix: dict | None = None) -> str:
 
 def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
     """Atomic write: temp file in the target directory, then rename.  The
-    temp file is opened as `tempfile.mkstemp` opens one, without importing
-    `tempfile` (and the `random` it loads)."""
+    temp file is opened as `tempfile.mkstemp` opens one (a random name,
+    O_EXCL and O_NOFOLLOW), without importing `tempfile` (and the `random`
+    it loads), but with mode 0o666, so the umask sets the written file's
+    mode as it does for open(path, "w").  An OSError of the open, write or
+    rename names `path`, not the temp file, so its message is deterministic."""
     text = dumps(H, rmatrix)
     d = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.hopf.tmp")
-    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL
-                 | getattr(os, "O_NOFOLLOW", 0), 0o600)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL
+                     | getattr(os, "O_NOFOLLOW", 0), 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.errno is None:  # not raised by the OS: no temp name to hide
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | None]:

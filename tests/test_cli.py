@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -355,6 +357,31 @@ def test_export_canonicalizes(tmp_path, capsys):
     code, _ = run(["export", f, "--out", out2], capsys)
     assert code == 0
     assert open(f, "rb").read() == open(out2, "rb").read()
+
+
+def test_failed_out_write_names_the_given_path(tmp_path, capsys, monkeypatch):
+    # not the random temp file: stderr is the same on every run, and the
+    # temp file is removed
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "taft", "--out", "t.hopf"], capsys)[0] == 0
+    missing = "error: [Errno 2] No such file or directory: 'missingdir/x.hopf'\n"
+    for _ in range(2):
+        assert main(["export", "t.hopf", "--out", "missingdir/x.hopf"]) == 2
+        assert capsys.readouterr().err == missing
+    (tmp_path / "somedir").mkdir()
+    assert main(["export", "t.hopf", "--out", "somedir"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'somedir'\n"
+    assert not list(tmp_path.rglob("*.hopf.tmp"))
+
+
+def test_out_file_mode_follows_the_umask(tmp_path, capsys):
+    f = tmp_path / "t.hopf"
+    old = os.umask(0o022)
+    try:
+        assert run(["construct", "taft", "--out", str(f)], capsys)[0] == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(f.stat().st_mode) == 0o644
 
 
 def test_golden_report_taft(tmp_path):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +36,13 @@ def test_roundtrip_bit_exact(tmp_path, taft3):
     assert p.read_bytes() == p2.read_bytes()
 
 
-def test_export_writes_as_mkstemp_does_and_cleans_up(tmp_path, taft3, monkeypatch):
-    # the temp file gets the mode `tempfile.mkstemp` gives its files
-    fd, probe = tempfile.mkstemp(dir=tmp_path)
-    os.close(fd)
-    mode = os.stat(probe).st_mode
-    os.unlink(probe)
+def test_export_writes_as_open_does_and_cleans_up(tmp_path, taft3, monkeypatch):
+    # the written file gets the mode open(path, "w") gives its files: 0666
+    # less the umask
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    mode = probe.stat().st_mode
+    probe.unlink()
     p = tmp_path / "taft.hopf"
     export_hopf(taft3, str(p))
     assert p.stat().st_mode == mode

@@ -254,29 +254,10 @@ def _wrap_everywhere(monkeypatch, orig, wrapper):
                     monkeypatch.setattr(mod, attr, wrapper)
 
 
-def test_f_r_entry_is_qt2_to_qt5(monkeypatch, z3_bichar, z3z3_bichar,
-                                 uq_rmatrix, corpus3):
-    """The f_R_bialgebra_map entry against the map check it replaces:
-    verify_morphism of f_R : H*^cop -> H, on valid R-matrices, seeded
-    bumps of the u_q one, R = 1 (x) 1 on the corpus, and R = 0, the
-    one-entry R and R failing QT.2 alone or QT.4 alone on k[Z/3]; verify_qt
-    builds no H*^cop and checks no map.  No R fails QT.3 or QT.5 alone:
-    given QT.2 and QT.4, (eps (x) id)(R) and (id (x) eps)(R) are each 0 or 1,
-    and both have the counit eps (x) eps (R)."""
-    from hopfkit.hopf import HopfMorphism, verify_morphism
+def f_r_entry_inputs(z3_bichar, z3z3_bichar, uq_rmatrix, corpus3):
+    """(inputs, z3_inputs, one_sided): the (H, R) pairs on which the
+    f_R_bialgebra_map entry is compared with the map check it replaces."""
     from hopfkit.linalg import outer
-
-    def oracle(H, R):
-        fR, _ = f_matrices(H, R)
-        return verify_morphism(HopfMorphism(op_cop(H.dual_cached(), "cop"), H, fR)).ok
-
-    calls = []
-    for orig in (verify_morphism, op_cop):
-        def recording(*args, _orig=orig, **kw):
-            calls.append(_orig.__name__)
-            return _orig(*args, **kw)
-        _wrap_everywhere(monkeypatch, orig, recording)
-
     inputs = [(H, rm.r_dict()) for H, rms in (z3_bichar, z3z3_bichar) for rm in rms]
     Hu, rm = uq_rmatrix
     inputs.append((Hu, rm.r_dict()))
@@ -304,6 +285,33 @@ def test_f_r_entry_is_qt2_to_qt5(monkeypatch, z3_bichar, z3z3_bichar,
             for i, c in idem[chi].items():
                 sparse_add_into(R, (i, l), c)
         one_sided += [(H3, R), (H3, {(b, a): c for (a, b), c in R.items()})]
+    return inputs, z3_inputs, one_sided
+
+
+def test_f_r_entry_is_qt2_to_qt5(monkeypatch, z3_bichar, z3z3_bichar,
+                                 uq_rmatrix, corpus3):
+    """The f_R_bialgebra_map entry against the map check it replaces:
+    verify_morphism of f_R : H*^cop -> H, on valid R-matrices, seeded
+    bumps of the u_q one, R = 1 (x) 1 on the corpus, and R = 0, the
+    one-entry R and R failing QT.2 alone or QT.4 alone on k[Z/3]; verify_qt
+    builds no H*^cop and checks no map.  No R fails QT.3 or QT.5 alone:
+    given QT.2 and QT.4, (eps (x) id)(R) and (id (x) eps)(R) are each 0 or 1,
+    and both have the counit eps (x) eps (R)."""
+    from hopfkit.hopf import HopfMorphism, verify_morphism
+
+    def oracle(H, R):
+        fR, _ = f_matrices(H, R)
+        return verify_morphism(HopfMorphism(op_cop(H.dual_cached(), "cop"), H, fR)).ok
+
+    calls = []
+    for orig in (verify_morphism, op_cop):
+        def recording(*args, _orig=orig, **kw):
+            calls.append(_orig.__name__)
+            return _orig(*args, **kw)
+        _wrap_everywhere(monkeypatch, orig, recording)
+
+    inputs, z3_inputs, one_sided = f_r_entry_inputs(
+        z3_bichar, z3z3_bichar, uq_rmatrix, corpus3)
 
     def checked(H, R):
         """The QT.1-f_R verdicts, after comparing the entry with the oracle."""

@@ -183,6 +183,7 @@ def cmd_tensor(args) -> int:
             and dims[0] * dims[1] > MAX_DIM):
         raise BadParameter(f"tensor product dim {dims[0]} x {dims[1]} exceeds "
                            f"the .hopf file limit {MAX_DIM}")
+    # from_obj empties each parsed file before it verifies the algebra
     H, _ = from_obj(objs[0], conductor=args.conductor)
     K, _ = from_obj(objs[1], conductor=H.conductor)
     T = tensor(H, K)

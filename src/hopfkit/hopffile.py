@@ -5,8 +5,18 @@ import(export(H)) reproduces H bit-exactly; import runs verify_hopf before
 returning, as a file is one of the sources of an algebra.  A file repeats few
 distinct coefficients many times, so an import parses each distinct
 coefficient string once and an export renders each distinct value once.
-`json` is imported by the reader and the writer, not by this module, so a
-process that reads and writes no file does not load it.
+
+File I/O costs about what H itself holds.  The writer builds no whole-file
+object or text: it emits json.dumps(obj, indent=1, sort_keys=True)'s bytes
+for the file's JSON value obj section by section, in sorted key order,
+straight from H, the triples of mult, comult and rmatrix in blocks of
+`_BLOCK` rows and the dense antipode and fixture matrices one row at a time
+from their transposed sparse columns.  Each piece is one chain of C-level
+joins over the file's cache of encoded scalars.  `dumps` is the same writer
+into a string.  The reader frees the file text once it is parsed, and the
+parsed JSON once H is built, before verify_hopf runs.  `json` is imported
+by the reader and the writer, not by this module, so a process that reads
+and writes no file does not load it.
 """
 
 from __future__ import annotations
@@ -18,69 +28,19 @@ from operator import itemgetter
 from .cyclo import CycloNum, parse as cparse, render
 from .errors import BadParameter, ParseError, VerificationFailed
 from .hopf import ClaimSet, FinHopf, embed_hopf, verify_hopf
-from .linalg import SparseTensor3, dense_to_sparse, sparse_columns
+from .linalg import (SparseTensor3, dense_to_sparse, sparse_columns,
+                     transpose_columns)
 
 FORMAT_VERSION = "hopf-v1"
 # The file holds the antipode and each fixture as dense n x n matrices.
 MAX_DIM = 4096
+# Rows of a triple table (mult, comult, rmatrix) rendered as one piece.
+_BLOCK = 512
 
 
 class _Texts(dict):
-    """Canonical text of each field value met, rendered once."""
-
-    def __missing__(self, c):
-        s = self[c] = render(c)
-        return s
-
-
-def to_obj(H: FinHopf, rmatrix: dict | None = None) -> dict:
-    n = H.dim
-    text = _Texts().__getitem__
-    zero = text(CycloNum.zero(H.conductor))
-
-    def triples(t: SparseTensor3):
-        texts = map(text, map(itemgetter(1), t.entries))
-        return [[i, j, k, s] for ((i, j, k), _), s in zip(t.entries, texts)]
-
-    def vector(v):
-        row = [zero] * n
-        for i, s in zip(v, map(text, v.values())):
-            row[i] = s
-        return row
-
-    def matrix(cols):
-        rows = [[zero] * n for _ in range(n)]
-        for j, col in enumerate(cols):
-            for i, s in zip(col, map(text, col.values())):
-                rows[i][j] = s
-        return rows
-
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "label": H.label,
-        "dim": H.dim,
-        "conductor": H.conductor,
-        "mult": triples(H.mult),
-        "unit": vector(H.unit),
-        "comult": triples(H.comult),
-        "counit": vector(H.counit),
-        "antipode": matrix(H.antipode),
-        "claims": {
-            "grouplikes": [vector(g) for g in H.claims.grouplikes],
-            "characters": [vector(c) for c in H.claims.characters],
-            "iso_fixtures": [
-                [list(key), matrix(cols)] for key, cols in H.iso_fixtures
-            ],
-        },
-    }
-    if rmatrix is not None:
-        obj["rmatrix"] = [[i, j, text(c)]
-                          for (i, j), c in sorted(rmatrix.items())]
-    return obj
-
-
-class _ScalarTexts(dict):
-    """JSON text of each str and int met, encoded once (by C functions)."""
+    """JSON text of each str, int and field value met, encoded once (by C
+    functions; a field value through its canonical rendering)."""
 
     def __init__(self):
         from json.encoder import encode_basestring_ascii
@@ -88,63 +48,84 @@ class _ScalarTexts(dict):
 
     def __missing__(self, x):
         t = type(x)
-        if t is str:
-            s = self.encode_str(x)
-        elif t is int:
-            s = str(x)
-        else:
-            raise TypeError(f"{t.__name__} is not a .hopf scalar")
-        self[x] = s
+        s = self[x] = (str(x) if t is int else
+                       self.encode_str(x if t is str else render(x)))
         return s
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=1, sort_keys=True) for a value built of str,
-    int, list and dict with str keys.  The standard encoder runs in pure
-    Python once `indent` is set.  Here each scalar is encoded once, and a
-    list of scalars, or a table of equal-length lists of scalars (a .hopf
-    file is mostly tables: triples, matrices, vectors), is joined by C code
-    with no Python call per row or per cell."""
-    cell = _ScalarTexts().__getitem__
+def _pieces(H: FinHopf, rmatrix: dict | None):
+    """The .hopf text of H in pieces of at most `_BLOCK` triples or one dense
+    row (see the module docstring)."""
+    n = H.dim
+    text = _Texts().__getitem__
+    zero = text(CycloNum.zero(H.conductor))
 
-    def table(rows, pad):
-        # rows: equal-length lists of scalars; TypeError if a cell is not one
-        inner, cell_pad = pad + " ", pad + "  "
-        cells = map(cell, chain.from_iterable(rows))
-        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell_pad
-        return (row_sep.join(map((",\n" + cell_pad).join,
-                                 zip(*[cells] * len(rows[0]))))
-                .join(("[\n" + inner + "[\n" + cell_pad,
-                       "\n" + inner + "]\n" + pad + "]")))
+    def dense(v):
+        row = [zero] * n
+        for i, s in zip(v, map(text, v.values())):
+            row[i] = s
+        return row
 
-    def text(v, pad):
-        if type(v) is not list and type(v) is not dict:
-            return cell(v)
-        if not v:
-            return "[]" if type(v) is list else "{}"
-        inner = pad + " "
-        if type(v) is dict:
-            items = [cell(k) + ": " + text(v[k], inner) for k in sorted(v)]
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-        try:
-            items = list(map(cell, v))
-        except TypeError:  # v holds a list or a dict
-            if (set(map(type, v)) == {list} and len(set(map(len, v))) == 1
-                    and v[0]):
-                try:
-                    return table(v, pad)
-                except TypeError:  # a cell is a list or a dict
-                    pass
-            items = [text(x, inner) for x in v]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    def flat(cells, pad):
+        inner = "\n" + pad + " "
+        return ("[" + inner + ("," + inner).join(cells) + "\n" + pad + "]"
+                if cells else "[]")
 
-    return text(obj, "")
+    def rows(blocks, pad):
+        # a list at indent `pad` of rows of cell texts, given in blocks of rows
+        inner, cell = "\n" + pad + " ", "\n" + pad + "  "
+        sep, cell_sep = inner + "]," + inner + "[" + cell, "," + cell
+        head = "[" + inner + "[" + cell
+        for block in blocks:
+            yield head
+            yield sep.join(map(cell_sep.join, block))
+            head = sep
+        yield "[]" if head[0] == "[" else inner + "]\n" + pad + "]"
+
+    def triples(entries):
+        w = len(entries[0][0]) if entries else 0
+        for a in range(0, len(entries), _BLOCK):
+            block = entries[a:a + _BLOCK]
+            keys = map(text, chain.from_iterable(map(itemgetter(0), block)))
+            yield zip(*[keys] * w, map(text, map(itemgetter(1), block)))
+
+    def matrix(cols):
+        return ((dense(r),) for r in transpose_columns(cols, n))
+
+    def vectors(vs):
+        return ((dense(v),) for v in vs)
+
+    yield '{\n "antipode": '
+    yield from rows(matrix(H.antipode), " ")
+    yield ',\n "claims": {\n  "characters": '
+    yield from rows(vectors(H.claims.characters), "  ")
+    yield ',\n  "grouplikes": '
+    yield from rows(vectors(H.claims.grouplikes), "  ")
+    yield ',\n  "iso_fixtures": '
+    head = "[\n   [\n    "
+    for key, cols in H.iso_fixtures:
+        yield head + flat(list(map(text, key)), "    ") + ",\n    "
+        yield from rows(matrix(cols), "    ")
+        head = "\n   ],\n   [\n    "
+    yield "[]" if head[0] == "[" else "\n   ]\n  ]"
+    yield '\n },\n "comult": '
+    yield from rows(triples(H.comult.entries), " ")
+    yield (',\n "conductor": ' + text(H.conductor)
+           + ',\n "counit": ' + flat(dense(H.counit), " ")
+           + ',\n "dim": ' + text(n)
+           + ',\n "format_version": ' + text(FORMAT_VERSION)
+           + ',\n "label": ' + text(H.label) + ',\n "mult": ')
+    yield from rows(triples(H.mult.entries), " ")
+    if rmatrix is not None:
+        yield ',\n "rmatrix": '
+        yield from rows(triples(sorted(rmatrix.items())), " ")
+    yield ',\n "unit": ' + flat(dense(H.unit), " ") + "\n}\n"
 
 
 def dumps(H: FinHopf, rmatrix: dict | None = None) -> str:
-    """The .hopf text of H: the bytes of json.dumps(to_obj(H, rmatrix),
-    indent=1, sort_keys=True) + "\\n"."""
-    return _json_text(to_obj(H, rmatrix)) + "\n"
+    """The .hopf text of H with the R-matrix block `rmatrix`: the bytes
+    `export_hopf` writes."""
+    return "".join(_pieces(H, rmatrix))
 
 
 def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
@@ -154,7 +135,6 @@ def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
     it loads), but with mode 0o666, so the umask sets the written file's
     mode as it does for open(path, "w").  An OSError of the open, write or
     rename names `path`, not the temp file, so its message is deterministic."""
-    text = dumps(H, rmatrix)
     d = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.hopf.tmp")
     try:
@@ -162,7 +142,7 @@ def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
                      | getattr(os, "O_NOFOLLOW", 0), 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(_pieces(H, rmatrix))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -175,6 +155,19 @@ def export_hopf(H: FinHopf, path: str, rmatrix: dict | None = None) -> None:
 
 
 def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | None]:
+    """The verified algebra and R-matrix block of a parsed .hopf file.  It
+    empties `obj` once they are built, so the parsed file is freed before
+    verify_hopf runs even while the caller still holds `obj`."""
+    H, rmat = _unverified(obj, conductor)
+    obj.clear()
+    rep = verify_hopf(H)
+    if not rep.ok:
+        bad = ", ".join(f"{c.name} at {c.first_failure}" for c in rep.failures)
+        raise VerificationFailed(f"imported algebra fails axioms: {bad}")
+    return H, rmat
+
+
+def _unverified(obj: dict, conductor: int | None) -> tuple[FinHopf, dict | None]:
     try:
         ver = obj["format_version"]
         if ver != FORMAT_VERSION:
@@ -257,10 +250,6 @@ def from_obj(obj: dict, conductor: int | None = None) -> tuple[FinHopf, dict | N
         H = embed_hopf(H, conductor)
         if rmat is not None:
             rmat = {k: embed(c, conductor) for k, c in rmat.items()}
-    rep = verify_hopf(H)
-    if not rep.ok:
-        bad = ", ".join(f"{c.name} at {c.first_failure}" for c in rep.failures)
-        raise VerificationFailed(f"imported algebra fails axioms: {bad}")
     return H, rmat
 
 
@@ -279,11 +268,10 @@ def loads(text: str, conductor: int | None = None) -> tuple[FinHopf, dict | None
 
 def read_obj(path: str):
     """The JSON value of a .hopf file, neither checked nor verified: that is
-    `from_obj`'s work."""
+    `from_obj`'s work.  The file text is freed when this returns."""
     with open(path, encoding="utf-8") as fh:
         return _json(fh.read())
 
 
 def import_hopf(path: str, conductor: int | None = None) -> tuple[FinHopf, dict | None]:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read(), conductor)
+    return from_obj(read_obj(path), conductor)

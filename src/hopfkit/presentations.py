@@ -311,6 +311,16 @@ def solve_characters(spec: PresentationSpec):
 # -- generator-image isomorphism search ------------------------------------------
 
 
+def _int_root(a: int, e: int) -> int | None:
+    """The integer r > 0 with r^e = a, for integers a, e > 0, or None."""
+    r = 1 << -(-a.bit_length() // e)  # r^e > a
+    while True:  # Newton's method from above, on integers
+        y = ((e - 1) * r + a // r ** (e - 1)) // e
+        if y >= r:
+            return r if r ** e == a else None
+        r = y
+
+
 def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
     """Search for a bijective Hopf map source -> target on generator images.
 
@@ -403,11 +413,15 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
             images_x[j] = {k: rho * v for k, v in images_x[j].items()}
         if not ok_scale:
             continue
-        # inhomogeneous power values: s^e c^e = phi(P) with s a root of unity
+        # inhomogeneous power values: s^e c^e = phi(P), tried with s = q w
+        # for a root of unity w = +-zeta_M^k and a rational q > 0.  Every
+        # +-zeta_M^j has content 1 (a rational dividing a unit of Z[zeta_M]
+        # is +-1), so the scale of s^e = rho is +-q^e, and q is its e-th root
         for i, x in enumerate(spec.skew_gens):
+            e = x.power_exp
             t = ev_element(x.power_value)
             ce = target.unit
-            for _ in range(x.power_exp):
+            for _ in range(e):
                 ce = target.mul(ce, images_x[i])
             if not t and not ce:
                 continue
@@ -417,11 +431,15 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
                 break
             if not rho.is_one():
                 s = None
-                for kk in range(2 * M):
-                    cand = CycloNum.zeta(M, kk) if kk < M else -CycloNum.zeta(M, kk - M)
-                    if cand ** x.power_exp == rho:
-                        s = cand
-                        break
+                a, b = _int_root(abs(rho.k), e), _int_root(rho.den, e)
+                if a and b:
+                    q = CycloNum.from_rational(M, a) / CycloNum.from_rational(M, b)
+                    for kk in range(2 * M):
+                        cand = q * (CycloNum.zeta(M, kk) if kk < M
+                                    else -CycloNum.zeta(M, kk - M))
+                        if cand ** e == rho:
+                            s = cand
+                            break
                 if s is None:
                     ok_scale = False
                     break

@@ -10,9 +10,10 @@ from hopfkit.constructors import drinfeld_double, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.errors import ParseError, VerificationFailed
 from hopfkit.hopf import ClaimSet, FinHopf, embed_hopf, op_cop, quotient_by_hopf_ideal
-from hopfkit.hopffile import dumps, export_hopf, import_hopf, loads, to_obj
+from hopfkit.hopffile import dumps, export_hopf, import_hopf, loads
 from hopfkit.invariants import fingerprint
 from hopfkit.linalg import outer
+from hopffile_oracle import json_dumps
 
 
 def same_structure(A, B):
@@ -314,12 +315,6 @@ def test_list_coefficient_is_a_parse_error(taft3):
 # -- the writer against the standard JSON encoder ------------------------------
 
 
-def json_dumps(H, rmatrix=None):
-    """The .hopf text as the standard (pure-Python, indenting) encoder
-    writes it: the reference for `dumps`."""
-    return json.dumps(to_obj(H, rmatrix), indent=1, sort_keys=True) + "\n"
-
-
 def test_writer_matches_json_dumps(corpus3, book1, taft3, double_taft):
     from test_quasitriangular import _canonical_double_r
     subjects = [(H, None) for H in corpus3.values()]
@@ -347,3 +342,173 @@ def test_writer_matches_json_dumps_on_labels_and_claims(book1, label, keep, rmat
                 label, fixtures=lambda: fixtures)
     rmat = {"empty": {}, "unit": outer(H.unit, H.unit)}.get(rmatrix)
     assert dumps(K, rmat) == json_dumps(K, rmat)
+
+
+# -- the streamed writer and the released parse --------------------------------
+
+
+def _exported(H, path, rmatrix=None):
+    export_hopf(H, str(path), rmatrix)
+    return path.read_bytes().decode("utf-8")
+
+
+def test_writer_edges_match_json_dumps(tmp_path, taft3, book1, uq_rmatrix,
+                                       monkeypatch):
+    # tables of exactly one block and of one block plus one row, the
+    # one-dimensional algebra, empty claim lists, fixtures and an R-matrix;
+    # the exported file holds exactly the bytes of `dumps`
+    from hopfkit import hopffile
+    from hopfkit.hopf import trivial_hopf
+    Hu, rm = uq_rmatrix
+    bare = FinHopf(taft3.dim, taft3.conductor, taft3.mult, taft3.unit,
+                   taft3.comult, taft3.counit, taft3.antipode, ClaimSet(), "")
+    assert book1.iso_fixtures and rm.r_dict()
+    subjects = [(taft3, None), (trivial_hopf(3), None), (bare, None),
+                (book1, None), (Hu, rm.r_dict())]
+    for H, rmatrix in subjects:
+        want = json_dumps(H, rmatrix)
+        assert dumps(H, rmatrix) == want, H.label
+        assert _exported(H, tmp_path / "h.hopf", rmatrix) == want, H.label
+    for H, rmatrix in ((taft3, None), (Hu, rm.r_dict())):
+        want = json_dumps(H, rmatrix)
+        for rows in (len(H.mult), len(H.comult), len(rmatrix or ())):
+            for block in (rows, rows - 1):
+                monkeypatch.setattr(hopffile, "_BLOCK", max(block, 1))
+                assert dumps(H, rmatrix) == want
+                assert _exported(H, tmp_path / "h.hopf", rmatrix) == want
+
+
+@pytest.mark.parametrize("name", ["that(p=5)", "taft(p=3) x that(p=3)"])
+def test_export_peak_memory_is_below_half_the_file(tmp_path, taft3, name):
+    # a whole-file object and text held about 4.9 times the file's size
+    import tracemalloc
+
+    from hopfkit.hopf import tensor
+    H = (standard_constructors("that", 5, 1) if name == "that(p=5)" else
+         tensor(taft3, standard_constructors("that", 3, 1)))
+    path = tmp_path / "h.hopf"
+    export_hopf(H, str(path))  # builds what H memoises on first read
+    tracemalloc.start()
+    try:
+        export_hopf(H, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == dumps(H).encode("utf-8")
+    assert peak < path.stat().st_size / 2
+
+
+def test_failed_write_mid_stream_removes_the_temp_file(tmp_path, capsys,
+                                                      monkeypatch):
+    import errno
+
+    from hopfkit.cli import main
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "t.hopf"
+    target.write_bytes(b"the old file")
+    fdopen = os.fdopen
+
+    def failing(fd, *args, **kwargs):
+        fh = fdopen(fd, *args, **kwargs)
+        write, pieces = fh.write, []
+
+        def write_one_block(s):
+            # the first pieces up to the antipode's first row, then a full disk
+            if len(pieces) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            pieces.append(s)
+            return write(s)
+        fh.write = write_one_block
+        return fh
+    monkeypatch.setattr(os, "fdopen", failing)
+    assert main(["construct", "taft", "--out", "t.hopf"]) == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 28] No space left on device: 't.hopf'\n")
+    assert os.listdir(tmp_path) == ["t.hopf"]
+    assert target.read_bytes() == b"the old file"
+
+
+class _Tracked(list):
+    """A parsed list that can be weakly referenced."""
+
+
+def _tracking_parse(monkeypatch):
+    """Make each parse of a .hopf file return lists that are weakly
+    referenced, one list of references per parse.  The dense rows stay
+    plain lists, since the reader refuses any other type there."""
+    import weakref
+
+    from hopfkit import hopffile
+    parse, refs = hopffile._json, []
+
+    def tracked(text):
+        obj, mine = parse(text), []
+        refs.append(mine)
+
+        def track(v):
+            t = _Tracked(v)
+            mine.append(weakref.ref(t))
+            return t
+        for key in ("mult", "comult", "rmatrix"):
+            if key in obj:
+                obj[key] = track(map(track, obj[key]))
+        obj["antipode"] = track(obj["antipode"])
+        claims = obj["claims"]
+        for key in ("grouplikes", "characters"):
+            claims[key] = track(claims[key])
+        claims["iso_fixtures"] = track(map(track, claims["iso_fixtures"]))
+        return obj
+    monkeypatch.setattr(hopffile, "_json", tracked)
+    return refs
+
+
+def _alive(refs):
+    return sum(r() is not None for r in refs)
+
+
+def test_import_frees_the_parsed_file_before_verifying(tmp_path, book1,
+                                                       uq_rmatrix, monkeypatch):
+    from hopfkit import hopffile
+    Hu, rm = uq_rmatrix
+    refs = _tracking_parse(monkeypatch)
+    alive = []
+    verify = hopffile.verify_hopf
+
+    def checking(H):
+        alive.append(_alive(refs[-1]))
+        return verify(H)
+    monkeypatch.setattr(hopffile, "verify_hopf", checking)
+    for H, rmatrix in ((book1, None), (Hu, rm.r_dict())):
+        path = tmp_path / "h.hopf"
+        export_hopf(H, str(path), rmatrix)
+        K, rmat = import_hopf(str(path))
+        assert same_structure(K, H) and rmat == rmatrix
+        assert len(refs[-1]) > 100
+        K, rmat = loads(path.read_text(encoding="utf-8"))
+        assert same_structure(K, H) and rmat == rmatrix
+    assert alive == [0, 0, 0, 0]
+
+
+def test_tensor_frees_each_parsed_file_before_verifying_it(tmp_path, taft3,
+                                                           capsys, monkeypatch):
+    # the second file is parsed before the first is verified (the dimension
+    # gate reads both), and freed before it is verified itself
+    from hopfkit import cli, hopffile
+    f = tmp_path / "t.hopf"
+    export_hopf(taft3, str(f))
+    refs = _tracking_parse(monkeypatch)
+    alive = []
+    verify, tensor = hopffile.verify_hopf, cli.tensor
+
+    def checking(H):
+        alive.append(tuple(map(_alive, refs)))
+        return verify(H)
+
+    def product(H, K):
+        alive.append(tuple(map(_alive, refs)))
+        return tensor(H, K)
+    monkeypatch.setattr(hopffile, "verify_hopf", checking)
+    monkeypatch.setattr(cli, "tensor", product)
+    assert cli.main(["tensor", str(f), str(f)]) == 0
+    assert "dim=81" in capsys.readouterr().out
+    assert alive == [(0, len(refs[1])), (0, 0), (0, 0)] and refs[1]

@@ -200,6 +200,21 @@ def test_find_embedding_rescales_by_a_root_of_unity():
     assert s ** 3 == CycloNum.zeta(M, 6) and not (s ** 3).is_one()
 
 
+def test_find_embedding_rescales_by_a_rational_times_a_root_of_unity():
+    # r(p=3) into its copy in the basis e'(x^a g^c) = 2^a x^a g^c: the image
+    # of x must be rescaled by s with s^3 a rational multiple of a root of
+    # unity, which no root of unity alone meets
+    from hopfkit.hopf import verify_morphism
+    R = standard_constructors("r", 3, 1)
+    two = CycloNum.from_rational(M, 2)
+    target = _rescaled(R, [two ** a for (a,), _ in R.monomials])
+    assert verify_hopf(target).ok
+    f = find_embedding(R, target)
+    assert f.rank == 27
+    rep = verify_morphism(f)
+    assert rep.ok and rep.bijective
+
+
 def test_taft_self_duality_explicit_iso(taft3):
     from hopfkit.hopf import dual, verify_morphism
     f = find_embedding(taft3, dual(taft3))

@@ -23,7 +23,8 @@ import sys
 from .cyclo import MAX_CONDUCTOR, CycloNum, render
 from .errors import BadParameter, HopfkitError, ParseError
 from .hopf import FinHopf, dual, op_cop, tensor
-from .hopffile import MAX_DIM, export_hopf, from_obj, import_hopf, read_obj
+from .hopffile import (MAX_DIM, export_hopf, from_obj, import_hopf, read_obj,
+                       read_text)
 from .linalg import dense_to_sparse, outer, sparse_columns, sparse_to_dense
 
 CONSTRUCTOR_NAMES = (
@@ -209,11 +210,10 @@ def cmd_quotient(args) -> int:
     from .hopf import quotient_by_hopf_ideal
     from .cyclo import parse as cparse
     H, _ = import_hopf(args.file, conductor=args.conductor)
-    with open(args.generators, encoding="utf-8") as fh:
-        try:
-            gens_raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad generator file: {exc}") from exc
+    try:
+        gens_raw = json.loads(read_text(args.generators))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad generator file: {exc}") from exc
     if not (type(gens_raw) is list and all(
             type(row) is list and all(type(s) is str for s in row)
             for row in gens_raw)):

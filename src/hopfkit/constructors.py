@@ -18,19 +18,23 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import CycloNum
+from .cyclo import MAX_CONDUCTOR, CycloNum
 from .errors import (BadParameter, CocycleConditionFails,
                      DimensionGateExceeded, WeakActionAxiomFails)
 from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
 from .hopf import (ClaimSet, FinHopf, algebra_map_failure,
                    associativity_failure, is_grouplike, tensor, verify_hopf)
-from .linalg import (SparseTensor3, apply_columns, identity_columns,
-                     mult_vectors, sparse_add_into, transpose_columns)
+from .linalg import (SparseTensor3, apply_columns, coproduct_leg,
+                     identity_columns, mult_vectors, sparse_add_into,
+                     transpose_columns)
 from .presentations import (GroupGen, PresentationSpec, SkewGen,
                             build_from_presentation, find_embedding)
 
 
 def _check_odd_prime(p: int):
+    # a p-th root of unity needs p <= M <= MAX_CONDUCTOR; this bounds the loop
+    if p > MAX_CONDUCTOR:
+        raise BadParameter(f"p must be at most {MAX_CONDUCTOR}, got {p}")
     if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
         raise BadParameter(f"p must be an odd prime, got {p}")
 
@@ -144,32 +148,31 @@ GROUP_TOKENS = ("z27", "z9xz3", "z3xz3xz3", "heis", "z9sz3")
 SMALL_GROUP_TOKENS = ("z3", "z9", "z3xz3")
 
 
-def _group_by_token(token: str, p: int) -> FiniteGroup:
-    p2, p3 = p * p, p * p * p
-    if token == "z27":
-        return cyclic(p3)
-    if token == "z9xz3":
-        return abelian(p2, p)
-    if token == "z3xz3xz3":
-        return abelian(p, p, p)
-    if token == "heis":
-        return heisenberg(p)
-    if token == "z9sz3":
-        return semidirect_p2_p(p)
-    if token == "z3":
-        return cyclic(p)
-    if token == "z9":
-        return cyclic(p2)
-    if token == "z3xz3":
-        return abelian(p, p)
-    raise BadParameter(f"unknown group token {token!r}; use one of "
-                       f"{GROUP_TOKENS + SMALL_GROUP_TOKENS}")
+_GROUPS = {
+    "z27": (lambda p: cyclic(p ** 3), 3),
+    "z9xz3": (lambda p: abelian(p * p, p), 2),
+    "z3xz3xz3": (lambda p: abelian(p, p, p), 1),
+    "heis": (heisenberg, 1),
+    "z9sz3": (semidirect_p2_p, 2),
+    "z3": (cyclic, 1),
+    "z9": (lambda p: cyclic(p * p), 2),
+    "z3xz3": (lambda p: abelian(p, p), 1),
+}
+
+
+def _group_by_token(token: str):
+    """(builder of the group at p, its exponent as a power of p) of a group
+    token, so that a conductor is checked before any group is built."""
+    if token not in _GROUPS:
+        raise BadParameter(f"unknown group token {token!r}; use one of "
+                           f"{GROUP_TOKENS + SMALL_GROUP_TOKENS}")
+    return _GROUPS[token]
 
 
 def default_conductor(name: str, p: int, group: str | None = None) -> int:
     base = p * p
     if name in ("group_algebra", "dual_group_algebra") and group is not None:
-        return lcm(base, _group_by_token(group, p).exponent)
+        return lcm(base, p ** _group_by_token(group)[1])
     return base
 
 
@@ -188,6 +191,8 @@ def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
     _check_odd_prime(p)
     if conductor is None:
         conductor = default_conductor(name, p, group)
+    if conductor > MAX_CONDUCTOR:
+        raise BadParameter(f"conductor {conductor} exceeds {MAX_CONDUCTOR}")
     return _build(name, p, e, m, root, group, conductor)
 
 
@@ -196,12 +201,12 @@ def _build(name, p, e, m, root, group, M) -> FinHopf:
     if name == "group_algebra":
         if group is None:
             raise BadParameter("group_algebra needs a group token")
-        G = _group_by_token(group, p)
-        if M % G.exponent != 0:
+        build, k = _group_by_token(group)
+        if M % p ** k != 0:
             raise BadParameter(
-                f"conductor {M} too small for k[{G.label}] "
-                f"(characters need {G.exponent} | M)")
-        return group_algebra(G, M)
+                f"conductor {M} too small for k[{build(p).label}] "
+                f"(characters need {p ** k} | M)")
+        return group_algebra(build(p), M)
     if name == "dual_group_algebra":
         return standard_constructors("group_algebra", p, group=group,
                                      conductor=M).dual_cached()
@@ -409,7 +414,7 @@ def drinfeld_double(H: FinHopf) -> FinHopf:
     # beta_c(s e_m h), the coefficient of e_c in s e_m h
     X = [[{} for _ in range(n)] for _ in range(n)]
     for b in range(n):
-        for (b1, b2, b3), t in H.delta2(b):
+        for (b1, b2, b3), t in coproduct_leg(H.crows, dict(H.crows[b]), 0).items():
             for m in range(n):
                 for c, w in H.mul(H.mul(sinv_cols[b3], {m: one}), {b1: one}).items():
                     sparse_add_into(X[b][c], (m, b2), t * w)

@@ -57,7 +57,10 @@ claims are tested before D(H) is verified, so that prerequisite does not
 hold there, and they are compared on every row (left=None).  Products in
 H and H (x) H are `linalg.mult_vectors` and `linalg.tensor_mul` on the row
 view.  They, `linalg.apply_tensor_columns` and `associativity_failure` form
-a coefficient product only for a nonzero structure cell.
+a coefficient product only for a nonzero structure cell.  The
+coassociativity, counit and antipode laws act on Delta(e_i) leg by leg
+through the `linalg` kernels `coproduct_leg`, `functional_leg` and
+`contract`.
 The skew-primitives P_{a,b} and the coinvariants H^{co pi} are kernels of
 maps built as sparse columns (`skew_primitive_map`, and (id (x) pi)Delta
 minus h -> h (x) 1_B), taken by `linalg.intersect_kernels`.
@@ -73,7 +76,8 @@ from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
                      NotSurjective)
 from .linalg import (EchelonBasis, SparseTensor3, Subspace, algebra_radical,
                      apply_columns, apply_tensor_columns,
-                     commutative_quotient_dim, coproduct, identity_columns,
+                     commutative_quotient_dim, contract, coproduct,
+                     coproduct_leg, functional_leg, identity_columns,
                      ideal_closure, image, intersect_kernels, mat_inverse,
                      mult_vectors, outer, quotient_by_radical, quotient_mult,
                      sparse_add_into, sparse_dot, sparse_sub, tensor_mul,
@@ -291,16 +295,6 @@ class FinHopf:
         return all(self.mul(v, {x: one}) == self.mul({x: one}, v)
                    for x in self.generators)
 
-    def delta2(self, i: int):
-        """Delta^2(e_i) as a tuple of ((a,b,c), coeff)."""
-        def make():
-            acc: dict = {}
-            for (j, k), c in self.crows[i]:
-                for (a, b), d in self.crows[j]:
-                    sparse_add_into(acc, (a, b, k), c * d)
-            return tuple(acc.items())
-        return self.memo(("d2", i), make)
-
     def __repr__(self):
         return f"FinHopf({self.label or 'unnamed'}, dim={self.dim}, M={self.conductor})"
 
@@ -317,6 +311,7 @@ def is_grouplike(v: dict, counit: dict, crows, M: int, left=None) -> bool:
         return False
     keep = None if left is None else set(left)
     lhs: dict = {}
+    # by hand, not `coproduct`: only the terms with a in `keep` are formed
     for i, c in v.items():
         for (a, b), d in crows[i]:
             if keep is None or a in keep:
@@ -354,7 +349,7 @@ def _krylov_generators(mrows, masks, crows, unit: dict,
         while work:
             x, v, vmask = work.pop()
             if not masks[x] & vmask:
-                continue  # e_x v = 0
+                continue  # e_x v = 0, read off the bit masks
             w = mult_vectors(mrows, {x: one}, v)
             if span.insert(w):
                 wmask = _support_mask(w)
@@ -442,6 +437,7 @@ def associativity_failure(mrows, left=None,
                 low = ks & -ks
                 ks ^= low
                 k = low.bit_length() - 1
+                # by hand, not `mult_vectors`: k is read off the bit masks
                 lhs: dict = {}
                 for m, c in v:
                     for l, d in mrows[m][k]:
@@ -459,14 +455,8 @@ def coassociativity_failure(crows, left=None) -> tuple[int] | None:
     """First (i,) with (Delta (x) id)Delta(e_i) != (id (x) Delta)Delta(e_i),
     for the comult rows `crows`; i runs over `left` (default: every index)."""
     for i in range(len(crows)) if left is None else left:
-        lhs: dict = {}
-        rhs: dict = {}
-        for (j, k), c in crows[i]:
-            for (a, b), d in crows[j]:
-                sparse_add_into(lhs, (a, b, k), c * d)
-            for (a, b), d in crows[k]:
-                sparse_add_into(rhs, (j, a, b), c * d)
-        if lhs != rhs:
+        X = dict(crows[i])
+        if coproduct_leg(crows, X, 0) != coproduct_leg(crows, X, 1):
             return (i,)
     return None
 
@@ -544,15 +534,9 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
 
     def counit_failures():
         for i in range(n):
-            left: dict = {}
-            right: dict = {}
-            for (j, k), c in crows[i]:
-                if j in counit:
-                    sparse_add_into(left, k, c * counit[j])
-                if k in counit:
-                    sparse_add_into(right, j, c * counit[k])
-            ei = {i: one}
-            if left != ei or right != ei:
+            X, ei = dict(crows[i]), {i: one}
+            if (functional_leg(counit, X, 0) != ei
+                    or functional_leg(counit, X, 1) != ei):
                 yield (i,)
     counit_law = CheckResult.first("counit", counit_failures())
 
@@ -576,22 +560,17 @@ def verify_hopf(H: FinHopf) -> VerificationReport:
     checks = [assoc, unit, coassoc, counit_law, *maps]
 
     # antipode axioms: m(S (x) id)Delta = unit.counit = m(id (x) S)Delta,
-    # one sweep per side, each side's products given by `side(j, k)`
-    S = H.antipode
+    # one sweep per side
+    S, ident = H.antipode, identity_columns(n, M)
 
-    def antipode_failures(side):
+    def antipode_failures(A, B):
         for i in range(n):
-            acc: dict = {}
-            for (j, k), c in crows[i]:
-                for l, d in side(j, k).items():
-                    sparse_add_into(acc, l, c * d)
+            acc = contract(H.mrows, A, B, dict(crows[i]))
             target = {a: counit[i] * cu for a, cu in su.items()} if i in counit else {}
             if acc != target:
                 yield (i,)
-    checks.append(CheckResult.first("antipode_left", antipode_failures(
-        lambda j, k: H.mul(S[j], {k: one}))))
-    checks.append(CheckResult.first("antipode_right", antipode_failures(
-        lambda j, k: H.mul({j: one}, S[k]))))
+    checks.append(CheckResult.first("antipode_left", antipode_failures(S, ident)))
+    checks.append(CheckResult.first("antipode_right", antipode_failures(ident, S)))
 
     return VerificationReport(checks)
 

@@ -266,11 +266,20 @@ def loads(text: str, conductor: int | None = None) -> tuple[FinHopf, dict | None
     return from_obj(_json(text), conductor)
 
 
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path`; ParseError if it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_obj(path: str):
     """The JSON value of a .hopf file, neither checked nor verified: that is
     `from_obj`'s work.  The file text is freed when this returns."""
-    with open(path, encoding="utf-8") as fh:
-        return _json(fh.read())
+    return _json(read_text(path))
 
 
 def import_hopf(path: str, conductor: int | None = None) -> tuple[FinHopf, dict | None]:

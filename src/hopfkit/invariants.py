@@ -56,9 +56,9 @@ from .hopf import (FinHopf, HopfMorphism, coinvariants, skew_primitive_map,
                    verify_morphism)
 from .linalg import (Subspace, algebra_radical, apply_columns,
                      apply_tensor_columns, center, commutative_quotient_dim,
-                     compose_columns, identity_columns, intersect_kernels,
-                     quotient_by_radical, ratio, sparse_add_into, sparse_dot,
-                     sparse_sub)
+                     compose_columns, functional_leg, identity_columns,
+                     intersect_kernels, quotient_by_radical, ratio,
+                     sparse_add_into, sparse_dot, sparse_sub, zero_free)
 
 # -- integrals and modular elements ---------------------------------------------
 
@@ -167,15 +167,15 @@ def radford_s4_check(H: FinHopf) -> bool:
     mod = modular_elements(H)
     alpha = mod.alpha
     # alpha^{-1} = alpha o S (convolution inverse of a character)
-    alpha_inv = [sparse_dot(col, alpha, H.conductor) for col in H.antipode]
+    alpha_inv = zero_free({j: sparse_dot(col, alpha, H.conductor)
+                           for j, col in enumerate(H.antipode)})
     g = mod.g
     g_inv = H.antipode_of(g)  # S(g) g = eps(g) 1 = 1
     S2 = compose_columns(H.antipode, H.antipode)
     for i, lhs in enumerate(compose_columns(S2, S2)):
-        mid: dict = {}
-        for (a, b, c), coef in H.delta2(i):
-            if c in alpha and not alpha_inv[a].is_zero():
-                sparse_add_into(mid, b, coef * (alpha_inv[a] * alpha[c]))
+        # alpha -> e_i <- alpha^{-1} = (alpha^{-1} (x) id)Delta((id (x) alpha)Delta(e_i))
+        mid = functional_leg(alpha_inv, H.comult_of(
+            functional_leg(alpha, dict(H.crows[i]), 1)), 0)
         if lhs != H.mul(g, H.mul(mid, g_inv)):
             return False
     return True
@@ -195,6 +195,7 @@ def trace_formula_check(H: FinHopf, f):
     zero, one = CycloNum.zero(M), CycloNum.one(M)
     t0 = sum((col.get(j, zero) for j, col in enumerate(f)), zero)
     t1 = t2 = zero
+    # by hand, not `contract`: lambda reads only the product terms on supp(lambda)
     for (a, b), c in dL.items():
         acc = zero
         for k, d in H.mul(H.antipode[b], f[a]).items():
@@ -422,6 +423,7 @@ def _left_columns(H: FinHopf, x: dict, K) -> list[dict]:
     cols[j] = {k: (x e_j)_k for k in K}."""
     Kset, mrows = set(K), H.mrows
     cols: list[dict] = [{} for _ in range(H.dim)]
+    # by hand, not `mult_vectors`: only the coordinates in K are formed
     for i, xi in x.items():
         for col, cell in zip(cols, mrows[i]):
             for k, c in cell:

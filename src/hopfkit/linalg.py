@@ -6,6 +6,11 @@ representations.  Pivoting is always by first nonzero entry (no magnitude
 comparisons), which keeps every computation deterministic.  Dense lists
 appear only where data arrives or leaves in that form: the `.hopf` file
 format and the command line (the dense-boundary helpers).
+
+A sparse 2-tensor X = {(a, b): coef} (a coproduct Delta(e_i), an R-matrix)
+is acted on leg by leg by three kernels: `coproduct_leg` gives
+(Delta (x) id)X or (id (x) Delta)X, `functional_leg` gives (f (x) id)X or
+(id (x) f)X, and `contract` gives m(A (x) B)X.
 """
 
 from __future__ import annotations
@@ -372,6 +377,41 @@ def coproduct(crows, v: dict) -> dict:
     for i, c in v.items():
         for jk, d in crows[i]:
             sparse_add_into(out, jk, c * d)
+    return out
+
+
+# -- the legs of a sparse 2-tensor X = {(a, b): coef} ----------------------------
+
+def coproduct_leg(crows, X: dict, leg: int) -> dict:
+    """(Delta (x) id)X for leg 0, (id (x) Delta)X for leg 1, as a sparse
+    3-tensor {(x, y, z): coef}; Delta given by comult rows."""
+    out: dict = {}
+    for (a, b), c in X.items():
+        for (j, k), d in crows[b if leg else a]:
+            sparse_add_into(out, (a, j, k) if leg else (j, k, b), c * d)
+    return out
+
+
+def functional_leg(f: dict, X: dict, leg: int) -> dict:
+    """(f (x) id)X for leg 0, (id (x) f)X for leg 1, for a sparse functional
+    f {index: coef}."""
+    out: dict = {}
+    for (a, b), c in X.items():
+        if leg:
+            a, b = b, a
+        d = f.get(a)
+        if d is not None:
+            sparse_add_into(out, b, c * d)
+    return out
+
+
+def contract(mrows, A: list[dict], B: list[dict], X: dict) -> dict:
+    """m(A (x) B)X = sum c A(e_a) B(e_b) over the terms c e_a (x) e_b of X,
+    for linear maps A and B given by their sparse columns."""
+    out: dict = {}
+    for (a, b), c in X.items():
+        for k, d in mult_vectors(mrows, A[a], B[b]).items():
+            sparse_add_into(out, k, c * d)
     return out
 
 

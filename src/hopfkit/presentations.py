@@ -321,6 +321,25 @@ def _int_root(a: int, e: int) -> int | None:
         r = y
 
 
+def _root(rho: CycloNum, e: int) -> CycloNum | None:
+    """An s with s^e = rho: rho itself when e = 1 or rho = 1, else the first
+    s = q w, for the rational q > 0 and a root of unity w = +-zeta_M^k, or
+    None when there is no such s.  Every +-zeta_M^j has content 1 (a
+    rational dividing a unit of Z[zeta_M] is +-1), so the scale of s^e = rho
+    is +-q^e, and q is its e-th root."""
+    if e == 1 or rho.is_one():
+        return rho
+    M = rho.M
+    a, b = _int_root(abs(rho.k), e), _int_root(rho.den, e)
+    if a and b:
+        q = CycloNum.from_rational(M, a) / CycloNum.from_rational(M, b)
+        for kk in range(2 * M):
+            s = q * (CycloNum.zeta(M, kk) if kk < M else -CycloNum.zeta(M, kk - M))
+            if s ** e == rho:
+                return s
+    return None
+
+
 def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
     """Search for a bijective Hopf map source -> target on generator images.
 
@@ -351,12 +370,8 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
             acc = target.mul(acc, v)
         return acc
 
-    def order_divides(v: dict, N: int) -> bool:
-        return power(v, N) == target.unit
-
-    gl_candidates = []
-    for g in spec.group_gens:
-        gl_candidates.append([v for v in glikes if order_divides(v, g.order)])
+    gl_candidates = [[v for v in glikes if power(v, g.order) == target.unit]
+                     for g in spec.group_gens]
 
     for phi_g in product(*gl_candidates):
         def ev_group(w) -> dict:
@@ -374,7 +389,6 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
             return t
 
         images_x = []
-        feasible = True
         for i, x in enumerate(spec.skew_gens):
             U = ev_group(spec.gmod(x.u))
             V = ev_group(spec.gmod(x.v))
@@ -389,73 +403,43 @@ def find_embedding(source: FinHopf, target: FinHopf) -> HopfMorphism:
                            for b in range(n)]
             sol = intersect_kernels(maps(), n, M)
             if sol.dim == 0:
-                feasible = False
                 break
             images_x.append(sol.basis[0])
-        if not feasible:
+        if len(images_x) < len(spec.skew_gens):
             continue
 
-        # inhomogeneous relations pin relative scalars of the skew images:
-        # x_j x_i = theta x_i x_j + corr forces s_j s_i (c_j c_i - theta c_i c_j)
-        # = phi(corr); rescale c_j (keeping s_i = 1) when proportional
-        ok_scale = True
-        for (j, i), cor in spec.corr.items():
-            t = ev_element(cor)
-            th = spec.theta_x.get((j, i), one)
-            diff = sparse_sub(target.mul(images_x[j], images_x[i]),
-                              target.mul(images_x[i], images_x[j]), th)
-            if not diff and not t:
+        # inhomogeneous relations, in order, each pin the scalar s of one
+        # skew image by s^e = rho, where phi(P) = rho lhs: x_j x_i = theta
+        # x_i x_j + corr gives s_j (c_j c_i - theta c_i c_j) = phi(corr)
+        # (e = 1, keeping s_i = 1), and x_i^e = P gives s^e c_i^e = phi(P)
+        def relations():
+            for (j, i), cor in spec.corr.items():
+                th = spec.theta_x.get((j, i), one)
+                yield j, 1, ev_element(cor), sparse_sub(
+                    target.mul(images_x[j], images_x[i]),
+                    target.mul(images_x[i], images_x[j]), th)
+            for i, x in enumerate(spec.skew_gens):
+                yield i, x.power_exp, ev_element(x.power_value), power(
+                    images_x[i], x.power_exp)
+
+        for i, e, t, lhs in relations():
+            if not t and not lhs:
                 continue
-            rho = ratio(diff, t) if diff and t else None
-            if rho is None:
-                ok_scale = False
+            rho = ratio(lhs, t) if lhs and t else None
+            s = None if rho is None else _root(rho, e)
+            if s is None:
                 break
-            images_x[j] = {k: rho * v for k, v in images_x[j].items()}
-        if not ok_scale:
-            continue
-        # inhomogeneous power values: s^e c^e = phi(P), tried with s = q w
-        # for a root of unity w = +-zeta_M^k and a rational q > 0.  Every
-        # +-zeta_M^j has content 1 (a rational dividing a unit of Z[zeta_M]
-        # is +-1), so the scale of s^e = rho is +-q^e, and q is its e-th root
-        for i, x in enumerate(spec.skew_gens):
-            e = x.power_exp
-            t = ev_element(x.power_value)
-            ce = target.unit
-            for _ in range(e):
-                ce = target.mul(ce, images_x[i])
-            if not t and not ce:
-                continue
-            rho = ratio(ce, t) if ce and t else None
-            if rho is None:
-                ok_scale = False
-                break
-            if not rho.is_one():
-                s = None
-                a, b = _int_root(abs(rho.k), e), _int_root(rho.den, e)
-                if a and b:
-                    q = CycloNum.from_rational(M, a) / CycloNum.from_rational(M, b)
-                    for kk in range(2 * M):
-                        cand = q * (CycloNum.zeta(M, kk) if kk < M
-                                    else -CycloNum.zeta(M, kk - M))
-                        if cand ** e == rho:
-                            s = cand
-                            break
-                if s is None:
-                    ok_scale = False
-                    break
+            if not s.is_one():
                 images_x[i] = {k: s * v for k, v in images_x[i].items()}
-        if not ok_scale:
-            continue
-
-        cols = []  # f(e_a) = f(x_k) f(e_a'), f(g^c) = phi(g)^c
-        for (_, c), word in zip(monos, words):
-            cols.append(ev_group(c) if word is None else
-                        target.mul(images_x[word[0]], cols[word[1]]))
-        f = HopfMorphism(source, target, cols)
-        if f.rank != source.dim:
-            continue
-        rep = verify_morphism(f)
-        if rep.ok and rep.bijective:
-            return f
+        else:
+            cols = []  # f(e_a) = f(x_k) f(e_a'), f(g^c) = phi(g)^c
+            for (_, c), word in zip(monos, words):
+                cols.append(ev_group(c) if word is None else
+                            target.mul(images_x[word[0]], cols[word[1]]))
+            f = HopfMorphism(source, target, cols)
+            if f.rank == source.dim:
+                rep = verify_morphism(f)
+                if rep.ok and rep.bijective:
+                    return f
     raise NoEmbeddingFound(
         f"no generator-image Hopf map {source.label} -> {target.label} found")

@@ -856,6 +856,38 @@ def test_quotient_generator_file_not_json_exit_2(tmp_path, capsys):
     assert not (tmp_path / "q.hopf").exists()
 
 
+def test_non_utf8_files_exit_2(tmp_path, capsys):
+    # a .hopf file and a quotient generator file that are not UTF-8 text
+    f, bad = str(tmp_path / "t.hopf"), tmp_path / "bad.hopf"
+    assert run(["construct", "taft", "--out", f], capsys)[0] == 0
+    bad.write_bytes(b"\xff\xfe{}")
+    for argv in (["import", str(bad)], ["quotient", f, str(bad)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def test_out_of_range_p_or_conductor_exit_2_at_once(capsys):
+    # each refused before a group or a field context is built: a p-th root
+    # of unity needs p <= M <= 1024
+    import time
+    for argv, msg in (
+            (["construct", "group_algebra", "--group", "z27", "--p", "31"],
+             "conductor 29791 exceeds 1024"),
+            (["papercheck", "typetable", "--p", "37"],
+             "conductor 50653 exceeds 1024"),
+            (["papercheck", "spectra", "--p", "1000000000000000003"],
+             "p must be at most 1024, got 1000000000000000003"),
+            (["construct", "taft", "--p", "37"],
+             "conductor 1369 exceeds 1024")):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {msg}\n", argv
+
+
 def test_report_section_precedence(tmp_path, capsys):
     # one section is printed: the first flag set among --qt, --integrals,
     # --coradical and --census, else all of them

@@ -27,6 +27,15 @@ def test_group_orders_and_exponents():
                for a in G.elements for b in G.elements)
 
 
+def test_group_table_exponents_match_the_groups():
+    # default_conductor and the conductor check read the table, never a group
+    from hopfkit.constructors import _GROUPS, default_conductor
+    for p in (3, 5):
+        for token, (build, k) in _GROUPS.items():
+            assert build(p).exponent == p ** k, (token, p)
+            assert default_conductor("group_algebra", p, token) == p ** max(2, k)
+
+
 def test_bad_parameters():
     with pytest.raises(BadParameter):
         standard_constructors("uq_sl2", 4, 1)

@@ -215,6 +215,20 @@ def test_find_embedding_rescales_by_a_rational_times_a_root_of_unity():
     assert rep.ok and rep.bijective
 
 
+def test_find_embedding_pins_a_scale_through_the_corr_relation(uq3):
+    # u_q(sl2) into its copy in the basis e'(x^a y^b g^c) = 2^a 3^b x^a y^b g^c:
+    # yx = xy - (g - g^-1) holds for the solved images only after the image
+    # of y is rescaled by the ratio of the two sides, a rational here
+    from hopfkit.hopf import verify_morphism
+    two, three = CycloNum.from_rational(M, 2), CycloNum.from_rational(M, 3)
+    target = _rescaled(uq3, [two ** a * three ** b
+                             for (a, b), _ in uq3.monomials])
+    assert verify_hopf(target).ok
+    f = find_embedding(uq3, target)
+    rep = verify_morphism(f)
+    assert rep.ok and rep.bijective and f.rank == 27
+
+
 def test_taft_self_duality_explicit_iso(taft3):
     from hopfkit.hopf import dual, verify_morphism
     f = find_embedding(taft3, dual(taft3))

@@ -46,6 +46,15 @@ def dense_order(powers):
     return next(k for k, P in enumerate(powers, 1) if mat_eq(P, ident))
 
 
+def delta2(H, i):
+    """(Delta (x) id)Delta(e_i) as {(a, b, c): coef}, by its own loop."""
+    acc: dict = {}
+    for (j, k), c in H.crows[i]:
+        for (a, b), d in H.crows[j]:
+            sparse_add_into(acc, (a, b, k), c * d)
+    return acc
+
+
 def dense_radford(H, S4):
     """S^4(h) = g (alpha -> h <- alpha^{-1}) g^{-1}, with a dense S and S^4."""
     n = H.dim
@@ -65,7 +74,7 @@ def dense_radford(H, S4):
         g_inv, power = power, H.mul(power, g)
     for i in range(n):
         mid: dict = {}
-        for (a, b, c), coef in H.delta2(i):
+        for (a, b, c), coef in delta2(H, i).items():
             w = alpha_inv[a] * alpha[c]
             if not w.is_zero():
                 sparse_add_into(mid, b, coef * w)

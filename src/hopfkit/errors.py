@@ -119,10 +119,6 @@ class NoEmbeddingFound(HopfkitError):
 
 # -- quasitriangular ----------------------------------------------------------
 
-class IdentityFails(HopfkitError):
-    pass
-
-
 class FixtureRejected(HopfkitError):
     pass
 

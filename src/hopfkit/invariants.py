@@ -144,6 +144,16 @@ def modular_elements(H: FinHopf) -> ModularData:
 
 
 def _modular_elements(H: FinHopf) -> ModularData:
+    """alpha and g, read from the integrals; both are group-like without a check.
+
+    `_proportionalities` finds Lambda e_j = alpha_j Lambda for every j, so
+    Lambda a = alpha(a) Lambda for every a, by linearity.  Then
+    alpha(ab) Lambda = Lambda (ab) = (Lambda a) b = alpha(a) alpha(b) Lambda,
+    and Lambda != 0, so alpha is multiplicative, and alpha(1) = 1 since
+    Lambda 1 = Lambda: alpha is an algebra map H -> k, a group-like of H*.
+    In the same way beta lambda = beta(g) lambda for every beta in H* makes
+    g an algebra map H* -> k, that is, a group-like of H.
+    """
     n, M = H.dim, H.conductor
     integ = integrals(H)
     Lam, lam = integ.left_integral, integ.right_integral_dual
@@ -151,10 +161,6 @@ def _modular_elements(H: FinHopf) -> ModularData:
     alpha = _proportionalities(Lam, (H.mul(Lam, {j: one}) for j in range(n)))
     D = H.dual_cached()
     g = _proportionalities(lam, (D.mul({j: one}, lam) for j in range(n)))
-    if not D.is_grouplike(alpha):
-        raise ExtractionInconsistent("modular alpha is not an algebra character")
-    if not H.is_grouplike(g):
-        raise ExtractionInconsistent("modular g is not group-like")
     return ModularData(alpha, g)
 
 
@@ -252,7 +258,6 @@ class CoradicalReport(Record):
     __slots__ = (
         "filtration_dims",      # tuple[int, ...]
         "H0_dim",
-        "grouplike_span_dim",
         "blocks",
         "one_dim_blocks",
         "candidate_multisets",  # tuple[tuple[int, ...], ...]
@@ -284,7 +289,7 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     `CoradicalReport`), not of its dual.  The 1x1 blocks are the characters
     of H*, the number `grouplike_census` certifies against.
     """
-    n, M = H.dim, H.conductor
+    M = H.conductor
     spaces = coradical_spaces(H)
     dims = tuple(s.dim for s in spaces)
     H0 = spaces[0]
@@ -294,14 +299,13 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
     ones = D.character_count
 
     verified = H.verified_grouplikes
-    gl_span = Subspace.from_vectors(n, M, verified)
     if H.claims.grouplikes and ones > len(verified):
         raise FieldTooSmall(
             f"{ones} one-dimensional blocks but only {len(verified)} verified "
             "group-likes: nonsplit field factor or missing claims")
 
     cands = tuple(_square_partitions(H0.dim - ones, blocks - ones))
-    return CoradicalReport(dims, H0.dim, gl_span.dim, blocks, ones, cands)
+    return CoradicalReport(dims, H0.dim, blocks, ones, cands)
 
 
 def _square_partitions(total: int, parts: int, lo: int = 2):
@@ -323,7 +327,6 @@ def _square_partitions(total: int, parts: int, lo: int = 2):
 class CensusResult(Record):
     __slots__ = (
         "elements",           # sparse vectors, in claim order
-        "certificate",        # int
         "abelian",            # bool
         "invariant_factors",  # tuple[int, ...] | None
         "orders",             # tuple[int, ...]
@@ -399,7 +402,7 @@ def _grouplike_census(H: FinHopf) -> CensusResult:
             k += 1
         orders.append(k)
     invf = _abelian_invariants(tuple(orders)) if abelian else None
-    return CensusResult(S, m, abelian, invf, tuple(orders))
+    return CensusResult(S, abelian, invf, tuple(orders))
 
 
 def _separating_coordinates(S, zero) -> list[int]:

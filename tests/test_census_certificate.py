@@ -109,7 +109,7 @@ def oracle_census(H):
             k += 1
         orders.append(k)
     invf = _abelian_invariants(tuple(orders)) if abelian else None
-    return CensusResult(tuple(distinct.values()), m, abelian, invf, tuple(orders))
+    return CensusResult(tuple(distinct.values()), abelian, invf, tuple(orders))
 
 
 def with_claims(H, grouplikes, label):

@@ -81,6 +81,21 @@ def test_qt_pipeline(tmp_path, capsys):
     assert "ribbon_count=1" in out and "drinfeld_identities=clean" in out
 
 
+@pytest.mark.slow
+def test_qt_pipeline_p5(tmp_path, capsys):
+    f = str(tmp_path / "uq5.hopf")
+    code, _ = run(["construct", "uq_sl2", "--p", "5", "--rmatrix",
+                   "uq_standard", "--out", f], capsys)
+    assert code == 0
+    code, out = run(["qt-verify", f], capsys)
+    assert code == 0 and out.splitlines()[-1] == "minimal=yes"
+    code, out = run(["ribbon", f], capsys)
+    assert code == 0 and out.splitlines()[0] == "ribbon_count=1"
+    code, out = run(["report", f, "--qt", f], capsys)
+    assert code == 0 and "drinfeld_identities=clean" in out.splitlines()
+    assert out.splitlines()[-1] == "ribbon_count=1"
+
+
 def _uq_with_rmatrix(tmp_path, capsys):
     f = str(tmp_path / "uq.hopf")
     code, _ = run(["construct", "uq_sl2", "--rmatrix", "uq_standard",

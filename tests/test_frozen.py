@@ -115,10 +115,10 @@ RECORDS = {
     ("presentations", "GroupGen"): ("name", "order"),
     ("presentations", "SkewGen"): ("name", "power_exp", "power_value", "u", "v"),
     ("invariants", "CoradicalReport"): (
-        "filtration_dims", "H0_dim", "grouplike_span_dim", "blocks",
-        "one_dim_blocks", "candidate_multisets"),
+        "filtration_dims", "H0_dim", "blocks", "one_dim_blocks",
+        "candidate_multisets"),
     ("invariants", "CensusResult"): (
-        "elements", "certificate", "abelian", "invariant_factors", "orders"),
+        "elements", "abelian", "invariant_factors", "orders"),
     ("invariants", "Fingerprint"): (
         "dim", "g_order", "g_dual_order", "g_type", "g_dual_type",
         "antipode_order", "trace_s2", "coradical_dims", "pointed",

@@ -13,6 +13,10 @@ p = 3 corpus and its duals, on D(taft) and on a relabelled, rescaled
 D(taft); every claimed group-like and character, perturbed in one
 coordinate, must be rejected by both.  A field-multiplication budget pins
 the work.
+
+The modular elements alpha and g are group-like without a check (proof in
+`invariants._modular_elements`); the full Delta(v) = v (x) v oracle
+confirms it on the p = 3 corpus, its duals and D(taft).
 """
 
 from test_census_certificate import relabel
@@ -21,6 +25,7 @@ from hopfkit.constructors import group_algebra
 from hopfkit.cyclo import CycloNum
 from hopfkit.groups import cyclic
 from hopfkit.hopf import verify_hopf
+from hopfkit.invariants import modular_elements
 from hopfkit.linalg import (EchelonBasis, center, commutative_quotient_dim,
                             coproduct, kernel, mult_vectors, outer,
                             sparse_add_into, sparse_dot)
@@ -148,3 +153,12 @@ def test_generator_work_budget(monkeypatch):
         n[0] = 0
         assert A.character_count == 27
         assert n[0] <= budget, (A.label, n[0])
+
+
+def test_modular_elements_are_grouplike(corpus3, double_taft):
+    algebras = [A for H in corpus3.values() for A in (H, H.dual_cached())]
+    for A in algebras + [double_taft]:
+        mod = modular_elements(A)
+        # alpha is a character of A, i.e. a group-like of A*
+        assert oracle_is_grouplike(A.dual_cached(), mod.alpha), A.label
+        assert oracle_is_grouplike(A, mod.g), A.label

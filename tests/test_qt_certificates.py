@@ -1,12 +1,12 @@
-"""The entries that verify_qt and ribbon_search read from proofs, against
-the direct checks they replace.
+"""The entries that verify_qt, drinfeld_element and ribbon_search read from
+proofs, against the direct checks they replace.
 
 The oracles are those direct checks: the sub-Hopf sweep of K = im f_R and
-L = im f_R~, the QT.4 and QT.5 loops, and the ribbon axioms R.3 and R.4.
-They run on every verified R-matrix of the session fixtures: the
-bicharacters on k[Z/3] and k[Z/3 x Z/3], the standard R on u_q(sl2),
-R = 1 (x) 1 on the corpus group algebras, and the canonical R on D(k[Z/3])
-and D(T(q)).
+L = im f_R~, the QT.4 and QT.5 loops, the ribbon axioms R.3 and R.4, and
+the seven identities of the Drinfeld element u = S(R2) R1.  They run on
+every verified R-matrix of the session fixtures: the bicharacters on k[Z/3]
+and k[Z/3 x Z/3], the standard R on u_q(sl2), R = 1 (x) 1 on the corpus
+group algebras, and the canonical R on D(k[Z/3]) and D(T(q)).
 """
 
 import pytest
@@ -15,8 +15,9 @@ from hopfkit.constructors import (GROUP_TOKENS, drinfeld_double, group_algebra,
                                   standard_constructors)
 from hopfkit.groups import cyclic
 from hopfkit.invariants import grouplike_census
-from hopfkit.linalg import (apply_tensor_columns, identity_columns, outer,
-                            sparse_add_into, zero_free)
+from hopfkit.cyclo import CycloNum
+from hopfkit.linalg import (apply_tensor_columns, compose_columns,
+                            identity_columns, outer, sparse_add_into, zero_free)
 from hopfkit.quasitriangular import drinfeld_element, ribbon_search, verify_qt
 from test_quasitriangular import M, _canonical_double_r, f_r_entry_inputs
 
@@ -67,6 +68,26 @@ def qt5_holds(H, R):
     return acc == H.unit
 
 
+def drinfeld_identities(H, R, u, u_inv):
+    """[(name, holds)] for the identities of u = S(R2) R1 and the given
+    u^{-1}, each swept directly, in `drinfeld_element`'s order."""
+    one = CycloNum.one(H.conductor)
+    S2 = compose_columns(H.antipode, H.antipode)
+    RtR = H.tensor_mul({(b, a): c for (a, b), c in R.items()}, R)
+    du, uu = H.comult_of(u), outer(u, u)
+    return [
+        ("u_invertible", H.mul(u, u_inv) == H.unit == H.mul(u_inv, u)),
+        ("S2_inner_by_u", all(S2[h] == H.mul(u, H.mul({h: one}, u_inv))
+                              for h in range(H.dim))),
+        ("eps_u_is_1", H.counit_of(u).is_one()),
+        ("Delta_u_left", H.tensor_mul(RtR, du) == uu),
+        ("Delta_u_right", H.tensor_mul(du, RtR) == uu),
+        ("uSu_central", H.is_central(H.mul(u, H.antipode_of(u)))),
+        ("u_commutes_with_grouplikes", all(
+            H.mul(u, g) == H.mul(g, u) for g in H.verified_grouplikes)),
+    ]
+
+
 def ribbon_sweep(rm):
     """(ribbon elements, failures) of the full R.1-R.5 sweep over the
     candidates S(l) u, each failure naming the candidate's first failing axiom."""
@@ -112,12 +133,28 @@ def test_k_and_l_are_sub_hopf(verified):
         assert rm.K.dim == rm.L.dim == rm.rank
 
 
+def test_drinfeld_entries_match_the_direct_identities(verified):
+    for rm in verified:
+        H = rm.host
+        R = rm.r_dict()
+        one = CycloNum.one(H.conductor)
+        u = {}  # S(R2) R1, term by term
+        for (a, b), c in R.items():
+            for k, d in H.mul(H.antipode_of({b: c}), {a: one}).items():
+                sparse_add_into(u, k, d)
+        dr = drinfeld_element(rm)
+        assert dr.u == rm.u == u, H.label
+        identities = drinfeld_identities(H, R, u, dr.u_inv)
+        assert [(c.name, c.ok) for c in dr.checks] == identities, H.label
+        assert all(holds for _, holds in identities), H.label
+
+
 def test_ribbon_search_matches_the_full_axiom_sweep(verified):
     # every candidate satisfies R.3 and R.4, those failing R.1 included, so
-    # the search that skips them names the same first failing axiom
+    # the search that skips them names the same first failing axiom; R.4
+    # rests on Delta u = (R21 R)^{-1} (u (x) u), swept by the test above
     r1_failures = 0
     for rm in verified:
-        assert drinfeld_element(rm).ok  # Delta u = (R21 R)^{-1} (u (x) u)
         ribbons, fails = ribbon_sweep(rm)
         assert all(axiom in ("R.1", "R.2", "R.5") for _, axiom in fails)
         r1_failures += sum(axiom == "R.1" for _, axiom in fails)

@@ -13,9 +13,9 @@ import pytest
 
 from hopfkit.constructors import (GROUP_TOKENS, drinfeld_double, group_algebra,
                                   standard_constructors)
+from hopfkit.cyclo import CycloNum
 from hopfkit.groups import cyclic
 from hopfkit.invariants import grouplike_census
-from hopfkit.cyclo import CycloNum
 from hopfkit.linalg import (apply_tensor_columns, compose_columns,
                             identity_columns, outer, sparse_add_into, zero_free)
 from hopfkit.quasitriangular import drinfeld_element, ribbon_search, verify_qt

@@ -15,13 +15,14 @@ algebra-map sweep of `hopf.algebra_map_failure`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 from math import lcm
 
 from .cyclo import MAX_CONDUCTOR, CycloNum
 from .errors import (BadParameter, CocycleConditionFails,
                      DimensionGateExceeded, WeakActionAxiomFails)
 from .groups import FiniteGroup, abelian, cyclic, heisenberg, semidirect_p2_p
+from .hopffile import MAX_DIM
 from .hopf import (ClaimSet, FinHopf, algebra_map_failure,
                    associativity_failure, is_grouplike, tensor, verify_hopf)
 from .linalg import (SparseTensor3, apply_columns, coproduct_leg,
@@ -149,20 +150,21 @@ SMALL_GROUP_TOKENS = ("z3", "z9", "z3xz3")
 
 
 _GROUPS = {
-    "z27": (lambda p: cyclic(p ** 3), 3),
-    "z9xz3": (lambda p: abelian(p * p, p), 2),
-    "z3xz3xz3": (lambda p: abelian(p, p, p), 1),
-    "heis": (heisenberg, 1),
-    "z9sz3": (semidirect_p2_p, 2),
-    "z3": (cyclic, 1),
-    "z9": (lambda p: cyclic(p * p), 2),
-    "z3xz3": (lambda p: abelian(p, p), 1),
+    "z27": (lambda p: cyclic(p ** 3), 3, 3),
+    "z9xz3": (lambda p: abelian(p * p, p), 2, 3),
+    "z3xz3xz3": (lambda p: abelian(p, p, p), 1, 3),
+    "heis": (heisenberg, 1, 3),
+    "z9sz3": (semidirect_p2_p, 2, 3),
+    "z3": (cyclic, 1, 1),
+    "z9": (lambda p: cyclic(p * p), 2, 2),
+    "z3xz3": (lambda p: abelian(p, p), 1, 2),
 }
 
 
 def _group_by_token(token: str):
-    """(builder of the group at p, its exponent as a power of p) of a group
-    token, so that a conductor is checked before any group is built."""
+    """(builder of the group at p, its exponent as a power of p, its order
+    as a power of p) of a group token, so that a conductor and a dimension
+    are checked before any group is built."""
     if token not in _GROUPS:
         raise BadParameter(f"unknown group token {token!r}; use one of "
                            f"{GROUP_TOKENS + SMALL_GROUP_TOKENS}")
@@ -176,6 +178,20 @@ def default_conductor(name: str, p: int, group: str | None = None) -> int:
     return base
 
 
+def member_dim(name: str, p: int, group: str | None = None) -> int:
+    """The dimension of a corpus member, read from its group token or its
+    family, never from a build: |G| for k[G] and k^G, p^2 for taft, and p^3
+    for every other family."""
+    if name in ("group_algebra", "dual_group_algebra") and group is not None:
+        return p ** _group_by_token(group)[2]
+    return p * p if name == "taft" else p ** 3
+
+
+# (name, p, e, m, root, group, conductor) -> FinHopf.  A plain dict, so that
+# `sweep_corpus` can drop the entries that a family added.
+_CACHE: dict = {}
+
+
 def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
                           root: int = 0, group: str | None = None,
                           conductor: int | None = None) -> FinHopf:
@@ -187,21 +203,30 @@ def standard_constructors(name: str, p: int = 3, e: int = 1, m: int = 1,
     conductor returns the same object as omitting it.  A dual member is the
     `dual_cached()` of its base (certified by transposition, see `dual`).
     The book and ttilde members compute their `iso_fixtures` on first read.
+    A member above the .hopf file limit of `MAX_DIM` is refused before
+    anything is built.
     """
     _check_odd_prime(p)
     if conductor is None:
         conductor = default_conductor(name, p, group)
     if conductor > MAX_CONDUCTOR:
         raise BadParameter(f"conductor {conductor} exceeds {MAX_CONDUCTOR}")
-    return _build(name, p, e, m, root, group, conductor)
+    dim = member_dim(name, p, group)
+    if dim > MAX_DIM:
+        raise BadParameter(f"dim {dim} of {name} at p = {p} exceeds the "
+                           f".hopf file limit {MAX_DIM}")
+    key = (name, p, e, m, root, group, conductor)
+    H = _CACHE.get(key)
+    if H is None:
+        H = _CACHE[key] = _build(*key)
+    return H
 
 
-@lru_cache(maxsize=None)
 def _build(name, p, e, m, root, group, M) -> FinHopf:
     if name == "group_algebra":
         if group is None:
             raise BadParameter("group_algebra needs a group token")
-        build, k = _group_by_token(group)
+        build, k, _ = _group_by_token(group)
         if M % p ** k != 0:
             raise BadParameter(
                 f"conductor {M} too small for k[{build(p).label}] "
@@ -220,10 +245,8 @@ def _build(name, p, e, m, root, group, M) -> FinHopf:
         T = standard_constructors("taft", p, e, conductor=M)
         return tensor(T, group_algebra(cyclic(p), M), f"taft_tensor(p={p},e={e})")
     if name == "ttilde":
-        # the fixture functions run on first read, when H is bound
-        H = build_from_presentation(ttilde_spec(p, e, root, M),
-                                    lambda: _ttilde_fixtures(H, p, e, root, M))
-        return H
+        return _with_fixtures(ttilde_spec(p, e, root, M), _ttilde_fixtures,
+                              p, e, root, M)
     if name == "that":
         return build_from_presentation(that_spec(p, e, M))
     if name == "r":
@@ -231,13 +254,23 @@ def _build(name, p, e, m, root, group, M) -> FinHopf:
     if name == "uq_sl2":
         return build_from_presentation(uq_sl2_spec(p, e, M))
     if name == "book":
-        H = build_from_presentation(book_spec(p, e, m, M),
-                                    lambda: _book_fixtures(H, p, e, m, M))
-        return H
+        return _with_fixtures(book_spec(p, e, m, M), _book_fixtures,
+                              p, e, m, M)
     if name in ("dual_uq_sl2", "dual_r"):
         return standard_constructors(name[len("dual_"):], p, e,
                                      conductor=M).dual_cached()
     raise BadParameter(f"unknown constructor {name!r}")
+
+
+def _with_fixtures(spec: PresentationSpec, fixtures, *args) -> FinHopf:
+    """The presented algebra H whose `iso_fixtures` are fixtures(H, *args),
+    run on first read.  The fixture function holds H by a weak reference
+    bound after the build, so H is in no reference cycle, and a member
+    dropped from the cache is freed by reference counting alone."""
+    ref = None
+    H = build_from_presentation(spec, lambda: fixtures(ref(), *args))
+    ref = weakref.ref(H)
+    return H
 
 
 def _book_fixtures(H: FinHopf, p, e, m, M) -> tuple:
@@ -278,25 +311,53 @@ def resolve_fixture_target(key, conductor: int | None = None) -> FinHopf:
     raise BadParameter(f"unknown fixture target {key!r}")
 
 
+def _corpus_members(p: int, e: int) -> list[tuple]:
+    """The `standard_constructors` arguments of every corpus member, in
+    corpus order."""
+    return ([("group_algebra", p, 1, 1, 0, t) for t in GROUP_TOKENS]
+            + [("dual_group_algebra", p, 1, 1, 0, t) for t in ("heis", "z9sz3")]
+            + [(name, p, e) for name in ("taft", "taft_tensor", "ttilde",
+                                         "that", "r", "uq_sl2")]
+            + [("book", p, e, m) for m in range(1, p)]
+            + [("dual_uq_sl2", p, e), ("dual_r", p, e)])
+
+
+# a dual member goes with its base, and taft_tensor with the taft it is
+# built from; every other member is a family of its own
+_FAMILY_HEAD = {"dual_group_algebra": "group_algebra", "dual_uq_sl2": "uq_sl2",
+                "dual_r": "r", "taft_tensor": "taft"}
+
+
+def sweep_corpus(visit, p: int = 3, e: int = 1,
+                 release: bool = True) -> list:
+    """[visit(H) for H in corpus(p, e).values()], built and visited one
+    family at a time, in the order of each family's first member.
+
+    With `release`, the constructor cache entries that a family added are
+    dropped before the next family is built, so only what `visit` returns
+    outlives the family.  A member that was cached before the walk stays,
+    so `standard_constructors` still returns the same object to every
+    other caller."""
+    members = _corpus_members(p, e)
+    families: dict = {}
+    for i, args in enumerate(members):
+        head = (_FAMILY_HEAD.get(args[0], args[0]),) + args[1:]
+        families.setdefault(head, []).append(i)
+    out = [None] * len(members)
+    for family in families.values():
+        added = len(_CACHE)
+        for i in family:
+            out[i] = visit(standard_constructors(*members[i]))
+        if release:
+            for key in list(_CACHE)[added:]:
+                del _CACHE[key]
+    return out
+
+
 def corpus(p: int = 3, e: int = 1) -> dict[str, FinHopf]:
     """Every corpus algebra at the given odd prime, keyed by display name."""
-    out: dict[str, FinHopf] = {}
-    for token in GROUP_TOKENS:
-        H = standard_constructors("group_algebra", p, group=token)
-        out[H.label] = H
-    for token in ("heis", "z9sz3"):
-        H = standard_constructors("dual_group_algebra", p, group=token)
-        out[H.label] = H
-    for name in ("taft", "taft_tensor", "ttilde", "that", "r", "uq_sl2"):
-        H = standard_constructors(name, p, e)
-        out[H.label] = H
-    for m in range(1, p):
-        H = standard_constructors("book", p, e, m)
-        out[H.label] = H
-    for name in ("dual_uq_sl2", "dual_r"):
-        H = standard_constructors(name, p, e)
-        out[H.label] = H
-    return out
+    return {H.label: H
+            for H in sweep_corpus(lambda H: H, p, e, release=False)}
 
 
 # -- crossed products ------------------------------------------------------------------

@@ -134,10 +134,11 @@ def _forbidden_types(p: int):
 
 
 def type_table_sweep(p: int = 3, e: int = 1):
-    """Build the whole corpus, fingerprint it, and check every slot of the
+    """Fingerprint the whole corpus and check every slot of the
     classification table (expected types, absence of the forbidden types,
-    pointedness flags)."""
-    from .constructors import corpus
+    pointedness flags).  The corpus is walked one family at a time by
+    `sweep_corpus`, and only each member's row outlives its family."""
+    from .constructors import sweep_corpus
     p2 = p * p
     expected = {
         f"taft(p={p},e={e})": (f"{p}", f"{p}", True, None),
@@ -153,9 +154,8 @@ def type_table_sweep(p: int = 3, e: int = 1):
         expected[f"book(p={p},e={e},m={m})"] = (f"{p}", f"{p}", True, None)
 
     forbidden = _forbidden_types(p)
-    rows = []
-    ok_all = True
-    for label, H in corpus(p, e).items():
+
+    def row(H) -> SweepRow:
         fp = fingerprint(H)
         note_parts = []
         ok = True
@@ -163,7 +163,7 @@ def type_table_sweep(p: int = 3, e: int = 1):
         if pair in forbidden or (pair[1], pair[0]) in forbidden:
             ok = False
             note_parts.append("forbidden type")
-        exp = expected.get(label)
+        exp = expected.get(H.label)
         exp_type = None
         if exp is not None:
             gt, gdt, pointed, dual_pointed = exp
@@ -177,6 +177,7 @@ def type_table_sweep(p: int = 3, e: int = 1):
             if dual_pointed is not None and fp.dual_pointed != dual_pointed:
                 ok = False
                 note_parts.append("dual-pointedness mismatch")
-        ok_all = ok_all and ok
-        rows.append(SweepRow(label, fp, exp_type, ok, "; ".join(note_parts)))
-    return rows, ok_all
+        return SweepRow(H.label, fp, exp_type, ok, "; ".join(note_parts))
+
+    rows = sweep_corpus(row, p, e)
+    return rows, all(r.ok for r in rows)

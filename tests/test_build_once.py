@@ -9,7 +9,6 @@ memoised on the algebra, and each structure tensor builds its row view once.  Th
 
 import random
 import sys
-from functools import lru_cache
 
 from hopfkit import constructors, hopf, presentations
 from hopfkit.cli import main
@@ -21,6 +20,7 @@ from hopfkit.hopf import (FinHopf, dual, op_cop, quotient_by_hopf_ideal,
 from hopfkit.invariants import (characters_census, grouplike_census,
                                 integrals, modular_elements)
 from hopfkit.linalg import SparseTensor3, sparse_add_into
+from hopfkit.papercheck import type_table_sweep
 
 # verify_hopf check on H*  ->  the check on H it transposes to
 TRANSPOSED = {"associativity": "coassociativity",
@@ -131,11 +131,10 @@ def test_quotient_certificate(double_taft):
     assert Q.dim == 9 and verify_hopf(Q).ok
 
 
-def test_corpus_builds_and_verifies_each_algebra_once(monkeypatch):
-    # a fresh constructor cache, so that corpus() builds everything
-    fresh = constructors._build.__wrapped__
-    monkeypatch.setattr(constructors, "_build",
-                        lru_cache(maxsize=None)(fresh))
+def _count_builds(monkeypatch) -> dict:
+    """Counts of the verify_hopf and build_from_presentation calls made from
+    here on, with a fresh constructor cache, so that everything is built."""
+    monkeypatch.setattr(constructors, "_CACHE", {})
     calls = {"verify_hopf": 0, "build_from_presentation": 0}
 
     def counting(name, orig):
@@ -152,16 +151,29 @@ def test_corpus_builds_and_verifies_each_algebra_once(monkeypatch):
                 for attr, val in list(vars(mod).items()):
                     if val is orig:
                         monkeypatch.setattr(mod, attr, wrapped)
+    return calls
+
+
+def test_corpus_builds_and_verifies_each_algebra_once(monkeypatch):
+    calls = _count_builds(monkeypatch)
     members = corpus(3, 1)
     assert len(members) == 17
     assert calls["verify_hopf"] <= 13
     assert calls["build_from_presentation"] <= 7
 
 
+def test_sweep_builds_and_verifies_each_algebra_once(monkeypatch):
+    # releasing a family never makes a later family build it again
+    calls = _count_builds(monkeypatch)
+    rows, ok = type_table_sweep(3, 1)
+    assert ok and len(rows) == 17
+    assert calls["verify_hopf"] <= 13
+    assert calls["build_from_presentation"] <= 7
+
+
 def test_construct_builds_each_row_view_once(monkeypatch, capsys):
     # a fresh constructor cache, so that the job builds everything
-    monkeypatch.setattr(constructors, "_build", lru_cache(maxsize=None)(
-        constructors._build.__wrapped__))
+    monkeypatch.setattr(constructors, "_CACHE", {})
     orig = SparseTensor3.rows_ij
     built = []
 

@@ -885,7 +885,7 @@ def test_non_utf8_files_exit_2(tmp_path, capsys):
 
 def test_out_of_range_p_or_conductor_exit_2_at_once(capsys):
     # each refused before a group or a field context is built: a p-th root
-    # of unity needs p <= M <= 1024
+    # of unity needs p <= M <= 1024, and a member at most 4096 dimensions
     import time
     for argv, msg in (
             (["construct", "group_algebra", "--group", "z27", "--p", "31"],
@@ -895,7 +895,16 @@ def test_out_of_range_p_or_conductor_exit_2_at_once(capsys):
             (["papercheck", "spectra", "--p", "1000000000000000003"],
              "p must be at most 1024, got 1000000000000000003"),
             (["construct", "taft", "--p", "37"],
-             "conductor 1369 exceeds 1024")):
+             "conductor 1369 exceeds 1024"),
+            # these pass the conductor gate (961 or 289) and are refused by
+            # their dimension, read from the family or the group token
+            (["construct", "that", "--p", "31"],
+             "dim 29791 of that at p = 31 exceeds the .hopf file limit 4096"),
+            (["construct", "uq_sl2", "--p", "17"],
+             "dim 4913 of uq_sl2 at p = 17 exceeds the .hopf file limit 4096"),
+            (["construct", "group_algebra", "--group", "z3xz3xz3", "--p", "31"],
+             "dim 29791 of group_algebra at p = 31 exceeds the .hopf file "
+             "limit 4096")):
         start = time.perf_counter()
         assert main(argv) == 2, argv
         assert time.perf_counter() - start < 2, argv

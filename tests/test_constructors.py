@@ -28,12 +28,44 @@ def test_group_orders_and_exponents():
 
 
 def test_group_table_exponents_match_the_groups():
-    # default_conductor and the conductor check read the table, never a group
+    # default_conductor, the conductor check and the dimension gate read the
+    # table, never a group
     from hopfkit.constructors import _GROUPS, default_conductor
     for p in (3, 5):
-        for token, (build, k) in _GROUPS.items():
+        for token, (build, k, n) in _GROUPS.items():
             assert build(p).exponent == p ** k, (token, p)
+            assert build(p).order == p ** n, (token, p)
             assert default_conductor("group_algebra", p, token) == p ** max(2, k)
+
+
+def test_member_dim_matches_the_build(corpus3):
+    from hopfkit.constructors import _corpus_members, member_dim
+    for args, H in zip(_corpus_members(3, 1), corpus3.values()):
+        name, group = args[0], args[5] if len(args) > 5 else None
+        assert member_dim(name, 3, group) == H.dim, args
+    for token in ("z3", "z9", "z3xz3"):
+        H = standard_constructors("group_algebra", 3, group=token)
+        assert member_dim("group_algebra", 3, token) == H.dim, token
+
+
+def test_dimension_gate_refuses_before_building(monkeypatch):
+    # p^3 = 29791 and 17^3 = 4913 pass the conductor gate (961 and 289) but
+    # exceed the .hopf file limit of 4096
+    from hopfkit import constructors
+
+    def no_build(*args):
+        raise AssertionError(f"built {args}")
+    monkeypatch.setattr(constructors, "_build", no_build)
+    for args, kw, msg in (
+            (("that", 31), {}, "dim 29791 of that at p = 31"),
+            (("uq_sl2", 17), {}, "dim 4913 of uq_sl2 at p = 17"),
+            (("group_algebra", 31), {"group": "z3xz3xz3"},
+             "dim 29791 of group_algebra at p = 31"),
+            (("dual_group_algebra", 17), {"group": "heis"},
+             "dim 4913 of dual_group_algebra at p = 17")):
+        with pytest.raises(BadParameter) as exc:
+            standard_constructors(*args, **kw)
+        assert str(exc.value) == f"{msg} exceeds the .hopf file limit 4096"
 
 
 def test_bad_parameters():

@@ -8,7 +8,6 @@ import fractions
 import importlib
 import pathlib
 import re
-from functools import lru_cache
 
 import pytest
 
@@ -59,8 +58,7 @@ def test_assignment_raises(tmp_path, taft3, double_taft):
 
 def test_fixtures_are_built_on_first_read(monkeypatch):
     # a fresh constructor cache, so that every member is built here
-    monkeypatch.setattr(constructors, "_build",
-                        lru_cache(maxsize=None)(constructors._build.__wrapped__))
+    monkeypatch.setattr(constructors, "_CACHE", {})
     built = []
     orig = presentations.build_from_presentation
 

@@ -14,6 +14,8 @@ and r(q)* (5;25) are not pointed.
 
 import pytest
 
+from hopfkit.constructors import corpus
+from hopfkit.invariants import fingerprint
 from hopfkit.papercheck import type_table_sweep
 
 PAPER_TABLE_P5 = {
@@ -42,3 +44,7 @@ def test_type_table_p5():
     assert ok, [(r.label, r.note) for r in rows if not r.ok]
     got = {r.label: (r.fp.g_type, r.fp.g_dual_type, r.fp.pointed) for r in rows}
     assert got == PAPER_TABLE_P5
+    # the sweep's family walk gives the fingerprints of corpus(), in order
+    members = corpus(5, 1)
+    assert [r.label for r in rows] == list(members)
+    assert [r.fp for r in rows] == [fingerprint(H) for H in members.values()]

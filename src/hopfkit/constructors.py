@@ -328,16 +328,15 @@ _FAMILY_HEAD = {"dual_group_algebra": "group_algebra", "dual_uq_sl2": "uq_sl2",
                 "dual_r": "r", "taft_tensor": "taft"}
 
 
-def sweep_corpus(visit, p: int = 3, e: int = 1,
-                 release: bool = True) -> list:
+def sweep_corpus(visit, p: int = 3, e: int = 1) -> list:
     """[visit(H) for H in corpus(p, e).values()], built and visited one
     family at a time, in the order of each family's first member.
 
-    With `release`, the constructor cache entries that a family added are
-    dropped before the next family is built, so only what `visit` returns
-    outlives the family.  A member that was cached before the walk stays,
-    so `standard_constructors` still returns the same object to every
-    other caller."""
+    The constructor cache entries that a family added are dropped before
+    the next family is built, so only what `visit` returns outlives the
+    family.  A member that was cached before the walk stays, so
+    `standard_constructors` still returns the same object to every other
+    caller."""
     members = _corpus_members(p, e)
     families: dict = {}
     for i, args in enumerate(members):
@@ -348,16 +347,15 @@ def sweep_corpus(visit, p: int = 3, e: int = 1,
         added = len(_CACHE)
         for i in family:
             out[i] = visit(standard_constructors(*members[i]))
-        if release:
-            for key in list(_CACHE)[added:]:
-                del _CACHE[key]
+        for key in list(_CACHE)[added:]:
+            del _CACHE[key]
     return out
 
 
 def corpus(p: int = 3, e: int = 1) -> dict[str, FinHopf]:
     """Every corpus algebra at the given odd prime, keyed by display name."""
     return {H.label: H
-            for H in sweep_corpus(lambda H: H, p, e, release=False)}
+            for H in (standard_constructors(*a) for a in _corpus_members(p, e))}
 
 
 # -- crossed products ------------------------------------------------------------------

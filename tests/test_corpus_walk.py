@@ -3,8 +3,7 @@
 Each family is built, fingerprinted and dropped from the constructor cache
 before the next one is built, and `cli.run()` turns the cyclic collector
 off, so a dropped member must be freed by reference counting alone: no
-member may sit in a reference cycle.  The walk's rows are exactly the
-fingerprints of `corpus(p, e)` in label order.
+member may sit in a reference cycle.
 """
 
 import gc
@@ -13,7 +12,7 @@ import weakref
 import pytest
 
 from hopfkit import constructors, papercheck
-from hopfkit.constructors import corpus, standard_constructors
+from hopfkit.constructors import standard_constructors
 from hopfkit.invariants import fingerprint
 from hopfkit.papercheck import type_table_sweep
 
@@ -62,9 +61,3 @@ def test_sweep_keeps_members_cached_before_it(monkeypatch):
     assert list(constructors._CACHE.values()) == [taft]
     assert standard_constructors("taft", 3, 1) is taft
 
-
-def test_sweep_rows_are_the_corpus_fingerprints():
-    rows, _ = type_table_sweep(3, 1)
-    members = corpus(3, 1)
-    assert [r.label for r in rows] == list(members)
-    assert [r.fp for r in rows] == [fingerprint(H) for H in members.values()]

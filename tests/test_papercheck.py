@@ -1,6 +1,7 @@
 import pytest
 
 from hopfkit.errors import ScaleGateExceeded
+from hopfkit.invariants import fingerprint
 from hopfkit.papercheck import (dim27_case_elimination, spectra_lemma_check,
                                 type_table_sweep)
 
@@ -68,6 +69,9 @@ def test_type_table_sweep(corpus3):
     assert by_label["uq_sl2(p=3,e=1)"].fp.type_pair() == "(3;1)"
     assert by_label["book(p=3,e=1,m=1)"].fp.type_pair() == "(3;3)"
     assert by_label["book(p=3,e=1,m=2)"].fp.type_pair() == "(3;3)"
+    # the sweep's family walk gives the fingerprints of corpus(), in order
+    assert list(by_label) == list(corpus3)
+    assert [r.fp for r in rows] == [fingerprint(H) for H in corpus3.values()]
 
 
 def test_spectra_p3_n3():

@@ -320,7 +320,8 @@ def is_grouplike(v: dict, counit: dict, crows, M: int, left=None) -> bool:
                    if keep is None or a in keep for b, cb in v.items()}
 
 
-def _support_mask(v: dict) -> int:
+def support_mask(v: dict) -> int:
+    """The bits of supp(v), to bit-and with `nonempty_masks`."""
     return sum(1 << m for m in v)
 
 
@@ -331,7 +332,7 @@ def _krylov_generators(mrows, masks, crows, unit: dict,
     one = CycloNum.one(M)
     span = EchelonBasis(n, M)
     span.insert(unit)
-    found = [(unit, _support_mask(unit))]
+    found = [(unit, support_mask(unit))]
     X: list[int] = []
     # cost per reach, then busiest first; the sort is stable, so then by
     # index.  The float ratios order exactly while n^4 < 2^53 (two ratios
@@ -352,7 +353,7 @@ def _krylov_generators(mrows, masks, crows, unit: dict,
                 continue  # e_x v = 0, read off the bit masks
             w = mult_vectors(mrows, {x: one}, v)
             if span.insert(w):
-                wmask = _support_mask(w)
+                wmask = support_mask(w)
                 found.append((w, wmask))
                 work.extend((y, w, wmask) for y in X)
     return tuple(sorted(X)) if len(span) == n else None

@@ -10,10 +10,11 @@ field, where characters biject with one-dimensional Wedderburn blocks).
 FieldTooSmall is raised instead of silently under-reporting when the
 certificate cannot be met.
 
-The integrals, the coradical filtration H_{i+1} = ker (p_0 (x) p_i)Delta,
-the skew-primitives and the block count (the centre of H*/J(H*)) are
-kernels of linear maps, each given by its sparse columns f(e_b) to
-`linalg.intersect_kernels`; no condition rows are built here.
+The integrals, the skew-primitives and the block count (the centre of
+H*/J(H*)) are kernels of linear maps, each given by its sparse columns
+f(e_b) to `linalg.intersect_kernels`; no condition rows are built here.
+The coradical filtration is read from the Loewy series of J(H*), the
+radical H_0 already comes from: dim H_k = n - dim J(H*)^{k+1}.
 
 Three laws are checked on the Krylov generators X = `FinHopf.generators`
 only, each by the same induction on words in X, which span the algebra:
@@ -53,11 +54,11 @@ from .errors import (BoundExceeded, ClaimIncomplete, ClaimNotGrouplike,
                      IntegralSpaceNotOneDim, NotGrouplike, NotNormalizable,
                      SectionFails)
 from .hopf import (FinHopf, HopfMorphism, coinvariants, skew_primitive_map,
-                   verify_morphism)
-from .linalg import (Subspace, algebra_radical, apply_columns,
-                     apply_tensor_columns, center, commutative_quotient_dim,
-                     compose_columns, functional_leg, identity_columns,
-                     intersect_kernels, quotient_by_radical, ratio,
+                   support_mask, verify_morphism)
+from .linalg import (EchelonBasis, Subspace, algebra_radical, apply_columns,
+                     center, commutative_quotient_dim, compose_columns,
+                     functional_leg, identity_columns, intersect_kernels,
+                     mult_vectors, quotient_by_radical, ratio,
                      sparse_add_into, sparse_dot, sparse_sub, zero_free)
 
 # -- integrals and modular elements ---------------------------------------------
@@ -236,7 +237,11 @@ class SemisimplicityReport(Record):
 
 def semisimplicity(H: FinHopf) -> SemisimplicityReport:
     """Exact Tr S^2 = sum_j S(S e_j)_j; nonzero iff semisimple iff
-    cosemisimple (char 0)."""
+    cosemisimple (char 0); computed once per algebra."""
+    return H.memo("semisimplicity", lambda: _semisimplicity(H))
+
+
+def _semisimplicity(H: FinHopf) -> SemisimplicityReport:
     S, zero = H.antipode, CycloNum.zero(H.conductor)
     tr = sum((apply_columns(S, S[j]).get(j, zero) for j in range(H.dim)), zero)
     ss = not tr.is_zero()
@@ -264,37 +269,69 @@ class CoradicalReport(Record):
     )
 
 
-def coradical_spaces(H: FinHopf) -> list[Subspace]:
-    """The exact filtration subspaces H_0 c H_1 c ... = H."""
-    n, M = H.dim, H.conductor
-    H0 = H.dual_cached().radical.perp()
-    spaces = [H0]
-    p0 = H0.projection_columns()
-    while spaces[-1].dim < n:
-        # H_{i+1} = ker (p0 (x) p_i) Delta
-        p1 = spaces[-1].projection_columns()
-        nxt = intersect_kernels(
-            [[apply_tensor_columns(p0, p1, dict(H.crows[m])) for m in range(n)]],
-            n, M)
-        if nxt.dim <= spaces[-1].dim:
-            raise ExtractionInconsistent("coradical filtration failed to grow")
-        spaces.append(nxt)
-    return spaces
+def radical_power_dims(A: FinHopf) -> tuple[int, ...]:
+    """(dim J, dim J^2, ..., 0) for J = J(A) = `A.radical`, ending at the
+    first power that is 0.
+
+    J^{k+1} = J^k J is spanned by the products a b, a in a basis of J^k and
+    b in the echelon basis of J.  A pair is skipped when no nonempty cell
+    e_i e_j has i in supp(a) and j in supp(b) (one bit-and of the union of
+    `mmasks` over supp(a) with the support of b): a b is then 0.  J is
+    nilpotent, so J^{k+1} is a proper subspace of J^k until J^k = 0 (were
+    J^k J = J^k, then J^k = J^{k+m} = 0 for m large); a power that fails
+    to shrink raises ExtractionInconsistent.
+    """
+    rows, masks = A.mrows, A.mmasks
+    J = [(b, support_mask(b)) for b in A.radical.basis]
+    power = A.radical.basis
+    dims = [len(power)]
+    while power:
+        eb = EchelonBasis(A.dim, A.conductor)
+        for a in power:
+            amask = 0
+            for i in a:
+                amask |= masks[i]
+            for b, bmask in J:
+                if amask & bmask:
+                    eb.insert(mult_vectors(rows, a, b))
+        if len(eb) >= len(power):
+            raise ExtractionInconsistent("a power of the radical failed to shrink")
+        power = list(eb.rows.values())
+        dims.append(len(power))
+    return tuple(dims)
 
 
 def coradical_filtration(H: FinHopf) -> CoradicalReport:
-    """Filtration dims of H plus the block shape of H0(H) = (H*/J(H*))*.
+    """Filtration dims of H plus the block shape of H0(H) = (H*/J(H*))*;
+    computed once per algebra.
 
     The block counts are those of H0 of the algebra passed in (see
     `CoradicalReport`), not of its dual.  The 1x1 blocks are the characters
     of H*, the number `grouplike_census` certifies against.
     """
-    M = H.conductor
-    spaces = coradical_spaces(H)
-    dims = tuple(s.dim for s in spaces)
-    H0 = spaces[0]
+    return H.memo("coradical", lambda: _coradical_filtration(H))
 
+
+def _coradical_filtration(H: FinHopf) -> CoradicalReport:
+    """The filtration read from the powers of J = J(H*) alone.
+
+    Pair H* with H by the coordinates, V^perp the annihilator.  The product
+    of H* is the transpose of Delta, (fg)(h) = sum f(h_1) g(h_2), so for
+    subspaces V, W of H, (V^perp W^perp)^perp = {h : Delta h in V (x) H +
+    H (x) W} = V ^ W, the wedge of the coradical filtration; here H is
+    finite-dimensional, so X^perp^perp = X for every subspace X.  The
+    coradical is H_0 = J^perp (the simple subcoalgebras of H are the duals
+    of the simple quotients of H*), and H_k = H_{k-1} ^ H_0 (Montgomery,
+    *Hopf Algebras and Their Actions on Rings*, 5.1-5.2).  By induction
+    H_{k-1}^perp = J^k, so H_k = (J^k J)^perp = (J^{k+1})^perp: dim H_k =
+    n - dim J^{k+1}, and the filtration reaches H at the first k with
+    J^{k+1} = 0 (`radical_power_dims`).  No H_k is built.
+    """
+    n, M = H.dim, H.conductor
     D = H.dual_cached()
+    dims = tuple(n - d for d in radical_power_dims(D))
+    H0_dim = dims[0]
+
     blocks = center(D.semisimple_quotient, M, D.semisimple_generators).dim
     ones = D.character_count
 
@@ -304,8 +341,8 @@ def coradical_filtration(H: FinHopf) -> CoradicalReport:
             f"{ones} one-dimensional blocks but only {len(verified)} verified "
             "group-likes: nonsplit field factor or missing claims")
 
-    cands = tuple(_square_partitions(H0.dim - ones, blocks - ones))
-    return CoradicalReport(dims, H0.dim, blocks, ones, cands)
+    cands = tuple(_square_partitions(H0_dim - ones, blocks - ones))
+    return CoradicalReport(dims, H0_dim, blocks, ones, cands)
 
 
 def _square_partitions(total: int, parts: int, lo: int = 2):

@@ -38,18 +38,24 @@ def spectra_lemma_check(p: int, n: int, gate: int = 200_000) -> SpectraCheckResu
             f"{total} multisets exceed the enumeration gate {gate}")
     M = pn if pn % 2 == 1 else 2 * pn
     omega = CycloNum.zeta(M, M // pn)
-    one = CycloNum.one(M)
     vals = []
     for sign in (1, -1):
         for i in range(pn):
             v = omega ** i
             vals.append(((sign, i), v if sign == 1 else -v))
 
+    # each conforming multiset with its first (sign, m): sign +1 first, then
+    # m ascending
     step = p ** (n - 1)
+    conforming: dict = {}
+    for sign in (1, -1):
+        for m in range(step):
+            conforming.setdefault(tuple(sorted(
+                (sign, (m + j * step) % pn) for j in range(p))), (sign, m))
+
     zero = CycloNum.zero(M)
     trace_zero = []
     witnesses = []
-    all_conform = True
     for combo in combinations_with_replacement(range(values), p):
         acc = zero
         for idx in combo:
@@ -58,21 +64,8 @@ def spectra_lemma_check(p: int, n: int, gate: int = 200_000) -> SpectraCheckResu
             continue
         multiset = tuple(sorted(vals[idx][0] for idx in combo))
         trace_zero.append(multiset)
-        conform = None
-        for sign in (1, -1):
-            for m in range(step):
-                expected = tuple(sorted(
-                    (sign, (m + j * step) % pn) for j in range(p)))
-                if expected == multiset:
-                    conform = (sign, m)
-                    break
-            if conform:
-                break
-        if conform is None:
-            all_conform = False
-            witnesses.append((multiset, 0, -1))
-        else:
-            witnesses.append((multiset, conform[0], conform[1]))
+        witnesses.append((multiset, *conforming.get(multiset, (0, -1))))
+    all_conform = all(ms in conforming for ms in trace_zero)
     return SpectraCheckResult(p, n, pn, total, tuple(trace_zero),
                               tuple(witnesses), all_conform)
 

@@ -4,11 +4,14 @@
 `hopfkit.linalg` used before it moved to sparse vectors, kept verbatim in
 substance as a slow oracle.  The small dense helpers (vectors as lists,
 matrices as lists of rows) serve tests that state their expectations in
-dense form.
+dense form.  `oracle_coradical_spaces` is the projection route to the
+coradical filtration that `invariants` used before it read the filtration
+from the powers of J(H*).
 """
 
 from hopfkit.cyclo import CycloNum
-from hopfkit.linalg import dense_to_sparse
+from hopfkit.linalg import (apply_tensor_columns, dense_to_sparse, kernel,
+                            sparse_add_into)
 
 
 def zero_vector(n, M):
@@ -183,3 +186,21 @@ def dense_inverse(A, M):
 
 def sparse_rows(A):
     return [dense_to_sparse(row) for row in A]
+
+
+def oracle_coradical_spaces(H):
+    """The subspaces H_0 c H_1 c ... = H, with H_0 = J(H*)^perp and
+    H_{i+1} = ker (p_0 (x) p_i)Delta, p_i the projection of H onto H/H_i."""
+    n, M = H.dim, H.conductor
+    H0 = H.dual_cached().radical.perp()
+    spaces = [H0]
+    p0 = H0.projection_columns()
+    while spaces[-1].dim < n:
+        # one row per (a, b)
+        p1 = spaces[-1].projection_columns()
+        eq: dict = {}
+        for m in range(n):
+            for ab, c in apply_tensor_columns(p0, p1, dict(H.crows[m])).items():
+                sparse_add_into(eq.setdefault(ab, {}), m, c)
+        spaces.append(kernel(eq.values(), n, M))
+    return spaces

@@ -3,22 +3,25 @@
 The constructor cache is keyed on the canonical conductor, a dual member is
 the `dual_cached()` of its base and is certified by transposition instead of
 a second `verify_hopf`, integrals, modular elements and censuses are
-memoised on the algebra, and each structure tensor builds its row view once.  The certificates of `op_cop`, `tensor` and
+memoised on the algebra (so are the coradical filtration and Tr S^2, which
+`report --all` reads twice), and each structure tensor builds its row view
+once.  The certificates of `op_cop`, `tensor` and
 `quotient_by_hopf_ideal` are checked here against `verify_hopf` too.
 """
 
 import random
 import sys
 
-from hopfkit import constructors, hopf, presentations
+from hopfkit import constructors, hopf, invariants, presentations
 from hopfkit.cli import main
 from hopfkit.constructors import corpus, group_algebra, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.groups import cyclic
 from hopfkit.hopf import (FinHopf, dual, op_cop, quotient_by_hopf_ideal,
                           tensor, verify_hopf)
-from hopfkit.invariants import (characters_census, grouplike_census,
-                                integrals, modular_elements)
+from hopfkit.invariants import (characters_census, coradical_filtration,
+                                grouplike_census, integrals,
+                                modular_elements, semisimplicity)
 from hopfkit.linalg import SparseTensor3, sparse_add_into
 from hopfkit.papercheck import type_table_sweep
 
@@ -189,6 +192,24 @@ def test_construct_builds_each_row_view_once(monkeypatch, capsys):
     assert sorted(built) == [25, 25, 125, 125]
 
 
+def test_report_computes_each_invariant_once(monkeypatch, capsys, tmp_path):
+    # `report --all` reads the coradical filtration and Tr S^2 in its
+    # fingerprint line and again in its own sections; each record is made
+    # at most once per algebra
+    path = str(tmp_path / "uq.hopf")
+    assert main(["construct", "uq_sl2", "--out", path]) == 0
+    made = {"CoradicalReport": 0, "SemisimplicityReport": 0}
+    for name in made:
+        def counting(*args, _name=name, _orig=getattr(invariants, name)):
+            made[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(invariants, name, counting)
+    assert main(["report", path, "--all"]) == 0
+    out = capsys.readouterr().out
+    assert "corad=[3,9,18,24,27]" in out and "semisimple=no" in out
+    assert made == {"CoradicalReport": 1, "SemisimplicityReport": 1}
+
+
 def test_default_conductor_is_the_same_object():
     for name in ("uq_sl2", "taft", "r"):
         assert standard_constructors(name, 3, 1) is \
@@ -211,6 +232,8 @@ def test_invariants_are_memoised(uq3):
     assert characters_census(uq3) is grouplike_census(uq3.dual_cached())
     assert grouplike_census(uq3) is grouplike_census(uq3)
     assert integrals(uq3) is integrals(uq3)
+    assert coradical_filtration(uq3) is coradical_filtration(uq3)
+    assert semisimplicity(uq3) is semisimplicity(uq3)
     assert modular_elements(uq3) is modular_elements(uq3)
     assert uq3.verified_grouplikes is uq3.verified_grouplikes
     assert len(uq3.verified_grouplikes) == len(uq3.claims.grouplikes) == 3

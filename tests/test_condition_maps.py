@@ -3,23 +3,26 @@ against the row-form condition builders they replaced.
 
 The oracles below are the earlier builders: each transposes its map into
 condition rows by hand and takes the row-form `kernel`.  Skew-primitives
-(pairs (1, g) and (g, 1) over the verified group-likes), the coradical
-filtration and the centre are compared on the p = 3 corpus and D(taft),
-the coinvariants on the projections of `test_hopf.py`; every `Subspace`
-must be identical.
+(pairs (1, g) and (g, 1) over the verified group-likes) and the centre are
+compared on the p = 3 corpus and D(taft), the coinvariants on the
+projections of `test_hopf.py`; every `Subspace` must be identical.  The
+coradical filtration, which `invariants` reads from the powers of J(H*),
+is compared with the projection oracle `dense_oracle.oracle_coradical_spaces`
+there (and on the p = 5 corpus under `-m slow`): equal dims, and each
+oracle H_k equal to (J^{k+1})^perp with J^{k+1} formed from every product.
 """
 
 import pytest
 
-from dense_oracle import zero_vector
-from hopfkit.constructors import group_algebra, standard_constructors
+from dense_oracle import oracle_coradical_spaces, zero_vector
+from hopfkit.constructors import corpus, group_algebra, standard_constructors
 from hopfkit.cyclo import CycloNum
 from hopfkit.groups import cyclic
 from hopfkit.hopf import (HopfMorphism, coinvariants, identity_morphism,
                           trivial_hopf)
-from hopfkit.invariants import coradical_spaces, skew_primitives
-from hopfkit.linalg import (apply_tensor_columns, center, kernel,
-                            sparse_add_into, sparse_columns)
+from hopfkit.invariants import coradical_filtration, skew_primitives
+from hopfkit.linalg import (Subspace, center, kernel, sparse_add_into,
+                            sparse_columns)
 
 M = 9
 
@@ -54,20 +57,27 @@ def oracle_coinvariants(pi):
     return kernel(eq.values(), n, H.conductor)
 
 
-def oracle_coradical_spaces(H):
-    n, M = H.dim, H.conductor
-    H0 = H.dual_cached().radical.perp()
-    spaces = [H0]
-    p0 = H0.projection_columns()
-    while spaces[-1].dim < n:
-        # H_{i+1} = ker (p0 (x) p_i) Delta, one row per (a, b)
-        p1 = spaces[-1].projection_columns()
-        eq: dict = {}
-        for m in range(n):
-            for ab, c in apply_tensor_columns(p0, p1, dict(H.crows[m])).items():
-                sparse_add_into(eq.setdefault(ab, {}), m, c)
-        spaces.append(kernel(eq.values(), n, M))
-    return spaces
+def all_product_powers(A):
+    """[J, J^2, ..., 0] for J = J(A), each power spanned by every product
+    a b of a basis vector a of the one before and b of J (no pair skipped)."""
+    J = A.radical
+    powers = [J]
+    while powers[-1].dim:
+        powers.append(Subspace.from_vectors(A.dim, A.conductor, (
+            A.mul(a, b) for a in powers[-1].basis for b in J.basis)))
+    return powers
+
+
+def assert_coradical_matches_oracle(H):
+    """The filtration dims equal those of the projection oracle, and each
+    oracle H_k is (J(H*)^{k+1})^perp."""
+    oracle = oracle_coradical_spaces(H)
+    assert coradical_filtration(H).filtration_dims == \
+        tuple(s.dim for s in oracle), H.label
+    powers = all_product_powers(H.dual_cached())
+    assert len(powers) == len(oracle), H.label
+    for space, power in zip(oracle, powers):
+        assert space == power.perp(), H.label
 
 
 def oracle_centre(mult, M):
@@ -124,7 +134,13 @@ def test_coinvariants_match_row_oracle():
 
 def test_coradical_filtration_matches_row_oracle(members):
     for H in members:
-        assert coradical_spaces(H) == oracle_coradical_spaces(H), H.label
+        assert_coradical_matches_oracle(H)
+
+
+@pytest.mark.slow
+def test_coradical_filtration_matches_row_oracle_p5():
+    for H in corpus(5, 1).values():
+        assert_coradical_matches_oracle(H)
 
 
 def test_centre_matches_row_oracle(members):

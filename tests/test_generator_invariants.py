@@ -14,6 +14,12 @@ D(taft); every claimed group-like and character, perturbed in one
 coordinate, must be rejected by both.  A field-multiplication budget pins
 the work.
 
+With the first-leg index of the comultiplication (`SparseTensor3.first_legs`),
+a long row is read only on the runs of its first legs in X(H*); the terms
+it visits are counted on the p = 3 corpus and its duals, against the full
+rows the scan reads, with every verdict compared with the check on every
+row.
+
 The modular elements alpha and g are group-like without a check (proof in
 `invariants._modular_elements`); the full Delta(v) = v (x) v oracle
 confirms it on the p = 3 corpus, its duals and D(taft).
@@ -24,7 +30,7 @@ from test_census_certificate import relabel
 from hopfkit.constructors import group_algebra
 from hopfkit.cyclo import CycloNum
 from hopfkit.groups import cyclic
-from hopfkit.hopf import verify_hopf
+from hopfkit.hopf import is_grouplike, verify_hopf
 from hopfkit.invariants import modular_elements
 from hopfkit.linalg import (EchelonBasis, center, commutative_quotient_dim,
                             coproduct, kernel, mult_vectors, outer,
@@ -122,6 +128,47 @@ def test_double_and_a_relabelling_match_the_oracles(double_taft):
     R = relabel(double_taft, 11)
     assert verify_hopf(R).ok
     assert_matches_oracles(R, full_algebra=False)
+
+
+def counting_rows(crows, seen):
+    """crows as rows that add to seen[0] each term read from them, by
+    iteration or by a slice."""
+    class Row(tuple):
+        def __iter__(self):
+            seen[0] += len(self)
+            return super().__iter__()
+
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            seen[0] += len(out) if isinstance(key, slice) else 1
+            return out
+    return [Row(row) for row in crows]
+
+
+def test_grouplike_test_reads_only_the_runs_of_the_kept_legs(corpus3):
+    # the claims and their perturbations, on every corpus member and its
+    # dual: the terms visited through the first-leg index, against those
+    # the scan of every row of supp(v) reads
+    indexed, scanned = [0], [0]
+    for H in corpus3.values():
+        for A in (H, H.dual_cached()):
+            X, M = A.dual_cached().generators, A.conductor
+            rows_i, rows_s = (counting_rows(A.crows, seen)
+                              for seen in (indexed, scanned))
+            for v in A.claims.grouplikes:
+                for w in (v, *perturbations(A, v)):
+                    before = indexed[0], scanned[0]
+                    verdict = is_grouplike(w, A.counit, rows_i, M, X,
+                                           A.comult.first_legs())
+                    assert verdict == is_grouplike(w, A.counit, rows_s, M, X)
+                    assert verdict == is_grouplike(w, A.counit, A.crows, M), A.label
+                    # never more terms than the scan, row by row
+                    assert indexed[0] - before[0] <= scanned[0] - before[1], A.label
+    # 77,433 of 180,627 terms: the rows of 27 terms of a k^G are read by
+    # bisection against the 1 or 2 generators of k[G]; rows at most 12
+    # times as long as X(H*) are scanned
+    assert scanned[0] == 180_627, scanned
+    assert indexed[0] <= 77_433, indexed
 
 
 def test_generator_work_budget(monkeypatch):

@@ -1,5 +1,6 @@
 """The sparse product kernels and the associativity sweep form a coefficient
-product only where the structure cell it multiplies is nonempty.
+product only where the structure cell it multiplies is nonempty, and treat
+one-term cells as one term.
 
 `tensor_mul`, `mult_vectors`, `apply_tensor_columns` and
 `associativity_failure` are compared with the loops they replace, kept here
@@ -7,17 +8,27 @@ as a test-local oracle that multiplies first and looks at the cell after:
 on the row views of the p = 3 corpus and its duals, on D(taft), on a
 relabelled, rescaled D(taft) and on seeded random row tables with empty
 cells and one-entry corruptions.  The dicts (insertion order included) and
-the first failing (i, j, k) must be the same.  A work budget pins the field
-multiplications of `verify_hopf` on D(taft) and its rescaled copy.
+the first failing (i, j, k) must be the same.  `associativity_failure`
+compares one-term cells without dicts, so it is also compared on
+corruptions that keep a one-term cell one-term (a changed coefficient, a
+moved index), on the corpus, its duals and seeded tables whose every
+nonempty cell has one term.  A work budget pins the field multiplications
+of `verify_hopf` on D(taft) and its rescaled copy.
+
+`hopf.dual` writes the transposed entries sorted by bucketing; the
+dict-and-sort transposition it replaces is the oracle for its entries and
+row views.  `SparseTensor3.from_rows` must give the tensor `from_dict`
+gives, and keep the rows it was handed as its `rows_ij` view.
 """
 
 import random
 from fractions import Fraction
 
 from hopfkit.cyclo import CycloNum
-from hopfkit.hopf import associativity_failure, verify_hopf
-from hopfkit.linalg import (apply_tensor_columns, identity_columns,
-                            mult_vectors, sparse_add_into, tensor_mul)
+from hopfkit.hopf import ClaimSet, FinHopf, associativity_failure, dual, verify_hopf
+from hopfkit.linalg import (SparseTensor3, apply_tensor_columns,
+                            identity_columns, mult_vectors, sparse_add_into,
+                            tensor_mul, transpose_columns)
 
 from test_generator_certificate import fresh, relabel
 
@@ -84,6 +95,25 @@ def oracle_associativity_failure(mrows, left=None):
     return None
 
 
+def oracle_dual(H):
+    """The dual by a dict of transposed cells, sorted afterwards."""
+    n, M = H.dim, H.conductor
+    mult_d = {}
+    for (i, j, k), c in H.comult.entries:
+        mult_d[(j, k, i)] = c
+    comult_d = {}
+    for (i, j, k), c in H.mult.entries:
+        comult_d[(k, i, j)] = c
+    return FinHopf(n, M,
+                   SparseTensor3.from_dict((n, n, n), mult_d),
+                   H.counit,
+                   SparseTensor3.from_dict((n, n, n), comult_d),
+                   H.unit,
+                   transpose_columns(H.antipode, n),
+                   ClaimSet(H.claims.characters, H.claims.grouplikes),
+                   f"dual({H.label})" if H.label else "dual")
+
+
 def same(a, b):
     """Equal dicts with the same insertion order."""
     return a == b and list(a) == list(b)
@@ -127,6 +157,50 @@ def corrupt_rows(rows, rng, M):
     out = [list(r) for r in rows]
     out[i][j] = tuple(sorted(cell.items()))
     return tuple(tuple(r) for r in out)
+
+
+def one_term_corruptions(rows, rng, M):
+    """rows with one seeded one-term cell c e_k kept one-term: once with c
+    changed, once with k moved (None for a table with no one-term cell)."""
+    n = len(rows)
+    cells = [(i, j) for i in range(n) for j in range(n) if len(rows[i][j]) == 1]
+    if not cells:
+        return
+    for kind in ("coefficient", "index"):
+        i, j = rng.choice(cells)
+        (k, c), = rows[i][j]
+        if kind == "coefficient":
+            d = c + CycloNum.one(M)
+            new = ((k, d if not d.is_zero() else c + c),)
+        elif n > 1:
+            new = (((k + rng.randrange(1, n)) % n, c),)
+        else:
+            continue
+        out = [list(r) for r in rows]
+        out[i][j] = new
+        yield tuple(tuple(r) for r in out)
+
+
+def monomial_rows(rng, M):
+    """The product of k[x]/(x^m) (x) k^sigma[Z/a], sigma(g, h) = zeta_a^(t g h),
+    in a seeded basis x^s g scaled by rationals and permuted: associative,
+    every nonempty cell has one term, and x^s x^r = 0 for s + r >= m leaves
+    cells empty."""
+    m, a, t = rng.randint(1, 3), rng.choice((1, 3, 9)), rng.randrange(9)
+    n = m * a
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    lam = [rand_coef(rng, M) for _ in range(n)]
+    rows = [[() for _ in range(n)] for _ in range(n)]
+    for s1 in range(m):
+        for g in range(a):
+            for s2 in range(m - s1):
+                for h in range(a):
+                    i, j, k = s1 * a + g, s2 * a + h, (s1 + s2) * a + (g + h) % a
+                    c = (CycloNum.zeta(M, (t * g * h * (9 // a)) % 9 * (M // 9))
+                         * lam[i] * lam[j] / lam[k])
+                    rows[sigma[i]][sigma[j]] = ((sigma[k], c),)
+    return tuple(tuple(r) for r in rows)
 
 
 def check_products(H, rng):
@@ -232,3 +306,67 @@ def test_verify_work_budget(double_taft, monkeypatch):
         n[0] = 0
         assert verify_hopf(H).ok, H.label
         assert n[0] <= 62_875, (H.label, n[0])
+
+
+def test_one_term_corruptions_match_the_oracle(corpus3):
+    # a corruption that keeps a one-term cell one-term is found by the
+    # dict-free comparison, at the triple the oracle names (some keep the
+    # table associative: c e_g for e_g e_g = e_g in k^G still is)
+    failures = []
+    for H in corpus3.values():
+        for A in (H, H.dual_cached()):
+            rows = A.mrows
+            for bad in one_term_corruptions(rows, random.Random(A.label), A.conductor):
+                fail = associativity_failure(bad)
+                assert fail == oracle_associativity_failure(bad), A.label
+                X = A.generators
+                assert (associativity_failure(bad, X)
+                        == oracle_associativity_failure(bad, X)), A.label
+                failures.append(fail)
+    assert len(failures) == 68 and failures.count(None) < 10
+    assert len(set(failures)) > 20
+
+
+def test_one_term_tables_match_the_oracle():
+    M = 9
+    failures = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        rows = monomial_rows(rng, M)
+        assert associativity_failure(rows) is None, seed
+        assert oracle_associativity_failure(rows) is None, seed
+        n = len(rows)
+        left = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for bad in one_term_corruptions(rows, rng, M):
+            for lft in (None, left):
+                fail = associativity_failure(bad, lft)
+                assert fail == oracle_associativity_failure(bad, lft), (seed, lft)
+                failures.add(fail)
+    assert None in failures and len(failures) > 10
+
+
+def test_dual_matches_the_dict_and_sort_transposition(corpus3, double_taft):
+    algebras = [A for H in corpus3.values() for A in (H, H.dual_cached())]
+    algebras += [double_taft, relabel(double_taft, random.Random(2), True)]
+    for H in algebras:
+        D, O = dual(H), oracle_dual(H)
+        for t, o in ((D.mult, O.mult), (D.comult, O.comult)):
+            assert t.dims == o.dims and t.entries == o.entries, H.label
+            assert t.rows_ij() == o.rows_ij(), H.label
+            assert t.rows_i() == o.rows_i(), H.label
+        assert (D.unit, D.counit, D.antipode) == (O.unit, O.counit, O.antipode)
+
+
+def test_rows_constructor_round_trips(corpus3):
+    tables = [A.mrows for H in corpus3.values() for A in (H, H.dual_cached())]
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        tables.append(rand_rows(rng, n, 9, rng.choice((0.0, 0.2, 0.5))))
+    for rows in tables:
+        n = len(rows)
+        t = SparseTensor3.from_rows((n, n, n), rows)
+        cells = {(i, j, k): c for i, row in enumerate(rows)
+                 for j, cell in enumerate(row) for k, c in cell}
+        assert t.entries == SparseTensor3.from_dict((n, n, n), cells).entries
+        assert t.rows_ij() is rows
